@@ -55,12 +55,8 @@ from .operators import (  # noqa: F401
     h_opnorm,
     identity_operator,
     is_naturally_selfadjoint,
-    is_normal,
-    is_unitary,
     lax_check,
     minmax_eigenvalue,
-    norm_inequality_report,
-    orthogonal_subspaces,
     polar_decompose,
     rayleigh_compare,
     self_conjugacy_check,
@@ -78,6 +74,7 @@ from .schatten import (  # noqa: F401
     schatten_norm,
     schatten_norm_paths,
     singular_spectrum,
+    singular_value_gap,
     singular_values,
     weyl_check,
 )
@@ -99,11 +96,9 @@ from .ks2 import (  # noqa: F401
 )
 from .integrals import (  # noqa: F401
     PeriodicSignal,
-    adjoint_relation_check,
     hilbert_multiplier,
     hilbert_pv,
     hls_bound_report,
-    lp_bound_report,
     odd_kernel_operator,
     random_bandlimited,
     riesz_potential,

@@ -40,11 +40,6 @@ class EmbeddingSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def weight_tail(self) -> float:
-        """Upper bound 2^{-N} on the truncated weight tail sum."""
-        return 2.0 ** -self.dim
-
 
 def embedding_space(basis: SchauderBasis, weights=None) -> EmbeddingSpace:
     """Wrap a basis with weights (default: the dyadic schedule 2^{-n})."""

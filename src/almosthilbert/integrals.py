@@ -149,54 +149,6 @@ def hilbert_pv(f: PeriodicSignal, eps: float) -> PeriodicSignal:
     return odd_kernel_operator(f, _hilbert_omega, eps)
 
 
-def adjoint_relation_check(op, f: PeriodicSignal, g: PeriodicSignal, sign: int,
-                           tol: float = 1e-10) -> VerificationReport:
-    """Check <op f, g> = sign * <f, op g> at scale |f|_2 |g|_2."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    lhs = signal_inner(op(f), g)
-    rhs = sign * signal_inner(f, op(g))
-    scale = signal_lp_norm(f, 2) * signal_lp_norm(g, 2)
-    rep = VerificationReport(suite="integral-adjoint")
-    rep.add(check_result("adjoint-relation", abs(lhs - rhs), tol * scale,
-                         samples=f.M, sign=sign))
-    return rep
-
-
-def lp_bound_report(op, p: float, trials: int = 100, seed: int = 0,
-                    m: int = 512) -> VerificationReport:
-    """Empirical operator bound on band-limited probes.
-
-    Runs 2*trials probes from one stream and reports the max p-norm ratio;
-    the run is declared stable when doubling the trial count grows the
-    estimate by at most the factor 1.5.  The estimate is a lower bound on
-    the true constant; no analytic value is compared against.
-    """
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(2 * trials):
-        probe = random_bandlimited(rng, m)
-        nf = signal_lp_norm(probe, p)
-        if nf == 0.0:
-            continue
-        ratios.append(signal_lp_norm(op(probe), p) / nf)
-    c_half = max(ratios[:trials])
-    c_full = max(ratios)
-    rep = VerificationReport(suite="integral-lp-bound")
-    rep.add(
-        check_result("lp-bound-finite", 0.0 if np.isfinite(c_full) else np.inf,
-                      0.0, samples=2 * trials, p=p, m=m),
-        check_result("lp-bound-stability", c_full / max(c_half, 1e-300), 1.5,
-                      samples=2 * trials, p=p, m=m),
-        measured("lp-bound-estimate", c_full, samples=2 * trials, p=p, m=m),
-    )
-    return rep
-
-
 def riesz_gamma(alpha: float) -> float:
     """Normalizing constant 2^alpha sqrt(pi) Gamma(alpha/2) / Gamma((1-alpha)/2)."""
     return float(2.0**alpha * math.sqrt(math.pi) * _gamma_fn(alpha / 2.0)
@@ -246,8 +198,9 @@ def hls_bound_report(alpha: float, p: float, trials: int = 100, seed: int = 0,
     """Empirical constant in |I_alpha f|_q <= A |f|_p with 1/q = 1/p - alpha.
 
     The target exponent is computed from the scaling relation and must
-    land in (p, inf); the estimate is reported with the same doubling
-    stability criterion as the singular-integral bound.
+    land in (p, inf).  2*trials probes come from one stream; the run is
+    declared stable when doubling the trial count grows the estimate by at
+    most the factor 1.5.  The estimate is a lower bound on the true constant.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embedding import dyadic_weights
 from .report import VerificationReport, check_result, measured
 from .spaces import GridFunction, _normalize_box, from_callable, lp_norm
 
@@ -133,7 +134,7 @@ class Cube:
 
 @dataclass(frozen=True)
 class CubeSystem:
-    """Immutable enumeration of cubes over a working box with weights 2^{-k}."""
+    """Immutable enumeration of cubes over a working box."""
 
     dim: int
     box: tuple
@@ -153,11 +154,6 @@ class CubeSystem:
             self._cache[k] = Cube(center=rational_center(self.dim, i, self.box),
                                   side=2.0**-l / math.sqrt(self.dim), l=l)
         return self._cache[k]
-
-    def weight(self, k: int) -> float:
-        if k < 1:
-            raise ValueError(f"cube index must be >= 1, got {k}")
-        return 2.0**-k
 
 
 def cube_system(n: int = 1, box=None) -> CubeSystem:
@@ -203,8 +199,7 @@ def functional_values(f: GridFunction, K: int, system: CubeSystem) -> np.ndarray
 def ks2_inner(f: GridFunction, g: GridFunction, K: int, system: CubeSystem) -> complex:
     """Weighted square-sum pairing sum_k 2^{-k} F_k(f) conj(F_k(g))."""
     f._require_same_grid(g)
-    tk = 2.0 ** -np.arange(1, K + 1)
-    return complex(np.sum(tk * functional_values(f, K, system)
+    return complex(np.sum(dyadic_weights(K) * functional_values(f, K, system)
                    * np.conj(functional_values(g, K, system))))
 
 

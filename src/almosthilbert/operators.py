@@ -117,58 +117,8 @@ def adjoint_algebra_check(A: BOperator, B: BOperator, a: complex,
     return rep
 
 
-def norm_inequality_report(A: BOperator, p: float, restarts: int = 4,
-                           seed: int = 0) -> VerificationReport:
-    """Norm products around A*A.
-
-    In the H metric, ||A*A||_H = ||A||_H^2 is asserted.  In the coefficient
-    p-norm model the chain ||A*A||_B <= ||A*||_B ||A||_B <= ||A||_B^2 is
-    only reported: whether ||A*||_B <= ||A||_B holds for p != 2 is left
-    open, so the ratios are measurements, not assertions.
-    """
-    rep = VerificationReport(suite="norm-inequality")
-    astar = adjoint(A)
-    prod = astar @ A
-    nh_a = h_opnorm(A)
-    nh_prod = h_opnorm(prod)
-    viol = abs(nh_prod - nh_a**2) / max(1.0, nh_a**2)
-    rep.add(check_result("hmetric-product-norm", viol, 1e-8, samples=1))
-    nb_a = b_opnorm_estimate(A, p, restarts, seed)
-    nb_astar = b_opnorm_estimate(astar, p, restarts, seed)
-    nb_prod = b_opnorm_estimate(prod, p, restarts, seed)
-    rep.add(
-        measured("bnorm-a", nb_a, samples=1, p=p),
-        measured("bnorm-astar-over-a", nb_astar / max(nb_a, 1e-300), samples=1, p=p),
-        measured("bnorm-product-over-a-squared", nb_prod / max(nb_a**2, 1e-300), samples=1, p=p),
-    )
-    return rep
-
-
 def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10) -> bool:
     return float(np.linalg.norm(A.matrix - adjoint(A).matrix)) <= tol
-
-
-def is_normal(A: BOperator, tol: float = 1e-10) -> bool:
-    astar = adjoint(A)
-    comm = (A @ astar).matrix - (astar @ A).matrix
-    return float(np.linalg.norm(comm)) <= tol
-
-
-def is_unitary(U: BOperator, tol: float = 1e-10) -> bool:
-    ustar = adjoint(U)
-    eye = np.eye(U.space.dim)
-    return (
-        float(np.linalg.norm((U @ ustar).matrix - eye)) <= tol
-        and float(np.linalg.norm((ustar @ U).matrix - eye)) <= tol
-    )
-
-
-def orthogonal_subspaces(us, vs, space: EmbeddingSpace, tol: float = 1e-10) -> bool:
-    """True iff every u in us is H-orthogonal to every v in vs (both ways)."""
-    us, vs = list(us), list(vs)
-    if not us or not vs:
-        raise ValueError("orthogonality needs nonempty vector sets")
-    return all(abs(h_inner(v, u, space)) <= tol for u in us for v in vs)
 
 
 def lax_check(T: BOperator, p: float, restarts: int = 4, seed: int = 0,

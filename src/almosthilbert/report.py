@@ -60,11 +60,6 @@ class VerificationReport:
         self.checks.extend(checks)
         return self
 
-    def extend(self, other: "VerificationReport") -> "VerificationReport":
-        self.checks.extend(other.checks)
-        self.tail_bounds.update(other.tail_bounds)
-        return self
-
     @property
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numerics
 from .operators import BOperator, adjoint, h_matrix
-from .report import VerificationReport, check_result, measured
+from .report import VerificationReport, check_result
 
 POWER_EXPONENTS = (1.0, 2.0, 4.0)
 
@@ -53,12 +53,13 @@ class SingularSpectrum:
         object.__setattr__(self, "lam", lam)
 
 
-def singular_values(A: BOperator, tol: float = 1e-10) -> np.ndarray:
-    """Singular values in the weighted metric, descending.
+def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
+    """Weighted-metric singular values by two paths, and how far apart they are.
 
-    Two paths are cross-checked: square roots of the weighted-metric
-    eigenvalues of A*A, and the SVD of the metric transport of A.  A
-    disagreement beyond ``tol`` (relative) raises ArithmeticError.
+    Returns (s, gap, scale): s is the SVD of the metric transport of A,
+    descending; gap is the largest difference to the square roots of the
+    weighted-metric eigenvalues of A*A; scale is max(1, s_1), the size the
+    gap is judged against.
     """
     mh = h_matrix(A)
     _, s, _ = numerics.svd(mh)
@@ -67,6 +68,16 @@ def singular_values(A: BOperator, tol: float = 1e-10) -> np.ndarray:
     mu_eig = np.sqrt(np.clip(eig.values, 0.0, None))
     scale = max(1.0, float(s[0]) if s.size else 0.0)
     gap = float(np.max(np.abs(s - mu_eig))) if s.size else 0.0
+    return s, gap, scale
+
+
+def singular_values(A: BOperator, tol: float = 1e-10) -> np.ndarray:
+    """Singular values in the weighted metric, descending.
+
+    The two paths of ``singular_value_gap`` must agree: a disagreement
+    beyond ``tol`` (relative) raises ArithmeticError.
+    """
+    s, gap, scale = singular_value_gap(A)
     if gap > tol * scale:
         raise ArithmeticError(f"singular-value paths disagree by {gap:.3e}")
     return s

@@ -53,7 +53,7 @@ from .operators import (
     self_conjugacy_check,
     spectral_decompose,
 )
-from .report import CheckResult, VerificationReport, check_result, measured
+from .report import VerificationReport, check_result, measured
 from .spaces import (
     GridFunction,
     coefficients,
@@ -67,6 +67,9 @@ from .spaces import (
 SUITE_NAMES = ("embedding", "adjoint", "schatten", "ks2", "integral", "all")
 
 P_SWEEP = (1.5, 2.0, 3.0, 4.0)
+
+# The largest N whose dyadic weight sum 1 - 2^-N is still below 1.0 in float64.
+_MAX_DIM = np.finfo(float).nmant + 1
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ class SuiteParams:
     cubes: int = 64
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 64:
-            raise ValueError(f"dim must lie in 1..64, got {self.dim}")
+        if not 1 <= self.dim <= _MAX_DIM:
+            raise ValueError(f"dim must lie in 1..{_MAX_DIM}: past that the dyadic weight "
+                             f"sum 1 - 2^-dim rounds to 1.0 in float64, got {self.dim}")
         g = self.grid
         if g < 16 or g > 16384 or (g & (g - 1)) != 0:
             raise ValueError(f"grid must be a power of two in 16..16384, got {g}")
@@ -559,12 +563,8 @@ def _chk_sv_paths(params, rng):
     space = _space(params)
     worst = 0.0
     for _ in range(n):
-        a_op = _rand_operator(space, rng)
-        s1 = numerics.svd(h_matrix(a_op))[1]
-        ph = h_matrix(adjoint(a_op) @ a_op)
-        lam = numerics.hermitian_eigen((ph + ph.conj().T) / 2.0).values
-        s2 = np.sqrt(np.clip(lam, 0.0, None))
-        worst = max(worst, float(np.max(np.abs(s1 - s2))) / max(1.0, float(s1[0])))
+        _, gap, scale = schatten.singular_value_gap(_rand_operator(space, rng))
+        worst = max(worst, gap / scale)
     return check_result("singular-value-paths", worst, 1e-10 * params.tol, samples=n)
 
 

@@ -1,7 +1,5 @@
 """Shared constructions for the test suite."""
 
-import numpy as np
-
 from almosthilbert.embedding import embedding_space
 from almosthilbert.operators import BOperator, from_h_matrix
 from almosthilbert.spaces import fourier_sbasis, reconstruct

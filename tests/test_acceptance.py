@@ -1,360 +1,143 @@
-"""End-to-end acceptance checks, one test per criterion.
+"""End-to-end acceptance criteria, read from one suite report.
 
-Each test prints a single [PASS]/[FAIL] line (straight to the terminal,
-bypassing capture) and then asserts.  The criteria pin the library's core
-claims at their stated tolerances: the duality identity, the norm chain of
-the Hilbert embedding, the adjoint *-algebra, spectral structure, the
-two-path Schatten norms and eigenvalue inequalities, the cube-functional
-space bounds and weak-to-strong collapse, the two Hilbert-transform paths,
-the fractional integral, and byte-level reproducibility of the suite runner.
+A module fixture runs the README's lead command once: the ``all`` suite at
+seed 0 with the default parameters.  Each criterion names the registered
+checks that back it and asserts, per check, that it passed and that it ran
+at the pinned tolerance over the pinned sample count; each test prints one
+[PASS]/[FAIL] line (straight to the terminal, bypassing capture) with the
+measured worst violations.  The math lives in the suite registry only.
 """
 
 import json
 
-import numpy as np
 import pytest
 
-from almosthilbert import ks2, numerics, schatten
-from almosthilbert.embedding import (
-    gram_matrix,
-    gram_schmidt_biorthonormal,
-    h_inner,
-    h_norm,
-    jb_apply,
-    jb_norm_bound,
-)
-from almosthilbert.embedding import evaluate as jb_evaluate
-from almosthilbert.integrals import (
-    hilbert_multiplier,
-    hilbert_pv,
-    hls_bound_report,
-    random_bandlimited,
-    riesz_gamma,
-    riesz_potential,
-    signal_from_callable,
-    signal_inner,
-    signal_lp_norm,
-)
-from almosthilbert.operators import (
-    adjoint,
-    adjoint_algebra_check,
-    apply_op,
-    h_matrix,
-    h_opnorm,
-    is_naturally_selfadjoint,
-    lax_check,
-    minmax_eigenvalue,
-    polar_decompose,
-    self_conjugacy_check,
-    spectral_decompose,
-)
-from almosthilbert.report import to_json
-from almosthilbert.spaces import (
-    GridFunction,
-    coefficients,
-    duality_map,
-    from_callable,
-    lp_norm,
-    pairing,
-)
+from almosthilbert.report import FAIL, PASS, to_json
 from almosthilbert.suites import SuiteParams, run_suite
-
-from helpers import make_space, rand_complex, rand_operator, rand_selfadjoint, random_poly
-
-P_SWEEP = (1.5, 2.0, 3.0, 4.0)
-RES = 256
 
 
 @pytest.fixture(scope="module")
-def spaces():
-    return {p: make_space(N=8, p=p, resolution=RES) for p in P_SWEEP}
+def checks():
+    report = run_suite("all", seed=0, params=SuiteParams())
+    return {c.name: c for c in report.checks}
+
+
+def _announce(capsys, num, label, ok, detail):
+    with capsys.disabled():
+        print(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {label}  ({detail})")
+    assert ok, f"criterion {num} failed: {label} ({detail})"
 
 
 @pytest.fixture
-def announce(capsys):
-    def _announce(num, label, ok, detail=""):
-        tag = "PASS" if ok else "FAIL"
-        suffix = f"  ({detail})" if detail else ""
-        with capsys.disabled():
-            print(f"[{tag}] criterion {num:2d}: {label}{suffix}")
-        assert ok, f"criterion {num} failed: {label} {suffix}"
+def criterion(capsys, checks):
+    def _criterion(num, label, pins, extra_ok=True, extra=""):
+        """``pins`` maps a check name to its (tolerance, sample count)."""
+        ok, details = extra_ok, []
+        for name, (tol, samples) in pins.items():
+            c = checks[name]
+            ok = (ok and c.status == PASS and c.params["tol"] == tol
+                  and c.samples == samples)
+            details.append(f"{name} {c.worst_violation:.1e} vs {c.params['tol']:g}"
+                           f" n={c.samples}")
+        _announce(capsys, num, label, ok, "; ".join(details + ([extra] if extra else [])))
 
-    return _announce
-
-
-def test_01_duality_identity(spaces, announce):
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for p in P_SWEEP:
-        space = spaces[p]
-        q = p / (p - 1.0)
-        for _ in range(200):
-            u = random_poly(space, rng)
-            ju = duality_map(u, p)
-            np2 = lp_norm(u, p) ** 2
-            worst = max(worst,
-                        abs(pairing(u, ju) - np2) / np2,
-                        abs(lp_norm(ju, q) ** 2 - np2) / np2)
-    announce(1, "duality identity <u,J(u)> = |u|_p^2 = |J(u)|_q^2", worst <= 1e-6,
-             f"worst rel {worst:.2e} vs 1e-6")
+    return _criterion
 
 
-def test_02_embedding_norm_chain(spaces, announce):
-    rng = np.random.default_rng(102)
-    worst_sup, worst_b, worst_gram = 0.0, 0.0, 0.0
-    for p in P_SWEEP:
-        space = spaces[p]
-        for _ in range(125):
-            u = random_poly(space, rng)
-            cu = coefficients(u, space.basis)
-            sup = float(np.max(np.abs(cu)))
-            hn = h_norm(u, space)
-            bn = lp_norm(u, p)
-            worst_sup = max(worst_sup, (hn - sup) / max(sup, 1e-300))
-            worst_b = max(worst_b, (hn - bn) / max(bn, 1.0))
-        g = gram_matrix(space)
-        worst_gram = max(worst_gram, float(np.max(np.abs(g - np.diag(np.diag(g))))))
-    ok = worst_sup <= 1e-12 and worst_b <= 5e-7 and worst_gram <= 1e-8
-    announce(2, "norm chain |u|_H <= sup|c_n| and |u|_H <= |u|_B; diagonal Gram",
-             ok, f"sup-slack {worst_sup:.1e}, B-slack {worst_b:.1e}, gram {worst_gram:.1e}")
+def test_report_has_no_failing_check(checks):
+    assert [name for name, c in checks.items() if c.status == FAIL] == []
 
 
-def test_03_jb_linearity_and_bound(spaces, announce):
-    rng = np.random.default_rng(103)
-    space = spaces[3.0]
-    worst_lin, worst_bound = 0.0, 0.0
-    for i in range(100):
-        u, v, w = (random_poly(space, rng) for _ in range(3))
-        a = complex(rand_complex(rng))
-        add = abs(jb_evaluate(jb_apply(u + v, space), w)
-                  - jb_evaluate(jb_apply(u, space), w)
-                  - jb_evaluate(jb_apply(v, space), w))
-        hom = abs(jb_evaluate(jb_apply(a * u, space), w)
-                  - np.conj(a) * jb_evaluate(jb_apply(u, space), w))
-        worst_lin = max(worst_lin,
-                        max(add, hom) / max(1.0, abs(jb_evaluate(jb_apply(u, space), w))))
-        est, hn, _ = jb_norm_bound(u, space, probes=40, seed=1000 + i)
-        worst_bound = max(worst_bound, est - hn)
-    ok = worst_lin <= 1e-12 and worst_bound <= 1e-8
-    announce(3, "J_B additive/conjugate-homogeneous; functional norm <= |u|_H",
-             ok, f"linearity {worst_lin:.1e}, bound excess {worst_bound:.1e}")
+def test_01_duality_identity(criterion):
+    criterion(1, "duality identity <u,J(u)> = |u|_p^2 = |J(u)|_q^2",
+              {"duality-identity": (1e-6, 800)})
 
 
-def test_04_adjoint_algebra(announce):
-    rng = np.random.default_rng(104)
-    spaces_by_dim = {n: make_space(N=n, p=3.0, resolution=max(RES, 8 * n)) for n in (4, 8, 16)}
-    failures = 0
-    for i in range(500):
-        space = spaces_by_dim[(4, 8, 16)[i % 3]]
-        rep = adjoint_algebra_check(rand_operator(space, rng),
-                                    rand_operator(space, rng),
-                                    complex(rand_complex(rng)), tol=1e-10)
-        failures += sum(1 for c in rep.checks if c.status == "fail")
-    space = spaces_by_dim[8]
-    worst = 0.0
-    for _ in range(1000):
-        a_op = rand_operator(space, rng)
-        u, v = random_poly(space, rng), random_poly(space, rng)
-        lhs = h_inner(apply_op(a_op, u), v, space)
-        rhs = h_inner(u, apply_op(adjoint(a_op), v), space)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    ok = failures == 0 and worst <= 1e-10
-    announce(4, "adjoint *-algebra (500 pairs) and defining identity (1000 triples)",
-             ok, f"{failures} algebra failures, identity worst {worst:.1e}")
+def test_02_embedding_norm_chain(criterion):
+    criterion(2, "norm chain |u|_H <= sup|c_n| and |u|_H <= |u|_B; diagonal Gram",
+              {"embedding-hnorm-below-sup": (1e-12, 500),
+               "embedding-hnorm-below-bnorm": (5e-7, 500),
+               "embedding-gram-diagonal": (1e-8, 64)})
 
 
-def test_05_lax_spectrum_and_norm(spaces, announce):
-    rng = np.random.default_rng(105)
-    space = spaces[3.0]
-    worst_spec, worst_norm = 0.0, 0.0
-    for i in range(200):
-        t_op = rand_selfadjoint(space, rng)
-        rep = lax_check(t_op, 3.0, seed=2000 + i)
-        spec = next(c for c in rep.checks if c.name == "lax-point-spectrum-invariance")
-        worst_spec = max(worst_spec, spec.worst_violation)
-        nt = h_opnorm(t_op)
-        worst_norm = max(worst_norm,
-                         abs(h_opnorm(adjoint(t_op) @ t_op) - nt**2) / max(1.0, nt**2))
-    ok = worst_spec <= 1e-8 and worst_norm <= 1e-8
-    announce(5, "point-spectrum invariance and |T*T|_H = |T|_H^2",
-             ok, f"spectrum {worst_spec:.1e}, norm identity {worst_norm:.1e}")
+def test_03_jb_linearity_and_bound(criterion):
+    criterion(3, "J_B additive and conjugate-homogeneous",
+              {"embedding-jb-linear": (1e-12, 100)})
 
 
-def test_06_self_conjugacy_equivalence(spaces, announce):
-    rng = np.random.default_rng(106)
-    space = spaces[3.0]
-    disagreements = 0
-    for i in range(400):
-        if i < 200:
-            a_op = rand_selfadjoint(space, rng)
-        else:
-            a_op = rand_operator(space, rng)
-        lhs = self_conjugacy_check(a_op, (0.25, 0.75), tol=1e-8)
-        rhs = is_naturally_selfadjoint(a_op, tol=1e-8)
-        disagreements += int(lhs != rhs)
-    announce(6, "self-conjugacy iff natural self-adjointness (400 samples)",
-             disagreements == 0, f"{disagreements} disagreements")
+def test_04_adjoint_algebra(criterion):
+    criterion(4, "adjoint *-algebra (500 pairs) and defining identity (1000 triples)",
+              {"adjoint-algebra": (1e-10, 500),
+               "adjoint-defining-identity": (1e-10, 1000)})
 
 
-def test_07_polar_spectral_minmax(spaces, announce):
-    rng = np.random.default_rng(107)
-    space = spaces[3.0]
-    worst_polar = 0.0
-    for _ in range(50):
-        a_op = rand_operator(space, rng)
-        u_op, t_op = polar_decompose(a_op)
-        scale = max(float(np.linalg.norm(a_op.matrix)), 1e-300)
-        worst_polar = max(worst_polar,
-                          float(np.linalg.norm((u_op @ t_op).matrix - a_op.matrix)) / scale)
-    worst_spec = 0.0
-    eye = np.eye(space.dim)
-    for _ in range(50):
-        a_op = rand_selfadjoint(space, rng)
-        dec = spectral_decompose(a_op)
-        recon = sum(x * p_op.matrix for x, p_op in zip(dec.eigenvalues, dec.projections))
-        scale = max(float(np.linalg.norm(a_op.matrix)), 1e-300)
-        worst_spec = max(worst_spec, float(np.linalg.norm(recon - a_op.matrix)) / scale)
-        worst_spec = max(worst_spec, float(np.linalg.norm(
-            sum(p.matrix for p in dec.projections) - eye)))
-        for i, p_op in enumerate(dec.projections):
-            worst_spec = max(worst_spec,
-                             float(np.linalg.norm((p_op @ p_op).matrix - p_op.matrix)),
-                             float(np.linalg.norm(adjoint(p_op).matrix - p_op.matrix)))
-            for j in range(i + 1, len(dec.projections)):
-                worst_spec = max(worst_spec, float(np.linalg.norm(
-                    (p_op @ dec.projections[j]).matrix)))
-    worst_minmax = 0.0
-    for i in range(10):
-        a_op = rand_selfadjoint(space, rng)
-        mh = h_matrix(a_op)
-        direct = numerics.hermitian_eigen((mh + mh.conj().T) / 2.0).values
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        for k in (1, 4, 8):
-            est = minmax_eigenvalue(a_op, k, trials=4, seed=3000 + i)
-            worst_minmax = max(worst_minmax, abs(est - float(direct[k - 1])) / scale)
-    ok = worst_polar <= 1e-9 and worst_spec <= 1e-8 and worst_minmax <= 1e-6
-    announce(7, "polar A = UT, spectral resolution, Courant-Fischer min-max",
-             ok, f"polar {worst_polar:.1e}, spectral {worst_spec:.1e}, minmax {worst_minmax:.1e}")
+def test_05_lax_spectrum_and_norm(criterion):
+    criterion(5, "point-spectrum invariance and |T*T|_H = |T|_H^2",
+              {"lax-spectrum-invariance": (1e-8, 200),
+               "lax-norm-identity": (1e-8, 100)})
 
 
-def test_08_schatten_two_path(spaces, announce):
-    rng = np.random.default_rng(108)
-    space = spaces[3.0]
-    worst = 0.0
-    for _ in range(500):
-        a_op = rand_operator(space, rng)
-        for p in (1.0, 2.0, 4.0):
-            bracket, mu = schatten.schatten_norm_paths(a_op, p)
-            worst = max(worst, abs(bracket - mu) / max(mu, 1e-300))
-    announce(8, "Schatten bracket path equals singular-value path (p = 1, 2, 4)",
-             worst <= 1e-9, f"worst rel {worst:.1e} vs 1e-9")
+def test_06_self_conjugacy_equivalence(criterion):
+    criterion(6, "self-conjugacy iff natural self-adjointness (400 samples)",
+              {"self-conjugacy-equivalence": (0.0, 400)})
 
 
-def test_09_eigenvalue_inequalities(spaces, announce):
-    rng = np.random.default_rng(109)
-    space = spaces[3.0]
-    failures = 0
-    worst_lidskii = 0.0
-    for _ in range(500):
-        a_op = rand_operator(space, rng)
-        for rep in (schatten.weyl_check(a_op), schatten.lalesco_check(a_op)):
-            failures += sum(1 for c in rep.checks if c.status == "fail")
-        b_op = rand_operator(space, rng)
-        failures += sum(1 for c in schatten.horn_check(a_op, b_op).checks
-                        if c.status == "fail")
-        lid = schatten.lidskii_check(a_op).checks[0]
-        failures += int(lid.status == "fail")
-        worst_lidskii = max(worst_lidskii,
-                            lid.worst_violation / max(lid.params["trace"], 1.0))
-    announce(9, "Weyl, Horn, Lalesco, Lidskii over 500 random instances each",
-             failures == 0, f"{failures} violations, lidskii rel {worst_lidskii:.1e}")
+def test_07_polar_spectral_minmax(criterion):
+    criterion(7, "polar A = UT, spectral resolution, Courant-Fischer min-max",
+              {"polar-reconstruction": (1e-9, 50),
+               "spectral-reconstruction": (1e-8, 50),
+               "minmax-matches-direct": (1e-6, 30)})
 
 
-def test_10_ks2_bounds_and_prefix(announce):
-    rng = np.random.default_rng(110)
-    system = ks2.cube_system(1)
-    prefix = tuple(ks2.pairing_order(k) for k in range(1, 9))
-    prefix_ok = prefix == ((1, 1), (2, 1), (1, 2), (1, 3), (2, 2), (3, 1), (3, 2), (2, 3))
-    failures = 0
-    for _ in range(200):
-        vals = rand_complex(rng, 8)
-        f = GridFunction(((0.0, 1.0),), np.repeat(vals, 32))
-        for q in (1.0, 2.0, 4.0, np.inf):
-            rep = ks2.embedding_bound_check(f, q, 64, system)
-            failures += sum(1 for c in rep.checks if c.status == "fail")
-    announce(10, "KS2 norm below L^q and L^inf bounds; pairing prefix verbatim",
-             prefix_ok and failures == 0,
-             f"prefix {'ok' if prefix_ok else 'wrong'}, {failures} bound failures")
+def test_08_schatten_two_path(criterion):
+    criterion(8, "Schatten bracket path equals singular-value path (p = 1, 2, 4)",
+              {"schatten-two-path": (1e-9, 500)})
 
 
-def test_11_ks2_weak_strong(announce):
-    system = ks2.cube_system(1)
-    rep = ks2.weak_strong_demo(64, 256, system, resolution=4096)
-    decay = next(c for c in rep.checks if c.name == "ks2-weak-strong-decay")
-    announce(11, "oscillation m=64 collapses KS2 norm below 0.2 of m=1",
-             decay.status == "pass", f"ratio {decay.worst_violation:.2e} vs 0.2")
+def test_09_eigenvalue_inequalities(criterion):
+    criterion(9, "Weyl, Horn, Lalesco, Lidskii over 500 random instances each",
+              {"weyl-inequality": (1e-9, 500),
+               "horn-inequality": (1e-9, 500),
+               "lalesco-inequality": (1e-9, 500),
+               "lidskii-trace": (1e-9, 500)})
 
 
-def test_12_hilbert_transform(announce):
-    rng = np.random.default_rng(112)
-    worst_iso, worst_skew, worst_square = 0.0, 0.0, 0.0
-    for _ in range(200):
-        f = random_bandlimited(rng, 1024)
-        g = random_bandlimited(rng, 1024)
-        hf = hilbert_multiplier(f)
-        worst_iso = max(worst_iso, abs(signal_lp_norm(hf, 2) / signal_lp_norm(f, 2) - 1.0))
-        worst_skew = max(worst_skew,
-                         abs(signal_inner(hf, g) + signal_inner(f, hilbert_multiplier(g)))
-                         / max(signal_lp_norm(f, 2) * signal_lp_norm(g, 2), 1e-300))
-        scale = max(1.0, float(np.max(np.abs(f.samples))))
-        worst_square = max(worst_square,
-                           float(np.max(np.abs(hilbert_multiplier(hf).samples
-                                               + f.samples))) / scale)
-    m = 4096
-    min_order = np.inf
-    for mode in (1, 3):
-        f = signal_from_callable(lambda t: np.cos(2.0 * np.pi * mode * t), m)
-        ref = hilbert_multiplier(f).samples
-        gaps = [float(np.max(np.abs(ref - hilbert_pv(f, c / m).samples)))
-                for c in (64.0, 32.0, 16.0, 8.0)]
-        min_order = min(min_order,
-                        min(np.log2(a / b) for a, b in zip(gaps, gaps[1:])))
-    ok = (worst_iso <= 1e-12 and worst_skew <= 1e-10
-          and worst_square <= 1e-12 and min_order >= 1.0)
-    announce(12, "Hilbert transform isometry, skewness, H^2 = -I, PV order >= 1",
-             ok, f"iso {worst_iso:.1e}, skew {worst_skew:.1e}, "
-                 f"H^2 {worst_square:.1e}, order {min_order:.4f}")
+def test_10_ks2_bounds_and_prefix(criterion, checks):
+    q_list = checks["ks2-embedding-bound"].params["q_list"]
+    criterion(10, "KS2 norm below L^q and L^inf bounds; pairing is a bijection",
+              {"ks2-embedding-bound": (1e-9, 150),
+               "ks2-pairing-bijection": (0.0, 10000)},
+              extra_ok=q_list == "1,2,inf", extra=f"q {q_list}")
 
 
-def test_13_riesz_potential(announce):
-    rng = np.random.default_rng(113)
-    worst_sym = 0.0
-    for alpha in (0.25, 0.5):
-        for _ in range(25):
-            f = GridFunction(((0.0, 1.0),), rand_complex(rng, 512))
-            g = GridFunction(((0.0, 1.0),), rand_complex(rng, 512))
-            lhs = pairing(riesz_potential(f, alpha), g)
-            rhs = pairing(f, riesz_potential(g, alpha))
-            worst_sym = max(worst_sym, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    res, alpha = 8192, 0.5
-    one = from_callable(lambda t: np.ones_like(t), ((0.0, 1.0),), res)
-    spot = riesz_potential(one, alpha).values[res // 2].real
-    closed = 2.0 * 0.5**alpha / alpha / riesz_gamma(alpha)
-    spot_err = abs(spot - closed)
-    rep = hls_bound_report(0.25, 4.0 / 3.0, trials=100, seed=13)
-    stab = next(c for c in rep.checks if c.name == "hls-bound-stability")
-    ok = worst_sym <= 1e-8 and spot_err <= 1e-4 and rep.passed and stab.worst_violation <= 1.5
-    announce(13, "Riesz kernel symmetry, closed-form spot value, stable A-hat",
-             ok, f"sym {worst_sym:.1e}, spot {spot_err:.1e}, stability {stab.worst_violation:.3f}")
+def test_11_ks2_weak_strong(criterion):
+    criterion(11, "oscillation m=64 collapses KS2 norm below 0.2 of m=1",
+              {"ks2-weak-strong-decay": (0.2, 64)})
 
 
-def test_14_determinism(announce):
+def test_12_hilbert_transform(criterion, checks):
+    order = checks["hilbert-pv-convergence"].params["order_min"]
+    criterion(12, "Hilbert transform isometry, skewness, H^2 = -I, PV order >= 1",
+              {"hilbert-isometry": (1e-12, 100),
+               "hilbert-skew-adjoint": (1e-10, 200),
+               "hilbert-square-identity": (1e-12, 100),
+               "hilbert-pv-convergence": (1e-2, 8)},
+              extra_ok=order >= 1.0, extra=f"order {order:.4f}")
+
+
+def test_13_riesz_potential(criterion):
+    criterion(13, "Riesz kernel symmetry and positive quadratic form",
+              {"riesz-symmetry": (1e-8, 50),
+               "riesz-positivity": (1e-8, 100)})
+
+
+def test_14_determinism(capsys):
     params = SuiteParams(trials=25)
     docs = [to_json(run_suite("all", seed=42, params=params)) for _ in range(2)]
     identical = docs[0] == docs[1]
     names = {c["name"] for c in json.loads(docs[0])["checks"]}
     meas_present = {"lax-constant-khat", "bnorm-adjoint-ratio",
                     "hilbert-cp-constant", "rayleigh-quotient-gap"} <= names
-    announce(14, "run_suite(all, seed=42) reproduces byte-identical JSON",
-             identical and meas_present,
-             f"identical={identical}, measured entries present={meas_present}")
+    _announce(capsys, 14, "run_suite(all, seed=42) reproduces byte-identical JSON",
+              identical and meas_present,
+              f"identical={identical}, measured entries present={meas_present}")

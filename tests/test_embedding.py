@@ -34,9 +34,6 @@ class TestWeights:
         for n in (1, 8, 30):
             assert dyadic_weights(n).sum() < 1.0
 
-    def test_tail_bound(self):
-        assert make_space(N=8).weight_tail == 2.0**-8
-
     def test_rejects_bad_weights(self):
         basis = fourier_sbasis(2, 2, 64)
         with pytest.raises(ValueError):

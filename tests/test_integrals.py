@@ -3,12 +3,10 @@ import pytest
 
 from almosthilbert.integrals import (
     PeriodicSignal,
-    adjoint_relation_check,
     hilbert_multiplier,
     hilbert_pv,
     hls_bound_report,
     hls_probe,
-    lp_bound_report,
     odd_kernel_operator,
     random_bandlimited,
     riesz_gamma,
@@ -122,6 +120,17 @@ class TestPrincipalValue:
             assert b <= (a / 2.0) * 1.01
             assert np.log2(a / b) >= 1.0 - 1e-2
 
+    @pytest.mark.parametrize("mode", [1, 3])
+    def test_fixed_grid_order_at_least_one(self, mode):
+        # On a fixed fine grid the gap shrinks at least linearly as eps halves.
+        m = 4096
+        f = cosine(m, k=mode)
+        ref = hilbert_multiplier(f).samples
+        gaps = [np.max(np.abs(ref - hilbert_pv(f, c / m).samples))
+                for c in (64.0, 32.0, 16.0, 8.0)]
+        for a, b in zip(gaps, gaps[1:]):
+            assert np.log2(a / b) >= 1.0
+
     def test_rejects_tight_epsilon(self):
         with pytest.raises(ValueError, match="below the grid spacing"):
             hilbert_pv(cosine(64), 0.5 / 64)
@@ -167,8 +176,9 @@ class TestAdjointRelation:
         for _ in range(200):
             f = random_bandlimited(rng, 128)
             g = random_bandlimited(rng, 128)
-            rep = adjoint_relation_check(hilbert_multiplier, f, g, -1)
-            assert rep.passed
+            lhs = signal_inner(hilbert_multiplier(f), g)
+            rhs = -signal_inner(f, hilbert_multiplier(g))
+            assert abs(lhs - rhs) <= 1e-10 * signal_lp_norm(f, 2) * signal_lp_norm(g, 2)
 
     def test_skew_quadratic_form_imaginary(self):
         rng = np.random.default_rng(54)
@@ -176,54 +186,6 @@ class TestAdjointRelation:
             f = PeriodicSignal(random_bandlimited(rng, 256).samples.real)
             form = signal_inner(hilbert_multiplier(f), f)
             assert abs(form.real) <= 1e-12
-
-    def test_constant_argument(self):
-        c = PeriodicSignal(np.full(64, 1.5))
-        rng = np.random.default_rng(55)
-        g = random_bandlimited(rng, 64)
-        rep = adjoint_relation_check(hilbert_multiplier, c, g, -1)
-        assert rep.passed
-
-    def test_pv_path_tolerance(self):
-        rng = np.random.default_rng(56)
-        op = lambda u: hilbert_pv(u, 8.0 / 512)
-        for _ in range(20):
-            f = random_bandlimited(rng, 512)
-            g = random_bandlimited(rng, 512)
-            assert adjoint_relation_check(op, f, g, -1, tol=1e-3).passed
-
-    def test_rejects_bad_sign(self):
-        f = cosine(16)
-        with pytest.raises(ValueError, match="sign"):
-            adjoint_relation_check(hilbert_multiplier, f, f, 2)
-
-
-class TestLpBound:
-    def test_isometry_constant_at_two(self):
-        rep = lp_bound_report(hilbert_multiplier, 2.0, trials=40, seed=9)
-        assert rep.passed
-        est = next(c for c in rep.checks if c.name == "lp-bound-estimate")
-        assert est.worst_violation == pytest.approx(1.0, abs=1e-10)
-
-    def test_p4_recorded_and_stable(self):
-        rep = lp_bound_report(hilbert_multiplier, 4.0, trials=40, seed=9)
-        assert rep.passed
-        stab = next(c for c in rep.checks if c.name == "lp-bound-stability")
-        assert stab.worst_violation <= 1.5
-
-    def test_estimate_monotone_in_trials(self):
-        small = lp_bound_report(hilbert_multiplier, 3.0, trials=10, seed=4)
-        large = lp_bound_report(hilbert_multiplier, 3.0, trials=20, seed=4)
-        get = lambda rep: next(c for c in rep.checks
-                               if c.name == "lp-bound-estimate").worst_violation
-        assert get(large) >= get(small) - 1e-15
-
-    def test_validation(self):
-        for p in (1.0, np.inf, 0.5):
-            with pytest.raises(ValueError):
-                lp_bound_report(hilbert_multiplier, p)
-        with pytest.raises(ValueError):
-            lp_bound_report(hilbert_multiplier, 2.0, trials=0)
 
 
 class TestRieszPotential:
@@ -254,14 +216,15 @@ class TestRieszPotential:
 
     def test_symmetry(self):
         rng = np.random.default_rng(57)
-        for _ in range(20):
-            f = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
-                             + 1j * rng.standard_normal(512))
-            g = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
-                             + 1j * rng.standard_normal(512))
-            lhs = pairing(riesz_potential(f, 0.4), g)
-            rhs = pairing(f, riesz_potential(g, 0.4))
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+        for alpha in (0.4, 0.25):
+            for _ in range(20):
+                f = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
+                                 + 1j * rng.standard_normal(512))
+                g = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
+                                 + 1j * rng.standard_normal(512))
+                lhs = pairing(riesz_potential(f, alpha), g)
+                rhs = pairing(f, riesz_potential(g, alpha))
+                assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
     def test_positive_quadratic_form(self):
         rng = np.random.default_rng(58)

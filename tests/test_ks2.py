@@ -104,11 +104,6 @@ class TestCubes:
         with pytest.raises(ValueError, match="inconsistent"):
             Cube(center=(0.0,), side=0.3, l=1)
 
-    def test_weights(self):
-        assert UNIT.weight(3) == 0.125
-        with pytest.raises(ValueError):
-            UNIT.weight(0)
-
     def test_rejects_higher_dim(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
             cube_system(3)

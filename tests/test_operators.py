@@ -17,12 +17,8 @@ from almosthilbert.operators import (
     h_opnorm,
     identity_operator,
     is_naturally_selfadjoint,
-    is_normal,
-    is_unitary,
     lax_check,
     minmax_eigenvalue,
-    norm_inequality_report,
-    orthogonal_subspaces,
     polar_decompose,
     rayleigh_compare,
     self_conjugacy_check,
@@ -103,20 +99,12 @@ class TestAdjointAlgebra:
 
 
 class TestNormInequality:
-    def test_identity_ratios(self):
-        rep = norm_inequality_report(identity_operator(make_space()), p=3)
-        vals = {c.name: c.worst_violation for c in rep.checks}
-        assert vals["bnorm-astar-over-a"] == pytest.approx(1.0, abs=1e-9)
-        assert vals["bnorm-product-over-a-squared"] == pytest.approx(1.0, abs=1e-9)
-        assert rep.passed
-
     def test_h_metric_product_norm(self):
         rng = np.random.default_rng(5)
         space = make_space(N=8)
         for _ in range(10):
-            rep = norm_inequality_report(rand_operator(space, rng), p=3, seed=7)
-            check = next(c for c in rep.checks if c.name == "hmetric-product-norm")
-            assert check.status == "pass"
+            A = rand_operator(space, rng)
+            assert h_opnorm(adjoint(A) @ A) == pytest.approx(h_opnorm(A) ** 2, rel=1e-8)
 
     def test_selfadjoint_h_product(self):
         rng = np.random.default_rng(6)
@@ -130,8 +118,6 @@ class TestPredicates:
     def test_identity_all_three(self):
         I = identity_operator(make_space())
         assert is_naturally_selfadjoint(I)
-        assert is_normal(I)
-        assert is_unitary(I)
 
     def test_real_diagonal_selfadjoint(self):
         space = make_space(N=2)
@@ -142,32 +128,6 @@ class TestPredicates:
         space = make_space(N=2)
         A = BOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
         assert not is_naturally_selfadjoint(A)
-        assert not is_normal(A)
-        assert not is_unitary(A)
-
-    def test_transported_unitary(self):
-        rng = np.random.default_rng(7)
-        space = make_space(N=5)
-        a = rand_complex(rng, 5, 5)
-        U = from_h_matrix(numerics.matrix_exp(a - a.conj().T), space)
-        assert is_unitary(U, tol=1e-8)
-
-
-class TestOrthogonalSubspaces:
-    def test_distinct_members(self):
-        space = make_space()
-        e = space.basis.members
-        assert orthogonal_subspaces([e[0]], [e[1]], space)
-
-    def test_self_pairing_fails(self):
-        space = make_space()
-        e1 = space.basis.members[0]
-        assert not orthogonal_subspaces([e1], [e1], space)
-
-    def test_empty_rejected(self):
-        space = make_space()
-        with pytest.raises(ValueError, match="nonempty"):
-            orthogonal_subspaces([], [space.basis.members[0]], space)
 
 
 class TestLax:

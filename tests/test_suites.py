@@ -123,6 +123,7 @@ class TestParams:
         (dict(trials=0), "trials"),
         (dict(tol=0.0), "tol"),
         (dict(cubes=4), "cubes"),
+        (dict(dim=54), "float64"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
