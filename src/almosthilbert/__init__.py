@@ -92,6 +92,8 @@ from .ks2 import (  # noqa: F401
     pairing_order,
     rational_center,
     tail_bound,
+    values_inner,
+    values_norm,
     weak_strong_demo,
 )
 from .integrals import (  # noqa: F401

@@ -679,9 +679,9 @@ def _chk_gram_psd(params, rng):
     system = ks2.cube_system(1)
     worst = 0.0
     for _ in range(n):
-        fs = [_rand_step(rng, params.grid) for _ in range(6)]
-        g = np.array([[ks2.ks2_inner(a, b, params.cubes, system) for b in fs]
-                      for a in fs])
+        vs = [ks2.functional_values(_rand_step(rng, params.grid), params.cubes, system)
+              for _ in range(6)]
+        g = np.array([[ks2.values_inner(a, b) for b in vs] for a in vs])
         scale = max(1.0, float(np.max(np.abs(g))))
         worst = max(worst, float(np.linalg.norm(g - g.conj().T)) / scale)
         lam = numerics.hermitian_eigen((g + g.conj().T) / 2.0).values
@@ -698,7 +698,8 @@ def _chk_truncation(params, rng):
     worst_tail = 0.0
     for _ in range(n):
         f = _rand_step(rng, params.grid)
-        norms = [ks2.ks2_norm(f, k, system) for k in ks]
+        v = ks2.functional_values(f, ks[-1], system)
+        norms = [ks2.values_norm(v[:k]) for k in ks]
         scale = max(norms[-1], 1e-300)
         for lo, hi in zip(norms, norms[1:]):
             worst = max(worst, (lo - hi) / scale)
@@ -744,10 +745,8 @@ def _chk_ks2_embedding(params, rng):
     qs = sorted({1.0, 2.0, float(params.q)}) + [np.inf]
     worst = 0.0
     for _ in range(n):
-        f = _rand_step(rng, params.grid)
-        for q in qs:
-            rep = ks2.embedding_bound_check(f, q, params.cubes, system)
-            worst = max(worst, _normalized_violations(rep))
+        rep = ks2.embedding_bound_check(_rand_step(rng, params.grid), qs, params.cubes, system)
+        worst = max(worst, _normalized_violations(rep))
     return check_result("ks2-embedding-bound", worst, 1e-9 * params.tol,
                         samples=n * len(qs), q_list=",".join(f"{q:g}" for q in qs))
 

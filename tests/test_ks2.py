@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from almosthilbert.embedding import dyadic_weights
 from almosthilbert.ks2 import (
     PAIRING_PREFIX,
     Cube,
@@ -17,6 +18,8 @@ from almosthilbert.ks2 import (
     pairing_order,
     rational_center,
     tail_bound,
+    values_inner,
+    values_norm,
     weak_strong_demo,
 )
 from almosthilbert.spaces import GridFunction, from_callable
@@ -31,6 +34,29 @@ def constant_one(resolution=512, box=((0.0, 1.0),)):
 def random_step(rng, levels=8, resolution=256):
     vals = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
     return GridFunction(((0.0, 1.0),), np.repeat(vals, resolution // levels))
+
+
+def reference_values(f, K, system):
+    """The per-cube loop that ``functional_values`` replaces: edges rebuilt
+    and every cell's overlap with one cube at a time, each row summed alone."""
+    out = []
+    for k in range(1, K + 1):
+        cube = system.cube(k)
+        w = []
+        for ax, (lo, hi) in enumerate(f.box):
+            edges = lo + (hi - lo) * np.arange(f.resolution + 1) / f.resolution
+            a = cube.center[ax] - cube.side / 2.0
+            b = cube.center[ax] + cube.side / 2.0
+            w.append(np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None))
+        out.append(complex(np.sum(f.values * w[0])) if f.dim == 1
+                   else complex(w[0] @ f.values @ w[1]))
+    return np.array(out, dtype=np.complex128)
+
+
+def kernel_input(kind, resolution):
+    if kind == "step":
+        return random_step(np.random.default_rng(resolution), resolution=resolution)
+    return from_callable(lambda t: np.sin(2.0 * np.pi * 7 * t), ((0.0, 1.0),), resolution)
 
 
 class TestPairingOrder:
@@ -57,6 +83,8 @@ class TestPairingOrder:
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             pairing_order(0)
+        with pytest.raises(TypeError, match="cube index"):
+            pairing_order(2.5)
         with pytest.raises(ValueError):
             inverse_pairing(0, 1)
 
@@ -147,6 +175,47 @@ class TestFunctional:
         with pytest.raises(ValueError, match="working box"):
             functional_Fk(f, 1, UNIT)
 
+    @pytest.mark.parametrize("k, error", [(2.5, TypeError), (True, TypeError), ("3", TypeError),
+                                          (0, ValueError), (-2, ValueError)])
+    def test_rejects_bad_cube_index(self, k, error):
+        with pytest.raises(error, match="cube index"):
+            functional_Fk(constant_one(64), k, UNIT)
+
+    @pytest.mark.parametrize("K, error", [(8.0, TypeError), (0, ValueError)])
+    def test_values_reject_bad_truncation(self, K, error):
+        with pytest.raises(error, match="truncation"):
+            functional_values(constant_one(64), K, UNIT)
+
+
+class TestKernelBitwise:
+    """The blocked kernel against the per-cube reference loop, bit for bit."""
+
+    # M = 2048 holds 16 cubes per block, so K = 300 ends in a partial block.
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    @pytest.mark.parametrize("M, K", [(16, 8), (256, 64), (2048, 300), (8192, 1024)])
+    def test_matches_per_cube_loop(self, M, K, kind):
+        f = kernel_input(kind, M)
+        got = functional_values(f, K, UNIT)
+        assert got.dtype == np.complex128 and got.shape == (K,)
+        assert got.tobytes() == reference_values(f, K, UNIT).tobytes()
+
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    def test_single_functional_is_vector_entry(self, kind):
+        f = kernel_input(kind, 512)
+        vals = functional_values(f, 96, UNIT)
+        for k in range(1, 97):
+            assert np.complex128(functional_Fk(f, k, UNIT)).tobytes() == vals[k - 1].tobytes()
+
+    def test_two_dimensional(self):
+        system = cube_system(2)
+        rng = np.random.default_rng(50)
+        f = GridFunction(((0.0, 1.0), (0.0, 1.0)),
+                         rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        vals = functional_values(f, 40, system)
+        assert vals.tobytes() == reference_values(f, 40, system).tobytes()
+        for k in range(1, 41):
+            assert np.complex128(functional_Fk(f, k, system)).tobytes() == vals[k - 1].tobytes()
+
 
 class TestInnerProduct:
     def test_zero_argument(self):
@@ -220,6 +289,54 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             ks2_inner(f, g, 8, UNIT)
 
+    @pytest.mark.parametrize("K, error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)])
+    def test_tail_bound_rejects_bad_truncation(self, K, error):
+        with pytest.raises(error, match="truncation"):
+            tail_bound(constant_one(64), K)
+
+    def test_values_reject_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            values_inner(np.ones(4), np.ones(5))
+
+
+class TestVectorOnce:
+    """Pairings built from one shared vector per function equal the
+    per-call results bit for bit."""
+
+    def test_norm_from_prefix_slice(self):
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            f = random_step(rng)
+            v = functional_values(f, 64, UNIT)
+            for k in (1, 8, 16, 32, 63, 64):
+                assert np.float64(ks2_norm(f, k, UNIT)).tobytes() == \
+                    np.float64(values_norm(v[:k])).tobytes()
+
+    def test_gram_from_shared_vectors(self):
+        rng = np.random.default_rng(52)
+        fs = [random_step(rng) for _ in range(6)]
+        vs = [functional_values(f, 64, UNIT) for f in fs]
+        shared = np.array([[values_inner(a, b) for b in vs] for a in vs])
+        pairwise = np.array([[ks2_inner(a, b, 64, UNIT) for b in fs] for a in fs])
+        assert shared.tobytes() == pairwise.tobytes()
+        refs = [reference_values(f, 64, UNIT) for f in fs]
+        loop = np.array([[complex(np.sum(dyadic_weights(64) * a * np.conj(b))) for b in refs]
+                         for a in refs])
+        assert shared.tobytes() == loop.tobytes()
+
+    def test_embedding_bound_all_q_at_once(self):
+        rng = np.random.default_rng(53)
+        qs = [1.0, 2.0, 3.0, np.inf]
+        for _ in range(5):
+            f = random_step(rng)
+            together = embedding_bound_check(f, qs, 64, UNIT)
+            apart = [embedding_bound_check(f, q, 64, UNIT) for q in qs]
+            bounds = [c for c in together.checks if c.name == "ks2-embedding-bound"]
+            assert bounds == [rep.checks[0] for rep in apart]
+            assert together.checks[-1] == apart[0].checks[-1]
+            assert together.checks[-1].worst_violation == ks2_norm(f, 64, UNIT)
+            assert together.tail_bounds == apart[0].tail_bounds
+
 
 class TestEmbeddingBound:
     def test_zero(self):
@@ -284,6 +401,12 @@ class TestWeakStrong:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):
             weak_strong_demo(0, 16, UNIT)
+
+    @pytest.mark.parametrize("resolution, error", [(0, ValueError), (-8, ValueError),
+                                                   (64.0, TypeError)])
+    def test_rejects_bad_resolution(self, resolution, error):
+        with pytest.raises(error, match="resolution"):
+            weak_strong_demo(4, 16, UNIT, resolution=resolution)
 
 
 class TestDump:
