@@ -24,11 +24,9 @@ from .spaces import (  # noqa: F401
     duality_map,
     fourier_sbasis,
     from_callable,
-    load_grid_function,
     lp_norm,
     pairing,
     reconstruct,
-    save_grid_function,
 )
 from .embedding import (  # noqa: F401
     DualFunctional,
@@ -40,13 +38,12 @@ from .embedding import (  # noqa: F401
     h_inner,
     h_norm,
     jb_apply,
-    jb_norm_bound,
 )
 from .operators import (  # noqa: F401
     BOperator,
     SpectralDecomposition,
     adjoint,
-    adjoint_algebra_check,
+    adjoint_algebra_defect,
     apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
@@ -56,34 +53,31 @@ from .operators import (  # noqa: F401
     identity_operator,
     is_naturally_selfadjoint,
     lax_check,
+    lax_khat,
     minmax_eigenvalue,
     polar_decompose,
     rayleigh_compare,
     self_conjugacy_check,
     spectral_decompose,
 )
-from .report import CheckResult, VerificationReport, check_result, emit_report, measured  # noqa: F401
 from .schatten import (  # noqa: F401
     SingularSpectrum,
-    approximation_numbers,
-    horn_check,
-    lalesco_check,
-    lidskii_check,
-    nuclear_norm_upper,
-    pietsch_cp,
+    horn_sums,
+    lalesco_sums,
+    lidskii_sums,
     schatten_norm,
     schatten_norm_paths,
     singular_spectrum,
     singular_value_gap,
     singular_values,
-    weyl_check,
+    weyl_sums,
 )
 from .ks2 import (  # noqa: F401
     Cube,
     CubeSystem,
     cube_rows,
     cube_system,
-    embedding_bound_check,
+    embedding_bounds,
     functional_Fk,
     functional_values,
     inverse_pairing,
@@ -94,14 +88,12 @@ from .ks2 import (  # noqa: F401
     tail_bound,
     values_inner,
     values_norm,
-    weak_strong_demo,
+    weak_strong_norms,
 )
 from .integrals import (  # noqa: F401
     PeriodicSignal,
     hilbert_multiplier,
     hilbert_pv,
-    hls_bound_report,
-    odd_kernel_operator,
     random_bandlimited,
     riesz_potential,
     signal_from_callable,

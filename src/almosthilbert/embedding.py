@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import GridFunction, SchauderBasis, coefficients, lp_norm, reconstruct
+from .spaces import GridFunction, SchauderBasis, coefficients, lp_norm
 
 
 def dyadic_weights(N: int) -> np.ndarray:
@@ -48,16 +48,11 @@ def embedding_space(basis: SchauderBasis, weights=None) -> EmbeddingSpace:
     return EmbeddingSpace(basis=basis, weights=weights)
 
 
-def coeff_inner(space: EmbeddingSpace, cu: np.ndarray, cv: np.ndarray) -> complex:
-    """Weighted inner product of two coefficient vectors."""
-    return complex(np.sum(space.weights * cu * np.conj(cv)))
-
-
 def h_inner(u: GridFunction, v: GridFunction, space: EmbeddingSpace) -> complex:
     """(u, v)_H = sum_n t_n <E_n*, u> conj(<E_n*, v>)."""
     cu = coefficients(u, space.basis)
     cv = coefficients(v, space.basis)
-    return coeff_inner(space, cu, cv)
+    return complex(np.sum(space.weights * cu * np.conj(cv)))
 
 
 def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:
@@ -91,34 +86,6 @@ def jb_apply(u: GridFunction, space: EmbeddingSpace) -> DualFunctional:
 def evaluate(F: DualFunctional, v: GridFunction) -> complex:
     """Apply a dual functional: <v, J_B(u)> = (v, u)_H."""
     return h_inner(v, F.representer, F.space)
-
-
-def jb_norm_bound(
-    u: GridFunction, space: EmbeddingSpace, probes: int = 50, seed: int = 0
-) -> tuple[float, float, float]:
-    """Estimate the dual norm of J_B(u) and return it with ||u||_H, ||u||_B.
-
-    The estimate is max |(v, u)_H| / ||v||_B over random trig-polynomial
-    probes v, a lower bound on the true functional norm.  The chain
-    estimate <= ||u||_H <= ||u||_B from the embedding theorem is what the
-    verification suite asserts against these values.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    F = jb_apply(u, space)
-    hn = h_norm(u, space)
-    bn = lp_norm(u, space.basis.p)
-    rng = np.random.default_rng(seed)
-    N = space.dim
-    best = 0.0
-    for _ in range(probes):
-        c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        v = reconstruct(c, space.basis)
-        denom = lp_norm(v, space.basis.p)
-        if denom == 0.0:
-            continue
-        best = max(best, abs(evaluate(F, v)) / denom)
-    return best, hn, bn
 
 
 def gram_schmidt_biorthonormal(

@@ -1,12 +1,10 @@
 """Singular convolution operators in one dimension.
 
 Periodic model: signals sampled at M uniform points of [0, 1) carry a
-Hilbert transform in two forms — the exact frequency multiplier -i sgn(k)
+Hilbert transform in two forms: the exact frequency multiplier -i sgn(k),
 and the truncated principal-value quadrature against the periodized
-kernel cot(pi u) (the period-1 sum of 1/(pi u)).  A generic odd-kernel
-operator covers both: its kernel is Omega(sgn(x - y)) * pi * |cot(pi(x - y))|
-with the band |x - y| < eps excluded, and the Hilbert choice
-Omega(s) = s/pi delegates straight to it, so the two code paths are one.
+kernel cot(pi u) (the period-1 sum of 1/(pi u)), with the band
+|x - y| < eps excluded.
 
 Line model: the fractional integral of order alpha on a bounded grid,
 with the |x - y|^{alpha-1} kernel integrated in closed form over every
@@ -23,10 +21,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.special import gamma as _gamma_fn
 
-from .report import VerificationReport, check_result, measured
-from .spaces import GridFunction, lp_norm
-
-_CANCELLATION_TOL = 1e-12
+from .spaces import GridFunction
 
 
 @dataclass(frozen=True)
@@ -114,17 +109,10 @@ def hilbert_multiplier(f: PeriodicSignal) -> PeriodicSignal:
     return PeriodicSignal(np.fft.ifft(mult * np.fft.fft(f.samples)))
 
 
-def odd_kernel_operator(f: PeriodicSignal, omega, eps: float) -> PeriodicSignal:
-    """Truncated singular convolution with an odd homogeneous kernel.
-
-    Output at x is the sum over sample points y with |x - y| >= eps
-    (periodic distance) of Omega(sgn(x - y)) * pi * |cot(pi(x - y))| * f(y) / M.
-    The two-point cancellation Omega(1) + Omega(-1) = 0 is required; it is
-    what makes the truncated integrals bounded uniformly in eps.
-    """
-    om_pos, om_neg = complex(omega(1)), complex(omega(-1))
-    if abs(om_pos + om_neg) > _CANCELLATION_TOL * (abs(om_pos) + abs(om_neg) + 1.0):
-        raise ValueError("kernel cancellation violated: omega(1) + omega(-1) must vanish")
+def hilbert_pv(f: PeriodicSignal, eps: float) -> PeriodicSignal:
+    """Principal-value form of the transform: quadrature against the
+    periodized kernel cot(pi(x - y)), written sgn(x - y) |cot(pi(x - y))|,
+    over the sample points y with periodic distance |x - y| >= eps."""
     m = f.M
     if eps < 1.0 / m:
         raise ValueError(f"truncation eps={eps} lies below the grid spacing {1.0 / m}")
@@ -133,20 +121,9 @@ def odd_kernel_operator(f: PeriodicSignal, omega, eps: float) -> PeriodicSignal:
     kern = np.zeros(m, dtype=np.complex128)
     mask = np.abs(u) >= eps
     um = u[mask]
-    kern[mask] = np.where(um > 0, om_pos, om_neg) * np.pi * np.abs(1.0 / np.tan(np.pi * um))
+    kern[mask] = np.where(um > 0, 1.0, -1.0) * np.abs(1.0 / np.tan(np.pi * um))
     out = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.samples)) / m
     return PeriodicSignal(out)
-
-
-def _hilbert_omega(s):
-    return s / np.pi
-
-
-def hilbert_pv(f: PeriodicSignal, eps: float) -> PeriodicSignal:
-    """Principal-value form of the transform: the odd-kernel operator with
-    Omega(s) = s/pi, i.e. quadrature against cot(pi(x - y)) away from the
-    excluded band.  Shares the odd-kernel code path verbatim."""
-    return odd_kernel_operator(f, _hilbert_omega, eps)
 
 
 def riesz_gamma(alpha: float) -> float:
@@ -179,58 +156,3 @@ def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
             - _power_antiderivative((d - 0.5) * h, alpha))
     out = fftconvolve(f.values, kern.astype(np.complex128))[res - 1: 2 * res - 1]
     return GridFunction(f.box, out / riesz_gamma(alpha))
-
-
-def hls_probe(rng, resolution: int) -> GridFunction:
-    """Random step function supported on the middle half of the unit box."""
-    vals = np.zeros(resolution, dtype=np.complex128)
-    blocks = 16
-    width = resolution // (2 * blocks)
-    levels = rng.standard_normal(blocks) + 1j * rng.standard_normal(blocks)
-    start = resolution // 4
-    for b in range(blocks):
-        vals[start + b * width: start + (b + 1) * width] = levels[b]
-    return GridFunction(((0.0, 1.0),), vals)
-
-
-def hls_bound_report(alpha: float, p: float, trials: int = 100, seed: int = 0,
-                     resolution: int = 512) -> VerificationReport:
-    """Empirical constant in |I_alpha f|_q <= A |f|_p with 1/q = 1/p - alpha.
-
-    The target exponent is computed from the scaling relation and must
-    land in (p, inf).  2*trials probes come from one stream; the run is
-    declared stable when doubling the trial count grows the estimate by at
-    most the factor 1.5.  The estimate is a lower bound on the true constant.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must lie in (0, 1), got {alpha}")
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"p must lie in (1, inf), got {p}")
-    inv_q = 1.0 / p - alpha
-    if inv_q <= 0.0:
-        raise ValueError(f"exponent relation fails: 1/p - alpha = {inv_q} <= 0")
-    q = 1.0 / inv_q
-    if not p < q < np.inf:
-        raise ValueError(f"exponent relation puts q = {q} outside (p, inf)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(2 * trials):
-        probe = hls_probe(rng, resolution)
-        nf = lp_norm(probe, p)
-        if nf == 0.0:
-            continue
-        ratios.append(lp_norm(riesz_potential(probe, alpha), q) / nf)
-    a_half = max(ratios[:trials])
-    a_full = max(ratios)
-    rep = VerificationReport(suite="integral-hls")
-    rep.add(
-        check_result("hls-bound-finite", 0.0 if np.isfinite(a_full) else np.inf,
-                      0.0, samples=2 * trials, alpha=alpha, p=p, q=q),
-        check_result("hls-bound-stability", a_full / max(a_half, 1e-300), 1.5,
-                      samples=2 * trials, alpha=alpha, p=p, q=q),
-        measured("hls-bound-estimate", a_full, samples=2 * trials,
-                 alpha=alpha, p=p, q=q),
-    )
-    return rep

@@ -20,6 +20,9 @@ over single cubes.  Summing only the cells a cube meets, prefix sums, or a
 sparse or BLAS product would reorder the additions and move the last bits.
 Each function's K-vector is computed once; pairings and norms at a smaller
 truncation use a prefix slice of it (``values_inner``, ``values_norm``).
+
+The containment bounds (``embedding_bounds``) and the weak-to-strong norms
+(``weak_strong_norms``) are returned as numbers; the suites judge them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import dyadic_weights
-from .report import VerificationReport, check_result, measured
 from .spaces import GridFunction, _normalize_box, from_callable, lp_norm
 
 # The first eight (scale l, center index i) pairs, in enumeration order.
@@ -275,41 +277,30 @@ def tail_bound(f: GridFunction, K: int) -> float:
     return 2.0 ** -_positive_int("truncation", K) * lp_norm(f, 1) ** 2
 
 
-def embedding_bound_check(f: GridFunction, q: float | Sequence[float], K: int,
-                          system: CubeSystem) -> VerificationReport:
-    """The containment bound: the square-sum norm never exceeds the L^q
-    norm (finite q), and is at most (2 sqrt(n))^{-n} times the sup norm.
-
-    ``q`` is one exponent or a sequence of them; the norm is evaluated once
-    and compared with each bound in turn.
-    """
+def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]:
+    """The containment bounds on the square-sum norm of f, one per exponent
+    in ``q`` (one exponent or a sequence): the L^q norm for finite q, and
+    (2 sqrt(n))^{-n} times the sup norm for q = inf."""
     qs = [float(x) for x in np.atleast_1d(q)]
     for x in qs:
         if not x >= 1.0:
             raise ValueError(f"q must lie in [1, inf], got {x}")
-    n = system.dim
-    norm = ks2_norm(f, K, system)
-    rep = VerificationReport(suite="ks2-embedding")
+    n = f.dim
+    bounds = []
     for x in qs:
         if x == np.inf:
-            bound = (0.5 / math.sqrt(n)) ** n * lp_norm(f, np.inf)
+            bounds.append((0.5 / math.sqrt(n)) ** n * lp_norm(f, np.inf))
         else:
-            bound = lp_norm(f, x)
-        rep.add(check_result("ks2-embedding-bound", max(0.0, norm - bound),
-                             1e-9 * (1.0 + bound), samples=K,
-                             q=("inf" if x == np.inf else x), K=K))
-    rep.add(measured("ks2-norm", norm, samples=K))
-    rep.tail_bounds["ks2-tail"] = tail_bound(f, K)
-    return rep
+            bounds.append(lp_norm(f, x))
+    return bounds
 
 
-def weak_strong_demo(m_max: int, K: int, system: CubeSystem,
-                     resolution: int = 4096) -> VerificationReport:
-    """Norm decay along sin(2 pi m x), m = 1..m_max.
+def weak_strong_norms(m_max: int, K: int, system: CubeSystem,
+                      resolution: int = 4096) -> list[float]:
+    """The square-sum norms of sin(2 pi m x), m = 1..m_max.
 
     The sequence goes weakly to zero in L^2 without going strongly; under
-    this norm it decays outright.  The decay ratio threshold 0.2 was fixed
-    from a reference run at m_max = 64, K = 256 and is asserted there.
+    this norm it decays outright.
     """
     if system.dim != 1 or system.box != ((0.0, 1.0),):
         raise ValueError("the decay demonstration runs on the unit interval box")
@@ -320,17 +311,7 @@ def weak_strong_demo(m_max: int, K: int, system: CubeSystem,
         f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t),
                           system.box, resolution)
         norms.append(ks2_norm(f, K, system))
-    ratio = norms[-1] / max(norms[0], 1e-300)
-    rep = VerificationReport(suite="ks2-weak-strong")
-    rep.add(check_result("ks2-weak-strong-decay", ratio, 0.2,
-                         samples=m_max, K=K, resolution=resolution))
-    rep.add(
-        measured("ks2-weak-strong-first", norms[0], samples=1, m=1),
-        measured("ks2-weak-strong-last", norms[-1], samples=1, m=m_max),
-        measured("ks2-weak-strong-max-tail", float(np.max(norms[m_max // 2:])),
-                 samples=m_max - m_max // 2),
-    )
-    return rep
+    return norms
 
 
 def cube_rows(system: CubeSystem, count: int) -> tuple[list[str], list[list]]:

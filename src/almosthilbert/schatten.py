@@ -5,7 +5,8 @@ is an honest Hilbert space, and every norm comes with a second,
 independently computed path so the defining identities are checked rather
 than assumed.  Eigenvalue inequalities (Weyl, Horn, Lalesco, Lidskii) use
 the coordinate-matrix point spectrum, which is similarity invariant and
-therefore metric independent.
+therefore metric independent; each function returns the two sides of its
+inequality, and the suites judge them.
 """
 
 from __future__ import annotations
@@ -16,23 +17,8 @@ import numpy as np
 
 from . import numerics
 from .operators import BOperator, adjoint, h_matrix
-from .report import VerificationReport, check_result
 
 POWER_EXPONENTS = (1.0, 2.0, 4.0)
-
-
-def power_map(p: float):
-    """The monotone map t -> t^p on [0, inf), labeled for reports."""
-
-    def phi(t):
-        return t**p
-
-    phi.label = f"t^{p:g}"
-    return phi
-
-
-def _phi_label(phi) -> str:
-    return getattr(phi, "label", getattr(phi, "__name__", "phi"))
 
 
 @dataclass(frozen=True)
@@ -133,150 +119,39 @@ def schatten_norm(A: BOperator, p: float, tol: float = 1e-9) -> float:
     return mu_norm
 
 
-def _phi_sum(phi, values: np.ndarray) -> float:
-    return float(np.sum([phi(float(v)) for v in values]))
+def _power_sums(values: np.ndarray) -> list[float]:
+    """sum_n values_n^p for each p in POWER_EXPONENTS, one Python float per
+    term, the terms added by numpy in list order."""
+    return [float(np.sum([float(v) ** p for v in values])) for p in POWER_EXPONENTS]
 
 
-def weyl_check(A: BOperator, phi=None) -> VerificationReport:
-    """Sum of phi(|eigenvalue|) against sum of phi(singular value).
-
-    With no map given, runs the shipped power family t^p, p in {1, 2, 4}.
-    """
-    maps = [power_map(q) for q in POWER_EXPONENTS] if phi is None else [phi]
+def weyl_sums(A: BOperator) -> list[tuple[float, float]]:
+    """(sum |eigenvalue|^p, sum singular value^p) for each p in
+    POWER_EXPONENTS; Weyl's inequality says the first never exceeds the
+    second."""
     spec = singular_spectrum(A)
-    rep = VerificationReport(suite="weyl")
-    for f in maps:
-        lhs = _phi_sum(f, np.abs(spec.lam))
-        rhs = _phi_sum(f, spec.mu)
-        rep.add(check_result(f"weyl-{_phi_label(f)}", max(0.0, lhs - rhs),
-                             1e-9 * (rhs + 1.0), samples=spec.mu.size,
-                             lhs=lhs, rhs=rhs))
-    return rep
+    return list(zip(_power_sums(np.abs(spec.lam)), _power_sums(spec.mu)))
 
 
-def horn_check(A1: BOperator, A2: BOperator, phi=None) -> VerificationReport:
-    """Sum of phi(|eigenvalue of the product|) against sum of
-    phi(paired singular-value products), both sorted descending."""
+def horn_sums(A1: BOperator, A2: BOperator) -> list[tuple[float, float]]:
+    """(sum |eigenvalue of A1 A2|^p, sum (paired singular-value product)^p),
+    both sorted descending, for each p in POWER_EXPONENTS; Horn's
+    inequality says the first never exceeds the second."""
     A1._require_same_space(A2)
-    maps = [power_map(q) for q in POWER_EXPONENTS] if phi is None else [phi]
     lam = numerics.general_eigenvalues((A1 @ A2).matrix)
     mu_pair = singular_values(A1) * singular_values(A2)
-    rep = VerificationReport(suite="horn")
-    for f in maps:
-        lhs = _phi_sum(f, np.abs(lam))
-        rhs = _phi_sum(f, mu_pair)
-        rep.add(check_result(f"horn-{_phi_label(f)}", max(0.0, lhs - rhs),
-                             1e-9 * (rhs + 1.0), samples=mu_pair.size,
-                             lhs=lhs, rhs=rhs))
-    return rep
+    return list(zip(_power_sums(np.abs(lam)), _power_sums(mu_pair)))
 
 
-def lalesco_check(A: BOperator) -> VerificationReport:
-    """Sum of |eigenvalues| bounded by the sum of singular values."""
+def lalesco_sums(A: BOperator) -> tuple[float, float]:
+    """(sum |eigenvalue|, sum singular value): Lalesco's inequality says the
+    first never exceeds the second."""
     spec = singular_spectrum(A)
-    lhs = float(np.sum(np.abs(spec.lam)))
-    rhs = float(np.sum(spec.mu))
-    rep = VerificationReport(suite="lalesco")
-    rep.add(check_result("lalesco-abs-eigen-sum", max(0.0, lhs - rhs),
-                         1e-9 * (rhs + 1.0), samples=spec.mu.size,
-                         lhs=lhs, rhs=rhs))
-    return rep
+    return float(np.sum(np.abs(spec.lam))), float(np.sum(spec.mu))
 
 
-def lidskii_check(A: BOperator) -> VerificationReport:
-    """Eigenvalue sum equals the coordinate trace (similarity invariant)."""
+def lidskii_sums(A: BOperator) -> tuple[complex, complex]:
+    """(sum of eigenvalues, coordinate trace): equal by Lidskii's theorem
+    (similarity invariant)."""
     lam = numerics.general_eigenvalues(A.matrix)
-    tr = complex(np.trace(A.matrix))
-    gap = abs(complex(np.sum(lam)) - tr)
-    rep = VerificationReport(suite="lidskii")
-    rep.add(check_result("lidskii-trace", gap, 1e-9 * (abs(tr) + 1.0),
-                         samples=lam.size, trace=abs(tr)))
-    return rep
-
-
-def approximation_numbers(A: BOperator, metric: str = "H", p_for_B: float = 2.0,
-                          restarts: int = 4, seed: int = 0) -> np.ndarray:
-    """Distances to the rank-n operators, n = 0 .. N.
-
-    metric "H": exact, the (n+1)-th weighted-metric singular value (best
-    rank-n approximation in a Hilbert metric), ending in an exact zero.
-    metric "B-estimate": for each n the rank-n truncated singular
-    decomposition is taken as candidate and its defect is measured with
-    the coefficient p-norm estimator; each entry estimates an upper bound
-    on the true distance, it is not certified tight.
-    """
-    n = A.space.dim
-    mu = singular_values(A)
-    if metric == "H":
-        return np.concatenate([mu, [0.0]])
-    if metric != "B-estimate":
-        raise ValueError(f"unknown metric {metric!r}: expected 'H' or 'B-estimate'")
-    mh = h_matrix(A)
-    uh, s, v = numerics.svd(mh)
-    sw = np.sqrt(A.space.weights)
-    out = np.empty(n + 1)
-    for k in range(n + 1):
-        defect_h = (uh[:, k:] * s[k:]) @ v[:, k:].conj().T
-        defect = defect_h * (sw[None, :] / sw[:, None])
-        out[k] = numerics.opnorm_p_estimate(defect, p_for_B, restarts=restarts, seed=seed)
-    return out
-
-
-def pietsch_cp(A: BOperator, p: float, metric: str = "H", p_for_B: float = 2.0,
-               restarts: int = 4, seed: int = 0) -> float:
-    """Sum of the p-th powers of the approximation numbers from rank 1 on."""
-    p = _validate_order(p)
-    s = approximation_numbers(A, metric=metric, p_for_B=p_for_B,
-                              restarts=restarts, seed=seed)
-    return float(np.sum(s[1:] ** p))
-
-
-def nuclear_norm_upper(A: BOperator, p_dual: float, restarts: int = 4,
-                       seed: int = 0) -> float:
-    """Upper bound on the nuclear norm from one explicit representation.
-
-    The weighted-metric singular decomposition writes A as a sum of
-    rank-one terms mu_n f_n(.) psi_n; the bound is the sum of
-    mu_n * |f_n| * |psi_n| with psi_n measured in the coefficient p-norm
-    conjugate to ``p_dual`` and f_n in the dual estimate (probed together
-    with the analytic extremal vector, so the estimate attains the exact
-    finite-dimensional dual norm).  The infimum over all representations
-    can only be smaller: this is a certified upper bound, never tight by
-    construction.
-    """
-    q = float(p_dual)
-    if not 1.0 < q < np.inf:
-        raise ValueError(f"dual exponent must lie in (1, inf), got {q}")
-    p = q / (q - 1.0)
-    mh = h_matrix(A)
-    uh, s, v = numerics.svd(mh)
-    sw = np.sqrt(A.space.weights)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for n in range(s.size):
-        if s[n] == 0.0:
-            continue
-        c = uh[:, n] / sw                 # coefficients of psi_n
-        g = sw * v[:, n]                  # functional f_n acts as <g, .>
-        total += float(s[n]) * numerics.vector_pnorm(c, p) * _dual_norm_estimate(
-            g, q, p, rng, restarts)
-    return total
-
-
-def _dual_norm_estimate(g: np.ndarray, q: float, p: float, rng, probes: int) -> float:
-    """Probed dual norm of the functional <g, .> on the coefficient p-norm
-    model.  The analytic extremal vector is always among the candidates,
-    so the maximum equals the exact dual q-norm up to rounding."""
-    a = np.abs(g)
-    if not np.any(a > 0.0):
-        return 0.0
-    sgn = np.where(a > 0.0, g / np.where(a > 0.0, a, 1.0), 0.0)
-    cands = [sgn * a ** (q - 1.0)]
-    for _ in range(probes):
-        cands.append(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size))
-    best = 0.0
-    for x in cands:
-        nx = numerics.vector_pnorm(x, p)
-        if nx > 0.0:
-            best = max(best, float(abs(np.vdot(g, x))) / nx)
-    return best
+    return complex(np.sum(lam)), complex(np.trace(A.matrix))

@@ -13,14 +13,9 @@ keeps the action linear in u.  Every module follows this convention.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-_BINARY_MAGIC = b"AHGF"
-_BINARY_VERSION = 1
 
 
 def _normalize_box(box) -> tuple[tuple[float, float], ...]:
@@ -230,58 +225,3 @@ def reconstruct(coeffs, basis: SchauderBasis) -> GridFunction:
         raise ValueError(f"expected {len(basis)} coefficients, got shape {c.shape}")
     member_mat = np.stack([m.values for m in basis.members])
     return GridFunction(basis.grid.box, c @ member_mat)
-
-
-def save_grid_function(f: GridFunction, path, fmt: str = "csv") -> None:
-    """Write a GridFunction to ``path``.
-
-    csv: header rows (magic/version, dim, resolution, per-axis box), then
-    one (re, im) row per sample in row-major order.
-    binary: magic 'AHGF', then little-endian u32 version, u32 dim,
-    u32 resolution, 2*dim f64 box bounds, and resolution^dim interleaved
-    (re, im) f64 pairs in row-major order.
-    """
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["almosthilbert-grid", _BINARY_VERSION])
-            w.writerow(["dim", f.dim])
-            w.writerow(["resolution", f.resolution])
-            for ax, (lo, hi) in enumerate(f.box):
-                w.writerow([f"box{ax}", repr(float(lo)), repr(float(hi))])
-            w.writerow(["re", "im"])
-            for z in f.values.ravel():
-                w.writerow([repr(float(z.real)), repr(float(z.imag))])
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(struct.pack("<III", _BINARY_VERSION, f.dim, f.resolution))
-            fh.write(np.asarray([b for ax in f.box for b in ax], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-    else:
-        raise ValueError(f"unknown format {fmt!r}: expected 'csv' or 'binary'")
-
-
-def load_grid_function(path) -> GridFunction:
-    """Read a GridFunction written by save_grid_function (either format)."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == _BINARY_MAGIC:
-        with open(path, "rb") as fh:
-            fh.read(4)
-            version, dim, res = struct.unpack("<III", fh.read(12))
-            if version != _BINARY_VERSION:
-                raise ValueError(f"unsupported grid file version {version}")
-            box = np.frombuffer(fh.read(16 * dim), dtype="<f8").reshape(dim, 2)
-            vals = np.frombuffer(fh.read(), dtype="<c16", count=res**dim)
-        return GridFunction(tuple(map(tuple, box)), vals.reshape((res,) * dim).copy())
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "almosthilbert-grid":
-        raise ValueError("not a grid-function file")
-    dim = int(rows[1][1])
-    res = int(rows[2][1])
-    box = tuple((float(rows[3 + ax][1]), float(rows[3 + ax][2])) for ax in range(dim))
-    data = rows[4 + dim:]
-    vals = np.array([complex(float(r), float(i)) for r, i in data], dtype=np.complex128)
-    return GridFunction(box, vals.reshape((res,) * dim))

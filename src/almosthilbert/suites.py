@@ -2,12 +2,14 @@
 
 Every "invariant" of the individual modules is packaged here as a named
 check: a function that draws its own random instances, measures the worst
-violation, and compares it against the declared tolerance.  Checks are
-grouped into suites (embedding, adjoint, schatten, ks2, integral), and the
-four quantities the underlying theory leaves unquantified (the equivalence
-constant k-hat, the ratio ||A*||_B/||A||_B for p != 2, the Hilbert-transform
-L^p constant, and the Rayleigh-quotient gap) ride along with *every* suite
-as measured-only entries.
+violation, and compares it against the declared tolerance.  The library
+modules only return numbers; this is the one module that turns them into
+check results.  Checks are grouped into suites (embedding, adjoint,
+schatten, ks2, integral), and the four quantities the underlying theory
+leaves unquantified (the equivalence constant k-hat, the ratio
+||A*||_B/||A||_B for p != 2, the Hilbert-transform L^p constant, and the
+Rayleigh-quotient gap) ride along with *every* suite as measured-only
+entries.
 
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
@@ -20,6 +22,7 @@ by check name.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 
@@ -39,7 +42,7 @@ from .embedding import (
 from .operators import (
     BOperator,
     adjoint,
-    adjoint_algebra_check,
+    adjoint_algebra_defect,
     apply_op,
     b_opnorm_estimate,
     from_h_matrix,
@@ -47,6 +50,7 @@ from .operators import (
     h_opnorm,
     is_naturally_selfadjoint,
     lax_check,
+    lax_khat,
     minmax_eigenvalue,
     polar_decompose,
     rayleigh_compare,
@@ -86,6 +90,8 @@ class SuiteParams:
     cubes: int = 64
 
     def __post_init__(self):
+        for name in ("dim", "grid", "trials", "cubes"):
+            ks2._positive_int(name, getattr(self, name))
         if not 1 <= self.dim <= _MAX_DIM:
             raise ValueError(f"dim must lie in 1..{_MAX_DIM}: past that the dyadic weight "
                              f"sum 1 - 2^-dim rounds to 1.0 in float64, got {self.dim}")
@@ -100,8 +106,8 @@ class SuiteParams:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 1 <= self.trials <= 100000:
             raise ValueError(f"trials must lie in 1..100000, got {self.trials}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol scale must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol scale must be positive and finite, got {self.tol}")
         if not 8 <= self.cubes <= 4096:
             raise ValueError(f"cubes must lie in 8..4096, got {self.cubes}")
 
@@ -393,8 +399,7 @@ def _chk_adjoint_algebra(params, rng):
         a_op = _rand_operator(space, rng)
         b_op = _rand_operator(space, rng)
         scalar = complex(_rand_coeffs(rng))
-        rep = adjoint_algebra_check(a_op, b_op, scalar, tol=1e-10 * params.tol)
-        worst = max(worst, max(c.worst_violation for c in rep.checks))
+        worst = max(worst, adjoint_algebra_defect(a_op, b_op, scalar))
     return check_result("adjoint-algebra", worst, 1e-10 * params.tol, samples=total)
 
 
@@ -455,9 +460,10 @@ def _chk_lax_spectrum(params, rng):
     worst = 0.0
     for _ in range(n):
         t_op = _rand_selfadjoint(space, rng)
-        rep = lax_check(t_op, params.p, seed=_seed_int(rng))
-        spec = next(c for c in rep.checks if c.name == "lax-point-spectrum-invariance")
-        worst = max(worst, spec.worst_violation)
+        # The B-norm seed this draw once fed is no longer used; the draw stays
+        # so that the check's random stream, and so its report, do not change.
+        _seed_int(rng)
+        worst = max(worst, lax_check(t_op))
     return check_result("lax-spectrum-invariance", worst, 1e-8 * params.tol, samples=n)
 
 
@@ -602,14 +608,17 @@ def _chk_unitary_invariance(params, rng):
                         1e-9 * params.tol, samples=n * len(_SCHATTEN_PS))
 
 
-def _normalized_violations(rep: VerificationReport) -> float:
-    """Rescale bound checks with tolerance 1e-9*(bound+1) to a 1e-9 budget."""
-    worst = 0.0
-    for c in rep.checks:
-        if c.status == "measured":
-            continue
-        tol = c.params.get("tol", 1e-9)
-        worst = max(worst, c.worst_violation * 1e-9 / max(tol, 1e-300))
+def _bound_excess(excess: float, size: float) -> float:
+    """An excess over a bound of the given size, rescaled from the tolerance
+    1e-9*(size+1) to a 1e-9 budget."""
+    return excess * 1e-9 / max(1e-9 * (size + 1.0), 1e-300)
+
+
+def _worst_excess(worst: float, pairs) -> float:
+    """``worst`` raised by the rescaled excess of each (lhs, rhs) pair of an
+    inequality lhs <= rhs."""
+    for lhs, rhs in pairs:
+        worst = max(worst, _bound_excess(max(0.0, lhs - rhs), rhs))
     return worst
 
 
@@ -619,8 +628,7 @@ def _chk_weyl(params, rng):
     space = _space(params)
     worst = 0.0
     for _ in range(n):
-        worst = max(worst, _normalized_violations(
-            schatten.weyl_check(_rand_operator(space, rng))))
+        worst = _worst_excess(worst, schatten.weyl_sums(_rand_operator(space, rng)))
     return check_result("weyl-inequality", worst, 1e-9 * params.tol, samples=n)
 
 
@@ -632,7 +640,7 @@ def _chk_horn(params, rng):
     for _ in range(n):
         a1 = _rand_operator(space, rng)
         a2 = _rand_operator(space, rng)
-        worst = max(worst, _normalized_violations(schatten.horn_check(a1, a2)))
+        worst = _worst_excess(worst, schatten.horn_sums(a1, a2))
     return check_result("horn-inequality", worst, 1e-9 * params.tol, samples=n)
 
 
@@ -642,8 +650,7 @@ def _chk_lalesco(params, rng):
     space = _space(params)
     worst = 0.0
     for _ in range(n):
-        worst = max(worst, _normalized_violations(
-            schatten.lalesco_check(_rand_operator(space, rng))))
+        worst = _worst_excess(worst, [schatten.lalesco_sums(_rand_operator(space, rng))])
     return check_result("lalesco-inequality", worst, 1e-9 * params.tol, samples=n)
 
 
@@ -653,8 +660,8 @@ def _chk_lidskii(params, rng):
     space = _space(params)
     worst = 0.0
     for _ in range(n):
-        worst = max(worst, _normalized_violations(
-            schatten.lidskii_check(_rand_operator(space, rng))))
+        eigen_sum, trace = schatten.lidskii_sums(_rand_operator(space, rng))
+        worst = max(worst, _bound_excess(abs(eigen_sum - trace), abs(trace)))
     return check_result("lidskii-trace", worst, 1e-9 * params.tol, samples=n)
 
 
@@ -742,26 +749,28 @@ def _chk_fundamentality(params, rng):
 def _chk_ks2_embedding(params, rng):
     n = _count(params, 50)
     system = ks2.cube_system(1)
-    qs = sorted({1.0, 2.0, float(params.q)}) + [np.inf]
+    qs = sorted({1.0, 2.0, float(params.q), np.inf})
     worst = 0.0
     for _ in range(n):
-        rep = ks2.embedding_bound_check(_rand_step(rng, params.grid), qs, params.cubes, system)
-        worst = max(worst, _normalized_violations(rep))
+        f = _rand_step(rng, params.grid)
+        norm = ks2.ks2_norm(f, params.cubes, system)
+        worst = _worst_excess(worst, [(norm, b) for b in ks2.embedding_bounds(f, qs)])
     return check_result("ks2-embedding-bound", worst, 1e-9 * params.tol,
                         samples=n * len(qs), q_list=",".join(f"{q:g}" for q in qs))
 
 
 @_check("ks2-weak-strong-decay", "ks2")
 def _chk_weak_strong(params, rng):
-    system = ks2.cube_system(1)
+    # sin(2 pi m x) goes weakly to zero in L^2 without going strongly; under
+    # the square-sum norm it decays outright.  The threshold 0.2 on the ratio
+    # of the last norm to the first was fixed from a reference run at
+    # m_max = 64, K = 256, and is not scaled by the tolerance knob.
+    m_max = 64
     resolution = max(params.grid, 1024)
-    rep = ks2.weak_strong_demo(64, max(params.cubes, 256), system,
-                               resolution=resolution)
-    decay = next(c for c in rep.checks if c.name == "ks2-weak-strong-decay")
-    return (check_result("ks2-weak-strong-decay", decay.worst_violation,
-                         decay.params["tol"], samples=decay.samples,
-                         m_max=64, resolution=resolution),
-            dict(rep.tail_bounds))
+    norms = ks2.weak_strong_norms(m_max, max(params.cubes, 256), ks2.cube_system(1),
+                                  resolution=resolution)
+    return check_result("ks2-weak-strong-decay", norms[-1] / max(norms[0], 1e-300), 0.2,
+                        samples=m_max, m_max=m_max, resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -873,9 +882,8 @@ def _meas_khat(params, rng):
     lo, hi = np.inf, 0.0
     for _ in range(n):
         t_op = _rand_selfadjoint(space, rng)
-        rep = lax_check(t_op, params.p, seed=_seed_int(rng))
-        khat = next(c for c in rep.checks if c.name == "lax-constant-khat")
-        lo, hi = min(lo, khat.worst_violation), max(hi, khat.worst_violation)
+        khat = lax_khat(t_op, params.p, seed=_seed_int(rng))
+        lo, hi = min(lo, khat), max(hi, khat)
     return measured("lax-constant-khat", hi, samples=n, p=params.p, khat_min=lo)
 
 

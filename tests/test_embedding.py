@@ -11,7 +11,6 @@ from almosthilbert.embedding import (
     h_inner,
     h_norm,
     jb_apply,
-    jb_norm_bound,
 )
 from almosthilbert.spaces import coefficients, fourier_sbasis, lp_norm, reconstruct
 
@@ -135,27 +134,6 @@ class TestJb:
         lhs = evaluate(jb_apply(a * u, space), v)
         rhs = np.conj(a) * evaluate(jb_apply(u, space), v)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_norm_bound_zero(self):
-        space = make_space()
-        z = spaces.zeros((0.0, 1.0), 128)
-        assert jb_norm_bound(z, space, probes=5, seed=0) == (0.0, 0.0, 0.0)
-
-    def test_norm_bound_first_member(self):
-        space = make_space()
-        est, hn, bn = jb_norm_bound(space.basis.members[0], space, probes=100, seed=1)
-        assert est <= 2.0**-0.5 + 1e-12
-        assert hn == pytest.approx(2.0**-0.5, abs=1e-12)
-        assert bn == pytest.approx(1.0, abs=1e-10)
-
-    def test_chain_random(self):
-        rng = np.random.default_rng(7)
-        space = make_space(N=6, p=3, resolution=256)
-        for _ in range(100):
-            u = random_poly(space, rng)
-            est, hn, bn = jb_norm_bound(u, space, probes=20, seed=int(rng.integers(1 << 31)))
-            assert est <= hn + 1e-8
-            assert hn <= bn + 5e-7
 
 
 class TestGramSchmidt:

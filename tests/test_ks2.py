@@ -9,7 +9,7 @@ from almosthilbert.ks2 import (
     Cube,
     cube_rows,
     cube_system,
-    embedding_bound_check,
+    embedding_bounds,
     functional_Fk,
     functional_values,
     inverse_pairing,
@@ -20,7 +20,7 @@ from almosthilbert.ks2 import (
     tail_bound,
     values_inner,
     values_norm,
-    weak_strong_demo,
+    weak_strong_norms,
 )
 from almosthilbert.spaces import GridFunction, from_callable
 
@@ -329,47 +329,49 @@ class TestVectorOnce:
         qs = [1.0, 2.0, 3.0, np.inf]
         for _ in range(5):
             f = random_step(rng)
-            together = embedding_bound_check(f, qs, 64, UNIT)
-            apart = [embedding_bound_check(f, q, 64, UNIT) for q in qs]
-            bounds = [c for c in together.checks if c.name == "ks2-embedding-bound"]
-            assert bounds == [rep.checks[0] for rep in apart]
-            assert together.checks[-1] == apart[0].checks[-1]
-            assert together.checks[-1].worst_violation == ks2_norm(f, 64, UNIT)
-            assert together.tail_bounds == apart[0].tail_bounds
+            together = embedding_bounds(f, qs)
+            apart = [embedding_bounds(f, q) for q in qs]
+            assert len(together) == len(qs)
+            assert [[b] for b in together] == apart
+
+
+def bound_holds(f, q, K=64):
+    """The suites' containment test: norm <= bound within 1e-9 * (1 + bound)."""
+    norm = ks2_norm(f, K, UNIT)
+    return all(norm - b <= 1e-9 * (1.0 + b) for b in embedding_bounds(f, q))
 
 
 class TestEmbeddingBound:
     def test_zero(self):
         z = GridFunction(((0.0, 1.0),), np.zeros(128))
-        rep = embedding_bound_check(z, 2.0, 64, UNIT)
-        assert rep.passed
-        assert rep.tail_bounds["ks2-tail"] == 0.0
+        assert embedding_bounds(z, [1.0, 2.0, np.inf]) == [0.0, 0.0, 0.0]
+        assert ks2_norm(z, 64, UNIT) == 0.0
+        assert tail_bound(z, 64) == 0.0
 
     def test_constant_q2(self):
-        rep = embedding_bound_check(constant_one(), 2.0, 64, UNIT)
-        assert rep.passed
-        norm = next(c for c in rep.checks if c.name == "ks2-norm")
-        assert norm.worst_violation <= 1.0
+        f = constant_one()
+        assert bound_holds(f, 2.0)
+        assert embedding_bounds(f, 2.0) == [pytest.approx(1.0, abs=1e-12)]
+        assert ks2_norm(f, 64, UNIT) <= 1.0
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
     def test_random_finite_q(self, q):
         rng = np.random.default_rng(48)
         for _ in range(50):
-            assert embedding_bound_check(random_step(rng), q, 64, UNIT).passed
+            assert bound_holds(random_step(rng), q)
 
     def test_sup_norm_constant(self):
         rng = np.random.default_rng(49)
         for _ in range(50):
             f = random_step(rng)
-            rep = embedding_bound_check(f, np.inf, 64, UNIT)
-            assert rep.passed
-            norm = next(c for c in rep.checks if c.name == "ks2-norm")
+            assert bound_holds(f, np.inf)
             sup = float(np.max(np.abs(f.values)))
-            assert norm.worst_violation <= 0.5 * sup + 1e-9
+            assert embedding_bounds(f, np.inf) == [0.5 * sup]
+            assert ks2_norm(f, 64, UNIT) <= 0.5 * sup + 1e-9
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError, match="q must lie"):
-            embedding_bound_check(constant_one(), 0.5, 16, UNIT)
+            embedding_bounds(constant_one(), 0.5)
 
 
 class TestWeakStrong:
@@ -385,28 +387,26 @@ class TestWeakStrong:
                 assert abs(functional_Fk(f, k, UNIT)) <= 1.0 / (np.pi * m) + 5e-3
 
     def test_decay_demo(self):
-        rep = weak_strong_demo(64, 256, UNIT, resolution=1024)
-        assert rep.passed
-        decay = next(c for c in rep.checks if c.name == "ks2-weak-strong-decay")
-        assert decay.worst_violation <= 0.2
-        names = {c.name for c in rep.checks}
-        assert {"ks2-weak-strong-first", "ks2-weak-strong-last",
-                "ks2-weak-strong-max-tail"} <= names
+        norms = weak_strong_norms(64, 256, UNIT, resolution=1024)
+        assert len(norms) == 64
+        assert norms[-1] / norms[0] <= 0.2
+        f = from_callable(lambda t: np.sin(2.0 * np.pi * t), ((0.0, 1.0),), 1024)
+        assert norms[0] == ks2_norm(f, 256, UNIT)
 
     def test_rejects_wrong_box(self):
         system = cube_system(1, ((-1.0, 1.0),))
         with pytest.raises(ValueError, match="unit interval"):
-            weak_strong_demo(4, 16, system)
+            weak_strong_norms(4, 16, system)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):
-            weak_strong_demo(0, 16, UNIT)
+            weak_strong_norms(0, 16, UNIT)
 
     @pytest.mark.parametrize("resolution, error", [(0, ValueError), (-8, ValueError),
                                                    (64.0, TypeError)])
     def test_rejects_bad_resolution(self, resolution, error):
         with pytest.raises(error, match="resolution"):
-            weak_strong_demo(4, 16, UNIT, resolution=resolution)
+            weak_strong_norms(4, 16, UNIT, resolution=resolution)
 
 
 class TestDump:

@@ -8,7 +8,7 @@ from almosthilbert.embedding import embedding_space, h_inner, h_norm
 from almosthilbert.operators import (
     BOperator,
     adjoint,
-    adjoint_algebra_check,
+    adjoint_algebra_defect,
     apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
@@ -18,6 +18,7 @@ from almosthilbert.operators import (
     identity_operator,
     is_naturally_selfadjoint,
     lax_check,
+    lax_khat,
     minmax_eigenvalue,
     polar_decompose,
     rayleigh_compare,
@@ -67,15 +68,13 @@ class TestAdjointAlgebra:
     def test_identity_pair(self):
         space = make_space()
         I = identity_operator(space)
-        rep = adjoint_algebra_check(I, I, 1j)
-        assert rep.passed
-        assert max(c.worst_violation for c in rep.checks) <= 1e-14
+        assert adjoint_algebra_defect(I, I, 1j) <= 1e-14
 
     def test_zero_scalar(self):
         space = make_space()
         rng = np.random.default_rng(2)
-        rep = adjoint_algebra_check(rand_operator(space, rng), rand_operator(space, rng), 0.0)
-        assert rep.passed
+        A, B = rand_operator(space, rng), rand_operator(space, rng)
+        assert adjoint_algebra_defect(A, B, 0.0) <= 1e-10
 
     @pytest.mark.parametrize("N", [4, 8, 16])
     def test_random_pairs(self, N):
@@ -84,8 +83,8 @@ class TestAdjointAlgebra:
         for _ in range(20):
             A, B = rand_operator(space, rng), rand_operator(space, rng)
             a = complex(rng.standard_normal(), rng.standard_normal())
-            rep = adjoint_algebra_check(A, B, a)
-            assert rep.passed, max(c.worst_violation for c in rep.checks)
+            defect = adjoint_algebra_defect(A, B, a)
+            assert defect <= 1e-10, defect
 
     def test_product_positive_spectrum(self):
         rng = np.random.default_rng(4)
@@ -132,40 +131,37 @@ class TestPredicates:
 
 class TestLax:
     def test_identity(self):
-        rep = lax_check(identity_operator(make_space()), p=3)
-        vals = {c.name: c.worst_violation for c in rep.checks}
-        assert rep.passed
-        assert vals["lax-hnorm"] == pytest.approx(1.0, abs=1e-12)
+        I = identity_operator(make_space())
+        assert lax_check(I) <= 1e-8
+        # ||I||_H = 1, and the 3-norm estimate of the identity is 1 as well
+        assert lax_khat(I, p=3) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_operator_spectrum(self):
         rng = np.random.default_rng(8)
         space = make_space(N=8)
         A = rand_operator(space, rng)
         T = adjoint(A) @ A
-        rep = lax_check(T, p=2.5, seed=3)
-        assert rep.passed
+        assert lax_check(T) <= 1e-8
 
     def test_diagonal_constant(self):
         space = make_space(N=3)
         T = BOperator(np.diag([3.0, 1.0, 0.5]), space)
-        rep = lax_check(T, p=4)
-        khat = next(c for c in rep.checks if c.name == "lax-constant-khat")
-        assert 0 < khat.worst_violation <= 1.0 + 1e-9
+        assert 0 < lax_khat(T, p=4) <= 1.0 + 1e-9
 
     def test_rejects_asymmetric(self):
         space = make_space(N=2)
         T = BOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
         with pytest.raises(ValueError, match="H-symmetric"):
-            lax_check(T, p=2)
+            lax_check(T)
+        with pytest.raises(ValueError, match="H-symmetric"):
+            lax_khat(T, p=2)
 
     def test_spectrum_invariance_random(self):
         rng = np.random.default_rng(9)
         space = make_space(N=16)
         for _ in range(20):
             T = rand_selfadjoint(space, rng)
-            rep = lax_check(T, p=3, seed=11)
-            check = next(c for c in rep.checks if c.name == "lax-point-spectrum-invariance")
-            assert check.status == "pass"
+            assert lax_check(T) <= 1e-8
 
 
 class TestSelfConjugacy:

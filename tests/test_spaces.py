@@ -221,39 +221,3 @@ class TestCoefficients:
         basis = fourier_sbasis(4, 2, 64)
         with pytest.raises(ValueError):
             reconstruct(np.zeros(3), basis)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_round_trip_1d(self, tmp_path, fmt):
-        rng = np.random.default_rng(3)
-        f = GridFunction(BOX, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-        path = tmp_path / f"f.{fmt}"
-        spaces.save_grid_function(f, path, fmt=fmt)
-        g = spaces.load_grid_function(path)
-        assert g.box == f.box
-        np.testing.assert_array_equal(g.values, f.values)
-
-    @pytest.mark.parametrize("fmt", ["csv", "binary"])
-    def test_round_trip_2d(self, tmp_path, fmt):
-        rng = np.random.default_rng(4)
-        f = GridFunction(
-            ((0.0, 1.0), (-1.0, 2.0)),
-            rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
-        )
-        path = tmp_path / f"f2.{fmt}"
-        spaces.save_grid_function(f, path, fmt=fmt)
-        g = spaces.load_grid_function(path)
-        assert g.box == f.box
-        np.testing.assert_array_equal(g.values, f.values)
-
-    def test_unknown_format(self, tmp_path):
-        f = spaces.zeros(BOX, 4)
-        with pytest.raises(ValueError, match="unknown format"):
-            spaces.save_grid_function(f, tmp_path / "f.x", fmt="xml")
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "junk.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            spaces.load_grid_function(path)

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from almosthilbert.report import FAIL, MEASURED, to_json
+from almosthilbert.report import FAIL, MEASURED, PASS, to_json
 from almosthilbert.suites import (
+    _REGISTRY,
     SUITE_NAMES,
     SuiteParams,
     check_seed,
@@ -124,9 +126,19 @@ class TestParams:
         (dict(tol=0.0), "tol"),
         (dict(cubes=4), "cubes"),
         (dict(dim=54), "float64"),
+        (dict(tol=float("inf")), "tol"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
+            SuiteParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim=8.0), dict(dim=True), dict(grid=256.0), dict(trials=2.5),
+        dict(trials=False), dict(cubes=64.0),
+    ])
+    def test_integer_fields_reject_non_integers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
             SuiteParams(**kwargs)
 
 
@@ -162,6 +174,15 @@ class TestRunSuite:
         rep = run_suite("embedding", seed=5, params=SuiteParams(trials=5, tol=1e-30))
         assert not rep.passed
         assert any(c.status == FAIL for c in rep.checks)
+
+    @pytest.mark.parametrize("q", [2.0, float("inf")])
+    def test_ks2_embedding_bound_counts_each_q_once(self, q):
+        params = SuiteParams(q=q, trials=4)
+        _, fn = _REGISTRY["ks2-embedding-bound"]
+        check = fn(params, np.random.default_rng(check_seed(0, "ks2-embedding-bound")))
+        assert check.status == PASS
+        assert check.params["q_list"] == "1,2,inf"
+        assert check.samples == 2 * 3
 
     def test_ks2_tail_bound_recorded(self):
         rep = run_suite("ks2", seed=9, params=FAST)
