@@ -61,10 +61,9 @@ def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:
 
 
 def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
-    """G_mk = h_inner(E_m, E_k); diagonal diag(t_n) up to quadrature error."""
-    c = np.stack(
-        [coefficients(m, space.basis) for m in space.basis.members], axis=1
-    )  # c[n, m] = <E_n*, E_m>
+    """G_mk = h_inner(E_m, E_k) from c[n, m] = <E_n*, E_m>; diag(t_n) up to quadrature error."""
+    basis = space.basis
+    c = np.stack([coefficients(basis.member(m), basis) for m in range(len(basis))], axis=1)
     return c.T @ (space.weights[:, None] * np.conj(c))
 
 

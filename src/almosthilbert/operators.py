@@ -270,17 +270,12 @@ def finite_difference_operator(a: GridFunction, b: GridFunction,
     grid = space.basis.grid
     a._require_same_grid(grid)
     b._require_same_grid(grid)
-    if grid.dim != 1:
-        raise ValueError("finite differences are shipped for 1-D grids only")
     if float(np.min(a.values.real)) <= 0.0:
         raise ValueError("ellipticity violated: a(x) must be bounded below by a positive constant")
     h = grid.spacing[0]
     x = grid.midpoints()
-    cols = []
-    for m in space.basis.members:
-        u = m.values
-        d2 = (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / h**2
-        d1 = (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * h)
-        au = a.values * d2 + x * b.values * d1
-        cols.append(coefficients(GridFunction(grid.box, au), space.basis))
-    return BOperator(np.stack(cols, axis=1), space)
+    u = space.basis.synthesis  # row m is the member E_m
+    d2 = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h**2
+    d1 = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * h)
+    au = a.values * d2 + x * b.values * d1
+    return BOperator(space.basis.analysis @ au.T * grid.cell_volume, space)

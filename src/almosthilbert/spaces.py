@@ -72,11 +72,8 @@ class GridFunction:
         h = (hi - lo) / self.resolution
         return lo + h * (np.arange(self.resolution) + 0.5)
 
-    def same_grid(self, other: "GridFunction") -> bool:
-        return self.box == other.box and self.values.shape == other.values.shape
-
     def _require_same_grid(self, other: "GridFunction"):
-        if not self.same_grid(other):
+        if self.box != other.box or self.values.shape != other.values.shape:
             raise ValueError("grid mismatch: box and resolution must agree")
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
@@ -153,27 +150,36 @@ def duality_map(u: GridFunction, p: float) -> GridFunction:
 
 @dataclass(frozen=True, eq=False)
 class SchauderBasis:
-    """Unit-B-norm basis members with biorthonormal dual representers.
+    """N members on M cells of a 1-D box as two C-contiguous complex (N, M)
+    matrices: row n of ``synthesis`` is E_n, row n of ``analysis`` is the
+    conjugated representer of E_n*, and analysis @ synthesis.T * cell_volume
+    = I at the working resolution."""
 
-    The n-th coefficient functional is u -> pairing(u, duals[n]); by
-    construction pairing(members[m], duals[n]) = delta_mn at the working
-    resolution.
-    """
-
-    members: tuple[GridFunction, ...]
-    duals: tuple[GridFunction, ...]
+    box: tuple[tuple[float, float], ...]
+    synthesis: np.ndarray
+    analysis: np.ndarray
     p: float
 
     def __post_init__(self):
-        if len(self.members) != len(self.duals) or not self.members:
-            raise ValueError("members and duals must be nonempty and match in length")
+        object.__setattr__(self, "box", _normalize_box(self.box))
+        for name in ("synthesis", "analysis"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
+            object.__setattr__(self, name, arr)
+        s, a = self.synthesis, self.analysis
+        if len(self.box) != 1 or s.ndim != 2 or s.shape != a.shape or not s.size:
+            raise ValueError("synthesis and analysis must be nonempty (N, M) arrays of one shape, "
+                             "over a 1-D box")
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.synthesis.shape[0]
+
+    def member(self, n: int) -> GridFunction:
+        """E_n, over a view of its synthesis row."""
+        return GridFunction(self.box, self.synthesis[n])
 
     @property
     def grid(self) -> GridFunction:
-        return self.members[0]
+        return self.member(0)
 
 
 def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
@@ -192,30 +198,29 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
         raise ValueError("p must lie in (1, inf)")
     t = (np.arange(resolution) + 0.5) / resolution
     box = ((0.0, 1.0),)
-    members = []
-    duals = []
+    synthesis = np.empty((N, resolution), dtype=np.complex128)
+    analysis = np.empty((N, resolution), dtype=np.complex128)
     for n in range(N):
+        freq = (n + 1) // 2
         if n == 0:
             g = np.ones(resolution, dtype=np.complex128)
+        elif n % 2 == 1:
+            g = np.cos(2.0 * np.pi * freq * t).astype(np.complex128)
         else:
-            freq = (n + 1) // 2
-            if n % 2 == 1:
-                g = np.cos(2.0 * np.pi * freq * t).astype(np.complex128)
-            else:
-                g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
+            g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
         raw = GridFunction(box, g)
         member = (1.0 / lp_norm(raw, p)) * raw
         scale = 1.0 / np.real(pairing(member, raw))
-        members.append(member)
-        duals.append(scale * raw)
-    return SchauderBasis(members=tuple(members), duals=tuple(duals), p=p)
+        synthesis[n] = member.values
+        np.conj((scale * raw).values, out=analysis[n])
+    return SchauderBasis(box=box, synthesis=synthesis, analysis=analysis, p=p)
 
 
 def coefficients(u: GridFunction, basis: SchauderBasis) -> np.ndarray:
-    """Coefficient vector (<E_n*, u>)_n = (pairing(u, duals[n]))_n."""
-    u._require_same_grid(basis.grid)
-    dual_mat = np.stack([d.values for d in basis.duals])
-    return dual_mat.conj() @ u.values * u.cell_volume
+    """Coefficient vector (<E_n*, u>)_n, one product with the analysis matrix."""
+    if u.box != basis.box or u.values.shape != basis.analysis.shape[1:]:
+        raise ValueError("grid mismatch: box and resolution must agree")
+    return basis.analysis @ u.values * u.cell_volume
 
 
 def reconstruct(coeffs, basis: SchauderBasis) -> GridFunction:
@@ -223,5 +228,4 @@ def reconstruct(coeffs, basis: SchauderBasis) -> GridFunction:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} coefficients, got shape {c.shape}")
-    member_mat = np.stack([m.values for m in basis.members])
-    return GridFunction(basis.grid.box, c @ member_mat)
+    return GridFunction(basis.box, c @ basis.synthesis)

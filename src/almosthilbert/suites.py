@@ -74,6 +74,8 @@ P_SWEEP = (1.5, 2.0, 3.0, 4.0)
 
 # The largest N whose dyadic weight sum 1 - 2^-N is still below 1.0 in float64.
 _MAX_DIM = np.finfo(float).nmant + 1
+# The largest K whose dyadic weight 2^-K is still above 0.0 in float64 (2^-1074).
+_MAX_CUBES = np.finfo(float).nmant - np.finfo(float).minexp
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ class SuiteParams:
             raise ValueError(f"trials must lie in 1..100000, got {self.trials}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol scale must be positive and finite, got {self.tol}")
-        if not 8 <= self.cubes <= 4096:
-            raise ValueError(f"cubes must lie in 8..4096, got {self.cubes}")
+        if not 8 <= self.cubes <= _MAX_CUBES:
+            raise ValueError(f"cubes must lie in 8..{_MAX_CUBES}: past that the dyadic weight "
+                             f"2^-cubes rounds to 0.0 in float64, got {self.cubes}")
 
 
 def check_seed(master: int, name: str) -> int:
@@ -272,15 +275,14 @@ def _chk_duality_homogeneity(params, rng):
 @_check("coefficient-projection", "embedding")
 def _chk_coeff_projection(params, rng):
     n = _count(params, 100)
-    space = _space(params)
-    member = space.basis.members[0]
+    basis = _space(params).basis
     worst = 0.0
     for _ in range(n):
-        u = GridFunction(member.box, _rand_coeffs(rng, *member.values.shape))
-        once = reconstruct(coefficients(u, space.basis), space.basis)
-        twice = reconstruct(coefficients(once, space.basis), space.basis)
-        scale = max(lp_norm(once, space.basis.p), 1e-300)
-        worst = max(worst, lp_norm(twice - once, space.basis.p) / scale)
+        u = GridFunction(basis.box, _rand_coeffs(rng, basis.synthesis.shape[1]))
+        once = reconstruct(coefficients(u, basis), basis)
+        twice = reconstruct(coefficients(once, basis), basis)
+        scale = max(lp_norm(once, basis.p), 1e-300)
+        worst = max(worst, lp_norm(twice - once, basis.p) / scale)
     return check_result("coefficient-projection", worst, 1e-10 * params.tol, samples=n)
 
 

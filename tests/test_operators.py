@@ -43,7 +43,7 @@ class TestAdjoint:
         space = make_space(N=2)
         A = BOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), space)
         astar = adjoint(A)
-        e1, e2 = space.basis.members
+        e1, e2 = space.basis.member(0), space.basis.member(1)
         # h(A e2, e1) must equal h(e2, A* e1); the closed form above is the
         # unique matrix doing so.
         lhs = h_inner(apply_op(A, e2), e1, space)
@@ -325,7 +325,7 @@ class TestRayleigh:
 
     def test_rejects_zero(self):
         space = make_space()
-        zero = 0.0 * space.basis.members[0]
+        zero = 0.0 * space.basis.member(0)
         with pytest.raises(ValueError, match="psi != 0"):
             rayleigh_compare(identity_operator(space), zero, space)
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from almosthilbert import spaces
+from almosthilbert.embedding import embedding_space, gram_matrix
 from almosthilbert.spaces import (
     GridFunction,
+    SchauderBasis,
     coefficients,
     duality_map,
     fourier_sbasis,
@@ -20,6 +22,35 @@ BOX = (0.0, 1.0)
 def random_trig_poly(basis, rng, scale=1.0):
     c = scale * (rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis)))
     return reconstruct(c, basis)
+
+
+def reference_sbasis(N, p, resolution):
+    """The trigonometric basis as tuples of members and dual representers,
+    the form the two matrices replaced."""
+    t = (np.arange(resolution) + 0.5) / resolution
+    members, duals = [], []
+    for n in range(N):
+        freq = (n + 1) // 2
+        if n == 0:
+            g = np.ones(resolution, dtype=np.complex128)
+        elif n % 2 == 1:
+            g = np.cos(2.0 * np.pi * freq * t).astype(np.complex128)
+        else:
+            g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
+        raw = GridFunction(((0.0, 1.0),), g)
+        member = (1.0 / lp_norm(raw, p)) * raw
+        members.append(member)
+        duals.append((1.0 / np.real(pairing(member, raw))) * raw)
+    return tuple(members), tuple(duals)
+
+
+def reference_coefficients(u, duals):
+    return np.stack([d.values for d in duals]).conj() @ u.values * u.cell_volume
+
+
+def reference_gram(members, duals, weights):
+    c = np.stack([reference_coefficients(m, duals) for m in members], axis=1)
+    return c.T @ (weights[:, None] * np.conj(c))
 
 
 class TestGridFunction:
@@ -154,22 +185,22 @@ class TestDualityMap:
 class TestFourierBasis:
     def test_single_member_is_constant(self):
         basis = fourier_sbasis(1, 2, 16)
-        np.testing.assert_allclose(basis.members[0].values, 1.0, atol=1e-14)
+        np.testing.assert_allclose(basis.member(0).values, 1.0, atol=1e-14)
         one = from_callable(lambda t: np.ones_like(t), BOX, 16)
-        assert pairing(one, basis.duals[0]) == pytest.approx(1.0)
+        assert coefficients(one, basis)[0] == pytest.approx(1.0)
 
     def test_biorthonormality_matrix(self):
         basis = fourier_sbasis(3, 2, 64)
         g = np.array(
-            [[pairing(m, d) for d in basis.duals] for m in basis.members]
+            [coefficients(basis.member(m), basis) for m in range(len(basis))]
         )
         np.testing.assert_allclose(g, np.eye(3), atol=1e-8)
 
     @pytest.mark.parametrize("p", [1.5, 3])
     def test_unit_p_norms(self, p):
         basis = fourier_sbasis(5, p, 128)
-        for m in basis.members:
-            assert lp_norm(m, p) == pytest.approx(1.0, abs=1e-8)
+        for n in range(len(basis)):
+            assert lp_norm(basis.member(n), p) == pytest.approx(1.0, abs=1e-8)
 
     def test_member_ordering(self):
         basis = fourier_sbasis(5, 2, 256)
@@ -182,8 +213,8 @@ class TestFourierBasis:
             np.cos(4 * np.pi * t),
             np.sin(4 * np.pi * t),
         ]
-        for m, r in zip(basis.members, raw):
-            corr = abs(np.vdot(m.values, r)) - np.linalg.norm(m.values) * np.linalg.norm(r)
+        for m, r in zip(basis.synthesis, raw):
+            corr = abs(np.vdot(m, r)) - np.linalg.norm(m) * np.linalg.norm(r)
             assert abs(corr) < 1e-8
 
     def test_rejects_coarse_resolution(self):
@@ -191,10 +222,59 @@ class TestFourierBasis:
             fourier_sbasis(4, 2, 16)
 
 
+class TestSchauderBasis:
+    @pytest.mark.parametrize("synthesis, analysis", [
+        (np.ones((2, 16)), np.ones((3, 16))),
+        (np.ones((2, 16)), np.ones((2, 8))),
+        (np.ones((0, 16)), np.ones((0, 16))),
+        (np.ones((2, 0)), np.ones((2, 0))),
+        (np.ones(16), np.ones(16)),
+    ], ids=["rows", "cells", "no-rows", "no-cells", "vector"])
+    def test_rejects_bad_arrays(self, synthesis, analysis):
+        with pytest.raises(ValueError, match="nonempty"):
+            SchauderBasis(BOX, synthesis, analysis, 2.0)
+
+    def test_rejects_two_dimensional_box(self):
+        with pytest.raises(ValueError, match="1-D box"):
+            SchauderBasis(((0.0, 1.0), (0.0, 1.0)), np.ones((2, 16)), np.ones((2, 16)), 2.0)
+
+    def test_members_are_views(self):
+        basis = fourier_sbasis(4, 3, 64)
+        for a in (basis.synthesis, basis.analysis):
+            assert a.dtype == np.complex128 and a.flags.c_contiguous and a.shape == (4, 64)
+        assert len(basis) == 4
+        assert np.shares_memory(basis.member(2).values, basis.synthesis)
+        assert np.shares_memory(basis.grid.values, basis.synthesis)
+
+
+class TestMatrixBitwise:
+    """The two stored matrices against the per-call np.stack of member and
+    dual tuples, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("N, M", [(8, 256), (16, 8192)])
+    def test_matches_stacked_tuples(self, N, M, p):
+        basis = fourier_sbasis(N, p, M)
+        members, duals = reference_sbasis(N, p, M)
+        for n in range(N):
+            assert basis.synthesis[n].tobytes() == members[n].values.tobytes()
+            assert basis.analysis[n].tobytes() == duals[n].values.conj().tobytes()
+        rng = np.random.default_rng(N)
+        for _ in range(3):
+            u = GridFunction(BOX, rng.standard_normal(M) + 1j * rng.standard_normal(M))
+            assert coefficients(u, basis).tobytes() == reference_coefficients(u, duals).tobytes()
+            c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            stacked = c @ np.stack([m.values for m in members])
+            assert reconstruct(c, basis).values.tobytes() == stacked.tobytes()
+        space = embedding_space(basis)
+        expected = reference_gram(members, duals, space.weights)
+        assert gram_matrix(space).tobytes() == expected.tobytes()
+
+
 class TestCoefficients:
     def test_basis_member_round_trip(self):
         basis = fourier_sbasis(4, 3, 64)
-        c = coefficients(basis.members[1], basis)
+        c = coefficients(basis.member(1), basis)
         np.testing.assert_allclose(c, [0, 1, 0, 0], atol=1e-12)
 
     def test_zero(self):
@@ -203,7 +283,7 @@ class TestCoefficients:
 
     def test_combination_round_trip(self):
         basis = fourier_sbasis(4, 2, 64)
-        u = 2.0 * basis.members[0] + 3.0 * basis.members[2]
+        u = 2.0 * basis.member(0) + 3.0 * basis.member(2)
         c = coefficients(u, basis)
         np.testing.assert_allclose(c, [2, 0, 3, 0], atol=1e-10)
         v = reconstruct(c, basis)
@@ -216,6 +296,12 @@ class TestCoefficients:
         once = reconstruct(coefficients(u, basis), basis)
         twice = reconstruct(coefficients(once, basis), basis)
         assert lp_norm(once - twice, np.inf) <= 1e-10
+
+    def test_rejects_other_grid(self):
+        basis = fourier_sbasis(4, 2, 64)
+        for u in (spaces.zeros(BOX, 128), spaces.zeros((0.0, 2.0), 64)):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                coefficients(u, basis)
 
     def test_wrong_length_rejected(self):
         basis = fourier_sbasis(4, 2, 64)

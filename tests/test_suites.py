@@ -127,6 +127,7 @@ class TestParams:
         (dict(cubes=4), "cubes"),
         (dict(dim=54), "float64"),
         (dict(tol=float("inf")), "tol"),
+        (dict(cubes=1075), "float64"),
     ])
     def test_validation(self, kwargs, msg):
         with pytest.raises(ValueError, match=msg):
