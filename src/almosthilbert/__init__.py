@@ -91,13 +91,10 @@ from .ks2 import (  # noqa: F401
     weak_strong_norms,
 )
 from .integrals import (  # noqa: F401
-    PeriodicSignal,
     hilbert_multiplier,
     hilbert_pv,
     random_bandlimited,
     riesz_potential,
     signal_from_callable,
-    signal_inner,
-    signal_lp_norm,
 )
 from .suites import SUITE_NAMES, SuiteParams, list_checks, run_suite  # noqa: F401

@@ -23,7 +23,6 @@ import sys
 import numpy as np
 
 from .integrals import (
-    PeriodicSignal,
     hilbert_multiplier,
     hilbert_pv,
     riesz_potential,
@@ -134,7 +133,7 @@ def _cmd_dump_cubes(args) -> int:
     return 0
 
 
-def _demo_signal(m: int) -> PeriodicSignal:
+def _demo_signal(m: int) -> GridFunction:
     return signal_from_callable(
         lambda t: np.cos(2.0 * np.pi * t) + 0.5 * np.sin(6.0 * np.pi * t), m)
 
@@ -153,7 +152,7 @@ def _cmd_demo(args) -> int:
         else:
             out = hilbert_pv(f, 4.0 / args.m)
         t = np.arange(args.m) / args.m
-        pairs = zip(t, f.samples, out.samples)
+        pairs = zip(t, f.values, out.values)
     rows = [[repr(float(t)), repr(float(a.real)), repr(float(a.imag)),
              repr(float(b.real)), repr(float(b.imag))] for t, a, b in pairs]
     _write_text(_rows_to_csv(["t", "in_re", "in_im", "out_re", "out_im"], rows),

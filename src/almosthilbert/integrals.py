@@ -1,10 +1,10 @@
 """Singular convolution operators in one dimension.
 
-Periodic model: signals sampled at M uniform points of [0, 1) carry a
-Hilbert transform in two forms: the exact frequency multiplier -i sgn(k),
-and the truncated principal-value quadrature against the periodized
-kernel cot(pi u) (the period-1 sum of 1/(pi u)), with the band
-|x - y| < eps excluded.
+Periodic model: a signal is a GridFunction on the unit box [0, 1) with
+M uniform samples, M a power of two.  It carries a Hilbert transform in
+two forms: the exact frequency multiplier -i sgn(k), and the truncated
+principal-value quadrature against the periodized kernel cot(pi u) (the
+period-1 sum of 1/(pi u)), with the band |x - y| < eps excluded.
 
 Line model: the fractional integral of order alpha on a bounded grid,
 with the |x - y|^{alpha-1} kernel integrated in closed form over every
@@ -15,7 +15,6 @@ the diagonal and makes the kernel matrix exactly symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -24,65 +23,34 @@ from scipy.special import gamma as _gamma_fn
 from .spaces import GridFunction
 
 
-@dataclass(frozen=True)
-class PeriodicSignal:
-    """Complex samples at the M uniform points j/M of the period-1 circle."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128)
-        if s.ndim != 1:
-            raise ValueError("a signal is a 1-D sample vector")
-        m = s.size
-        if m < 4 or m & (m - 1) != 0:
-            raise ValueError(f"sample count must be a power of two >= 4, got {m}")
-        if not np.all(np.isfinite(s.view(np.float64))):
-            raise ValueError("samples must be finite")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def M(self) -> int:
-        return self.samples.size
-
-    def _require_same_size(self, other: "PeriodicSignal"):
-        if other.M != self.M:
-            raise ValueError(f"signal sizes differ: {self.M} vs {other.M}")
-
-    def __add__(self, other):
-        self._require_same_size(other)
-        return PeriodicSignal(self.samples + other.samples)
-
-    def __sub__(self, other):
-        self._require_same_size(other)
-        return PeriodicSignal(self.samples - other.samples)
-
-    def __mul__(self, scalar):
-        return PeriodicSignal(complex(scalar) * self.samples)
-
-    __rmul__ = __mul__
+_UNIT_BOX = ((0.0, 1.0),)
 
 
-def signal_from_callable(fn, m: int) -> PeriodicSignal:
+def _signal_size(f: GridFunction) -> int:
+    """Sample count M of a periodic signal: a GridFunction on the unit box
+    with M a power of two >= 4 and finite samples."""
+    if f.box != _UNIT_BOX:
+        raise ValueError(f"a periodic signal lives on the 1-D box {_UNIT_BOX}, got {f.box}")
+    m = f.resolution
+    if m < 4 or m & (m - 1) != 0:
+        raise ValueError(f"sample count must be a power of two >= 4, got {m}")
+    if not np.all(np.isfinite(f.values.view(np.float64))):
+        raise ValueError("samples must be finite")
+    return m
+
+
+def signal_from_callable(fn, m: int) -> GridFunction:
+    """Sample ``fn`` at the M points j/M of the period-1 circle.
+
+    The samples sit at the left cell edges, not at the GridFunction
+    midpoints.  Every operation on a signal (the transforms, lp_norm,
+    pairing) is translation-invariant, so the half-cell offset never enters.
+    """
     t = np.arange(m) / m
-    return PeriodicSignal(np.asarray(fn(t), dtype=np.complex128))
+    return GridFunction(_UNIT_BOX, np.asarray(fn(t), dtype=np.complex128))
 
 
-def signal_lp_norm(f: PeriodicSignal, p: float) -> float:
-    a = np.abs(f.samples)
-    if p == np.inf:
-        return float(np.max(a))
-    if p < 1:
-        raise ValueError(f"p must lie in [1, inf], got {p}")
-    return float(np.sum(a**p) / f.M) ** (1.0 / p)
-
-
-def signal_inner(f: PeriodicSignal, g: PeriodicSignal) -> complex:
-    f._require_same_size(g)
-    return complex(np.sum(f.samples * np.conj(g.samples)) / f.M)
-
-
-def random_bandlimited(rng, m: int, kmax: int | None = None) -> PeriodicSignal:
+def random_bandlimited(rng, m: int, kmax: int | None = None) -> GridFunction:
     """Random mean-zero signal with spectrum in modes 1..kmax (both signs);
     the zero and Nyquist modes stay empty."""
     if kmax is None:
@@ -93,27 +61,27 @@ def random_bandlimited(rng, m: int, kmax: int | None = None) -> PeriodicSignal:
     ks = np.arange(1, kmax + 1)
     spec[ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
     spec[m - ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-    return PeriodicSignal(np.fft.ifft(spec))
+    return GridFunction(_UNIT_BOX, np.fft.ifft(spec))
 
 
-def hilbert_multiplier(f: PeriodicSignal) -> PeriodicSignal:
+def hilbert_multiplier(f: GridFunction) -> GridFunction:
     """Frequency-side transform: multiply mode k by -i sgn(k).
 
     The zero mode is annihilated and so is the Nyquist mode, where the
     sign has no meaning; on the remaining modes this is a unitary map,
     hence an exact isometry on mean-zero Nyquist-free signals.
     """
-    m = f.M
+    m = _signal_size(f)
     mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
                            np.full(m // 2 - 1, 1j)])
-    return PeriodicSignal(np.fft.ifft(mult * np.fft.fft(f.samples)))
+    return GridFunction(_UNIT_BOX, np.fft.ifft(mult * np.fft.fft(f.values)))
 
 
-def hilbert_pv(f: PeriodicSignal, eps: float) -> PeriodicSignal:
+def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
     """Principal-value form of the transform: quadrature against the
     periodized kernel cot(pi(x - y)), written sgn(x - y) |cot(pi(x - y))|,
     over the sample points y with periodic distance |x - y| >= eps."""
-    m = f.M
+    m = _signal_size(f)
     if eps < 1.0 / m:
         raise ValueError(f"truncation eps={eps} lies below the grid spacing {1.0 / m}")
     u = np.arange(m) / m
@@ -122,8 +90,8 @@ def hilbert_pv(f: PeriodicSignal, eps: float) -> PeriodicSignal:
     mask = np.abs(u) >= eps
     um = u[mask]
     kern[mask] = np.where(um > 0, 1.0, -1.0) * np.abs(1.0 / np.tan(np.pi * um))
-    out = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.samples)) / m
-    return PeriodicSignal(out)
+    out = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.values)) / m
+    return GridFunction(_UNIT_BOX, out)
 
 
 def riesz_gamma(alpha: float) -> float:

@@ -43,17 +43,20 @@ def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
     """Weighted-metric singular values by two paths, and how far apart they are.
 
     Returns (s, gap, scale): s is the SVD of the metric transport of A,
-    descending; gap is the largest difference to the square roots of the
-    weighted-metric eigenvalues of A*A; scale is max(1, s_1), the size the
-    gap is judged against.
+    descending; gap is the largest difference between s**2 and the
+    weighted-metric eigenvalues of A*A; scale is max(1, s_1**2), the size
+    the gap is judged against.  The comparison is made in the squared
+    domain, where both paths carry a backward-error bound of order
+    eps * s_1**2; taking square roots would amplify the error on small
+    singular values by cond(A).
     """
     mh = h_matrix(A)
     _, s, _ = numerics.svd(mh)
     prod_h = h_matrix(adjoint(A) @ A)
     eig = numerics.hermitian_eigen((prod_h + prod_h.conj().T) / 2.0)
-    mu_eig = np.sqrt(np.clip(eig.values, 0.0, None))
-    scale = max(1.0, float(s[0]) if s.size else 0.0)
-    gap = float(np.max(np.abs(s - mu_eig))) if s.size else 0.0
+    s2 = s**2
+    scale = max(1.0, float(s2[0]) if s.size else 0.0)
+    gap = float(np.max(np.abs(s2 - eig.values))) if s.size else 0.0
     return s, gap, scale
 
 

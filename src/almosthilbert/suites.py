@@ -174,65 +174,6 @@ def _seed_int(rng) -> int:
 
 
 # ---------------------------------------------------------------------------
-# numerics kernel checks (run with the adjoint suite)
-# ---------------------------------------------------------------------------
-
-
-@_check("numerics-eigen-real-descending", "adjoint")
-def _chk_eigen_sorted(params, rng):
-    n = _count(params, 50)
-    worst = 0.0
-    for _ in range(n):
-        a = _rand_coeffs(rng, 8, 8)
-        vals = numerics.hermitian_eigen(a + a.conj().T).values
-        if vals.size > 1:
-            worst = max(worst, float(np.max(np.diff(vals))))
-    return check_result("numerics-eigen-real-descending", max(0.0, worst),
-                        0.0, samples=n)
-
-
-@_check("numerics-svd-adjoint-spectrum", "adjoint")
-def _chk_svd_adjoint(params, rng):
-    n = _count(params, 50)
-    worst = 0.0
-    for _ in range(n):
-        m = _rand_coeffs(rng, 8, 8)
-        s1 = numerics.svd(m)[1]
-        s2 = numerics.svd(m.conj().T)[1]
-        worst = max(worst, float(np.max(np.abs(s1 - s2))) / max(1.0, float(s1[0])))
-    return check_result("numerics-svd-adjoint-spectrum", worst,
-                        1e-12 * params.tol, samples=n)
-
-
-@_check("numerics-opnorm2-matches-svd", "adjoint")
-def _chk_opnorm2(params, rng):
-    n = _count(params, 50)
-    worst = 0.0
-    for _ in range(n):
-        m = _rand_coeffs(rng, 8, 8)
-        top = float(numerics.svd(m)[1][0])
-        est = numerics.opnorm_p_estimate(m, 2.0, seed=_seed_int(rng))
-        worst = max(worst, abs(est - top) / max(1.0, top))
-    return check_result("numerics-opnorm2-matches-svd", worst,
-                        1e-8 * params.tol, samples=n)
-
-
-@_check("numerics-expm-commuting-product", "adjoint")
-def _chk_expm(params, rng):
-    n = _count(params, 50)
-    worst = 0.0
-    for _ in range(n):
-        d1 = np.diag(_rand_coeffs(rng, 6))
-        d2 = np.diag(_rand_coeffs(rng, 6))
-        lhs = numerics.matrix_exp(d1 + d2)
-        rhs = numerics.matrix_exp(d1) @ numerics.matrix_exp(d2)
-        scale = max(1.0, float(np.linalg.norm(lhs)))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    return check_result("numerics-expm-commuting-product", worst,
-                        1e-10 * params.tol, samples=n)
-
-
-# ---------------------------------------------------------------------------
 # basis / duality-map checks (embedding suite)
 # ---------------------------------------------------------------------------
 
@@ -461,11 +402,7 @@ def _chk_lax_spectrum(params, rng):
     space = _space(params)
     worst = 0.0
     for _ in range(n):
-        t_op = _rand_selfadjoint(space, rng)
-        # The B-norm seed this draw once fed is no longer used; the draw stays
-        # so that the check's random stream, and so its report, do not change.
-        _seed_int(rng)
-        worst = max(worst, lax_check(t_op))
+        worst = max(worst, lax_check(_rand_selfadjoint(space, rng)))
     return check_result("lax-spectrum-invariance", worst, 1e-8 * params.tol, samples=n)
 
 
@@ -787,8 +724,8 @@ def _chk_hilbert_square(params, rng):
     for _ in range(n):
         f = integrals.random_bandlimited(rng, params.grid)
         twice = integrals.hilbert_multiplier(integrals.hilbert_multiplier(f))
-        scale = max(1.0, float(np.max(np.abs(f.samples))))
-        worst = max(worst, float(np.max(np.abs(twice.samples + f.samples))) / scale)
+        scale = max(1.0, float(np.max(np.abs(f.values))))
+        worst = max(worst, float(np.max(np.abs(twice.values + f.values))) / scale)
     return check_result("hilbert-square-identity", worst,
                         1e-12 * params.tol, samples=n)
 
@@ -799,8 +736,7 @@ def _chk_hilbert_isometry(params, rng):
     worst = 0.0
     for _ in range(n):
         f = integrals.random_bandlimited(rng, params.grid)
-        ratio = (integrals.signal_lp_norm(integrals.hilbert_multiplier(f), 2)
-                 / integrals.signal_lp_norm(f, 2))
+        ratio = lp_norm(integrals.hilbert_multiplier(f), 2) / lp_norm(f, 2)
         worst = max(worst, abs(ratio - 1.0))
     return check_result("hilbert-isometry", worst, 1e-12 * params.tol, samples=n)
 
@@ -812,10 +748,9 @@ def _chk_hilbert_skew(params, rng):
     for _ in range(n):
         f = integrals.random_bandlimited(rng, params.grid)
         g = integrals.random_bandlimited(rng, params.grid)
-        lhs = integrals.signal_inner(integrals.hilbert_multiplier(f), g)
-        rhs = integrals.signal_inner(f, integrals.hilbert_multiplier(g))
-        scale = max(integrals.signal_lp_norm(f, 2) * integrals.signal_lp_norm(g, 2),
-                    1e-300)
+        lhs = pairing(integrals.hilbert_multiplier(f), g)
+        rhs = pairing(f, integrals.hilbert_multiplier(g))
+        scale = max(lp_norm(f, 2) * lp_norm(g, 2), 1e-300)
         worst = max(worst, abs(lhs + rhs) / scale)
     return check_result("hilbert-skew-adjoint", worst, 1e-10 * params.tol, samples=n)
 
@@ -823,8 +758,8 @@ def _chk_hilbert_skew(params, rng):
 def _pv_gap(mode: int, m: int, eps: float) -> float:
     f = integrals.signal_from_callable(
         lambda t: np.cos(2.0 * np.pi * mode * t), m)
-    return float(np.max(np.abs(integrals.hilbert_multiplier(f).samples
-                               - integrals.hilbert_pv(f, eps).samples)))
+    return float(np.max(np.abs(integrals.hilbert_multiplier(f).values
+                               - integrals.hilbert_pv(f, eps).values)))
 
 
 @_check("hilbert-pv-convergence", "integral")
@@ -910,9 +845,8 @@ def _meas_cp(params, rng):
     best = 0.0
     for _ in range(n):
         f = integrals.random_bandlimited(rng, m)
-        best = max(best, integrals.signal_lp_norm(integrals.hilbert_multiplier(f),
-                                                  params.p)
-                   / max(integrals.signal_lp_norm(f, params.p), 1e-300))
+        best = max(best, lp_norm(integrals.hilbert_multiplier(f), params.p)
+                   / max(lp_norm(f, params.p), 1e-300))
     return measured("hilbert-cp-constant", best, samples=n, p=params.p)
 
 

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from almosthilbert.integrals import (
-    PeriodicSignal,
     hilbert_multiplier,
     hilbert_pv,
     random_bandlimited,
     riesz_gamma,
     riesz_potential,
     signal_from_callable,
-    signal_inner,
-    signal_lp_norm,
 )
-from almosthilbert.spaces import GridFunction, from_callable, pairing
+from almosthilbert.spaces import GridFunction, from_callable, lp_norm, pairing
+
+UNIT_BOX = ((0.0, 1.0),)
 
 
 def cosine(m, k=1):
@@ -23,65 +22,107 @@ def sine(m, k=1):
     return signal_from_callable(lambda t: np.sin(2.0 * np.pi * k * t), m)
 
 
+def reference_signal_lp_norm(f, p):
+    """Signal L^p norm as a mean over the M samples: the bit-level reference."""
+    a = np.abs(f.values)
+    if p == np.inf:
+        return float(np.max(a))
+    return float(np.sum(a**p) / f.resolution) ** (1.0 / p)
+
+
+def reference_signal_inner(f, g):
+    """Signal inner product as a mean over the M samples: the bit-level reference."""
+    return complex(np.sum(f.values * np.conj(g.values)) / f.resolution)
+
+
 class TestPeriodicSignal:
+    """A periodic signal is a GridFunction on the unit box; the transforms
+    refuse every other grid function."""
+
+    TRANSFORMS = (hilbert_multiplier, lambda f: hilbert_pv(f, 0.5))
+
     def test_rejects_non_power_of_two(self):
-        for m in (3, 5, 6, 12, 1000):
-            with pytest.raises(ValueError, match="power of two"):
-                PeriodicSignal(np.zeros(m))
-        with pytest.raises(ValueError, match="power of two"):
-            PeriodicSignal(np.zeros(2))
+        for m in (2, 3, 5, 6, 12, 1000):
+            for op in self.TRANSFORMS:
+                with pytest.raises(ValueError, match="power of two"):
+                    op(GridFunction(UNIT_BOX, np.zeros(m)))
 
     def test_rejects_non_finite(self):
         vals = np.zeros(8)
         vals[3] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            PeriodicSignal(vals)
+        for op in self.TRANSFORMS:
+            with pytest.raises(ValueError, match="finite"):
+                op(GridFunction(UNIT_BOX, vals))
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError, match="1-D"):
-            PeriodicSignal(np.zeros((4, 4)))
+        f = GridFunction(((0.0, 1.0), (0.0, 1.0)), np.zeros((4, 4)))
+        for op in self.TRANSFORMS:
+            with pytest.raises(ValueError, match="1-D"):
+                op(f)
+
+    def test_rejects_wrong_box(self):
+        for box in (((0.0, 2.0),), ((-0.5, 0.5),)):
+            for op in self.TRANSFORMS:
+                with pytest.raises(ValueError, match="box"):
+                    op(GridFunction(box, np.zeros(8)))
 
     def test_arithmetic(self):
+        # sums and multiples of signals stay signals: same box, same size
         f, g = cosine(16), sine(16)
-        np.testing.assert_allclose((f + g).samples, f.samples + g.samples)
-        np.testing.assert_allclose((f - g).samples, f.samples - g.samples)
-        np.testing.assert_allclose((2.0 * f).samples, 2.0 * f.samples)
+        for h, vals in ((f + g, f.values + g.values), (f - g, f.values - g.values),
+                        (2.0 * f, 2.0 * f.values)):
+            assert h.box == UNIT_BOX
+            np.testing.assert_allclose(h.values, vals)
+        np.testing.assert_allclose(hilbert_multiplier(f + 2.0 * g).values,
+                                   (hilbert_multiplier(f) + 2.0 * hilbert_multiplier(g)).values,
+                                   atol=1e-14)
 
     def test_norms(self):
-        one = PeriodicSignal(np.ones(32))
-        assert signal_lp_norm(one, 2) == pytest.approx(1.0)
-        assert signal_lp_norm(one, np.inf) == 1.0
-        assert signal_lp_norm(cosine(64), 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        one = GridFunction(UNIT_BOX, np.ones(32))
+        assert lp_norm(one, 2) == pytest.approx(1.0)
+        assert lp_norm(one, np.inf) == 1.0
+        assert lp_norm(cosine(64), 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
         with pytest.raises(ValueError):
-            signal_lp_norm(one, 0.5)
+            lp_norm(one, 0.5)
 
     def test_inner_conjugates_second(self):
         f = cosine(32)
-        assert signal_inner(f, 1j * f) == pytest.approx(-1j * 0.5, abs=1e-12)
+        assert pairing(f, 1j * f) == pytest.approx(-1j * 0.5, abs=1e-12)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError, match="sizes differ"):
-            signal_inner(cosine(16), cosine(32))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            pairing(cosine(16), cosine(32))
+
+    @pytest.mark.parametrize("m", [4, 256, 4096])
+    def test_norm_and_pairing_bit_identical_to_signal_formulas(self, m):
+        # Multiplying by the cell volume 1/M is exact for power-of-two M,
+        # the same as dividing by M.
+        rng = np.random.default_rng(m)
+        f, g = (GridFunction(UNIT_BOX, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                for _ in range(2))
+        for p in (1.5, 2, 3, np.inf):
+            assert lp_norm(f, p) == reference_signal_lp_norm(f, p)
+        assert pairing(f, g) == reference_signal_inner(f, g)
 
 
 class TestMultiplier:
     def test_cosine_to_sine(self):
         out = hilbert_multiplier(cosine(256))
-        np.testing.assert_allclose(out.samples, sine(256).samples, atol=1e-12)
+        np.testing.assert_allclose(out.values, sine(256).values, atol=1e-12)
 
     def test_sine_to_negative_cosine(self):
         out = hilbert_multiplier(sine(256))
-        np.testing.assert_allclose(out.samples, -cosine(256).samples, atol=1e-12)
+        np.testing.assert_allclose(out.values, -cosine(256).values, atol=1e-12)
 
     def test_constant_annihilated(self):
-        out = hilbert_multiplier(PeriodicSignal(np.full(64, 3.0 - 2.0j)))
-        np.testing.assert_allclose(out.samples, 0.0, atol=1e-13)
+        out = hilbert_multiplier(GridFunction(UNIT_BOX, np.full(64, 3.0 - 2.0j)))
+        np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
 
     def test_isometry_on_mean_zero(self):
         rng = np.random.default_rng(50)
         for _ in range(50):
             f = random_bandlimited(rng, 256)
-            ratio = signal_lp_norm(hilbert_multiplier(f), 2) / signal_lp_norm(f, 2)
+            ratio = lp_norm(hilbert_multiplier(f), 2) / lp_norm(f, 2)
             assert abs(ratio - 1.0) <= 1e-12
 
     def test_square_is_minus_identity(self):
@@ -89,20 +130,20 @@ class TestMultiplier:
         for _ in range(50):
             f = random_bandlimited(rng, 128)
             twice = hilbert_multiplier(hilbert_multiplier(f))
-            scale = signal_lp_norm(f, np.inf)
-            assert np.max(np.abs(twice.samples + f.samples)) <= 1e-12 * max(1.0, scale)
+            scale = lp_norm(f, np.inf)
+            assert np.max(np.abs(twice.values + f.values)) <= 1e-12 * max(1.0, scale)
 
 
 class TestPrincipalValue:
     def test_constant_cancels(self):
-        out = hilbert_pv(PeriodicSignal(np.full(512, 2.0)), 4.0 / 512)
-        assert np.max(np.abs(out.samples)) <= 1e-10
+        out = hilbert_pv(GridFunction(UNIT_BOX, np.full(512, 2.0)), 4.0 / 512)
+        assert np.max(np.abs(out.values)) <= 1e-10
 
     def test_cross_path_gap(self):
         m = 1024
         f = cosine(m)
-        gap = np.max(np.abs(hilbert_multiplier(f).samples
-                            - hilbert_pv(f, 4.0 / m).samples))
+        gap = np.max(np.abs(hilbert_multiplier(f).values
+                            - hilbert_pv(f, 4.0 / m).values))
         assert gap <= 2e-2
 
     def test_joint_refinement_first_order(self):
@@ -111,8 +152,8 @@ class TestPrincipalValue:
         gaps = []
         for m in (512, 1024, 2048, 4096):
             f = cosine(m, k=3)
-            gaps.append(np.max(np.abs(hilbert_multiplier(f).samples
-                                      - hilbert_pv(f, 8.0 / m).samples)))
+            gaps.append(np.max(np.abs(hilbert_multiplier(f).values
+                                      - hilbert_pv(f, 8.0 / m).values)))
         for a, b in zip(gaps, gaps[1:]):
             assert b <= (a / 2.0) * 1.01
             assert np.log2(a / b) >= 1.0 - 1e-2
@@ -122,8 +163,8 @@ class TestPrincipalValue:
         # On a fixed fine grid the gap shrinks at least linearly as eps halves.
         m = 4096
         f = cosine(m, k=mode)
-        ref = hilbert_multiplier(f).samples
-        gaps = [np.max(np.abs(ref - hilbert_pv(f, c / m).samples))
+        ref = hilbert_multiplier(f).values
+        gaps = [np.max(np.abs(ref - hilbert_pv(f, c / m).values))
                 for c in (64.0, 32.0, 16.0, 8.0)]
         for a, b in zip(gaps, gaps[1:]):
             assert np.log2(a / b) >= 1.0
@@ -137,7 +178,7 @@ def omega_kernel_pv(f, omega, eps):
     """The generic odd-kernel quadrature that ``hilbert_pv`` was the
     Omega(s) = s/pi instance of: kernel Omega(sgn(x - y)) * pi *
     |cot(pi(x - y))| off the band |x - y| < eps."""
-    m = f.M
+    m = f.resolution
     u = np.arange(m) / m
     u = np.where(u > 0.5, u - 1.0, u)
     kern = np.zeros(m, dtype=np.complex128)
@@ -145,7 +186,7 @@ def omega_kernel_pv(f, omega, eps):
     um = u[mask]
     om_pos, om_neg = complex(omega(1)), complex(omega(-1))
     kern[mask] = np.where(um > 0, om_pos, om_neg) * np.pi * np.abs(1.0 / np.tan(np.pi * um))
-    return np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.samples)) / m
+    return np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.values)) / m
 
 
 class TestOddKernel:
@@ -155,15 +196,15 @@ class TestOddKernel:
             eps = c / m
             for f in (cosine(m, k=5), random_bandlimited(rng, m)):
                 ref = omega_kernel_pv(f, lambda s: s / np.pi, eps)
-                assert hilbert_pv(f, eps).samples.tobytes() == ref.tobytes()
+                assert hilbert_pv(f, eps).values.tobytes() == ref.tobytes()
 
     def test_discrete_skewness(self):
         rng = np.random.default_rng(52)
         f = random_bandlimited(rng, 256)
         g = random_bandlimited(rng, 256)
         op = lambda u: hilbert_pv(u, 8.0 / 256)
-        lhs = signal_inner(op(f), g)
-        rhs = -signal_inner(f, op(g))
+        lhs = pairing(op(f), g)
+        rhs = -pairing(f, op(g))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -173,15 +214,15 @@ class TestAdjointRelation:
         for _ in range(200):
             f = random_bandlimited(rng, 128)
             g = random_bandlimited(rng, 128)
-            lhs = signal_inner(hilbert_multiplier(f), g)
-            rhs = -signal_inner(f, hilbert_multiplier(g))
-            assert abs(lhs - rhs) <= 1e-10 * signal_lp_norm(f, 2) * signal_lp_norm(g, 2)
+            lhs = pairing(hilbert_multiplier(f), g)
+            rhs = -pairing(f, hilbert_multiplier(g))
+            assert abs(lhs - rhs) <= 1e-10 * lp_norm(f, 2) * lp_norm(g, 2)
 
     def test_skew_quadratic_form_imaginary(self):
         rng = np.random.default_rng(54)
         for _ in range(20):
-            f = PeriodicSignal(random_bandlimited(rng, 256).samples.real)
-            form = signal_inner(hilbert_multiplier(f), f)
+            f = GridFunction(UNIT_BOX, random_bandlimited(rng, 256).values.real)
+            form = pairing(hilbert_multiplier(f), f)
             assert abs(form.real) <= 1e-12
 
 

@@ -8,6 +8,11 @@ def rand_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_diagonal_pairs(count, size, seed):
+    rng = np.random.default_rng(seed)
+    return [(rand_complex(rng, size), rand_complex(rng, size)) for _ in range(count)]
+
+
 class TestHermitianEigen:
     def test_identity(self):
         res = numerics.hermitian_eigen(np.eye(3))
@@ -28,13 +33,14 @@ class TestHermitianEigen:
         recon = (res.vectors * res.values) @ res.vectors.conj().T
         assert np.linalg.norm(recon - m) <= 1e-12 * np.linalg.norm(m)
 
-    def test_values_real_descending(self):
+    @pytest.mark.parametrize("count,size,tol", [(20, 6, 1e-14), (50, 8, 0.0)])
+    def test_values_real_descending(self, count, size, tol):
         rng = np.random.default_rng(8)
-        for _ in range(20):
-            a = rand_complex(rng, 6, 6)
+        for _ in range(count):
+            a = rand_complex(rng, size, size)
             res = numerics.hermitian_eigen(a + a.conj().T)
             assert res.values.dtype.kind == "f"
-            assert np.all(np.diff(res.values) <= 1e-14)
+            assert np.all(np.diff(res.values) <= tol)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -65,13 +71,15 @@ class TestSvd:
         w = numerics.hermitian_eigen(m.conj().T @ m).values
         np.testing.assert_allclose(s, np.sqrt(np.clip(w, 0, None)), atol=1e-12)
 
-    def test_sigma_of_adjoint_matches(self):
+    @pytest.mark.parametrize("count,size,relative", [(10, 5, False), (50, 8, True)])
+    def test_sigma_of_adjoint_matches(self, count, size, relative):
         rng = np.random.default_rng(12)
-        for _ in range(10):
-            m = rand_complex(rng, 5, 5)
+        for _ in range(count):
+            m = rand_complex(rng, size, size)
             _, s1, _ = numerics.svd(m)
             _, s2, _ = numerics.svd(m.conj().T)
-            np.testing.assert_allclose(s1, s2, atol=1e-12)
+            scale = max(1.0, s1[0]) if relative else 1.0
+            assert np.max(np.abs(s1 - s2)) <= 1e-12 * scale
 
     def test_reconstruction_convention(self):
         rng = np.random.default_rng(13)
@@ -116,12 +124,17 @@ class TestMatrixExp:
         u = numerics.matrix_exp(k)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-10)
 
-    def test_commuting_product(self):
-        d1 = np.diag([0.3, -0.7, 1.1])
-        d2 = np.diag([1.0, 0.2, -0.4])
-        lhs = numerics.matrix_exp(d1 + d2)
-        rhs = numerics.matrix_exp(d1) @ numerics.matrix_exp(d2)
-        assert np.linalg.norm(lhs - rhs) <= 1e-10
+    @pytest.mark.parametrize("pairs,relative", [
+        ([([0.3, -0.7, 1.1], [1.0, 0.2, -0.4])], False),
+        (random_diagonal_pairs(50, 6, seed=32), True),
+    ], ids=["fixed-3", "random-6"])
+    def test_commuting_product(self, pairs, relative):
+        for a, b in pairs:
+            d1, d2 = np.diag(a), np.diag(b)
+            lhs = numerics.matrix_exp(d1 + d2)
+            rhs = numerics.matrix_exp(d1) @ numerics.matrix_exp(d2)
+            scale = max(1.0, np.linalg.norm(lhs)) if relative else 1.0
+            assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
 
 
 class TestOpnormEstimate:
@@ -142,9 +155,10 @@ class TestOpnormEstimate:
         ]
         assert est >= max(ratios) - 1e-10
 
-    def test_p2_matches_sigma_max(self):
+    @pytest.mark.parametrize("count", [10, 50])
+    def test_p2_matches_sigma_max(self, count):
         rng = np.random.default_rng(42)
-        for _ in range(10):
+        for _ in range(count):
             m = rand_complex(rng, 8, 8)
             _, s, _ = numerics.svd(m)
             est = numerics.opnorm_p_estimate(m, 2, restarts=4, seed=3)

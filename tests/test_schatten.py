@@ -56,6 +56,15 @@ class TestSingularValues:
             np.testing.assert_allclose(singular_values(adjoint(A)), singular_values(A),
                                        atol=1e-10 * max(1.0, np.linalg.norm(A.matrix)))
 
+    @pytest.mark.parametrize("N", [16, 24, 32, 48])
+    def test_paths_agree_at_large_dim(self, N):
+        # The dyadic metric has condition 2^(N-1); the two paths must still
+        # agree, compared in the squared domain.
+        rng = np.random.default_rng(N)
+        space = make_space(N=N)
+        for _ in range(50):
+            singular_values(rand_operator(space, rng, scale=1.0 / np.sqrt(N)))
+
     def test_spectrum_bundle(self):
         rng = np.random.default_rng(21)
         space = make_space(N=6)

@@ -54,10 +54,6 @@ ALL_CHECKS = (
     "lax-spectrum-invariance",
     "lidskii-trace",
     "minmax-matches-direct",
-    "numerics-eigen-real-descending",
-    "numerics-expm-commuting-product",
-    "numerics-opnorm2-matches-svd",
-    "numerics-svd-adjoint-spectrum",
     "polar-reconstruction",
     "rayleigh-quotient-gap",
     "riesz-positivity",
