@@ -43,21 +43,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--suite", choices=SUITE_NAMES, default="all",
                         help="suite to run (default: all)")
-    parser.add_argument("--dim", type=int, default=8, help="basis truncation N")
-    parser.add_argument("--grid", type=int, default=256,
+    parser.add_argument("--dim", type=int, default=SuiteParams.dim,
+                        help="basis truncation N")
+    parser.add_argument("--grid", type=int, default=SuiteParams.grid,
                         help="grid resolution / signal length (power of two)")
-    parser.add_argument("--p", type=float, default=3.0, help="Banach exponent p")
-    parser.add_argument("--q", type=float, default=2.0,
-                        help="auxiliary exponent for embedding bounds")
-    parser.add_argument("--alpha", type=float, default=0.5,
+    parser.add_argument("--p", type=float, default=SuiteParams.p,
+                        help="Banach exponent p in (1, 64]")
+    parser.add_argument("--alpha", type=float, default=SuiteParams.alpha,
                         help="fractional integration order in (0, 1)")
-    parser.add_argument("--trials", type=int, default=100,
+    parser.add_argument("--trials", type=int, default=SuiteParams.trials,
                         help="sample-count scale; 100 keeps nominal counts")
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (fallback: ALMOST_HILBERT_SEED, then 0)")
-    parser.add_argument("--tol", type=float, default=1.0,
-                        help="global tolerance scale multiplier")
-    parser.add_argument("--cubes", type=int, default=64,
+    parser.add_argument("--cubes", type=int, default=SuiteParams.cubes,
                         help="cube truncation K for the KS2 checks")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text",
                         help="report format (default: text)")
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     integral_parser.add_argument("action", choices=("demo",))
     integral_parser.add_argument("--op", choices=DEMO_OPS, default="hilbert")
     integral_parser.add_argument("--m", type=int, default=1024,
-                                 help="sample count (power of two)")
+                                 help="sample count (power of two >= 4)")
     integral_parser.add_argument("--alpha", type=float, default=0.5,
                                  help="order for the riesz demo")
     integral_parser.add_argument("--out", default=None)
@@ -119,9 +117,8 @@ def _cmd_suite(args) -> int:
         names = list_checks(args.suite)
         _write_text("\n".join(names) + "\n", args.out)
         return 0
-    params = SuiteParams(dim=args.dim, grid=args.grid, p=args.p, q=args.q,
-                         alpha=args.alpha, trials=args.trials, tol=args.tol,
-                         cubes=args.cubes)
+    params = SuiteParams(dim=args.dim, grid=args.grid, p=args.p, alpha=args.alpha,
+                         trials=args.trials, cubes=args.cubes)
     report = run_suite(args.suite, seed=_resolve_seed(args.seed), params=params)
     emit_report(report, args.format, args.out)
     return 0 if report.passed else 1
@@ -139,6 +136,8 @@ def _demo_signal(m: int) -> GridFunction:
 
 
 def _cmd_demo(args) -> int:
+    if args.m < 4 or args.m & (args.m - 1):
+        raise ValueError(f"--m must be a power of two >= 4, got {args.m}")
     if args.op == "riesz":
         x = (np.arange(args.m) + 0.5) / args.m
         f = GridFunction(((0.0, 1.0),), np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0)

@@ -33,21 +33,6 @@ class CheckResult:
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def check_result(name: str, violation: float, tol: float, samples: int, **params) -> CheckResult:
-    """Build a pass/fail check; status is forced by violation vs tol."""
-    status = PASS if violation <= tol else FAIL
-    params = dict(params)
-    params["tol"] = tol
-    return CheckResult(name=name, status=status, worst_violation=float(violation),
-                       samples=samples, params=params)
-
-
-def measured(name: str, value: float, samples: int, **params) -> CheckResult:
-    """Record a measurement with no tolerance; never fails."""
-    return CheckResult(name=name, status=MEASURED, worst_violation=float(value),
-                       samples=samples, params=dict(params))
-
-
 @dataclass
 class VerificationReport:
     suite: str

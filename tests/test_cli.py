@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from almosthilbert import cli
 from almosthilbert.cli import main
-from almosthilbert.suites import list_checks
+from almosthilbert.report import VerificationReport
+from almosthilbert.suites import _REGISTRY, SuiteParams, list_checks
 
 FAST = ["--trials", "5"]
 
@@ -23,11 +25,19 @@ class TestExitCodes:
         assert code == 0
         assert "0 failing" in out
 
-    def test_failure_is_one(self, capsys):
-        code, out, _ = run_cli(["--suite", "integral", *FAST, "--tol", "1e-30"],
-                               capsys)
+    def test_failure_is_one(self, capsys, monkeypatch):
+        suite, tol, _ = _REGISTRY["hilbert-isometry"]
+        monkeypatch.setitem(_REGISTRY, "hilbert-isometry",
+                            (suite, tol, lambda params, rng: (2 * tol, 1)))
+        code, out, _ = run_cli(["--suite", "integral", *FAST], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert "FAIL hilbert-isometry" in out
+
+    @pytest.mark.parametrize("flag", [["--tol", "1"], ["--q", "3"]], ids=["tol", "q"])
+    def test_removed_knobs_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["--suite", "integral", *flag])
+        assert exc.value.code == 2
 
     def test_bad_params_is_two(self, capsys):
         code, _, err = run_cli(["--dim", "0", *FAST], capsys)
@@ -45,6 +55,21 @@ class TestExitCodes:
             ["--suite", "integral", *FAST, "--out", str(missing)], capsys)
         assert code == 3
         assert "I/O" in err
+
+
+class TestDefaults:
+    def test_bare_suite_all_runs_default_params(self, capsys, monkeypatch):
+        runs = []
+
+        def fake_run_suite(name, seed, params):
+            runs.append((name, seed, params))
+            return VerificationReport(suite=name, seed=seed)
+
+        monkeypatch.delenv("ALMOST_HILBERT_SEED", raising=False)
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        code, _, _ = run_cli(["--suite", "all"], capsys)
+        assert code == 0
+        assert runs == [("all", 0, SuiteParams())]
 
 
 class TestListing:
@@ -179,10 +204,12 @@ class TestIntegralDemo:
         assert float(first[0]) == 0.0
         assert float(first[3]) == pytest.approx(-0.5, abs=1e-12)
 
-    def test_non_power_of_two_rejected(self, capsys):
-        code, _, err = run_cli(["integral", "demo", "--m", "100"], capsys)
-        assert code == 2
-        assert "power of two" in err
+    @pytest.mark.parametrize("op", ["hilbert", "hilbert-pv", "riesz"])
+    def test_non_power_of_two_rejected(self, op, capsys):
+        for m in ("100", "1"):
+            code, _, err = run_cli(["integral", "demo", "--op", op, "--m", m], capsys)
+            assert code == 2
+            assert "power of two" in err
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "demo.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from almosthilbert.report import FAIL, MEASURED, PASS, to_json
+from almosthilbert.report import FAIL, MEASURED, to_json
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
@@ -116,13 +116,13 @@ class TestParams:
         (dict(grid=100), "power of two"),
         (dict(grid=8), "power of two"),
         (dict(p=1.0), "p must lie"),
-        (dict(q=0.5), "q must be"),
+        (dict(p=65), "p must lie"),
         (dict(alpha=1.0), "alpha"),
         (dict(trials=0), "trials"),
-        (dict(tol=0.0), "tol"),
+        (dict(p=float("inf")), "p must lie"),
         (dict(cubes=4), "cubes"),
         (dict(dim=54), "float64"),
-        (dict(tol=float("inf")), "tol"),
+        (dict(p=float("nan")), "p must lie"),
         (dict(cubes=1075), "float64"),
     ])
     def test_validation(self, kwargs, msg):
@@ -167,19 +167,23 @@ class TestRunSuite:
                             if c.status == MEASURED]
         assert pick(a) != pick(b)
 
-    def test_tolerance_scale_can_fail(self):
-        rep = run_suite("embedding", seed=5, params=SuiteParams(trials=5, tol=1e-30))
+    def test_tolerance_scale_can_fail(self, monkeypatch):
+        # a violation above the declared tolerance fails that check alone
+        suite, tol, _ = _REGISTRY["duality-identity"]
+        monkeypatch.setitem(_REGISTRY, "duality-identity",
+                            (suite, tol, lambda params, rng: (2 * tol, 1)))
+        rep = run_suite("embedding", seed=5, params=FAST)
         assert not rep.passed
-        assert any(c.status == FAIL for c in rep.checks)
+        (failed,) = [c for c in rep.checks if c.status == FAIL]
+        assert failed.name == "duality-identity" and failed.params["tol"] == tol
 
-    @pytest.mark.parametrize("q", [2.0, float("inf")])
-    def test_ks2_embedding_bound_counts_each_q_once(self, q):
-        params = SuiteParams(q=q, trials=4)
-        _, fn = _REGISTRY["ks2-embedding-bound"]
-        check = fn(params, np.random.default_rng(check_seed(0, "ks2-embedding-bound")))
-        assert check.status == PASS
-        assert check.params["q_list"] == "1,2,inf"
-        assert check.samples == 2 * 3
+    def test_ks2_embedding_bound_counts_each_q_once(self):
+        _, tol, fn = _REGISTRY["ks2-embedding-bound"]
+        violation, samples, extra = fn(
+            SuiteParams(trials=4), np.random.default_rng(check_seed(0, "ks2-embedding-bound")))
+        assert violation <= tol
+        assert extra["q_list"] == "1,2,inf"
+        assert samples == 2 * 3
 
     def test_ks2_tail_bound_recorded(self):
         rep = run_suite("ks2", seed=9, params=FAST)
