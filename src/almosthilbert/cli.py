@@ -34,9 +34,10 @@ from .spaces import GridFunction
 from .suites import SUITE_NAMES, SuiteParams, list_checks, run_suite
 
 DEMO_OPS = ("hilbert", "hilbert-pv", "riesz")
+COMMANDS = ("ks2", "integral")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="almosthilbert",
         description="Run verification suites for the Hilbert-embedding library.",
@@ -62,6 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
     parser.add_argument("--list", action="store_true",
                         help="list the check names of the selected suite and exit")
+    if not commands:
+        return parser
 
     sub = parser.add_subparsers(dest="command")
 
@@ -82,6 +85,23 @@ def _build_parser() -> argparse.ArgumentParser:
     integral_parser.add_argument("--out", default=None)
 
     return parser
+
+
+def _unknown_option(argv) -> str | None:
+    """The first unrecognized option before the subcommand, if any.
+
+    The full parser cannot name it when it takes a value: argparse sets the
+    unknown option aside and offers its value to the subcommand slot, so
+    ``--tol 1`` would be reported as the invalid command '1'.  A parser with
+    the top-level options alone sets aside the option and its value instead.
+    """
+    _, extras = _build_parser(commands=False).parse_known_args(argv)
+    for token in extras:
+        if token in COMMANDS:
+            return None
+        if token.startswith("-"):
+            return token
+    return None
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -160,7 +180,12 @@ def _cmd_demo(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    unknown = _unknown_option(argv)
+    if unknown is not None:
+        parser.error(f"unrecognized arguments: {unknown}")
+    args = parser.parse_args(argv)
     try:
         if args.command == "ks2":
             return _cmd_dump_cubes(args)

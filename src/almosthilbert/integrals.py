@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import gamma as _gamma_fn
 
 from .spaces import GridFunction
 
@@ -96,8 +94,8 @@ def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
 
 def riesz_gamma(alpha: float) -> float:
     """Normalizing constant 2^alpha sqrt(pi) Gamma(alpha/2) / Gamma((1-alpha)/2)."""
-    return float(2.0**alpha * math.sqrt(math.pi) * _gamma_fn(alpha / 2.0)
-                 / _gamma_fn((1.0 - alpha) / 2.0))
+    return float(2.0**alpha * math.sqrt(math.pi) * math.gamma(alpha / 2.0)
+                 / math.gamma((1.0 - alpha) / 2.0))
 
 
 def _power_antiderivative(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -122,5 +120,8 @@ def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
     d = np.arange(-(res - 1), res)
     kern = (_power_antiderivative((d + 0.5) * h, alpha)
             - _power_antiderivative((d - 0.5) * h, alpha))
-    out = fftconvolve(f.values, kern.astype(np.complex128))[res - 1: 2 * res - 1]
+    # the full linear convolution has 3 res - 2 entries; keep the middle res
+    n = 1 << (3 * res - 3).bit_length()
+    full = np.fft.ifft(np.fft.fft(f.values, n) * np.fft.fft(kern.astype(np.complex128), n))
+    out = full[res - 1: 2 * res - 1]
     return GridFunction(f.box, out / riesz_gamma(alpha))

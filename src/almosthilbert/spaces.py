@@ -213,6 +213,8 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
         scale = 1.0 / np.real(pairing(member, raw))
         synthesis[n] = member.values
         np.conj((scale * raw).values, out=analysis[n])
+    # read-only, so one basis can be shared by every caller
+    synthesis.flags.writeable = analysis.flags.writeable = False
     return SchauderBasis(box=box, synthesis=synthesis, analysis=analysis, p=p)
 
 

@@ -14,8 +14,9 @@ with *every* suite as measured-only entries.
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
 randomness of the others and a (suite, seed, params) triple always produces
-the identical report.  Checks share no mutable state, so they could run
-concurrently; the report is order-stable regardless because rendering sorts
+the identical report.  Checks share no mutable state (the run's embedding
+space, the one object they share, is never written to and its basis arrays
+are read-only), so they could run concurrently; the report is order-stable regardless because rendering sorts
 by check name.
 """
 
@@ -123,7 +124,7 @@ _REGISTRY: dict[str, tuple[str, float | None, object]] = {}
 
 
 def _check(name: str, suite: str, tol: float | None = None):
-    """Register ``fn(params, rng)`` as check ``name``, asserted against ``tol``
+    """Register ``fn(params, rng, spaces)`` as check ``name``, asserted against ``tol``
     (a measured entry when ``tol`` is None).  The function returns its worst
     violation and sample count, optionally followed by a dict of extra report
     params and a dict of tail bounds."""
@@ -141,11 +142,32 @@ def _count(params: SuiteParams, nominal: int) -> int:
     return max(1, (nominal * params.trials) // 100)
 
 
-def _space(params: SuiteParams, p: float | None = None,
-           dim: int | None = None) -> EmbeddingSpace:
-    n = params.dim if dim is None else dim
-    resolution = max(64, 8 * n, params.grid)
-    return embedding_space(fourier_sbasis(n, params.p if p is None else p, resolution))
+class _Spaces:
+    """The embedding spaces the checks of one ``run_suite`` call work in.
+
+    The run's own space (``params.dim``, ``params.p``), which most checks
+    use, is built on first use and then shared: its basis is deterministic
+    and no check writes to it.  A space at another p or N is built afresh
+    for each request and freed with its check, because keeping those too
+    would raise the run's peak memory.
+    """
+
+    def __init__(self, params: SuiteParams):
+        self.params = params
+        self._own: EmbeddingSpace | None = None
+
+    def get(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
+        n = self.params.dim if dim is None else dim
+        p = self.params.p if p is None else p
+        if (n, p) != (self.params.dim, self.params.p):
+            return self._build(n, p)
+        if self._own is None:
+            self._own = self._build(n, p)
+        return self._own
+
+    def _build(self, n: int, p: float) -> EmbeddingSpace:
+        resolution = max(64, 8 * n, self.params.grid)
+        return embedding_space(fourier_sbasis(n, p, resolution))
 
 
 def _rand_coeffs(rng, *shape):
@@ -180,11 +202,11 @@ def _seed_int(rng) -> int:
 
 
 @_check("duality-identity", "embedding", tol=1e-6)
-def _chk_duality_identity(params, rng):
+def _chk_duality_identity(params, rng, spaces):
     per_p = _count(params, 200)
     worst = 0.0
     for p in P_SWEEP:
-        space = _space(params, p=p)
+        space = spaces.get(p=p)
         q = p / (p - 1.0)
         for _ in range(per_p):
             u = _rand_poly(space, rng)
@@ -197,13 +219,13 @@ def _chk_duality_identity(params, rng):
 
 
 @_check("duality-homogeneity", "embedding", tol=1e-8)
-def _chk_duality_homogeneity(params, rng):
+def _chk_duality_homogeneity(params, rng, spaces):
     n = _count(params, 100)
-    spaces = {p: _space(params, p=p) for p in P_SWEEP}
+    by_p = {p: spaces.get(p=p) for p in P_SWEEP}
     worst = 0.0
     for i in range(n):
         p = P_SWEEP[i % len(P_SWEEP)]
-        space = spaces[p]
+        space = by_p[p]
         q = p / (p - 1.0)
         u = _rand_poly(space, rng)
         c = complex(_rand_coeffs(rng))
@@ -214,9 +236,9 @@ def _chk_duality_homogeneity(params, rng):
 
 
 @_check("coefficient-projection", "embedding", tol=1e-10)
-def _chk_coeff_projection(params, rng):
+def _chk_coeff_projection(params, rng, spaces):
     n = _count(params, 100)
-    basis = _space(params).basis
+    basis = spaces.get().basis
     worst = 0.0
     for _ in range(n):
         u = GridFunction(basis.box, _rand_coeffs(rng, basis.synthesis.shape[1]))
@@ -233,11 +255,11 @@ def _chk_coeff_projection(params, rng):
 
 
 @_check("embedding-hnorm-below-sup", "embedding", tol=1e-12)
-def _chk_hnorm_sup(params, rng):
+def _chk_hnorm_sup(params, rng, spaces):
     per_p = _count(params, 125)
     worst = 0.0
     for p in P_SWEEP:
-        space = _space(params, p=p)
+        space = spaces.get(p=p)
         for _ in range(per_p):
             u = _rand_poly(space, rng)
             cu = coefficients(u, space.basis)
@@ -247,11 +269,11 @@ def _chk_hnorm_sup(params, rng):
 
 
 @_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7)
-def _chk_hnorm_bnorm(params, rng):
+def _chk_hnorm_bnorm(params, rng, spaces):
     per_p = _count(params, 125)
     worst = 0.0
     for p in P_SWEEP:
-        space = _space(params, p=p)
+        space = spaces.get(p=p)
         for _ in range(per_p):
             u = _rand_poly(space, rng)
             bn = lp_norm(u, p)
@@ -260,13 +282,13 @@ def _chk_hnorm_bnorm(params, rng):
 
 
 @_check("embedding-middle-ratio", "embedding")
-def _chk_middle_ratio(params, rng):
+def _chk_middle_ratio(params, rng, spaces):
     # sup_n |<E_n*, u>| <= ||u||_B requires unit dual norms, which our
     # normalization only guarantees empirically -- so record the worst ratio.
     per_p = _count(params, 50)
     worst = 0.0
     for p in P_SWEEP:
-        space = _space(params, p=p)
+        space = spaces.get(p=p)
         for _ in range(per_p):
             u = _rand_poly(space, rng)
             sup = float(np.max(np.abs(coefficients(u, space.basis))))
@@ -275,17 +297,17 @@ def _chk_middle_ratio(params, rng):
 
 
 @_check("embedding-gram-diagonal", "embedding", tol=1e-8)
-def _chk_gram_diag(params, rng):
-    space = _space(params)
+def _chk_gram_diag(params, rng, spaces):
+    space = spaces.get()
     g = gram_matrix(space)
     off = g - np.diag(np.diag(g))
     return float(np.max(np.abs(off))), space.dim * space.dim
 
 
 @_check("embedding-jb-linear", "embedding", tol=1e-12)
-def _chk_jb_linear(params, rng):
+def _chk_jb_linear(params, rng, spaces):
     n = _count(params, 100)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         u, v, w = (_rand_poly(space, rng) for _ in range(3))
@@ -301,9 +323,9 @@ def _chk_jb_linear(params, rng):
 
 
 @_check("embedding-gram-schmidt", "embedding", tol=1e-8)
-def _chk_gram_schmidt(params, rng):
+def _chk_gram_schmidt(params, rng, spaces):
     n = _count(params, 20)
-    space = _space(params)
+    space = spaces.get()
     k = min(4, space.dim)
     worst = 0.0
     for _ in range(n):
@@ -329,12 +351,12 @@ _ADJOINT_DIMS = (4, 8, 16)
 
 
 @_check("adjoint-algebra", "adjoint", tol=1e-10)
-def _chk_adjoint_algebra(params, rng):
+def _chk_adjoint_algebra(params, rng, spaces):
     total = _count(params, 500)
-    spaces = [_space(params, dim=d) for d in _ADJOINT_DIMS]
+    by_dim = [spaces.get(dim=d) for d in _ADJOINT_DIMS]
     worst = 0.0
     for i in range(total):
-        space = spaces[i % len(spaces)]
+        space = by_dim[i % len(by_dim)]
         a_op = _rand_operator(space, rng)
         b_op = _rand_operator(space, rng)
         scalar = complex(_rand_coeffs(rng))
@@ -343,9 +365,9 @@ def _chk_adjoint_algebra(params, rng):
 
 
 @_check("adjoint-defining-identity", "adjoint", tol=1e-10)
-def _chk_defining_identity(params, rng):
+def _chk_defining_identity(params, rng, spaces):
     n = _count(params, 1000)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a_op = _rand_operator(space, rng)
@@ -357,9 +379,9 @@ def _chk_defining_identity(params, rng):
 
 
 @_check("adjoint-positive-product", "adjoint", tol=1e-10)
-def _chk_positive_product(params, rng):
+def _chk_positive_product(params, rng, spaces):
     n = _count(params, 100)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a_op = _rand_operator(space, rng)
@@ -373,9 +395,9 @@ def _chk_positive_product(params, rng):
 
 
 @_check("self-conjugacy-equivalence", "adjoint", tol=0.0)
-def _chk_self_conjugacy(params, rng):
+def _chk_self_conjugacy(params, rng, spaces):
     half = _count(params, 200)
-    space = _space(params)
+    space = spaces.get()
     tgrid = (0.25, 0.75)
     disagreements = 0
     for i in range(2 * half):
@@ -390,9 +412,9 @@ def _chk_self_conjugacy(params, rng):
 
 
 @_check("lax-spectrum-invariance", "adjoint", tol=1e-8)
-def _chk_lax_spectrum(params, rng):
+def _chk_lax_spectrum(params, rng, spaces):
     n = _count(params, 200)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         worst = max(worst, lax_check(_rand_selfadjoint(space, rng)))
@@ -400,9 +422,9 @@ def _chk_lax_spectrum(params, rng):
 
 
 @_check("lax-norm-identity", "adjoint", tol=1e-8)
-def _chk_lax_norm(params, rng):
+def _chk_lax_norm(params, rng, spaces):
     n = _count(params, 100)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a_op = _rand_operator(space, rng)
@@ -413,9 +435,9 @@ def _chk_lax_norm(params, rng):
 
 
 @_check("polar-reconstruction", "adjoint", tol=1e-9)
-def _chk_polar(params, rng):
+def _chk_polar(params, rng, spaces):
     n = _count(params, 50)
-    space = _space(params)
+    space = spaces.get()
     eye = np.eye(space.dim)
     worst = 0.0
     for _ in range(n):
@@ -435,9 +457,9 @@ def _chk_polar(params, rng):
 
 
 @_check("spectral-reconstruction", "adjoint", tol=1e-8)
-def _chk_spectral(params, rng):
+def _chk_spectral(params, rng, spaces):
     n = _count(params, 50)
-    space = _space(params)
+    space = spaces.get()
     eye = np.eye(space.dim)
     worst = 0.0
     for _ in range(n):
@@ -458,9 +480,9 @@ def _chk_spectral(params, rng):
 
 
 @_check("minmax-matches-direct", "adjoint", tol=1e-6)
-def _chk_minmax(params, rng):
+def _chk_minmax(params, rng, spaces):
     n = _count(params, 10)
-    space = _space(params)
+    space = spaces.get()
     ks = sorted({1, max(1, space.dim // 2), space.dim})
     worst = 0.0
     for _ in range(n):
@@ -482,9 +504,9 @@ _SCHATTEN_PS = (1.0, 2.0, 4.0)
 
 
 @_check("schatten-two-path", "schatten", tol=1e-9)
-def _chk_two_path(params, rng):
+def _chk_two_path(params, rng, spaces):
     total = _count(params, 500)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for i in range(total):
         a_op = _rand_operator(space, rng)
@@ -495,9 +517,9 @@ def _chk_two_path(params, rng):
 
 
 @_check("singular-value-paths", "schatten", tol=1e-10)
-def _chk_sv_paths(params, rng):
+def _chk_sv_paths(params, rng, spaces):
     n = _count(params, 200)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         _, gap, scale = schatten.singular_value_gap(_rand_operator(space, rng))
@@ -506,9 +528,9 @@ def _chk_sv_paths(params, rng):
 
 
 @_check("schatten-holder-monotone", "schatten", tol=1e-10)
-def _chk_holder(params, rng):
+def _chk_holder(params, rng, spaces):
     n = _count(params, 100)
-    space = _space(params)
+    space = spaces.get()
     ps = (1.0, 1.5, 2.0, 3.0, 4.0)
     worst = 0.0
     for _ in range(n):
@@ -521,9 +543,9 @@ def _chk_holder(params, rng):
 
 
 @_check("schatten-unitary-invariance", "schatten", tol=1e-9)
-def _chk_unitary_invariance(params, rng):
+def _chk_unitary_invariance(params, rng, spaces):
     n = _count(params, 50)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a_op = _rand_operator(space, rng)
@@ -552,9 +574,9 @@ def _worst_excess(worst: float, pairs) -> float:
 
 
 @_check("weyl-inequality", "schatten", tol=1e-9)
-def _chk_weyl(params, rng):
+def _chk_weyl(params, rng, spaces):
     n = _count(params, 500)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         worst = _worst_excess(worst, schatten.weyl_sums(_rand_operator(space, rng)))
@@ -562,9 +584,9 @@ def _chk_weyl(params, rng):
 
 
 @_check("horn-inequality", "schatten", tol=1e-9)
-def _chk_horn(params, rng):
+def _chk_horn(params, rng, spaces):
     n = _count(params, 500)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a1 = _rand_operator(space, rng)
@@ -574,9 +596,9 @@ def _chk_horn(params, rng):
 
 
 @_check("lalesco-inequality", "schatten", tol=1e-9)
-def _chk_lalesco(params, rng):
+def _chk_lalesco(params, rng, spaces):
     n = _count(params, 500)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         worst = _worst_excess(worst, [schatten.lalesco_sums(_rand_operator(space, rng))])
@@ -584,9 +606,9 @@ def _chk_lalesco(params, rng):
 
 
 @_check("lidskii-trace", "schatten", tol=1e-9)
-def _chk_lidskii(params, rng):
+def _chk_lidskii(params, rng, spaces):
     n = _count(params, 500)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         eigen_sum, trace = schatten.lidskii_sums(_rand_operator(space, rng))
@@ -600,7 +622,7 @@ def _chk_lidskii(params, rng):
 
 
 @_check("ks2-pairing-bijection", "ks2", tol=0.0)
-def _chk_pairing_bijection(params, rng):
+def _chk_pairing_bijection(params, rng, spaces):
     limit = 10**4
     failures = 0
     for k in range(1, limit + 1):
@@ -610,7 +632,7 @@ def _chk_pairing_bijection(params, rng):
 
 
 @_check("ks2-gram-psd", "ks2", tol=1e-10)
-def _chk_gram_psd(params, rng):
+def _chk_gram_psd(params, rng, spaces):
     n = _count(params, 20)
     system = ks2.cube_system(1)
     worst = 0.0
@@ -626,7 +648,7 @@ def _chk_gram_psd(params, rng):
 
 
 @_check("ks2-truncation-monotone", "ks2", tol=1e-12)
-def _chk_truncation(params, rng):
+def _chk_truncation(params, rng, spaces):
     n = _count(params, 50)
     system = ks2.cube_system(1)
     ks = sorted({8, 16, 32, params.cubes})
@@ -644,7 +666,7 @@ def _chk_truncation(params, rng):
 
 
 @_check("ks2-functional-contraction", "ks2", tol=1e-12)
-def _chk_contraction(params, rng):
+def _chk_contraction(params, rng, spaces):
     n = _count(params, 500)
     system = ks2.cube_system(1)
     ks = (1, 2, 7, 19, params.cubes)
@@ -659,7 +681,7 @@ def _chk_contraction(params, rng):
 
 
 @_check("ks2-fundamentality", "ks2", tol=0.0)
-def _chk_fundamentality(params, rng):
+def _chk_fundamentality(params, rng, spaces):
     n = _count(params, 200)
     system = ks2.cube_system(1)
     k_max = 256
@@ -672,7 +694,7 @@ def _chk_fundamentality(params, rng):
 
 
 @_check("ks2-embedding-bound", "ks2", tol=1e-9)
-def _chk_ks2_embedding(params, rng):
+def _chk_ks2_embedding(params, rng, spaces):
     n = _count(params, 50)
     system = ks2.cube_system(1)
     # ||f||_1 <= ||f||_q on the unit box for every q >= 1, so the q = 1 bound
@@ -687,7 +709,7 @@ def _chk_ks2_embedding(params, rng):
 
 
 @_check("ks2-weak-strong-decay", "ks2", tol=0.2)
-def _chk_weak_strong(params, rng):
+def _chk_weak_strong(params, rng, spaces):
     # sin(2 pi m x) goes weakly to zero in L^2 without going strongly; under
     # the square-sum norm it decays outright.  The threshold 0.2 on the ratio
     # of the last norm to the first was fixed from a reference run at
@@ -706,7 +728,7 @@ def _chk_weak_strong(params, rng):
 
 
 @_check("hilbert-square-identity", "integral", tol=1e-12)
-def _chk_hilbert_square(params, rng):
+def _chk_hilbert_square(params, rng, spaces):
     n = _count(params, 100)
     worst = 0.0
     for _ in range(n):
@@ -718,7 +740,7 @@ def _chk_hilbert_square(params, rng):
 
 
 @_check("hilbert-isometry", "integral", tol=1e-12)
-def _chk_hilbert_isometry(params, rng):
+def _chk_hilbert_isometry(params, rng, spaces):
     n = _count(params, 100)
     worst = 0.0
     for _ in range(n):
@@ -729,7 +751,7 @@ def _chk_hilbert_isometry(params, rng):
 
 
 @_check("hilbert-skew-adjoint", "integral", tol=1e-10)
-def _chk_hilbert_skew(params, rng):
+def _chk_hilbert_skew(params, rng, spaces):
     n = _count(params, 200)
     worst = 0.0
     for _ in range(n):
@@ -750,7 +772,7 @@ def _pv_gap(mode: int, m: int, eps: float) -> float:
 
 
 @_check("hilbert-pv-convergence", "integral", tol=1e-2)
-def _chk_pv_convergence(params, rng):
+def _chk_pv_convergence(params, rng, spaces):
     # Two-part claim.  (a) Joint refinement (eps and 1/M halving together)
     # drives the truncated-kernel path onto the multiplier path.  (b) The
     # convergence order in eps is at least one; it is measured on a fixed
@@ -768,7 +790,7 @@ def _chk_pv_convergence(params, rng):
 
 
 @_check("riesz-symmetry", "integral", tol=1e-8)
-def _chk_riesz_symmetry(params, rng):
+def _chk_riesz_symmetry(params, rng, spaces):
     n = _count(params, 50)
     worst = 0.0
     for _ in range(n):
@@ -781,7 +803,7 @@ def _chk_riesz_symmetry(params, rng):
 
 
 @_check("riesz-positivity", "integral", tol=1e-8)
-def _chk_riesz_positivity(params, rng):
+def _chk_riesz_positivity(params, rng, spaces):
     n = _count(params, 100)
     worst = 0.0
     for _ in range(n):
@@ -797,9 +819,9 @@ def _chk_riesz_positivity(params, rng):
 
 
 @_check("lax-constant-khat", "*")
-def _meas_khat(params, rng):
+def _meas_khat(params, rng, spaces):
     n = _count(params, 20)
-    space = _space(params)
+    space = spaces.get()
     lo, hi = np.inf, 0.0
     for _ in range(n):
         t_op = _rand_selfadjoint(space, rng)
@@ -809,9 +831,9 @@ def _meas_khat(params, rng):
 
 
 @_check("bnorm-adjoint-ratio", "*")
-def _meas_bnorm_ratio(params, rng):
+def _meas_bnorm_ratio(params, rng, spaces):
     n = _count(params, 20)
-    space = _space(params)
+    space = spaces.get()
     lo, hi = np.inf, 0.0
     for _ in range(n):
         a_op = _rand_operator(space, rng)
@@ -823,7 +845,7 @@ def _meas_bnorm_ratio(params, rng):
 
 
 @_check("hilbert-cp-constant", "*")
-def _meas_cp(params, rng):
+def _meas_cp(params, rng, spaces):
     n = _count(params, 40)
     m = min(params.grid, 512)
     best = 0.0
@@ -835,9 +857,9 @@ def _meas_cp(params, rng):
 
 
 @_check("rayleigh-quotient-gap", "*")
-def _meas_rayleigh(params, rng):
+def _meas_rayleigh(params, rng, spaces):
     n = _count(params, 50)
-    space = _space(params)
+    space = spaces.get()
     worst = 0.0
     for _ in range(n):
         a_op = _rand_selfadjoint(space, rng)
@@ -866,11 +888,12 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
         params = SuiteParams()
     start = time.perf_counter()
     report = VerificationReport(suite=name, seed=int(seed))
+    spaces = _Spaces(params)
     for cname in list_checks(name):
         _, tol, fn = _REGISTRY[cname]
         rng = np.random.default_rng(check_seed(int(seed), cname))
         # pad the optional extra-params and tail-bound dicts
-        violation, samples, extra, tails = (*fn(params, rng), {}, {})[:4]
+        violation, samples, extra, tails = (*fn(params, rng, spaces), {}, {})[:4]
         if tol is None:
             status = MEASURED
         else:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,7 @@ class TestExitCodes:
     def test_failure_is_one(self, capsys, monkeypatch):
         suite, tol, _ = _REGISTRY["hilbert-isometry"]
         monkeypatch.setitem(_REGISTRY, "hilbert-isometry",
-                            (suite, tol, lambda params, rng: (2 * tol, 1)))
+                            (suite, tol, lambda params, rng, spaces: (2 * tol, 1)))
         code, out, _ = run_cli(["--suite", "integral", *FAST], capsys)
         assert code == 1
         assert "FAIL hilbert-isometry" in out
@@ -38,6 +41,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--suite", "integral", *flag])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--tol", "1"], "--tol"),
+        (["--tol=1"], "--tol=1"),
+        (["--suite", "integral", "--q", "3"], "--q"),
+        (["--grid", "16", "--bogus"], "--bogus"),
+        (["ks2", "dump-cubes", "--bogus", "3"], "--bogus"),
+    ], ids=["value", "equals", "after-suite", "bare", "subcommand"])
+    def test_unknown_option_is_named(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "invalid choice" not in err
 
     def test_bad_params_is_two(self, capsys):
         code, _, err = run_cli(["--dim", "0", *FAST], capsys)
@@ -218,3 +236,14 @@ class TestIntegralDemo:
              "--alpha", "0.25", "--out", str(out_path)], capsys)
         assert code == 0
         assert out_path.read_text().startswith("t,in_re")
+
+
+class TestImports:
+    def test_cli_imports_no_scipy(self):
+        # the runtime needs numpy alone; scipy serves only as a test oracle
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, almosthilbert.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

@@ -271,6 +271,19 @@ class TestRieszPotential:
                 f = GridFunction(((0.0, 1.0),), rng.standard_normal(256))
                 assert pairing(riesz_potential(f, alpha), f).real >= -1e-8
 
+    @pytest.mark.parametrize("res", [16, 100, 256, 4096])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_matches_direct_convolution(self, res, alpha):
+        rng = np.random.default_rng(res)
+        values = rng.standard_normal(res) + 1j * rng.standard_normal(res)
+        h = 1.0 / res
+        u = (np.arange(-(res - 1), res + 1) - 0.5) * h
+        antiderivative = np.sign(u) * np.abs(u) ** alpha / alpha
+        kern = np.diff(antiderivative)  # cell integrals of |x - y|^(alpha-1)
+        ref = np.convolve(values, kern)[res - 1: 2 * res - 1] / riesz_gamma(alpha)
+        out = riesz_potential(GridFunction(UNIT_BOX, values), alpha).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_rejects_bad_order(self):
         f = GridFunction(((0.0, 1.0),), np.ones(64))
         for alpha in (0.0, 1.0, -0.2, 1.4):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,43 @@ class TestMatrixExp:
             rhs = numerics.matrix_exp(d1) @ numerics.matrix_exp(d2)
             scale = max(1.0, np.linalg.norm(lhs)) if relative else 1.0
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    @pytest.mark.parametrize("kind", ["general", "hermitian-times-i", "skew"])
+    def test_matches_scipy(self, n, kind):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(33 + n)
+        for norm in np.logspace(-3, 2, 11):
+            a = rand_complex(rng, n, n)
+            if kind == "hermitian-times-i":
+                a = 1j * (a + a.conj().T)
+            elif kind == "skew":
+                a = a - a.conj().T
+            a *= norm / np.linalg.norm(a, 2)
+            ref = expm(a)
+            err = np.linalg.norm(numerics.matrix_exp(a) - ref)
+            assert err <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+    def test_scaling_and_squaring(self):
+        # 1-norms far above theta_13 = 5.37, so the approximant is squared s > 0 times
+        e = numerics.matrix_exp(np.diag([10.0, -3.0]))
+        np.testing.assert_allclose(e, np.diag(np.exp([10.0, -3.0])), rtol=1e-13, atol=0)
+        # a Jordan block: exp([[a, b], [0, a]]) = e^a [[1, b], [0, 1]]
+        e = numerics.matrix_exp([[4.0, 50.0], [0.0, 4.0]])
+        np.testing.assert_allclose(e, np.exp(4.0) * np.array([[1.0, 50.0], [0.0, 1.0]]),
+                                   rtol=1e-13, atol=1e-13 * np.exp(4.0))
+
+    @pytest.mark.parametrize("m", [np.diag([1000.0, 0.0]), np.full((3, 3), 1e308)],
+                             ids=["result-overflows", "norm-overflows"])
+    def test_overflow_refused_without_warnings(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="too extreme"):
+                numerics.matrix_exp(m)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            numerics.matrix_exp(np.ones((2, 3)))
 
 
 class TestOpnormEstimate:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from almosthilbert.report import FAIL, MEASURED, to_json
+from almosthilbert import suites
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
     SuiteParams,
+    _Spaces,
     check_seed,
     list_checks,
     run_suite,
@@ -171,7 +173,7 @@ class TestRunSuite:
         # a violation above the declared tolerance fails that check alone
         suite, tol, _ = _REGISTRY["duality-identity"]
         monkeypatch.setitem(_REGISTRY, "duality-identity",
-                            (suite, tol, lambda params, rng: (2 * tol, 1)))
+                            (suite, tol, lambda params, rng, spaces: (2 * tol, 1)))
         rep = run_suite("embedding", seed=5, params=FAST)
         assert not rep.passed
         (failed,) = [c for c in rep.checks if c.status == FAIL]
@@ -179,8 +181,10 @@ class TestRunSuite:
 
     def test_ks2_embedding_bound_counts_each_q_once(self):
         _, tol, fn = _REGISTRY["ks2-embedding-bound"]
+        params = SuiteParams(trials=4)
         violation, samples, extra = fn(
-            SuiteParams(trials=4), np.random.default_rng(check_seed(0, "ks2-embedding-bound")))
+            params, np.random.default_rng(check_seed(0, "ks2-embedding-bound")),
+            _Spaces(params))
         assert violation <= tol
         assert extra["q_list"] == "1,2,inf"
         assert samples == 2 * 3
@@ -194,3 +198,35 @@ class TestRunSuite:
         rep = run_suite("integral", seed=0, params=FAST)
         assert rep.duration > 0.0
         assert "duration" not in to_json(rep)
+
+
+class TestSharedSpace:
+    def test_own_space_built_once_per_run(self, monkeypatch):
+        built = []
+
+        def counting(n, p, resolution):
+            built.append((n, p, resolution))
+            return fourier_sbasis(n, p, resolution)
+
+        fourier_sbasis = suites.fourier_sbasis
+        monkeypatch.setattr(suites, "fourier_sbasis", counting)
+        run_suite("adjoint", seed=0, params=FAST)
+        own = (FAST.dim, FAST.p, FAST.grid)
+        assert built.count(own) == 1
+        # the other adjoint-algebra dimensions are built for their check alone
+        assert sorted(set(built)) == [(4, 3.0, 256), own, (16, 3.0, 256)]
+        run_suite("adjoint", seed=0, params=FAST)
+        assert built.count(own) == 2
+
+    def test_only_own_space_is_shared(self):
+        spaces = _Spaces(FAST)
+        assert spaces.get() is spaces.get() is spaces.get(p=FAST.p, dim=FAST.dim)
+        assert spaces.get(p=2.0) is not spaces.get(p=2.0)
+        assert spaces.get() is not _Spaces(FAST).get()
+
+    def test_shared_space_is_read_only(self):
+        space = _Spaces(FAST).get()
+        with pytest.raises(ValueError):
+            space.basis.synthesis[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            space.basis.analysis[0, 0] = 0.0
