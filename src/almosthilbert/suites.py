@@ -16,8 +16,8 @@ hashing the check name, so adding or removing one check never perturbs the
 randomness of the others and a (suite, seed, params) triple always produces
 the identical report.  Checks share no mutable state (the run's embedding
 space, the one object they share, is never written to and its basis arrays
-are read-only), so they could run concurrently; the report is order-stable regardless because rendering sorts
-by check name.
+are read-only), so they could run concurrently; the report is order-stable
+regardless because rendering sorts by check name.
 """
 
 from __future__ import annotations
