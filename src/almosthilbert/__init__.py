@@ -48,6 +48,7 @@ from .operators import (  # noqa: F401
     b_opnorm_estimate,
     finite_difference_operator,
     from_h_matrix,
+    h_eigen,
     h_matrix,
     h_opnorm,
     identity_operator,
@@ -61,13 +62,10 @@ from .operators import (  # noqa: F401
     spectral_decompose,
 )
 from .schatten import (  # noqa: F401
-    SingularSpectrum,
     horn_sums,
-    lalesco_sums,
     lidskii_sums,
     schatten_norm,
     schatten_norm_paths,
-    singular_spectrum,
     singular_value_gap,
     singular_values,
     weyl_sums,

@@ -19,6 +19,11 @@ from . import numerics
 from .embedding import EmbeddingSpace, h_inner
 from .spaces import GridFunction, coefficients, duality_map, lp_norm, pairing, reconstruct
 
+_RESTARTS = 4          # random starts of the coefficient p-norm power method
+_ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
+_POLAR_TOL = 1e-9      # relative residual allowed of U T = A
+_SPECTRAL_TOL = 1e-8   # self-adjointness required before a spectral resolution
+
 
 @dataclass(frozen=True, eq=False)
 class BOperator:
@@ -69,6 +74,13 @@ def h_matrix(A: BOperator) -> np.ndarray:
     return A.matrix * (sw[:, None] / sw[None, :])
 
 
+def h_eigen(T: BOperator) -> numerics.EigenResult:
+    """Eigen decomposition of the H-metric transport of T, symmetrized:
+    eigenvalues descending, eigenvectors in H coordinates."""
+    mh = h_matrix(T)
+    return numerics.hermitian_eigen((mh + mh.conj().T) / 2.0)
+
+
 def from_h_matrix(mh: np.ndarray, space: EmbeddingSpace) -> BOperator:
     """Inverse transport W^{-1/2} M_H W^{1/2} back to coordinates."""
     sw = np.sqrt(space.weights)
@@ -87,9 +99,9 @@ def h_opnorm(A: BOperator) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def b_opnorm_estimate(A: BOperator, p: float, restarts: int = 4, seed: int = 0) -> float:
+def b_opnorm_estimate(A: BOperator, p: float, seed: int = 0) -> float:
     """Lower estimate of the operator norm in the coefficient p-norm model of B."""
-    return numerics.opnorm_p_estimate(A.matrix, p, restarts=restarts, seed=seed)
+    return numerics.opnorm_p_estimate(A.matrix, p, restarts=_RESTARTS, seed=seed)
 
 
 def _rel_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -124,7 +136,7 @@ def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
     defect = float(np.linalg.norm(mh - mh.conj().T))
     if defect > 1e-10 * scale:
         raise ValueError(f"operator is not H-symmetric to 1e-10: defect={defect:.3e}")
-    return numerics.hermitian_eigen((mh + mh.conj().T) / 2.0).values
+    return h_eigen(T).values
 
 
 def _top_abs(values: np.ndarray) -> float:
@@ -142,16 +154,16 @@ def lax_check(T: BOperator) -> float:
     return gap / max(1.0, _top_abs(lam))
 
 
-def lax_khat(T: BOperator, p: float, restarts: int = 4, seed: int = 0) -> float:
+def lax_khat(T: BOperator, p: float, seed: int = 0) -> float:
     """The norm constant k-hat = ||T||_H^2 / ||T||_B^2 for H-symmetric T,
     with ||T||_B the coefficient p-norm estimate (the paper leaves k
     unquantified)."""
     norm_h = _top_abs(_h_symmetric_eigenvalues(T))
-    norm_b = b_opnorm_estimate(T, p, restarts, seed)
+    norm_b = b_opnorm_estimate(T, p, seed)
     return norm_h**2 / max(norm_b**2, 1e-300)
 
 
-def self_conjugacy_check(A: BOperator, tgrid, tol: float = 1e-8) -> bool:
+def self_conjugacy_check(A: BOperator, tgrid) -> bool:
     """True iff exp(itA) is an H-metric isometry for each t in tgrid, both
     signs.  The isometry defect is evaluated exactly on the whole truncated
     space as ||E_H^H E_H - I||_F in the transported metric."""
@@ -160,12 +172,12 @@ def self_conjugacy_check(A: BOperator, tgrid, tol: float = 1e-8) -> bool:
         for sign in (1.0, -1.0):
             e = numerics.matrix_exp(1j * sign * float(t) * A.matrix)
             eh = h_matrix(BOperator(e, A.space))
-            if float(np.linalg.norm(eh.conj().T @ eh - eye)) > tol:
+            if float(np.linalg.norm(eh.conj().T @ eh - eye)) > _ISOMETRY_TOL:
                 return False
     return True
 
 
-def polar_decompose(A: BOperator, tol: float = 1e-9) -> tuple[BOperator, BOperator]:
+def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
     """A = U T with T = (A*A)^{1/2} naturally self-adjoint nonnegative and
     U an H-metric partial isometry.  Computed by SVD in the H metric."""
     mh = h_matrix(A)
@@ -175,7 +187,7 @@ def polar_decompose(A: BOperator, tol: float = 1e-9) -> tuple[BOperator, BOperat
     U = from_h_matrix(u_h, A.space)
     T = from_h_matrix(t_h, A.space)
     resid = float(np.linalg.norm((U @ T).matrix - A.matrix))
-    if resid > tol * max(1e-300, float(np.linalg.norm(A.matrix))):
+    if resid > _POLAR_TOL * max(1e-300, float(np.linalg.norm(A.matrix))):
         raise ArithmeticError(f"polar reconstruction residual {resid:.3e} exceeds tolerance")
     return U, T
 
@@ -186,15 +198,13 @@ class SpectralDecomposition:
     projections: tuple[BOperator, ...]  # H-orthogonal projections, one per cluster
 
 
-def spectral_decompose(A: BOperator, tol: float = 1e-8) -> SpectralDecomposition:
+def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
     operator.  Eigenvalues within relative gap 1e-8 are merged into one
     cluster so each projection is well defined under floating point."""
-    if not is_naturally_selfadjoint(A, tol=tol):
+    if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
-    mh = h_matrix(A)
-    eig = numerics.hermitian_eigen((mh + mh.conj().T) / 2.0)
-    vals, vecs = eig.values, eig.vectors
+    vals, vecs = h_eigen(A)
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):

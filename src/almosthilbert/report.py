@@ -49,6 +49,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
+    @property
+    def errors(self) -> list[CheckResult]:
+        """The checks that raised instead of returning a measurement."""
+        return [c for c in self.checks if "error" in c.params]
+
     def sorted_checks(self) -> list[CheckResult]:
         return sorted(self.checks, key=lambda c: c.name)
 
@@ -101,7 +106,9 @@ def to_text(report: VerificationReport) -> str:
     lines = [f"suite {report.suite}  seed={report.seed}"]
     for c in report.sorted_checks():
         tol = c.params.get("tol")
-        if c.status == MEASURED:
+        if "error" in c.params:
+            lines.append(f"  FAIL {c.name:<42} error: {c.params['error']}")
+        elif c.status == MEASURED:
             lines.append(f"  MEAS {c.name:<42} value={c.worst_violation:.6g}  n={c.samples}")
         else:
             lines.append(
@@ -133,13 +140,3 @@ def render(report: VerificationReport, fmt: str) -> str:
         return to_text(report)
     raise ValueError(f"unknown report format {fmt!r}")
 
-
-def emit_report(report: VerificationReport, fmt: str = "text", path=None) -> None:
-    """Render and write a report to ``path`` or stdout.  I/O errors propagate
-    as OSError for the CLI to map onto its exit code."""
-    text = render(report, fmt)
-    if path is None:
-        print(text, end="")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)

@@ -11,32 +11,36 @@ inequality, and the suites judge them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import numerics
-from .operators import BOperator, adjoint, h_matrix
+from .operators import BOperator, adjoint, h_eigen, h_matrix
 
 POWER_EXPONENTS = (1.0, 2.0, 4.0)
 
+# Relative tolerance between the two singular-value paths (squared domain).
+_SINGULAR_TOL = 1e-10
+# Relative tolerance between the two Schatten-norm paths.
+_NORM_TOL = 1e-9
 
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Singular values (descending) and eigenvalues (by multiplicity)."""
 
-    mu: np.ndarray
-    lam: np.ndarray
+def _factor(A: BOperator) -> tuple[np.ndarray, BOperator, numerics.EigenResult, float, float]:
+    """(s, A*A, eig, gap, scale): every Schatten quantity of A is read from
+    this one SVD of its transport and one H-metric eigen decomposition of A*A."""
+    _, s, _ = numerics.svd(h_matrix(A))
+    prod = adjoint(A) @ A
+    eig = h_eigen(prod)
+    s2 = s**2
+    scale = max(1.0, float(s2[0]) if s.size else 0.0)
+    gap = float(np.max(np.abs(s2 - eig.values))) if s.size else 0.0
+    return s, prod, eig, gap, scale
 
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        lam = np.asarray(self.lam, dtype=np.complex128)
-        if mu.ndim != 1 or lam.shape != mu.shape:
-            raise ValueError("mu and lam must be 1-D sequences of equal length")
-        if mu.size and (np.min(mu) < 0.0 or np.any(np.diff(mu) > 0.0)):
-            raise ValueError("singular values must be nonnegative and descending")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "lam", lam)
+
+def _require_agreement(gap: float, scale: float) -> None:
+    if gap > _SINGULAR_TOL * scale:
+        raise ArithmeticError(f"singular-value paths disagree by {gap:.3e}")
 
 
 def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
@@ -50,76 +54,58 @@ def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
     eps * s_1**2; taking square roots would amplify the error on small
     singular values by cond(A).
     """
-    mh = h_matrix(A)
-    _, s, _ = numerics.svd(mh)
-    prod_h = h_matrix(adjoint(A) @ A)
-    eig = numerics.hermitian_eigen((prod_h + prod_h.conj().T) / 2.0)
-    s2 = s**2
-    scale = max(1.0, float(s2[0]) if s.size else 0.0)
-    gap = float(np.max(np.abs(s2 - eig.values))) if s.size else 0.0
+    s, _, _, gap, scale = _factor(A)
     return s, gap, scale
 
 
-def singular_values(A: BOperator, tol: float = 1e-10) -> np.ndarray:
+def singular_values(A: BOperator) -> np.ndarray:
     """Singular values in the weighted metric, descending.
 
     The two paths of ``singular_value_gap`` must agree: a disagreement
-    beyond ``tol`` (relative) raises ArithmeticError.
+    beyond 1e-10 (relative) raises ArithmeticError.
     """
     s, gap, scale = singular_value_gap(A)
-    if gap > tol * scale:
-        raise ArithmeticError(f"singular-value paths disagree by {gap:.3e}")
+    _require_agreement(gap, scale)
     return s
 
 
-def singular_spectrum(A: BOperator) -> SingularSpectrum:
-    """Bundle mu (weighted metric) with the coordinate point spectrum."""
-    return SingularSpectrum(singular_values(A), numerics.general_eigenvalues(A.matrix))
-
-
-def _validate_order(p: float) -> float:
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"Schatten order must be a finite real >= 1, got {p}")
-    return p
-
-
-def schatten_norm_paths(A: BOperator, p: float) -> tuple[float, float]:
-    """The two defining formulas for the Schatten p-norm.
+def schatten_norm_paths(A: BOperator, p: float | Sequence[float]) -> list[tuple[float, float]]:
+    """The two defining formulas for the Schatten p-norm, one pair per order
+    in ``p`` (one order or a sequence).
 
     First entry: the bracket formula (sum of Rayleigh brackets
     <A*A phi_n, phi_n*>^{p/2} over the biorthonormal eigenbasis of A*A)
-    ^{1/p}.  Second entry: (sum mu_n^p)^{1/p} over the weighted-metric
-    singular values.  The two share no factorization.
+    ^{1/p}, evaluated in H coordinates as diag(V^H h(A*A) V) / diag(V^H V)
+    over the eigenvectors V.  Second entry: (sum mu_n^p)^{1/p} over the
+    SVD singular values.  Both come from one ``_factor`` call, whose
+    singular-value gap must be within tolerance.
     """
-    p = _validate_order(p)
-    prod = adjoint(A) @ A
-    mh = h_matrix(prod)
-    eig = numerics.hermitian_eigen((mh + mh.conj().T) / 2.0)
-    w = A.space.weights
-    sw = np.sqrt(w)
-    brackets = []
-    for n in range(A.space.dim):
-        c = eig.vectors[:, n] / sw
-        mc = prod.matrix @ c
-        num = np.sum(w * mc * np.conj(c))
-        den = np.sum(w * c * np.conj(c))
-        brackets.append(max((num / den).real, 0.0))
-    bracket_norm = float(np.sum(np.asarray(brackets) ** (p / 2.0)) ** (1.0 / p))
-    mu = singular_values(A)
-    mu_norm = float(np.sum(mu**p) ** (1.0 / p))
-    return bracket_norm, mu_norm
+    ps = [float(x) for x in np.atleast_1d(p)]
+    for x in ps:
+        if not np.isfinite(x) or x < 1.0:
+            raise ValueError(f"Schatten order must be a finite real >= 1, got {x}")
+    mu, prod, eig, gap, scale = _factor(A)
+    _require_agreement(gap, scale)
+    v = eig.vectors
+    num = np.sum(v.conj() * (h_matrix(prod) @ v), axis=0)
+    den = np.sum(np.abs(v) ** 2, axis=0)
+    brackets = np.maximum((num / den).real, 0.0)
+    return [(float(np.sum(brackets ** (x / 2.0)) ** (1.0 / x)),
+             float(np.sum(mu**x) ** (1.0 / x))) for x in ps]
 
 
-def schatten_norm(A: BOperator, p: float, tol: float = 1e-9) -> float:
-    """Schatten p-norm, with the two defining paths required to agree
-    to ``tol`` relative; disagreement raises ArithmeticError."""
-    bracket_norm, mu_norm = schatten_norm_paths(A, p)
-    if abs(bracket_norm - mu_norm) > tol * max(1.0, mu_norm):
-        raise ArithmeticError(
-            f"Schatten paths disagree: bracket={bracket_norm!r} mu-sum={mu_norm!r}"
-        )
-    return mu_norm
+def schatten_norm(A: BOperator, p: float | Sequence[float]) -> list[float]:
+    """Schatten p-norms, one per order in ``p``, with the two defining
+    paths required to agree to 1e-9 relative; disagreement raises
+    ArithmeticError."""
+    norms = []
+    for bracket_norm, mu_norm in schatten_norm_paths(A, p):
+        if abs(bracket_norm - mu_norm) > _NORM_TOL * max(1.0, mu_norm):
+            raise ArithmeticError(
+                f"Schatten paths disagree: bracket={bracket_norm!r} mu-sum={mu_norm!r}"
+            )
+        norms.append(mu_norm)
+    return norms
 
 
 def _power_sums(values: np.ndarray) -> list[float]:
@@ -132,8 +118,8 @@ def weyl_sums(A: BOperator) -> list[tuple[float, float]]:
     """(sum |eigenvalue|^p, sum singular value^p) for each p in
     POWER_EXPONENTS; Weyl's inequality says the first never exceeds the
     second."""
-    spec = singular_spectrum(A)
-    return list(zip(_power_sums(np.abs(spec.lam)), _power_sums(spec.mu)))
+    lam = numerics.general_eigenvalues(A.matrix)
+    return list(zip(_power_sums(np.abs(lam)), _power_sums(singular_values(A))))
 
 
 def horn_sums(A1: BOperator, A2: BOperator) -> list[tuple[float, float]]:
@@ -144,13 +130,6 @@ def horn_sums(A1: BOperator, A2: BOperator) -> list[tuple[float, float]]:
     lam = numerics.general_eigenvalues((A1 @ A2).matrix)
     mu_pair = singular_values(A1) * singular_values(A2)
     return list(zip(_power_sums(np.abs(lam)), _power_sums(mu_pair)))
-
-
-def lalesco_sums(A: BOperator) -> tuple[float, float]:
-    """(sum |eigenvalue|, sum singular value): Lalesco's inequality says the
-    first never exceeds the second."""
-    spec = singular_spectrum(A)
-    return float(np.sum(np.abs(spec.lam))), float(np.sum(spec.mu))
 
 
 def lidskii_sums(A: BOperator) -> tuple[complex, complex]:
