@@ -74,10 +74,10 @@ def h_matrix(A: BOperator) -> np.ndarray:
     return A.matrix * (sw[:, None] / sw[None, :])
 
 
-def h_eigen(T: BOperator) -> numerics.EigenResult:
-    """Eigen decomposition of the H-metric transport of T, symmetrized:
-    eigenvalues descending, eigenvectors in H coordinates."""
-    mh = h_matrix(T)
+def h_eigen(mh: np.ndarray) -> numerics.EigenResult:
+    """Eigen decomposition of an operator's H-metric transport mh (from
+    ``h_matrix``), symmetrized: eigenvalues descending, eigenvectors in H
+    coordinates."""
     return numerics.hermitian_eigen((mh + mh.conj().T) / 2.0)
 
 
@@ -136,7 +136,7 @@ def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
     defect = float(np.linalg.norm(mh - mh.conj().T))
     if defect > 1e-10 * scale:
         raise ValueError(f"operator is not H-symmetric to 1e-10: defect={defect:.3e}")
-    return h_eigen(T).values
+    return h_eigen(mh).values
 
 
 def _top_abs(values: np.ndarray) -> float:
@@ -204,7 +204,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     cluster so each projection is well defined under floating point."""
     if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
-    vals, vecs = h_eigen(A)
+    vals, vecs = h_eigen(h_matrix(A))
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):

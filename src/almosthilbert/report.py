@@ -49,11 +49,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status != FAIL for c in self.checks)
 
-    @property
-    def errors(self) -> list[CheckResult]:
-        """The checks that raised instead of returning a measurement."""
-        return [c for c in self.checks if "error" in c.params]
-
     def sorted_checks(self) -> list[CheckResult]:
         return sorted(self.checks, key=lambda c: c.name)
 
@@ -106,9 +101,7 @@ def to_text(report: VerificationReport) -> str:
     lines = [f"suite {report.suite}  seed={report.seed}"]
     for c in report.sorted_checks():
         tol = c.params.get("tol")
-        if "error" in c.params:
-            lines.append(f"  FAIL {c.name:<42} error: {c.params['error']}")
-        elif c.status == MEASURED:
+        if c.status == MEASURED:
             lines.append(f"  MEAS {c.name:<42} value={c.worst_violation:.6g}  n={c.samples}")
         else:
             lines.append(
@@ -139,4 +132,3 @@ def render(report: VerificationReport, fmt: str) -> str:
     if fmt == "text":
         return to_text(report)
     raise ValueError(f"unknown report format {fmt!r}")
-

@@ -26,16 +26,17 @@ _SINGULAR_TOL = 1e-10
 _NORM_TOL = 1e-9
 
 
-def _factor(A: BOperator) -> tuple[np.ndarray, BOperator, numerics.EigenResult, float, float]:
-    """(s, A*A, eig, gap, scale): every Schatten quantity of A is read from
-    this one SVD of its transport and one H-metric eigen decomposition of A*A."""
+def _factor(A: BOperator) -> tuple[np.ndarray, np.ndarray, numerics.EigenResult, float, float]:
+    """(s, h(A*A), eig, gap, scale): every Schatten quantity of A is read from
+    this one SVD of its transport and one eigen decomposition of the
+    transport h(A*A)."""
     _, s, _ = numerics.svd(h_matrix(A))
-    prod = adjoint(A) @ A
-    eig = h_eigen(prod)
+    prod_h = h_matrix(adjoint(A) @ A)
+    eig = h_eigen(prod_h)
     s2 = s**2
     scale = max(1.0, float(s2[0]) if s.size else 0.0)
     gap = float(np.max(np.abs(s2 - eig.values))) if s.size else 0.0
-    return s, prod, eig, gap, scale
+    return s, prod_h, eig, gap, scale
 
 
 def _require_agreement(gap: float, scale: float) -> None:
@@ -69,9 +70,9 @@ def singular_values(A: BOperator) -> np.ndarray:
     return s
 
 
-def schatten_norm_paths(A: BOperator, p: float | Sequence[float]) -> list[tuple[float, float]]:
+def schatten_norm_paths(A: BOperator, ps: Sequence[float]) -> list[tuple[float, float]]:
     """The two defining formulas for the Schatten p-norm, one pair per order
-    in ``p`` (one order or a sequence).
+    in ``ps``.
 
     First entry: the bracket formula (sum of Rayleigh brackets
     <A*A phi_n, phi_n*>^{p/2} over the biorthonormal eigenbasis of A*A)
@@ -80,26 +81,26 @@ def schatten_norm_paths(A: BOperator, p: float | Sequence[float]) -> list[tuple[
     SVD singular values.  Both come from one ``_factor`` call, whose
     singular-value gap must be within tolerance.
     """
-    ps = [float(x) for x in np.atleast_1d(p)]
+    ps = [float(x) for x in ps]
     for x in ps:
         if not np.isfinite(x) or x < 1.0:
             raise ValueError(f"Schatten order must be a finite real >= 1, got {x}")
-    mu, prod, eig, gap, scale = _factor(A)
+    mu, prod_h, eig, gap, scale = _factor(A)
     _require_agreement(gap, scale)
     v = eig.vectors
-    num = np.sum(v.conj() * (h_matrix(prod) @ v), axis=0)
+    num = np.sum(v.conj() * (prod_h @ v), axis=0)
     den = np.sum(np.abs(v) ** 2, axis=0)
     brackets = np.maximum((num / den).real, 0.0)
     return [(float(np.sum(brackets ** (x / 2.0)) ** (1.0 / x)),
              float(np.sum(mu**x) ** (1.0 / x))) for x in ps]
 
 
-def schatten_norm(A: BOperator, p: float | Sequence[float]) -> list[float]:
-    """Schatten p-norms, one per order in ``p``, with the two defining
+def schatten_norm(A: BOperator, ps: Sequence[float]) -> list[float]:
+    """Schatten p-norms, one per order in ``ps``, with the two defining
     paths required to agree to 1e-9 relative; disagreement raises
     ArithmeticError."""
     norms = []
-    for bracket_norm, mu_norm in schatten_norm_paths(A, p):
+    for bracket_norm, mu_norm in schatten_norm_paths(A, ps):
         if abs(bracket_norm - mu_norm) > _NORM_TOL * max(1.0, mu_norm):
             raise ArithmeticError(
                 f"Schatten paths disagree: bracket={bracket_norm!r} mu-sum={mu_norm!r}"

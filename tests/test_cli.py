@@ -70,20 +70,6 @@ class TestExitCodes:
         assert code == 3
         assert "I/O" in err
 
-    def test_check_error_is_four(self, capsys, tmp_path):
-        # two schatten checks raise at N = 32 and another fails: the error
-        # code wins, and the report is still written
-        path = tmp_path / "r.json"
-        code, _, _ = run_cli(["--suite", "schatten", "--dim", "32", *FAST, "--seed", "0",
-                              "--format", "json", "--out", str(path)], capsys)
-        assert code == 4
-        checks = json.loads(path.read_text())["checks"]
-        assert {c["name"] for c in checks} == set(list_checks("schatten"))
-        errored = sorted(c["name"] for c in checks if "error" in c["params"])
-        assert errored == ["schatten-holder-monotone", "schatten-unitary-invariance"]
-        assert all(c["params"]["error"].startswith("ArithmeticError: ")
-                   for c in checks if c["name"] in errored)
-
 
 class TestDefaults:
     def test_bare_suite_all_runs_default_params(self, capsys, monkeypatch):

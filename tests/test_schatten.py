@@ -78,7 +78,7 @@ class TestSchattenNorm:
         space = make_space(N=4)
         Z = 0.0 * identity_operator(space)
         for p in (1.0, 2.0, 4.0):
-            assert schatten_norm(Z, p) == [0.0]
+            assert schatten_norm(Z, (p,)) == [0.0]
 
     def test_diagonal_in_eigencoordinates(self):
         space = make_space(N=2)
@@ -87,7 +87,7 @@ class TestSchattenNorm:
 
     def test_identity_trace_norm(self):
         space = make_space(N=3)
-        assert schatten_norm(identity_operator(space), 1) == pytest.approx([3.0], abs=1e-10)
+        assert schatten_norm(identity_operator(space), (1,)) == pytest.approx([3.0], abs=1e-10)
 
     def test_p2_is_frobenius_of_transport(self):
         rng = np.random.default_rng(22)
@@ -95,7 +95,7 @@ class TestSchattenNorm:
         for _ in range(20):
             A = rand_operator(space, rng)
             frob = np.linalg.norm(h_matrix(A))
-            assert schatten_norm(A, 2) == pytest.approx([frob], rel=1e-10)
+            assert schatten_norm(A, (2,)) == pytest.approx([frob], rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_two_paths_agree(self, p):
@@ -103,7 +103,7 @@ class TestSchattenNorm:
         for N in (4, 8):
             space = make_space(N=N)
             for _ in range(15):
-                [(bracket, mu)] = schatten_norm_paths(rand_operator(space, rng), p)
+                [(bracket, mu)] = schatten_norm_paths(rand_operator(space, rng), (p,))
                 assert abs(bracket - mu) <= 1e-9 * max(1.0, mu)
 
     def test_holder_monotonicity(self):
@@ -135,14 +135,14 @@ class TestSchattenNorm:
         ps = (1.0, 1.5, 2.0, 3.0, 4.0)
         for _ in range(10):
             A = rand_operator(space, rng, scale=1.0 / np.sqrt(N))
-            assert schatten_norm_paths(A, ps) == [schatten_norm_paths(A, p)[0] for p in ps]
-            assert schatten_norm(A, ps) == [schatten_norm(A, p)[0] for p in ps]
+            assert schatten_norm_paths(A, ps) == [schatten_norm_paths(A, (p,))[0] for p in ps]
+            assert schatten_norm(A, ps) == [schatten_norm(A, (p,))[0] for p in ps]
 
     def test_rejects_bad_order(self):
         A = identity_operator(make_space(N=2))
         for p in (0.5, 0.0, np.inf):
             with pytest.raises(ValueError, match="finite real"):
-                schatten_norm(A, p)
+                schatten_norm(A, (p,))
 
 
 def holds(lhs, rhs):
