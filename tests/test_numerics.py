@@ -218,3 +218,52 @@ class TestOpnormEstimate:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             numerics.opnorm_p_estimate(np.eye(2), 0.5)
+
+    @staticmethod
+    def one_vector_oracle(m, p, restarts=4, seed=0):
+        # The power method run one restart at a time, as the batched
+        # estimator did before it iterated the restarts as one block.
+        def dual(y, p):
+            ay = np.abs(y)
+            ny = numerics.vector_pnorm(y, p)
+            if ny == 0.0:
+                return np.zeros_like(y)
+            sign = np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
+            return (ay / ny) ** (p - 1.0) * sign
+
+        a = np.asarray(m, dtype=np.complex128)
+        n = a.shape[1]
+        q = p / (p - 1.0)
+        ah = a.conj().T
+        rng = np.random.default_rng(seed)
+        best = 0.0
+        for _ in range(restarts):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x /= numerics.vector_pnorm(x, p)
+            est = 0.0
+            for _ in range(5000):
+                y = a @ x
+                est = numerics.vector_pnorm(y, p)
+                if est == 0.0:
+                    break
+                z = ah @ dual(y, p)
+                if numerics.vector_pnorm(z, q) <= np.real(np.vdot(x, z)) + 1e-13 * max(est, 1.0):
+                    break
+                x = dual(z, q)
+            best = max(best, est)
+        return best
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3, 64])
+    def test_matches_one_vector_oracle(self, p):
+        rng = np.random.default_rng(44)
+        for i in range(200):
+            m = rand_complex(rng, 8, 8)
+            est = numerics.opnorm_p_estimate(m, p, seed=i)
+            ref = self.one_vector_oracle(m, p, seed=i)
+            assert abs(est - ref) <= 1e-12 * ref, (i, est, ref)
+
+    @pytest.mark.parametrize("p", [1.01, 2, 3, 64])
+    def test_zero_matrix_is_zero_without_warnings(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert numerics.opnorm_p_estimate(np.zeros((5, 5)), p, seed=0) == 0.0

@@ -13,6 +13,7 @@ from almosthilbert.operators import (
     b_opnorm_estimate,
     finite_difference_operator,
     from_h_matrix,
+    h_eigen,
     h_matrix,
     h_opnorm,
     identity_operator,
@@ -26,6 +27,7 @@ from almosthilbert.operators import (
     spectral_decompose,
 )
 from almosthilbert.spaces import from_callable, fourier_sbasis, lp_norm, reconstruct
+from almosthilbert.suites import _REGISTRY, SuiteParams, _Spaces, check_seed
 
 
 class TestAdjoint:
@@ -296,6 +298,48 @@ class TestMinMax:
         for k in (0, 4):
             with pytest.raises(ValueError, match="out of range"):
                 minmax_eigenvalue(A, k)
+
+    @staticmethod
+    def assert_witnesses(A, ks, trials):
+        direct = h_eigen(h_matrix(A)).values
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        for k in ks:
+            est = minmax_eigenvalue(A, k, trials=trials, seed=k)
+            lam = float(direct[k - 1])
+            assert abs(est - lam) <= 1e-9 * max(1.0, abs(lam)), (k, est, lam)
+            # the minimal Rayleigh quotient of a k-dimensional subspace
+            # never exceeds lambda_k (Courant-Fischer)
+            assert est <= lam + 1e-12 * scale, (k, est, lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 32])
+    def test_every_index_matches_direct_eigen(self, n):
+        rng = np.random.default_rng(16 + n)
+        self.assert_witnesses(rand_selfadjoint(make_space(N=n), rng), range(1, n + 1), trials=2)
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32])
+    def test_index_past_half_keeps_residual(self, n):
+        # k = n // 2 + 1 makes [X, R] wider than n; without the residual the
+        # search space is span(X), X never moves, and the estimate is the
+        # minimal Rayleigh quotient of the random start
+        rng = np.random.default_rng(48 + n)
+        self.assert_witnesses(rand_selfadjoint(make_space(N=n), rng), [n // 2 + 1], trials=4)
+
+    def test_check_makes_few_eigen_calls(self, monkeypatch):
+        calls = []
+        real = numerics.hermitian_eigen
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "hermitian_eigen", counting)
+        _, tol, fn = _REGISTRY["minmax-matches-direct"]
+        params = SuiteParams()
+        violation, samples = fn(
+            params, np.random.default_rng(check_seed(0, "minmax-matches-direct")), _Spaces(params))
+        assert violation <= tol and samples == 30
+        # 9,828 with shifted subspace iteration
+        assert len(calls) <= 1000
 
 
 class TestRayleigh:

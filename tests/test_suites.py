@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from almosthilbert.report import FAIL, MEASURED, to_json
+from almosthilbert.report import FAIL, MEASURED, PASS, to_json
 from almosthilbert import suites
 from almosthilbert.suites import (
     _REGISTRY,
@@ -156,6 +156,15 @@ class TestRunSuite:
     def test_scalar_space_still_passes(self):
         rep = run_suite("adjoint", seed=3, params=SuiteParams(dim=1, trials=5))
         assert rep.passed
+
+    @pytest.mark.parametrize("dim", [32, 48])
+    def test_self_conjugacy_holds_at_large_dim(self, dim):
+        # exp(itA) and the adjoint defect are both judged in the H metric,
+        # away from the 2^(dim-1) spread of the coordinate weights (other
+        # adjoint checks still fail at these dims)
+        rep = run_suite("adjoint", seed=0, params=SuiteParams(dim=dim, trials=5))
+        (check,) = [c for c in rep.checks if c.name == "self-conjugacy-equivalence"]
+        assert check.status == PASS and check.samples == 20
 
     def test_determinism_bytes(self):
         a = run_suite("embedding", seed=5, params=FAST)
