@@ -221,8 +221,7 @@ class TestOpnormEstimate:
 
     @staticmethod
     def one_vector_oracle(m, p, restarts=4, seed=0):
-        # The power method run one restart at a time, as the batched
-        # estimator did before it iterated the restarts as one block.
+        # Reference: the same power method, one restart vector at a time.
         def dual(y, p):
             ay = np.abs(y)
             ny = numerics.vector_pnorm(y, p)

@@ -338,7 +338,6 @@ class TestMinMax:
         violation, samples = fn(
             params, np.random.default_rng(check_seed(0, "minmax-matches-direct")), _Spaces(params))
         assert violation <= tol and samples == 30
-        # 9,828 with shifted subspace iteration
         assert len(calls) <= 1000
 
 
