@@ -240,8 +240,8 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> f
     Each trial runs block Rayleigh-Ritz (LOBPCG; Knyazev, SIAM J. Sci.
     Comput. 23, 2001) on the symmetrized transport S: the search space is
     spanned by the orthonormal iterate X, the residual S X - X (X^H S X)
-    and, when 3k <= n, the previous step's direction, and X becomes its
-    top k Ritz vectors.  A trial stops when the k-th Ritz value changes by
+    and the previous step's direction, and X becomes its top k Ritz
+    vectors.  A trial stops when the k-th Ritz value changes by
     at most 1e-12 relative, or after 2,000 steps, and reports the smallest
     eigenvalue of X^H S X: whatever search space found X, the result is
     the minimal Rayleigh quotient of the explicit subspace span(X)."""
@@ -267,8 +267,7 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> f
             ritz = numerics.hermitian_eigen(_sym(basis.conj().T @ sbasis))
             coef = ritz.vectors[:, :k]
             x, sx = basis @ coef, sbasis @ coef
-            if 3 * k <= n:
-                direction = basis[:, k:] @ coef[k:]
+            direction = basis[:, k:] @ coef[k:]
             cand = float(ritz.values[k - 1])
             if abs(cand - prev) <= 1e-12 * max(1.0, abs(cand)):
                 break

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -54,9 +55,7 @@ class VerificationReport:
 
 
 def _clean_param(v):
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    if isinstance(v, float):
+    if isinstance(v, (bool, int, float, str)) or v is None:
         return v
     try:
         return float(v)
@@ -74,7 +73,8 @@ def to_json(report: VerificationReport) -> str:
             {
                 "name": c.name,
                 "status": c.status,
-                "worst_violation": float(c.worst_violation),
+                "worst_violation": (float(c.worst_violation)
+                                    if math.isfinite(c.worst_violation) else None),
                 "samples": int(c.samples),
                 "params": {k: _clean_param(v) for k, v in sorted(c.params.items())},
             }
@@ -100,7 +100,7 @@ def to_csv(report: VerificationReport) -> str:
 def to_text(report: VerificationReport) -> str:
     lines = [f"suite {report.suite}  seed={report.seed}"]
     for c in report.sorted_checks():
-        tol = c.params.get("tol")
+        tol = c.params.get("tol", math.nan)
         if c.status == MEASURED:
             lines.append(f"  MEAS {c.name:<42} value={c.worst_violation:.6g}  n={c.samples}")
         else:

@@ -1,5 +1,6 @@
 """Shared constructions for the test suite."""
 
+from almosthilbert import suites
 from almosthilbert.embedding import embedding_space
 from almosthilbert.operators import BOperator, from_h_matrix
 from almosthilbert.spaces import fourier_sbasis, reconstruct
@@ -28,3 +29,10 @@ def rand_selfadjoint(space, rng, scale=1.0):
 def random_poly(space, rng, scale=1.0):
     c = scale * rand_complex(rng, space.dim)
     return reconstruct(c, space.basis)
+
+
+def run_check(monkeypatch, name, params, seed=0):
+    """Check ``name`` alone, run the way ``run_suite`` runs it in a suite."""
+    monkeypatch.setattr(suites, "_REGISTRY", {name: suites._REGISTRY[name]})
+    (result,) = suites.run_suite("all", seed=seed, params=params).checks
+    return result

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,9 +30,9 @@ class TestExitCodes:
         assert "0 failing" in out
 
     def test_failure_is_one(self, capsys, monkeypatch):
-        suite, tol, _ = _REGISTRY["hilbert-isometry"]
+        check = _REGISTRY["hilbert-isometry"]
         monkeypatch.setitem(_REGISTRY, "hilbert-isometry",
-                            (suite, tol, lambda params, rng, spaces: (2 * tol, 1)))
+                            replace(check, measure=lambda run, x: 2 * check.tol))
         code, out, _ = run_cli(["--suite", "integral", *FAST], capsys)
         assert code == 1
         assert "FAIL hilbert-isometry" in out

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import make_space, rand_complex, rand_operator, rand_selfadjoint, random_poly
+from helpers import (
+    make_space,
+    rand_complex,
+    rand_operator,
+    rand_selfadjoint,
+    random_poly,
+    run_check,
+)
 
 from almosthilbert import numerics
 from almosthilbert.embedding import embedding_space, h_inner, h_norm
@@ -27,7 +34,7 @@ from almosthilbert.operators import (
     spectral_decompose,
 )
 from almosthilbert.spaces import from_callable, fourier_sbasis, lp_norm, reconstruct
-from almosthilbert.suites import _REGISTRY, SuiteParams, _Spaces, check_seed
+from almosthilbert.suites import SuiteParams
 
 
 class TestAdjoint:
@@ -324,7 +331,8 @@ class TestMinMax:
         rng = np.random.default_rng(48 + n)
         self.assert_witnesses(rand_selfadjoint(make_space(N=n), rng), [n // 2 + 1], trials=4)
 
-    def test_check_makes_few_eigen_calls(self, monkeypatch):
+    @pytest.fixture
+    def eigen_calls(self, monkeypatch):
         calls = []
         real = numerics.hermitian_eigen
 
@@ -333,12 +341,24 @@ class TestMinMax:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(numerics, "hermitian_eigen", counting)
-        _, tol, fn = _REGISTRY["minmax-matches-direct"]
-        params = SuiteParams()
-        violation, samples = fn(
-            params, np.random.default_rng(check_seed(0, "minmax-matches-direct")), _Spaces(params))
-        assert violation <= tol and samples == 30
-        assert len(calls) <= 1000
+        return calls
+
+    def test_check_makes_few_eigen_calls(self, monkeypatch, eigen_calls):
+        check = run_check(monkeypatch, "minmax-matches-direct", SuiteParams())
+        assert check.worst_violation <= check.params["tol"] and check.samples == 30
+        assert len(eigen_calls) <= 1000
+
+    def test_index_between_third_and_half_keeps_direction(self, eigen_calls):
+        # for n/3 < k < n/2, [X, R] without the previous direction is block
+        # steepest descent: 18 to 47 eigen calls per trial on this operator,
+        # against 4 with the direction kept
+        calls = eigen_calls
+        n, trials = 32, 2
+        A = rand_selfadjoint(make_space(N=n), np.random.default_rng(7))
+        for k in range(n // 3 + 1, (n + 1) // 2):
+            calls.clear()
+            minmax_eigenvalue(A, k, trials=trials, seed=k)
+            assert len(calls) <= 5 * trials, (k, len(calls))
 
 
 class TestRayleigh:

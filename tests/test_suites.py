@@ -1,12 +1,19 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from helpers import run_check
+
 from almosthilbert.report import FAIL, MEASURED, PASS, to_json
-from almosthilbert import suites
+from almosthilbert import integrals, suites
+from almosthilbert.spaces import GridFunction
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
     SuiteParams,
+    _Check,
     _Spaces,
     check_seed,
     list_checks,
@@ -68,6 +75,53 @@ ALL_CHECKS = (
     "spectral-reconstruction",
     "weyl-inequality",
 )
+
+# samples per check at trials=1: scaled counts floor at one instance per block
+SAMPLES_AT_ONE_TRIAL = {
+    "adjoint-algebra": 5,
+    "adjoint-defining-identity": 10,
+    "adjoint-positive-product": 1,
+    "bnorm-adjoint-ratio": 1,
+    "coefficient-projection": 1,
+    "duality-homogeneity": 1,
+    "duality-identity": 8,
+    "embedding-gram-diagonal": 64,
+    "embedding-gram-schmidt": 4,
+    "embedding-hnorm-below-bnorm": 4,
+    "embedding-hnorm-below-sup": 4,
+    "embedding-jb-linear": 1,
+    "embedding-middle-ratio": 4,
+    "hilbert-cp-constant": 1,
+    "hilbert-isometry": 1,
+    "hilbert-pv-convergence": 8,
+    "hilbert-skew-adjoint": 2,
+    "hilbert-square-identity": 1,
+    "horn-inequality": 5,
+    "ks2-embedding-bound": 3,
+    "ks2-functional-contraction": 25,
+    "ks2-fundamentality": 2,
+    "ks2-gram-psd": 1,
+    "ks2-pairing-bijection": 10000,
+    "ks2-truncation-monotone": 1,
+    "ks2-weak-strong-decay": 64,
+    "lalesco-inequality": 5,
+    "lax-constant-khat": 1,
+    "lax-norm-identity": 1,
+    "lax-spectrum-invariance": 2,
+    "lidskii-trace": 5,
+    "minmax-matches-direct": 3,
+    "polar-reconstruction": 1,
+    "rayleigh-quotient-gap": 1,
+    "riesz-positivity": 1,
+    "riesz-symmetry": 1,
+    "schatten-holder-monotone": 1,
+    "schatten-two-path": 5,
+    "schatten-unitary-invariance": 3,
+    "self-conjugacy-equivalence": 4,
+    "singular-value-paths": 2,
+    "spectral-reconstruction": 1,
+    "weyl-inequality": 5,
+}
 
 
 class TestRegistry:
@@ -180,23 +234,64 @@ class TestRunSuite:
 
     def test_tolerance_scale_can_fail(self, monkeypatch):
         # a violation above the declared tolerance fails that check alone
-        suite, tol, _ = _REGISTRY["duality-identity"]
+        check = _REGISTRY["duality-identity"]
+        tol = check.tol
         monkeypatch.setitem(_REGISTRY, "duality-identity",
-                            (suite, tol, lambda params, rng, spaces: (2 * tol, 1)))
+                            replace(check, measure=lambda run, x: 2 * tol))
         rep = run_suite("embedding", seed=5, params=FAST)
         assert not rep.passed
         (failed,) = [c for c in rep.checks if c.status == FAIL]
         assert failed.name == "duality-identity" and failed.params["tol"] == tol
 
-    def test_ks2_embedding_bound_counts_each_q_once(self):
-        _, tol, fn = _REGISTRY["ks2-embedding-bound"]
-        params = SuiteParams(trials=4)
-        violation, samples, extra = fn(
-            params, np.random.default_rng(check_seed(0, "ks2-embedding-bound")),
-            _Spaces(params))
-        assert violation <= tol
-        assert extra["q_list"] == "1,2,inf"
-        assert samples == 2 * 3
+    def test_ks2_embedding_bound_counts_each_q_once(self, monkeypatch):
+        tol = _REGISTRY["ks2-embedding-bound"].tol
+        check = run_check(monkeypatch, "ks2-embedding-bound", SuiteParams(trials=4))
+        assert check.worst_violation <= tol
+        assert check.params["q_list"] == "1,2,inf"
+        assert check.samples == 2 * 3
+
+    def test_sample_counts_at_one_trial(self):
+        rep = run_suite("all", seed=0, params=SuiteParams(trials=1))
+        assert {c.name: c.samples for c in rep.checks} == SAMPLES_AT_ONE_TRIAL
+
+    def test_nan_sample_fails_its_check(self, monkeypatch):
+        # the third multiplier call is the first hilbert-isometry sample
+        # (hilbert-cp-constant sorts before it and draws two at trials=5)
+        real = integrals.hilbert_multiplier
+        calls = []
+
+        def planted(f):
+            calls.append(1)
+            out = real(f)
+            return GridFunction(out.box, out.values * np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(integrals, "hilbert_multiplier", planted)
+        rep = run_suite("integral", seed=0, params=FAST)
+        assert [c.name for c in rep.checks if c.status == FAIL] == ["hilbert-isometry"]
+        text = to_json(rep)
+        assert "NaN" not in text
+        (entry,) = [c for c in json.loads(text)["checks"] if c["name"] == "hilbert-isometry"]
+        assert entry["worst_violation"] is None
+
+    def test_draws_and_measures_one_instance_at_a_time(self, monkeypatch):
+        # holding every instance of a check at once would hold, e.g., all
+        # 2,000 grid functions of adjoint-defining-identity
+        log = []
+
+        def draw(run, i):
+            log.append(("draw", i))
+            return i
+
+        def measure(run, x):
+            log.append(("measure", x))
+            return 0.0
+
+        fake = _Check(suite="integral", tol=1.0, count=100, blocks=1, samples=None,
+                      draw=draw, measure=measure)
+        monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
+        rep = run_suite("integral", seed=0, params=SuiteParams(trials=3))
+        assert log == [(step, i) for i in range(3) for step in ("draw", "measure")]
+        assert [(c.name, c.status, c.samples) for c in rep.checks] == [("fake", PASS, 3)]
 
     def test_ks2_tail_bound_recorded(self):
         rep = run_suite("ks2", seed=9, params=FAST)
