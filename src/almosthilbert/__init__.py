@@ -73,6 +73,7 @@ from .schatten import (  # noqa: F401
 from .ks2 import (  # noqa: F401
     Cube,
     CubeSystem,
+    converged_values,
     cube_rows,
     cube_system,
     embedding_bounds,

@@ -21,6 +21,19 @@ sparse or BLAS product would reorder the additions and move the last bits.
 Each function's K-vector is computed once; pairings and norms at a smaller
 truncation use a prefix slice of it (``values_inner``, ``values_norm``).
 
+Effective truncation: functional k carries weight 2^{-k} and |F_k(f)| is at
+most ||f||_1, so the mass of the norm square beyond k is at most
+``tail_bound(f, k)``.  The first k where that bound is below eps/2 of the
+weighted partial sum is the function's effective truncation K_eff: past it
+no functional can move a float64 norm.  ``converged_values`` evaluates
+doubling prefixes (128, 256, ... up to K) until one contains K_eff and
+returns the K-vector with the entries past K_eff set to 0.  A weighted sum
+over that vector has the same length, hence numpy's pairwise summation adds
+it in the same tree as the full vector, and adding an exact zero leaves a
+partial sum as it was.  In a pairing of f and g the terms dropped past the
+smaller truncation k come to at most sqrt(tail_bound(f, k) tail_bound(g, k))
+= 2^{-k} ||f||_1 ||g||_1, of order eps times the pairing's scale.
+
 The containment bounds (``embedding_bounds``) and the weak-to-strong norms
 (``weak_strong_norms``) are returned as numbers; the suites judge them.
 """
@@ -248,6 +261,41 @@ def functional_values(f: GridFunction, K: int, system: CubeSystem) -> np.ndarray
     return _integrals(f, range(1, K + 1), system)
 
 
+# The first prefix of functionals ``converged_values`` evaluates; each
+# further prefix doubles it, up to K.
+_FIRST_PREFIX = 128
+_HALF_EPS = np.finfo(float).eps / 2.0
+
+
+def converged_values(f: GridFunction, K: int, system: CubeSystem) -> tuple[np.ndarray, int]:
+    """The vector (F_1(f), ..., F_K(f)) cut at the effective truncation
+    K_eff, and K_eff.
+
+    K_eff is the first k with ``tail_bound(f, k)`` <= eps/2 times
+    sum_{j<=k} 2^{-j} |F_j(f)|^2, or K when no k <= K qualifies.  Prefixes
+    of 128, 256, ... functionals (at most K) are evaluated through
+    ``functional_values`` until one contains K_eff; the entries up to K_eff
+    are bitwise those of ``functional_values(f, K)``, and the ones past it
+    are 0 (see the module docstring).
+    """
+    K = _positive_int("truncation", K)
+    l1_square = lp_norm(f, 1) ** 2
+    n = min(_FIRST_PREFIX, K)
+    while True:
+        v = functional_values(f, n, system)
+        weights = dyadic_weights(n)
+        partial = np.cumsum(weights * np.abs(v) ** 2)
+        held = np.flatnonzero(weights * l1_square <= _HALF_EPS * partial)
+        if held.size:
+            k_eff = int(held[0]) + 1
+            out = np.zeros(K, dtype=np.complex128)
+            out[:k_eff] = v[:k_eff]
+            return out, k_eff
+        if n == K:
+            return v, K
+        n = min(2 * n, K)
+
+
 def values_inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Weighted square-sum pairing sum_k 2^{-k} u_k conj(v_k) of two
     functional-value vectors; prefix slices give smaller truncations."""
@@ -264,11 +312,11 @@ def values_norm(v: np.ndarray) -> float:
 def ks2_inner(f: GridFunction, g: GridFunction, K: int, system: CubeSystem) -> complex:
     """Weighted square-sum pairing sum_k 2^{-k} F_k(f) conj(F_k(g))."""
     f._require_same_grid(g)
-    return values_inner(functional_values(f, K, system), functional_values(g, K, system))
+    return values_inner(converged_values(f, K, system)[0], converged_values(g, K, system)[0])
 
 
 def ks2_norm(f: GridFunction, K: int, system: CubeSystem) -> float:
-    return values_norm(functional_values(f, K, system))
+    return values_norm(converged_values(f, K, system)[0])
 
 
 def tail_bound(f: GridFunction, K: int) -> float:
@@ -296,8 +344,9 @@ def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]
 
 
 def weak_strong_norms(m_max: int, K: int, system: CubeSystem,
-                      resolution: int = 4096) -> list[float]:
-    """The square-sum norms of sin(2 pi m x), m = 1..m_max.
+                      resolution: int = 4096) -> tuple[list[float], int]:
+    """The square-sum norms of sin(2 pi m x), m = 1..m_max, and the largest
+    effective truncation among them.
 
     The sequence goes weakly to zero in L^2 without going strongly; under
     this norm it decays outright.
@@ -306,18 +355,19 @@ def weak_strong_norms(m_max: int, K: int, system: CubeSystem,
         raise ValueError("the decay demonstration runs on the unit interval box")
     m_max = _positive_int("m_max", m_max)
     resolution = _positive_int("resolution", resolution)
-    norms = []
+    norms, k_max = [], 1
     for m in range(1, m_max + 1):
         f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t),
                           system.box, resolution)
-        norms.append(ks2_norm(f, K, system))
-    return norms
+        v, k_eff = converged_values(f, K, system)
+        norms.append(values_norm(v))
+        k_max = max(k_max, k_eff)
+    return norms, k_max
 
 
 def cube_rows(system: CubeSystem, count: int) -> tuple[list[str], list[list]]:
     """Header and rows for an audit dump of the first ``count`` cubes."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = _positive_int("count", count)
     header = ["k", "l", "i", *[f"center{ax}" for ax in range(system.dim)], "side"]
     rows = []
     for k in range(1, count + 1):

@@ -230,6 +230,14 @@ class _Run:
         """Record the largest ``value`` so far as tail bound ``name``."""
         self.tails[name] = max(self.tails.get(name, 0.0), value)
 
+    def converged(self, f: GridFunction, K: int | None = None) -> np.ndarray:
+        """``f``'s functional values at truncation K (the run's by default),
+        cut at its effective truncation, whose largest value so far is
+        report param ``K_eff``."""
+        v, k_eff = ks2.converged_values(f, K or self.params.cubes, self.cubes)
+        self.extra["K_eff"] = max(self.extra.get("K_eff", 1), k_eff)
+        return v
+
     def coeffs(self, *shape) -> np.ndarray:
         return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
 
@@ -572,7 +580,7 @@ def _chk_pairing_bijection(run, x):
 @_check("ks2-gram-psd", "ks2", tol=1e-10, count=20,
         draw=lambda run, i: [run.step() for _ in range(6)])
 def _chk_gram_psd(run, fs):
-    vs = [ks2.functional_values(f, run.params.cubes, run.cubes) for f in fs]
+    vs = [run.converged(f) for f in fs]
     g = np.array([[ks2.values_inner(a, b) for b in vs] for a in vs])
     scale = max(1.0, float(np.max(np.abs(g))))
     lam = numerics.hermitian_eigen((g + g.conj().T) / 2.0).values
@@ -582,7 +590,7 @@ def _chk_gram_psd(run, fs):
 @_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, draw=_draw_step)
 def _chk_truncation(run, f):
     ks = sorted({8, 16, 32, run.params.cubes})
-    v = ks2.functional_values(f, ks[-1], run.cubes)
+    v = run.converged(f, ks[-1])
     norms = [ks2.values_norm(v[:k]) for k in ks]
     run.extra["K"] = ks[-1]
     run.tail("ks2-truncation-tail", ks2.tail_bound(f, ks[-1]))
@@ -599,8 +607,11 @@ def _chk_contraction(run, f):
 
 @_check("ks2-fundamentality", "ks2", tol=0.0, count=200, draw=_draw_step)
 def _chk_fundamentality(run, f):
+    # A nonzero value among the first eight settles it; only an all-zero
+    # prefix needs the rest.
     k_max = run.extra["K"] = 256
-    return float(np.max(np.abs(ks2.functional_values(f, k_max, run.cubes)))) == 0.0
+    return all(float(np.max(np.abs(ks2.functional_values(f, k, run.cubes)))) == 0.0
+               for k in (8, k_max))
 
 
 @_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, draw=_draw_step)
@@ -609,7 +620,7 @@ def _chk_ks2_embedding(run, f):
     # already implies every finite q.
     qs = (1.0, 2.0, np.inf)
     run.extra["q_list"] = ",".join(f"{q:g}" for q in qs)
-    norm = ks2.ks2_norm(f, run.params.cubes, run.cubes)
+    norm = ks2.values_norm(run.converged(f))
     return _excesses((norm, b) for b in ks2.embedding_bounds(f, qs))
 
 
@@ -623,9 +634,9 @@ def _chk_weak_strong(run, x):
     # of the last norm to the first was fixed from a reference run at
     # m_max = 64, K = 256.
     resolution = max(run.params.grid, 1024)
-    run.extra.update(m_max=_WEAK_M_MAX, resolution=resolution)
-    norms = ks2.weak_strong_norms(_WEAK_M_MAX, max(run.params.cubes, 256), run.cubes,
-                                  resolution=resolution)
+    norms, k_eff = ks2.weak_strong_norms(_WEAK_M_MAX, max(run.params.cubes, 256), run.cubes,
+                                         resolution=resolution)
+    run.extra.update(m_max=_WEAK_M_MAX, resolution=resolution, K_eff=k_eff)
     return norms[-1] / max(norms[0], 1e-300)
 
 

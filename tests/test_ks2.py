@@ -1,12 +1,15 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from almosthilbert import ks2
 from almosthilbert.embedding import dyadic_weights
 from almosthilbert.ks2 import (
     PAIRING_PREFIX,
     Cube,
+    converged_values,
     cube_rows,
     cube_system,
     embedding_bounds,
@@ -23,6 +26,7 @@ from almosthilbert.ks2 import (
     weak_strong_norms,
 )
 from almosthilbert.spaces import GridFunction, from_callable
+from almosthilbert.suites import SuiteParams, run_suite
 
 UNIT = cube_system(1)
 
@@ -143,6 +147,23 @@ class TestFunctional:
         expected = {1: 0.25, 2: 0.125, 3: 0.25, 4: 0.5}
         for k, val in expected.items():
             assert functional_Fk(one, k, UNIT) == pytest.approx(val, abs=1e-12)
+
+    def test_prefix_doubles_past_the_first(self, monkeypatch):
+        # Every early cube covers an even count of cells of the alternating
+        # function, so its functionals vanish and K_eff lies past 128.
+        f = GridFunction(((0.0, 1.0),), (-1.0) ** np.arange(4096))
+        full = functional_values(f, 1024, UNIT)
+        lengths = []
+        original = ks2.functional_values
+        monkeypatch.setattr(ks2, "functional_values",
+                            lambda f, K, system: lengths.append(K) or original(f, K, system))
+        v, k_eff = converged_values(f, 1024, UNIT)
+        rule = stopping_rule(f, full)
+        assert lengths == [128, 256]
+        assert 128 < k_eff <= 256
+        assert rule[k_eff - 1] and not rule[k_eff - 2]
+        assert v[:k_eff].tobytes() == full[:k_eff].tobytes()
+        assert not np.any(v[k_eff:])
 
     def test_zero_function(self):
         z = GridFunction(((0.0, 1.0),), np.zeros(64))
@@ -335,6 +356,72 @@ class TestVectorOnce:
             assert [[b] for b in together] == apart
 
 
+EPS = np.finfo(float).eps
+
+
+def stopping_rule(f, full):
+    """Whether the tail bound at k is within eps/2 of the weighted partial
+    sum, for k = 1..len(full)."""
+    partial = np.cumsum(dyadic_weights(len(full)) * np.abs(full) ** 2)
+    return [tail_bound(f, k) <= EPS / 2 * partial[k - 1] for k in range(1, len(full) + 1)]
+
+
+class TestEffectiveTruncation:
+    """``converged_values`` stops at the first k where no later functional
+    can move a float64 norm."""
+
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    @pytest.mark.parametrize("resolution", [256, 8192])
+    def test_stops_at_first_k_where_rule_holds(self, kind, resolution):
+        f = kernel_input(kind, resolution)
+        full = functional_values(f, 1024, UNIT)
+        v, k_eff = converged_values(f, 1024, UNIT)
+        rule = stopping_rule(f, full)
+        assert 1 < k_eff < 1024
+        assert rule[k_eff - 1] and not rule[k_eff - 2]
+        assert v.shape == (1024,)
+        assert v[:k_eff].tobytes() == full[:k_eff].tobytes()
+        assert not np.any(v[k_eff:])
+        assert abs(values_norm(v) - values_norm(full)) <= EPS * values_norm(full)
+
+    def test_zero_function(self):
+        z = GridFunction(((0.0, 1.0),), np.zeros(512))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, k_eff = converged_values(z, 64, UNIT)
+        assert k_eff == 1
+        assert v.shape == (64,) and not np.any(v)
+
+    def test_short_unconverged_truncation_is_the_full_vector(self):
+        f = kernel_input("step", 512)
+        v, k_eff = converged_values(f, 16, UNIT)
+        assert k_eff == 16
+        assert v.tobytes() == functional_values(f, 16, UNIT).tobytes()
+
+    def test_norm_square_is_self_pairing(self):
+        rng = np.random.default_rng(54)
+        for _ in range(10):
+            f = random_step(rng, resolution=1024)
+            assert ks2_norm(f, 512, UNIT) ** 2 == pytest.approx(
+                ks2_inner(f, f, 512, UNIT).real, rel=4 * EPS)
+
+    def test_suite_evaluates_one_short_prefix_per_function(self, monkeypatch):
+        calls = []
+        original = ks2.functional_values
+
+        def counted(f, K, system):
+            calls.append((f, K))  # holds f, so no two functions share an id
+            return original(f, K, system)
+
+        monkeypatch.setattr(ks2, "functional_values", counted)
+        run_suite("ks2", 0, SuiteParams(grid=8192, cubes=1024, trials=1))
+        per_function = {}
+        for f, K in calls:
+            per_function[id(f)] = per_function.get(id(f), 0) + K
+        assert len(per_function) > 64
+        assert max(per_function.values()) <= 128
+
+
 def bound_holds(f, q, K=64):
     """The suites' containment test: norm <= bound within 1e-9 * (1 + bound)."""
     norm = ks2_norm(f, K, UNIT)
@@ -387,8 +474,9 @@ class TestWeakStrong:
                 assert abs(functional_Fk(f, k, UNIT)) <= 1.0 / (np.pi * m) + 5e-3
 
     def test_decay_demo(self):
-        norms = weak_strong_norms(64, 256, UNIT, resolution=1024)
+        norms, k_eff = weak_strong_norms(64, 256, UNIT, resolution=1024)
         assert len(norms) == 64
+        assert 1 <= k_eff < 256
         assert norms[-1] / norms[0] <= 0.2
         f = from_callable(lambda t: np.sin(2.0 * np.pi * t), ((0.0, 1.0),), 1024)
         assert norms[0] == ks2_norm(f, 256, UNIT)
@@ -423,3 +511,8 @@ class TestDump:
     def test_count_validation(self):
         with pytest.raises(ValueError, match="count"):
             cube_rows(UNIT, 0)
+
+    @pytest.mark.parametrize("count", [True, 2.5, "3"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="count"):
+            cube_rows(UNIT, count)
