@@ -160,8 +160,7 @@ def _cmd_demo(args) -> int:
         raise ValueError(f"--m must be a power of two >= 4, got {args.m}")
     if args.op == "riesz":
         x = (np.arange(args.m) + 0.5) / args.m
-        f = GridFunction(((0.0, 1.0),), np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0)
-                         .astype(complex))
+        f = GridFunction(np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0).astype(complex))
         out = riesz_potential(f, args.alpha)
         pairs = zip(x, f.values, out.values)
     else:

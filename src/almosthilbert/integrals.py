@@ -1,12 +1,12 @@
 """Singular convolution operators in one dimension.
 
-Periodic model: a signal is a GridFunction on the unit box [0, 1) with
-M uniform samples, M a power of two.  It carries a Hilbert transform in
-two forms: the exact frequency multiplier -i sgn(k), and the truncated
+Periodic model: a signal is a GridFunction on the unit interval [0, 1)
+with M uniform samples, M a power of two.  It carries a Hilbert transform
+in two forms: the exact frequency multiplier -i sgn(k), and the truncated
 principal-value quadrature against the periodized kernel cot(pi u) (the
 period-1 sum of 1/(pi u)), with the band |x - y| < eps excluded.
 
-Line model: the fractional integral of order alpha on a bounded grid,
+Line model: the fractional integral of order alpha on the unit interval,
 with the |x - y|^{alpha-1} kernel integrated in closed form over every
 cell (power-law antiderivative), which keeps full quadrature order at
 the diagonal and makes the kernel matrix exactly symmetric.
@@ -21,14 +21,11 @@ import numpy as np
 from .spaces import GridFunction
 
 
-_UNIT_BOX = ((0.0, 1.0),)
-
-
 def _signal_size(f: GridFunction) -> int:
-    """Sample count M of a periodic signal: a GridFunction on the unit box
-    with M a power of two >= 4 and finite samples."""
-    if f.box != _UNIT_BOX:
-        raise ValueError(f"a periodic signal lives on the 1-D box {_UNIT_BOX}, got {f.box}")
+    """Sample count M of a periodic signal: a 1-D GridFunction with M a
+    power of two >= 4 and finite samples."""
+    if f.dim != 1:
+        raise ValueError(f"a periodic signal is 1-D, on the unit interval; got a {f.dim}-D grid")
     m = f.resolution
     if m < 4 or m & (m - 1) != 0:
         raise ValueError(f"sample count must be a power of two >= 4, got {m}")
@@ -45,21 +42,21 @@ def signal_from_callable(fn, m: int) -> GridFunction:
     pairing) is translation-invariant, so the half-cell offset never enters.
     """
     t = np.arange(m) / m
-    return GridFunction(_UNIT_BOX, np.asarray(fn(t), dtype=np.complex128))
+    return GridFunction(np.asarray(fn(t), dtype=np.complex128))
 
 
-def random_bandlimited(rng, m: int, kmax: int | None = None) -> GridFunction:
-    """Random mean-zero signal with spectrum in modes 1..kmax (both signs);
-    the zero and Nyquist modes stay empty."""
-    if kmax is None:
-        kmax = max(1, m // 8)
+def random_bandlimited(rng, m: int) -> GridFunction:
+    """Random mean-zero signal of length m >= 4 with spectrum in modes
+    1..kmax (both signs), kmax = max(1, m // 8); the zero and Nyquist modes
+    stay empty."""
+    kmax = max(1, m // 8)
     if not 1 <= kmax < m // 2:
-        raise ValueError(f"kmax must lie in [1, {m // 2 - 1}], got {kmax}")
+        raise ValueError(f"signal length must be >= 4, got {m}")
     spec = np.zeros(m, dtype=np.complex128)
     ks = np.arange(1, kmax + 1)
     spec[ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
     spec[m - ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-    return GridFunction(_UNIT_BOX, np.fft.ifft(spec))
+    return GridFunction(np.fft.ifft(spec))
 
 
 def hilbert_multiplier(f: GridFunction) -> GridFunction:
@@ -72,7 +69,7 @@ def hilbert_multiplier(f: GridFunction) -> GridFunction:
     m = _signal_size(f)
     mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
                            np.full(m // 2 - 1, 1j)])
-    return GridFunction(_UNIT_BOX, np.fft.ifft(mult * np.fft.fft(f.values)))
+    return GridFunction(np.fft.ifft(mult * np.fft.fft(f.values)))
 
 
 def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
@@ -89,7 +86,7 @@ def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
     um = u[mask]
     kern[mask] = np.where(um > 0, 1.0, -1.0) * np.abs(1.0 / np.tan(np.pi * um))
     out = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.values)) / m
-    return GridFunction(_UNIT_BOX, out)
+    return GridFunction(out)
 
 
 def riesz_gamma(alpha: float) -> float:
@@ -104,7 +101,7 @@ def _power_antiderivative(u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
-    """Fractional integral of order alpha on a bounded 1-D grid.
+    """Fractional integral of order alpha on a 1-D grid of the unit interval.
 
     Every cell's contribution integrates |x - y|^(alpha-1) in closed form
     (the singular cell included), so the kernel weights are a symmetric
@@ -115,8 +112,7 @@ def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
     if f.dim != 1:
         raise ValueError("the fractional integral is shipped for 1-D grids only")
     res = f.resolution
-    (lo, hi), = f.box
-    h = (hi - lo) / res
+    h = 1.0 / res
     d = np.arange(-(res - 1), res)
     kern = (_power_antiderivative((d + 0.5) * h, alpha)
             - _power_antiderivative((d - 0.5) * h, alpha))
@@ -124,4 +120,4 @@ def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
     n = 1 << (3 * res - 3).bit_length()
     full = np.fft.ifft(np.fft.fft(f.values, n) * np.fft.fft(kern.astype(np.complex128), n))
     out = full[res - 1: 2 * res - 1]
-    return GridFunction(f.box, out / riesz_gamma(alpha))
+    return GridFunction(out / riesz_gamma(alpha))

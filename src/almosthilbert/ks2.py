@@ -2,11 +2,12 @@
 averaging functionals.
 
 Cubes are enumerated by a fixed zig-zag pairing of (scale, center-index);
-centers walk a documented enumeration of the dyadic rationals of a bounded
-working box, and the cube at scale l has diagonal 2^{-l}.  The k-th
-functional integrates its argument over the k-th cube (exact per-cell
-interval intersection, so aligned step functions evaluate exactly), and
-the inner product is the 2^{-k}-weighted square sum of functional values.
+centers walk a documented enumeration of the dyadic rationals of the unit
+interval or the unit square, and the cube at scale l has diagonal 2^{-l}.
+The k-th functional integrates its argument over the part of the k-th cube
+inside the unit interval or square (exact per-cell interval intersection,
+so aligned step functions evaluate exactly), and the inner product is the
+2^{-k}-weighted square sum of functional values.
 Oscillating sequences that merely go weakly to zero in L^2 have norms
 here that genuinely decay, which is the point of the construction.
 
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import dyadic_weights
-from .spaces import GridFunction, _normalize_box, from_callable, lp_norm
+from .spaces import GridFunction, from_callable, lp_norm
 
 # The first eight (scale l, center index i) pairs, in enumeration order.
 PAIRING_PREFIX = ((1, 1), (2, 1), (1, 2), (1, 3), (2, 2), (3, 1), (3, 2), (2, 3))
@@ -65,13 +66,10 @@ def _positive_int(name: str, value) -> int:
 
 def _classic_pair(c: int) -> tuple[int, int]:
     """Anti-diagonal serpentine: diagonal s = l + i walked with l
-    descending for odd s and ascending for even s."""
-    s = 2
-    start = 1
-    while start + (s - 1) <= c:
-        start += s - 1
-        s += 1
-    o = c - start
+    descending for odd s and ascending for even s.  Diagonal s starts at
+    index 1 + (s-2)(s-1)/2, so s is the largest integer with that start <= c."""
+    s = (math.isqrt(8 * c - 7) + 3) // 2
+    o = c - 1 - (s - 2) * (s - 1) // 2
     if s % 2 == 1:
         return s - 1 - o, 1 + o
     return 1 + o, s - 1 - o
@@ -123,30 +121,25 @@ def _dyadic_unit(i: int) -> float:
         return 0.0
     if i == 2:
         return 1.0
-    level = 1
-    while i > 2**level + 1:
-        level += 1
+    # level L holds indices 2^(L-1) + 2 .. 2^L + 1
+    level = (i - 2).bit_length()
     j = i - (2 ** (level - 1) + 1)
     return (2 * j - 1) / 2.0**level
 
 
-def rational_center(n: int, i: int, box) -> tuple[float, ...]:
-    """The i-th point of the fixed dyadic enumeration of the box.
+def rational_center(n: int, i: int) -> tuple[float, ...]:
+    """The i-th point of the fixed dyadic enumeration of the unit interval
+    (n = 1) or the unit square (n = 2).
 
     For n = 2 the single index is unfolded through pairing_order and each
     factor walks the 1-D enumeration, so distinctness is inherited.
     """
-    box = _normalize_box(box)
-    if len(box) != n:
-        raise ValueError(f"box has {len(box)} axes, expected {n}")
     if n == 1:
-        units = (_dyadic_unit(i),)
-    elif n == 2:
+        return (_dyadic_unit(i),)
+    if n == 2:
         a, b = pairing_order(i)
-        units = (_dyadic_unit(a), _dyadic_unit(b))
-    else:
-        raise ValueError("cube systems are shipped for dimensions 1 and 2 only")
-    return tuple(lo + (hi - lo) * u for (lo, hi), u in zip(box, units))
+        return (_dyadic_unit(a), _dyadic_unit(b))
+    raise ValueError("cube systems are shipped for dimensions 1 and 2 only")
 
 
 @dataclass(frozen=True)
@@ -170,37 +163,31 @@ class Cube:
 
 @dataclass(frozen=True)
 class CubeSystem:
-    """Immutable enumeration of cubes over a working box."""
+    """Immutable enumeration of cubes over the unit interval (dim 1) or the
+    unit square (dim 2)."""
 
     dim: int
-    box: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if _positive_int("dim", self.dim) not in (1, 2):
             raise ValueError("cube systems are shipped for dimensions 1 and 2 only")
-        box = _normalize_box(self.box)
-        if len(box) != self.dim:
-            raise ValueError(f"box has {len(box)} axes, expected {self.dim}")
-        object.__setattr__(self, "box", box)
 
     def cube(self, k: int) -> Cube:
         if k not in self._cache:
             l, i = pairing_order(k)
-            self._cache[k] = Cube(center=rational_center(self.dim, i, self.box),
+            self._cache[k] = Cube(center=rational_center(self.dim, i),
                                   side=2.0**-l / math.sqrt(self.dim), l=l)
         return self._cache[k]
 
 
-def cube_system(n: int = 1, box=None) -> CubeSystem:
-    if box is None:
-        box = ((0.0, 1.0),) * n
-    return CubeSystem(dim=n, box=box)
+def cube_system(n: int = 1) -> CubeSystem:
+    return CubeSystem(dim=n)
 
 
 def _require_system_grid(f: GridFunction, system: CubeSystem):
-    if f.dim != system.dim or f.box != system.box:
-        raise ValueError("function grid does not live on the system's working box")
+    if f.dim != system.dim:
+        raise ValueError(f"a {f.dim}-D function does not live on a {system.dim}-D cube system")
 
 
 # Cells of overlap weights built at once in the 1-D path: a block holds
@@ -209,9 +196,9 @@ def _require_system_grid(f: GridFunction, system: CubeSystem):
 _BLOCK_CELLS = 2**15
 
 
-def _cell_edges(f: GridFunction, ax: int) -> np.ndarray:
-    lo, hi = f.box[ax]
-    return lo + (hi - lo) * np.arange(f.resolution + 1) / f.resolution
+def _cell_edges(f: GridFunction) -> np.ndarray:
+    """The M + 1 cell edges along each axis of f's grid."""
+    return np.arange(f.resolution + 1) / f.resolution
 
 
 def _overlaps(edges: np.ndarray, cubes: list[Cube], ax: int) -> np.ndarray:
@@ -229,23 +216,23 @@ def _integrals(f: GridFunction, ks, system: CubeSystem) -> np.ndarray:
     time, each row summed over all M cells; in 2-D one cube at a time."""
     _require_system_grid(f, system)
     cubes = [system.cube(k) for k in ks]
-    edges = [_cell_edges(f, ax) for ax in range(f.dim)]
+    edges = _cell_edges(f)
     out = np.empty(len(cubes), dtype=np.complex128)
     if f.dim == 1:
         rows = max(1, _BLOCK_CELLS // f.resolution)
         for s in range(0, len(cubes), rows):
-            w = _overlaps(edges[0], cubes[s:s + rows], 0)
+            w = _overlaps(edges, cubes[s:s + rows], 0)
             out[s:s + rows] = np.sum(f.values * w, axis=1)
     else:
         for j, cube in enumerate(cubes):
-            w0, w1 = (_overlaps(edges[ax], [cube], ax)[0] for ax in (0, 1))
+            w0, w1 = (_overlaps(edges, [cube], ax)[0] for ax in (0, 1))
             out[j] = w0 @ f.values @ w1
     return out
 
 
 def functional_Fk(f: GridFunction, k: int, system: CubeSystem) -> complex:
-    """Integral of f over the k-th cube intersected with the working box:
-    bit for bit entry k - 1 of ``functional_values``."""
+    """Integral of f over the part of the k-th cube inside the unit interval
+    or square: bit for bit entry k - 1 of ``functional_values``."""
     return complex(_integrals(f, [_positive_int("cube index", k)], system)[0])
 
 
@@ -351,14 +338,13 @@ def weak_strong_norms(m_max: int, K: int, system: CubeSystem,
     The sequence goes weakly to zero in L^2 without going strongly; under
     this norm it decays outright.
     """
-    if system.dim != 1 or system.box != ((0.0, 1.0),):
-        raise ValueError("the decay demonstration runs on the unit interval box")
+    if system.dim != 1:
+        raise ValueError("the decay demonstration runs on the unit interval")
     m_max = _positive_int("m_max", m_max)
     resolution = _positive_int("resolution", resolution)
     norms, k_max = [], 1
     for m in range(1, m_max + 1):
-        f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t),
-                          system.box, resolution)
+        f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t), resolution)
         v, k_eff = converged_values(f, K, system)
         norms.append(values_norm(v))
         k_max = max(k_max, k_eff)

@@ -14,6 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 
+# Relative Frobenius tolerance of the Hermitian test in hermitian_eigen; the
+# reconstructions of hermitian_eigen and svd are held to 10 times it.
+_TOL = 1e-12
+
+
 class EigenResult(NamedTuple):
     values: np.ndarray   # real, sorted descending
     vectors: np.ndarray  # columns orthonormal, vectors[:, k] pairs with values[k]
@@ -32,23 +37,21 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermitian_eigen(m, tol: float = 1e-12) -> EigenResult:
+def hermitian_eigen(m) -> EigenResult:
     """Full spectral decomposition of a Hermitian matrix, eigenvalues descending.
 
-    ``m`` must be square and Hermitian within ``tol`` (relative Frobenius).
+    ``m`` must be square and Hermitian within 1e-12 (relative Frobenius).
     The reconstruction ``V diag(w) V^H`` is checked against ``m`` before
-    returning; failure to reproduce the input within ``10 * tol`` is raised
+    returning; failure to reproduce the input within 1e-11 is raised
     rather than silently returned.
     """
     a = as_matrix(m)
     n, nc = a.shape
     if n != nc:
         raise ValueError("hermitian_eigen requires a square matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     scale = max(1.0, float(np.linalg.norm(a)))
     herm_defect = float(np.linalg.norm(a - a.conj().T))
-    if herm_defect > tol * scale:
+    if herm_defect > _TOL * scale:
         raise ValueError(f"matrix is not Hermitian within tol: defect={herm_defect:.3e}")
     try:
         w, v = np.linalg.eigh(a)
@@ -57,27 +60,25 @@ def hermitian_eigen(m, tol: float = 1e-12) -> EigenResult:
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
     resid = float(np.linalg.norm((v * w) @ v.conj().T - a))
-    if resid > 10.0 * tol * scale:
+    if resid > 10.0 * _TOL * scale:
         raise ArithmeticError(f"eigen reconstruction residual {resid:.3e} exceeds tolerance")
     return EigenResult(values=w, vectors=v)
 
 
-def svd(m, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition M = U diag(s) V^H with s descending.
 
     Returns (U, s, V); note V, not V^H.  Reconstruction is verified to
-    ``10 * tol * ||M||_F``.
+    1e-11 * max(1, ||M||_F).
     """
     a = as_matrix(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ArithmeticError(f"svd failed to converge: {exc}") from exc
     scale = max(1.0, float(np.linalg.norm(a)))
     resid = float(np.linalg.norm((u * s) @ vh - a))
-    if resid > 10.0 * tol * scale:
+    if resid > 10.0 * _TOL * scale:
         raise ArithmeticError(f"svd reconstruction residual {resid:.3e} exceeds tolerance")
     return u, s, vh.conj().T
 

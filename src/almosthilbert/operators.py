@@ -303,7 +303,7 @@ def finite_difference_operator(a: GridFunction, b: GridFunction,
     b._require_same_grid(grid)
     if float(np.min(a.values.real)) <= 0.0:
         raise ValueError("ellipticity violated: a(x) must be bounded below by a positive constant")
-    h = grid.spacing[0]
+    h = grid.spacing
     x = grid.midpoints()
     u = space.basis.synthesis  # row m is the member E_m
     d2 = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h**2

@@ -254,7 +254,7 @@ class _Run:
         return from_h_matrix(a + a.conj().T, self.space())
 
     def step(self) -> GridFunction:
-        return GridFunction(((0.0, 1.0),), np.repeat(self.coeffs(8), self.params.grid // 8))
+        return GridFunction(np.repeat(self.coeffs(8), self.params.grid // 8))
 
     def seed(self) -> int:
         return int(self.rng.integers(0, 2**62))
@@ -311,7 +311,7 @@ def _chk_duality_homogeneity(run, x):
 
 def _draw_grid_values(run, i):
     basis = run.space().basis
-    return GridFunction(basis.box, run.coeffs(basis.synthesis.shape[1]))
+    return GridFunction(run.coeffs(basis.synthesis.shape[1]))
 
 
 @_check("coefficient-projection", "embedding", tol=1e-10, count=100, draw=_draw_grid_values)
@@ -616,7 +616,7 @@ def _chk_fundamentality(run, f):
 
 @_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, draw=_draw_step)
 def _chk_ks2_embedding(run, f):
-    # ||f||_1 <= ||f||_q on the unit box for every q >= 1, so the q = 1 bound
+    # ||f||_1 <= ||f||_q on the unit interval for every q >= 1, so the q = 1 bound
     # already implies every finite q.
     qs = (1.0, 2.0, np.inf)
     run.extra["q_list"] = ",".join(f"{q:g}" for q in qs)
@@ -696,7 +696,7 @@ def _chk_pv_convergence(run, x):
 
 
 @_check("riesz-symmetry", "integral", tol=1e-8, count=50,
-        draw=lambda run, i: [GridFunction(((0.0, 1.0),), run.coeffs(run.params.grid))
+        draw=lambda run, i: [GridFunction(run.coeffs(run.params.grid))
                              for _ in range(2)])
 def _chk_riesz_symmetry(run, x):
     f, g = x
@@ -707,8 +707,7 @@ def _chk_riesz_symmetry(run, x):
 
 
 @_check("riesz-positivity", "integral", tol=1e-8, count=100,
-        draw=lambda run, i: GridFunction(((0.0, 1.0),),
-                                         run.rng.standard_normal(run.params.grid) + 0.0j))
+        draw=lambda run, i: GridFunction(run.rng.standard_normal(run.params.grid) + 0.0j))
 def _chk_riesz_positivity(run, f):
     alpha = run.extra["alpha"] = run.params.alpha
     return -float(pairing(integrals.riesz_potential(f, alpha), f).real)

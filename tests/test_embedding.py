@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from almosthilbert import spaces
 from almosthilbert.embedding import (
     dyadic_weights,
     embedding_space,
@@ -12,7 +11,7 @@ from almosthilbert.embedding import (
     h_norm,
     jb_apply,
 )
-from almosthilbert.spaces import coefficients, fourier_sbasis, lp_norm, reconstruct
+from almosthilbert.spaces import GridFunction, coefficients, fourier_sbasis, lp_norm, reconstruct
 
 
 def make_space(N=4, p=2, resolution=128):
@@ -54,7 +53,7 @@ class TestHInner:
 
     def test_zero_vector(self):
         space = make_space()
-        z = spaces.zeros((0.0, 1.0), 128)
+        z = GridFunction(np.zeros(128))
         assert h_inner(space.basis.member(0), z, space) == 0
 
     def test_hermitian(self):
@@ -73,7 +72,7 @@ class TestHNorm:
 
     def test_zero(self):
         space = make_space()
-        assert h_norm(spaces.zeros((0.0, 1.0), 128), space) == 0.0
+        assert h_norm(GridFunction(np.zeros(128)), space) == 0.0
 
     def test_bounded_by_sup_coefficient(self):
         rng = np.random.default_rng(3)
@@ -115,7 +114,7 @@ class TestJb:
 
     def test_zero_functional(self):
         space = make_space()
-        z = spaces.zeros((0.0, 1.0), 128)
+        z = GridFunction(np.zeros(128))
         v = space.basis.member(1)
         assert evaluate(jb_apply(z, space), v) == 0
 

@@ -11,9 +11,6 @@ from almosthilbert.integrals import (
 )
 from almosthilbert.spaces import GridFunction, from_callable, lp_norm, pairing
 
-UNIT_BOX = ((0.0, 1.0),)
-
-
 def cosine(m, k=1):
     return signal_from_callable(lambda t: np.cos(2.0 * np.pi * k * t), m)
 
@@ -36,8 +33,8 @@ def reference_signal_inner(f, g):
 
 
 class TestPeriodicSignal:
-    """A periodic signal is a GridFunction on the unit box; the transforms
-    refuse every other grid function."""
+    """A periodic signal is a GridFunction on the unit interval; the
+    transforms refuse every other grid function."""
 
     TRANSFORMS = (hilbert_multiplier, lambda f: hilbert_pv(f, 0.5))
 
@@ -45,40 +42,43 @@ class TestPeriodicSignal:
         for m in (2, 3, 5, 6, 12, 1000):
             for op in self.TRANSFORMS:
                 with pytest.raises(ValueError, match="power of two"):
-                    op(GridFunction(UNIT_BOX, np.zeros(m)))
+                    op(GridFunction(np.zeros(m)))
 
     def test_rejects_non_finite(self):
         vals = np.zeros(8)
         vals[3] = np.nan
         for op in self.TRANSFORMS:
             with pytest.raises(ValueError, match="finite"):
-                op(GridFunction(UNIT_BOX, vals))
+                op(GridFunction(vals))
 
     def test_rejects_matrix(self):
-        f = GridFunction(((0.0, 1.0), (0.0, 1.0)), np.zeros((4, 4)))
+        f = GridFunction(np.zeros((4, 4)))
         for op in self.TRANSFORMS:
             with pytest.raises(ValueError, match="1-D"):
                 op(f)
 
     def test_rejects_wrong_box(self):
-        for box in (((0.0, 2.0),), ((-0.5, 0.5),)):
-            for op in self.TRANSFORMS:
-                with pytest.raises(ValueError, match="box"):
-                    op(GridFunction(box, np.zeros(8)))
+        # the unit square is not a signal's domain, and signals of two
+        # lengths do not combine
+        for op in self.TRANSFORMS:
+            with pytest.raises(ValueError, match="unit interval"):
+                op(GridFunction(np.zeros((8, 8))))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            cosine(8) + cosine(16)
 
     def test_arithmetic(self):
-        # sums and multiples of signals stay signals: same box, same size
+        # sums and multiples of signals stay signals: same dimension, same size
         f, g = cosine(16), sine(16)
         for h, vals in ((f + g, f.values + g.values), (f - g, f.values - g.values),
                         (2.0 * f, 2.0 * f.values)):
-            assert h.box == UNIT_BOX
+            assert h.values.shape == (16,)
             np.testing.assert_allclose(h.values, vals)
         np.testing.assert_allclose(hilbert_multiplier(f + 2.0 * g).values,
                                    (hilbert_multiplier(f) + 2.0 * hilbert_multiplier(g)).values,
                                    atol=1e-14)
 
     def test_norms(self):
-        one = GridFunction(UNIT_BOX, np.ones(32))
+        one = GridFunction(np.ones(32))
         assert lp_norm(one, 2) == pytest.approx(1.0)
         assert lp_norm(one, np.inf) == 1.0
         assert lp_norm(cosine(64), 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
@@ -98,7 +98,7 @@ class TestPeriodicSignal:
         # Multiplying by the cell volume 1/M is exact for power-of-two M,
         # the same as dividing by M.
         rng = np.random.default_rng(m)
-        f, g = (GridFunction(UNIT_BOX, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        f, g = (GridFunction(rng.standard_normal(m) + 1j * rng.standard_normal(m))
                 for _ in range(2))
         for p in (1.5, 2, 3, np.inf):
             assert lp_norm(f, p) == reference_signal_lp_norm(f, p)
@@ -115,7 +115,7 @@ class TestMultiplier:
         np.testing.assert_allclose(out.values, -cosine(256).values, atol=1e-12)
 
     def test_constant_annihilated(self):
-        out = hilbert_multiplier(GridFunction(UNIT_BOX, np.full(64, 3.0 - 2.0j)))
+        out = hilbert_multiplier(GridFunction(np.full(64, 3.0 - 2.0j)))
         np.testing.assert_allclose(out.values, 0.0, atol=1e-13)
 
     def test_isometry_on_mean_zero(self):
@@ -136,7 +136,7 @@ class TestMultiplier:
 
 class TestPrincipalValue:
     def test_constant_cancels(self):
-        out = hilbert_pv(GridFunction(UNIT_BOX, np.full(512, 2.0)), 4.0 / 512)
+        out = hilbert_pv(GridFunction(np.full(512, 2.0)), 4.0 / 512)
         assert np.max(np.abs(out.values)) <= 1e-10
 
     def test_cross_path_gap(self):
@@ -221,14 +221,14 @@ class TestAdjointRelation:
     def test_skew_quadratic_form_imaginary(self):
         rng = np.random.default_rng(54)
         for _ in range(20):
-            f = GridFunction(UNIT_BOX, random_bandlimited(rng, 256).values.real)
+            f = GridFunction(random_bandlimited(rng, 256).values.real)
             form = pairing(hilbert_multiplier(f), f)
             assert abs(form.real) <= 1e-12
 
 
 class TestRieszPotential:
     def test_zero(self):
-        z = GridFunction(((0.0, 1.0),), np.zeros(128))
+        z = GridFunction(np.zeros(128))
         np.testing.assert_array_equal(riesz_potential(z, 0.5).values, np.zeros(128))
 
     def test_gamma_half(self):
@@ -237,7 +237,7 @@ class TestRieszPotential:
     def test_spot_value_constant(self):
         res = 8192
         alpha = 0.5
-        one = from_callable(lambda t: np.ones_like(t), ((0.0, 1.0),), res)
+        one = from_callable(lambda t: np.ones_like(t), res)
         out = riesz_potential(one, alpha)
         closed = 2.0 * 0.5**alpha / alpha / riesz_gamma(alpha)
         assert out.values[res // 2].real == pytest.approx(closed, abs=1e-4)
@@ -246,7 +246,7 @@ class TestRieszPotential:
         # cell integrals telescope, so the only error is floating rounding
         res = 256
         alpha = 0.3
-        one = from_callable(lambda t: np.ones_like(t), ((0.0, 1.0),), res)
+        one = from_callable(lambda t: np.ones_like(t), res)
         out = riesz_potential(one, alpha)
         x = (np.arange(res) + 0.5) / res
         closed = (x**alpha + (1.0 - x) ** alpha) / alpha / riesz_gamma(alpha)
@@ -256,9 +256,9 @@ class TestRieszPotential:
         rng = np.random.default_rng(57)
         for alpha in (0.4, 0.25):
             for _ in range(20):
-                f = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
+                f = GridFunction(rng.standard_normal(512)
                                  + 1j * rng.standard_normal(512))
-                g = GridFunction(((0.0, 1.0),), rng.standard_normal(512)
+                g = GridFunction(rng.standard_normal(512)
                                  + 1j * rng.standard_normal(512))
                 lhs = pairing(riesz_potential(f, alpha), g)
                 rhs = pairing(f, riesz_potential(g, alpha))
@@ -268,7 +268,7 @@ class TestRieszPotential:
         rng = np.random.default_rng(58)
         for alpha in (0.3, 0.5, 0.7):
             for _ in range(20):
-                f = GridFunction(((0.0, 1.0),), rng.standard_normal(256))
+                f = GridFunction(rng.standard_normal(256))
                 assert pairing(riesz_potential(f, alpha), f).real >= -1e-8
 
     @pytest.mark.parametrize("res", [16, 100, 256, 4096])
@@ -281,16 +281,16 @@ class TestRieszPotential:
         antiderivative = np.sign(u) * np.abs(u) ** alpha / alpha
         kern = np.diff(antiderivative)  # cell integrals of |x - y|^(alpha-1)
         ref = np.convolve(values, kern)[res - 1: 2 * res - 1] / riesz_gamma(alpha)
-        out = riesz_potential(GridFunction(UNIT_BOX, values), alpha).values
+        out = riesz_potential(GridFunction(values), alpha).values
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_rejects_bad_order(self):
-        f = GridFunction(((0.0, 1.0),), np.ones(64))
+        f = GridFunction(np.ones(64))
         for alpha in (0.0, 1.0, -0.2, 1.4):
             with pytest.raises(ValueError, match="order"):
                 riesz_potential(f, alpha)
 
     def test_rejects_two_dim(self):
-        f = GridFunction(((0.0, 1.0), (0.0, 1.0)), np.ones((8, 8)))
+        f = GridFunction(np.ones((8, 8)))
         with pytest.raises(ValueError, match="1-D"):
             riesz_potential(f, 0.5)

@@ -31,13 +31,13 @@ from almosthilbert.suites import SuiteParams, run_suite
 UNIT = cube_system(1)
 
 
-def constant_one(resolution=512, box=((0.0, 1.0),)):
-    return from_callable(lambda t: np.ones_like(t), box, resolution)
+def constant_one(resolution=512):
+    return from_callable(lambda t: np.ones_like(t), resolution)
 
 
 def random_step(rng, levels=8, resolution=256):
     vals = rng.standard_normal(levels) + 1j * rng.standard_normal(levels)
-    return GridFunction(((0.0, 1.0),), np.repeat(vals, resolution // levels))
+    return GridFunction(np.repeat(vals, resolution // levels))
 
 
 def reference_values(f, K, system):
@@ -47,8 +47,8 @@ def reference_values(f, K, system):
     for k in range(1, K + 1):
         cube = system.cube(k)
         w = []
-        for ax, (lo, hi) in enumerate(f.box):
-            edges = lo + (hi - lo) * np.arange(f.resolution + 1) / f.resolution
+        for ax in range(f.dim):
+            edges = np.arange(f.resolution + 1) / f.resolution
             a = cube.center[ax] - cube.side / 2.0
             b = cube.center[ax] + cube.side / 2.0
             w.append(np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None))
@@ -57,10 +57,36 @@ def reference_values(f, K, system):
     return np.array(out, dtype=np.complex128)
 
 
+def reference_classic_pair(c):
+    """The diagonal walk the closed form in ``ks2._classic_pair`` replaces."""
+    s = 2
+    start = 1
+    while start + (s - 1) <= c:
+        start += s - 1
+        s += 1
+    o = c - start
+    if s % 2 == 1:
+        return s - 1 - o, 1 + o
+    return 1 + o, s - 1 - o
+
+
+def reference_dyadic_unit(i):
+    """The level loop the bit length in ``ks2._dyadic_unit`` replaces."""
+    if i == 1:
+        return 0.0
+    if i == 2:
+        return 1.0
+    level = 1
+    while i > 2**level + 1:
+        level += 1
+    j = i - (2 ** (level - 1) + 1)
+    return (2 * j - 1) / 2.0**level
+
+
 def kernel_input(kind, resolution):
     if kind == "step":
         return random_step(np.random.default_rng(resolution), resolution=resolution)
-    return from_callable(lambda t: np.sin(2.0 * np.pi * 7 * t), ((0.0, 1.0),), resolution)
+    return from_callable(lambda t: np.sin(2.0 * np.pi * 7 * t), resolution)
 
 
 class TestPairingOrder:
@@ -84,6 +110,18 @@ class TestPairingOrder:
             for i in range(1, 41):
                 assert pairing_order(inverse_pairing(l, i)) == (l, i)
 
+    def test_closed_form_matches_diagonal_walk(self):
+        # every index up to 2 * 10^4, then the first, second and last index
+        # of every diagonal up to 10^5
+        starts = [1 + (s - 2) * (s - 1) // 2 for s in range(2, 450)]
+        edges = {c + d for c in starts for d in (-1, 0, 1) if 2 * 10**4 < c + d <= 10**5}
+        for c in [*range(1, 2 * 10**4 + 1), *sorted(edges)]:
+            assert ks2._classic_pair(c) == reference_classic_pair(c), c
+
+    def test_closed_form_inverts_at_large_index(self):
+        for c in (10**12, 10**15 + 7, 2**52 + 3):
+            assert ks2._classic_index(*ks2._classic_pair(c)) == c
+
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             pairing_order(0)
@@ -95,26 +133,25 @@ class TestPairingOrder:
 
 class TestRationalCenter:
     def test_first_points(self):
-        pts = [rational_center(1, i, ((0.0, 1.0),))[0] for i in range(1, 7)]
+        pts = [rational_center(1, i)[0] for i in range(1, 7)]
         assert pts == [0.0, 1.0, 0.5, 0.25, 0.75, 0.125]
 
     def test_distinct_prefix(self):
-        pts = {rational_center(1, i, ((0.0, 1.0),)) for i in range(1, 1001)}
+        pts = {rational_center(1, i) for i in range(1, 1001)}
         assert len(pts) == 1000
 
-    def test_box_scaling(self):
-        assert rational_center(1, 3, ((-2.0, 2.0),)) == (0.0,)
-        assert rational_center(1, 2, ((-2.0, 2.0),)) == (2.0,)
+    def test_level_bit_length_matches_loop(self):
+        for i in range(1, 10**5 + 1):
+            assert ks2._dyadic_unit(i) == reference_dyadic_unit(i), i
 
     def test_two_dimensional(self):
-        box = ((0.0, 1.0), (0.0, 1.0))
-        assert rational_center(2, 1, box) == (0.0, 0.0)
-        pts = {rational_center(2, i, box) for i in range(1, 201)}
+        assert rational_center(2, 1) == (0.0, 0.0)
+        pts = {rational_center(2, i) for i in range(1, 201)}
         assert len(pts) == 200
 
     def test_rejects_higher_dim(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
-            rational_center(3, 1, ((0.0, 1.0),) * 3)
+            rational_center(3, 1)
 
 
 class TestCubes:
@@ -140,6 +177,12 @@ class TestCubes:
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
             cube_system(3)
 
+    @pytest.mark.parametrize("dim, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError),
+                                            (0, ValueError), (3, ValueError)])
+    def test_rejects_bad_dim(self, dim, error):
+        with pytest.raises(error):
+            cube_system(dim)
+
 
 class TestFunctional:
     def test_hand_overlaps_for_constant(self):
@@ -151,7 +194,7 @@ class TestFunctional:
     def test_prefix_doubles_past_the_first(self, monkeypatch):
         # Every early cube covers an even count of cells of the alternating
         # function, so its functionals vanish and K_eff lies past 128.
-        f = GridFunction(((0.0, 1.0),), (-1.0) ** np.arange(4096))
+        f = GridFunction((-1.0) ** np.arange(4096))
         full = functional_values(f, 1024, UNIT)
         lengths = []
         original = ks2.functional_values
@@ -166,18 +209,18 @@ class TestFunctional:
         assert not np.any(v[k_eff:])
 
     def test_zero_function(self):
-        z = GridFunction(((0.0, 1.0),), np.zeros(64))
+        z = GridFunction(np.zeros(64))
         assert functional_Fk(z, 7, UNIT) == 0.0
 
     def test_aligned_step_exact(self):
-        f = GridFunction(((0.0, 1.0),), np.where(np.arange(64) < 32, 1.0, 0.0))
+        f = GridFunction(np.where(np.arange(64) < 32, 1.0, 0.0))
         # cube 4 is [1/4, 3/4]; the step lives on [0, 1/2)
         assert functional_Fk(f, 4, UNIT) == pytest.approx(0.25, abs=1e-15)
 
     def test_l1_contraction(self):
         rng = np.random.default_rng(40)
         for _ in range(100):
-            f = GridFunction(((0.0, 1.0),), rng.standard_normal(256)
+            f = GridFunction(rng.standard_normal(256)
                              + 1j * rng.standard_normal(256))
             l1 = float(np.sum(np.abs(f.values)) / 256)
             for k in (1, 2, 7, 19, 32):
@@ -185,16 +228,15 @@ class TestFunctional:
 
     def test_two_dimensional_constant(self):
         system = cube_system(2)
-        box = ((0.0, 1.0), (0.0, 1.0))
-        one = from_callable(lambda x, y: np.ones(np.broadcast_shapes(x.shape, y.shape)),
-                            box, 128)
-        # corner cube at scale 1: quarter of its area lands in the box
+        one = GridFunction(np.ones((128, 128)))
+        # corner cube at scale 1: quarter of its area lands in the unit square
         assert functional_Fk(one, 1, system) == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     def test_grid_mismatch(self):
-        f = GridFunction(((0.0, 2.0),), np.ones(64))
-        with pytest.raises(ValueError, match="working box"):
-            functional_Fk(f, 1, UNIT)
+        for f, system in ((GridFunction(np.ones((64, 64))), UNIT),
+                          (GridFunction(np.ones(64)), cube_system(2))):
+            with pytest.raises(ValueError, match="cube system"):
+                functional_Fk(f, 1, system)
 
     @pytest.mark.parametrize("k, error", [(2.5, TypeError), (True, TypeError), ("3", TypeError),
                                           (0, ValueError), (-2, ValueError)])
@@ -230,8 +272,7 @@ class TestKernelBitwise:
     def test_two_dimensional(self):
         system = cube_system(2)
         rng = np.random.default_rng(50)
-        f = GridFunction(((0.0, 1.0), (0.0, 1.0)),
-                         rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
+        f = GridFunction(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         vals = functional_values(f, 40, system)
         assert vals.tobytes() == reference_values(f, 40, system).tobytes()
         for k in range(1, 41):
@@ -241,7 +282,7 @@ class TestKernelBitwise:
 class TestInnerProduct:
     def test_zero_argument(self):
         one = constant_one()
-        z = GridFunction(((0.0, 1.0),), np.zeros(512))
+        z = GridFunction(np.zeros(512))
         assert ks2_inner(one, z, 32, UNIT) == 0.0
 
     def test_nonnegative_selfpairing(self):
@@ -305,10 +346,10 @@ class TestInnerProduct:
             assert np.max(np.abs(functional_values(f, 256, UNIT))) > 0.0
 
     def test_grid_mismatch(self):
-        f = GridFunction(((0.0, 1.0),), np.ones(64))
-        g = GridFunction(((0.0, 1.0),), np.ones(128))
-        with pytest.raises(ValueError):
-            ks2_inner(f, g, 8, UNIT)
+        f = GridFunction(np.ones(64))
+        for g in (GridFunction(np.ones(128)), GridFunction(np.ones((64, 64)))):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                ks2_inner(f, g, 8, UNIT)
 
     @pytest.mark.parametrize("K, error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)])
     def test_tail_bound_rejects_bad_truncation(self, K, error):
@@ -385,7 +426,7 @@ class TestEffectiveTruncation:
         assert abs(values_norm(v) - values_norm(full)) <= EPS * values_norm(full)
 
     def test_zero_function(self):
-        z = GridFunction(((0.0, 1.0),), np.zeros(512))
+        z = GridFunction(np.zeros(512))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v, k_eff = converged_values(z, 64, UNIT)
@@ -430,7 +471,7 @@ def bound_holds(f, q, K=64):
 
 class TestEmbeddingBound:
     def test_zero(self):
-        z = GridFunction(((0.0, 1.0),), np.zeros(128))
+        z = GridFunction(np.zeros(128))
         assert embedding_bounds(z, [1.0, 2.0, np.inf]) == [0.0, 0.0, 0.0]
         assert ks2_norm(z, 64, UNIT) == 0.0
         assert tail_bound(z, 64) == 0.0
@@ -463,13 +504,12 @@ class TestEmbeddingBound:
 
 class TestWeakStrong:
     def test_zero_frequency_norm(self):
-        z = GridFunction(((0.0, 1.0),), np.zeros(512))
+        z = GridFunction(np.zeros(512))
         assert ks2_norm(z, 64, UNIT) == 0.0
 
     def test_per_functional_envelope(self):
         for m in (1, 2, 4, 8, 16, 32, 64):
-            f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t),
-                              ((0.0, 1.0),), 4096)
+            f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t), 4096)
             for k in range(1, 9):
                 assert abs(functional_Fk(f, k, UNIT)) <= 1.0 / (np.pi * m) + 5e-3
 
@@ -478,13 +518,12 @@ class TestWeakStrong:
         assert len(norms) == 64
         assert 1 <= k_eff < 256
         assert norms[-1] / norms[0] <= 0.2
-        f = from_callable(lambda t: np.sin(2.0 * np.pi * t), ((0.0, 1.0),), 1024)
+        f = from_callable(lambda t: np.sin(2.0 * np.pi * t), 1024)
         assert norms[0] == ks2_norm(f, 256, UNIT)
 
     def test_rejects_wrong_box(self):
-        system = cube_system(1, ((-1.0, 1.0),))
         with pytest.raises(ValueError, match="unit interval"):
-            weak_strong_norms(4, 16, system)
+            weak_strong_norms(4, 16, cube_system(2))
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):

@@ -402,12 +402,12 @@ class TestFiniteDifference:
     def test_laplacian_selfadjoint_and_diagonal(self):
         space = self._uniform_space()
         grid = space.basis.grid
-        one = from_callable(lambda t: np.ones_like(t), grid.box, grid.resolution)
-        zero = from_callable(lambda t: np.zeros_like(t), grid.box, grid.resolution)
+        one = from_callable(lambda t: np.ones_like(t), grid.resolution)
+        zero = from_callable(lambda t: np.zeros_like(t), grid.resolution)
         A = finite_difference_operator(one, zero, space)
         scale = np.linalg.norm(A.matrix)
         assert is_naturally_selfadjoint(A, tol=1e-10 * scale)
-        h = grid.spacing[0]
+        h = grid.spacing
         for n in range(space.dim):
             freq = (n + 1) // 2
             expected = (2.0 * np.cos(2 * np.pi * freq * h) - 2.0) / h**2
@@ -416,9 +416,9 @@ class TestFiniteDifference:
     def test_doubled_coefficient_scales_eigenvalues(self):
         space = self._uniform_space()
         grid = space.basis.grid
-        one = from_callable(lambda t: np.ones_like(t), grid.box, grid.resolution)
-        two = from_callable(lambda t: 2.0 * np.ones_like(t), grid.box, grid.resolution)
-        zero = from_callable(lambda t: np.zeros_like(t), grid.box, grid.resolution)
+        one = from_callable(lambda t: np.ones_like(t), grid.resolution)
+        two = from_callable(lambda t: 2.0 * np.ones_like(t), grid.resolution)
+        zero = from_callable(lambda t: np.zeros_like(t), grid.resolution)
         A1 = finite_difference_operator(one, zero, space)
         A2 = finite_difference_operator(two, zero, space)
         lam1 = np.sort(numerics.general_eigenvalues(A1.matrix).real)
@@ -428,15 +428,15 @@ class TestFiniteDifference:
     def test_drift_breaks_selfadjointness(self):
         space = self._uniform_space()
         grid = space.basis.grid
-        one = from_callable(lambda t: np.ones_like(t), grid.box, grid.resolution)
+        one = from_callable(lambda t: np.ones_like(t), grid.resolution)
         A = finite_difference_operator(one, one, space)
         assert np.linalg.norm(A.matrix - adjoint(A).matrix) > 1e-3
 
     def test_ellipticity_enforced(self):
         space = self._uniform_space()
         grid = space.basis.grid
-        bad = from_callable(lambda t: t - 0.5, grid.box, grid.resolution)
-        zero = from_callable(lambda t: np.zeros_like(t), grid.box, grid.resolution)
+        bad = from_callable(lambda t: t - 0.5, grid.resolution)
+        zero = from_callable(lambda t: np.zeros_like(t), grid.resolution)
         with pytest.raises(ValueError, match="llipticity"):
             finite_difference_operator(bad, zero, space)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almosthilbert import spaces
 from almosthilbert.embedding import embedding_space, gram_matrix
 from almosthilbert.spaces import (
     GridFunction,
@@ -15,9 +14,6 @@ from almosthilbert.spaces import (
     pairing,
     reconstruct,
 )
-
-BOX = (0.0, 1.0)
-
 
 def random_trig_poly(basis, rng, scale=1.0):
     c = scale * (rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis)))
@@ -37,7 +33,7 @@ def reference_sbasis(N, p, resolution):
             g = np.cos(2.0 * np.pi * freq * t).astype(np.complex128)
         else:
             g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
-        raw = GridFunction(((0.0, 1.0),), g)
+        raw = GridFunction(g)
         member = (1.0 / lp_norm(raw, p)) * raw
         members.append(member)
         duals.append((1.0 / np.real(pairing(member, raw))) * raw)
@@ -54,73 +50,83 @@ def reference_gram(members, duals, weights):
 
 
 class TestGridFunction:
-    def test_rejects_flat_box(self):
-        with pytest.raises(ValueError, match="positive volume"):
-            GridFunction(((1.0, 1.0),), np.zeros(4))
-
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            GridFunction(((0.0, 1.0), (0.0, 1.0)), np.zeros(4))
+        for shape in ((), (0,), (4, 8), (2, 2, 2)):
+            with pytest.raises(ValueError):
+                GridFunction(np.zeros(shape))
 
     def test_midpoints(self):
-        f = spaces.zeros(BOX, 4)
+        f = GridFunction(np.zeros(4))
         np.testing.assert_allclose(f.midpoints(), [0.125, 0.375, 0.625, 0.875])
 
+    def test_unit_interval_formulas_at_basis_resolution(self):
+        # M = 424 is the basis grid at N = 53, where 1/M is inexact: the
+        # midpoints and cell volume are (1/M)(k + 1/2) and 1/M as written.
+        m = 424
+        expected = (1.0 / m) * (np.arange(m) + 0.5)
+        f = from_callable(lambda t: t, m)
+        assert f.midpoints().tobytes() == expected.tobytes()
+        assert f.values.real.tobytes() == expected.tobytes()
+        assert f.cell_volume == 1.0 / m
+        assert GridFunction(np.zeros((m, m))).cell_volume == (1.0 / m) * (1.0 / m)
+
     def test_cell_volume_2d(self):
-        f = spaces.zeros(((0.0, 1.0), (0.0, 2.0)), 8)
-        assert f.cell_volume == pytest.approx((1 / 8) * (2 / 8))
+        f = GridFunction(np.zeros((8, 8)))
+        assert f.dim == 2
+        assert f.cell_volume == 1 / 64
 
     def test_arithmetic(self):
-        f = from_callable(lambda t: t, BOX, 16)
+        f = from_callable(lambda t: t, 16)
         g = 2.0 * f - f
         np.testing.assert_allclose(g.values, f.values)
 
 
 class TestLpNorm:
     def test_zero(self):
-        assert lp_norm(spaces.zeros(BOX, 8), 2) == 0.0
+        assert lp_norm(GridFunction(np.zeros(8)), 2) == 0.0
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, 4, np.inf])
     def test_unit_constant(self, p):
-        f = from_callable(lambda t: np.ones_like(t), BOX, 64)
+        f = from_callable(lambda t: np.ones_like(t), 64)
         assert lp_norm(f, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_function_closed_form(self):
-        f = from_callable(lambda t: t, BOX, 4096)
+        f = from_callable(lambda t: t, 4096)
         assert lp_norm(f, 2) == pytest.approx(1 / np.sqrt(3), abs=1e-4)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
-            lp_norm(spaces.zeros(BOX, 8), 0.5)
+            lp_norm(GridFunction(np.zeros(8)), 0.5)
 
 
 class TestPairing:
     def test_zero_functional(self):
-        f = from_callable(lambda t: np.exp(2j * np.pi * t), BOX, 32)
-        assert pairing(f, spaces.zeros(BOX, 32)) == 0
+        f = from_callable(lambda t: np.exp(2j * np.pi * t), 32)
+        assert pairing(f, GridFunction(np.zeros(32))) == 0
 
     def test_unit_constants(self):
-        one = from_callable(lambda t: np.ones_like(t), BOX, 32)
+        one = from_callable(lambda t: np.ones_like(t), 32)
         assert pairing(one, one) == pytest.approx(1.0)
 
     def test_sine_closed_form(self):
-        f = from_callable(lambda t: np.sin(2 * np.pi * t), BOX, 4096)
+        f = from_callable(lambda t: np.sin(2 * np.pi * t), 4096)
         assert pairing(f, f) == pytest.approx(0.5, abs=1e-6)
 
     def test_conjugates_second_argument(self):
-        f = from_callable(lambda t: np.ones_like(t), BOX, 16)
+        f = from_callable(lambda t: np.ones_like(t), 16)
         g = 1j * f
         assert pairing(f, g) == pytest.approx(-1j)
         assert pairing(g, f) == pytest.approx(1j)
 
     def test_grid_mismatch(self):
-        with pytest.raises(ValueError, match="grid mismatch"):
-            pairing(spaces.zeros(BOX, 8), spaces.zeros(BOX, 16))
+        for other in (np.zeros(16), np.zeros((8, 8))):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                pairing(GridFunction(np.zeros(8)), GridFunction(other))
 
 
 class TestDualityMap:
     def test_constant_p3(self):
-        u = from_callable(lambda t: np.ones_like(t), BOX, 64)
+        u = from_callable(lambda t: np.ones_like(t), 64)
         ustar = duality_map(u, 3)
         np.testing.assert_allclose(ustar.values, 1.0, atol=1e-12)
         assert pairing(u, ustar) == pytest.approx(1.0)
@@ -132,11 +138,11 @@ class TestDualityMap:
         np.testing.assert_allclose(duality_map(u, 2).values, u.values, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        z = duality_map(spaces.zeros(BOX, 16), 1.5)
+        z = duality_map(GridFunction(np.zeros(16)), 1.5)
         np.testing.assert_array_equal(z.values, 0)
 
     def test_sine_identity_p4(self):
-        u = from_callable(lambda t: np.sin(2 * np.pi * t), BOX, 4096)
+        u = from_callable(lambda t: np.sin(2 * np.pi * t), 4096)
         ustar = duality_map(u, 4)
         n2 = lp_norm(u, 4) ** 2
         assert pairing(u, ustar) == pytest.approx(n2, rel=1e-6)
@@ -163,20 +169,20 @@ class TestDualityMap:
         c = complex(re, im)
         if abs(c) < 1e-3:
             return
-        u = from_callable(lambda t: np.sin(2 * np.pi * t) + 0.3, BOX, 64)
+        u = from_callable(lambda t: np.sin(2 * np.pi * t) + 0.3, 64)
         lhs = duality_map(c * u, p)
         rhs = c * duality_map(u, p)
         assert lp_norm(lhs - rhs, 2) <= 1e-8 * max(1.0, lp_norm(rhs, 2))
 
     def test_positive_homogeneity_tight(self):
-        u = from_callable(lambda t: np.cos(2 * np.pi * t) - 0.2, BOX, 128)
+        u = from_callable(lambda t: np.cos(2 * np.pi * t) - 0.2, 128)
         for c in (0.5, 2.0, 7.5):
             lhs = duality_map(c * u, 3)
             rhs = c * duality_map(u, 3)
             assert lp_norm(lhs - rhs, np.inf) <= 1e-10 * lp_norm(rhs, np.inf)
 
     def test_rejects_bad_p(self):
-        u = from_callable(lambda t: t, BOX, 16)
+        u = from_callable(lambda t: t, 16)
         for p in (1.0, np.inf, 0.5):
             with pytest.raises(ValueError):
                 duality_map(u, p)
@@ -186,7 +192,7 @@ class TestFourierBasis:
     def test_single_member_is_constant(self):
         basis = fourier_sbasis(1, 2, 16)
         np.testing.assert_allclose(basis.member(0).values, 1.0, atol=1e-14)
-        one = from_callable(lambda t: np.ones_like(t), BOX, 16)
+        one = from_callable(lambda t: np.ones_like(t), 16)
         assert coefficients(one, basis)[0] == pytest.approx(1.0)
 
     def test_biorthonormality_matrix(self):
@@ -232,11 +238,12 @@ class TestSchauderBasis:
     ], ids=["rows", "cells", "no-rows", "no-cells", "vector"])
     def test_rejects_bad_arrays(self, synthesis, analysis):
         with pytest.raises(ValueError, match="nonempty"):
-            SchauderBasis(BOX, synthesis, analysis, 2.0)
+            SchauderBasis(synthesis, analysis, 2.0)
 
     def test_rejects_two_dimensional_box(self):
-        with pytest.raises(ValueError, match="1-D box"):
-            SchauderBasis(((0.0, 1.0), (0.0, 1.0)), np.ones((2, 16)), np.ones((2, 16)), 2.0)
+        # members sampled on the unit square: a basis spans unit-interval functions only
+        with pytest.raises(ValueError, match="nonempty"):
+            SchauderBasis(np.ones((2, 16, 16)), np.ones((2, 16, 16)), 2.0)
 
     def test_members_are_views(self):
         basis = fourier_sbasis(4, 3, 64)
@@ -261,7 +268,7 @@ class TestMatrixBitwise:
             assert basis.analysis[n].tobytes() == duals[n].values.conj().tobytes()
         rng = np.random.default_rng(N)
         for _ in range(3):
-            u = GridFunction(BOX, rng.standard_normal(M) + 1j * rng.standard_normal(M))
+            u = GridFunction(rng.standard_normal(M) + 1j * rng.standard_normal(M))
             assert coefficients(u, basis).tobytes() == reference_coefficients(u, duals).tobytes()
             c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             stacked = c @ np.stack([m.values for m in members])
@@ -279,7 +286,7 @@ class TestCoefficients:
 
     def test_zero(self):
         basis = fourier_sbasis(4, 2, 64)
-        np.testing.assert_allclose(coefficients(spaces.zeros(BOX, 64), basis), 0, atol=0)
+        np.testing.assert_allclose(coefficients(GridFunction(np.zeros(64)), basis), 0, atol=0)
 
     def test_combination_round_trip(self):
         basis = fourier_sbasis(4, 2, 64)
@@ -292,14 +299,14 @@ class TestCoefficients:
     def test_projection_idempotent(self):
         basis = fourier_sbasis(4, 2.5, 128)
         # a function outside the span: higher harmonic plus noise
-        u = from_callable(lambda t: np.cos(14 * np.pi * t) + t, BOX, 128)
+        u = from_callable(lambda t: np.cos(14 * np.pi * t) + t, 128)
         once = reconstruct(coefficients(u, basis), basis)
         twice = reconstruct(coefficients(once, basis), basis)
         assert lp_norm(once - twice, np.inf) <= 1e-10
 
     def test_rejects_other_grid(self):
         basis = fourier_sbasis(4, 2, 64)
-        for u in (spaces.zeros(BOX, 128), spaces.zeros((0.0, 2.0), 64)):
+        for u in (GridFunction(np.zeros(128)), GridFunction(np.zeros((64, 64)))):
             with pytest.raises(ValueError, match="grid mismatch"):
                 coefficients(u, basis)
 
