@@ -75,7 +75,6 @@ from .ks2 import (  # noqa: F401
     CubeSystem,
     converged_values,
     cube_rows,
-    cube_system,
     embedding_bounds,
     functional_Fk,
     functional_values,

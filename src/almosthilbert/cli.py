@@ -28,9 +28,9 @@ from .integrals import (
     riesz_potential,
     signal_from_callable,
 )
-from .ks2 import cube_rows, cube_system
+from .ks2 import CubeSystem, cube_rows
 from .report import render
-from .spaces import GridFunction
+from .spaces import GridFunction, midpoints
 from .suites import SUITE_NAMES, SuiteParams, list_checks, run_suite
 
 DEMO_OPS = ("hilbert", "hilbert-pv", "riesz")
@@ -145,7 +145,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_dump_cubes(args) -> int:
-    header, rows = cube_rows(cube_system(args.n), args.count)
+    header, rows = cube_rows(CubeSystem(args.n), args.count)
     _write_text(_rows_to_csv(header, rows), args.out)
     return 0
 
@@ -159,7 +159,7 @@ def _cmd_demo(args) -> int:
     if args.m < 4 or args.m & (args.m - 1):
         raise ValueError(f"--m must be a power of two >= 4, got {args.m}")
     if args.op == "riesz":
-        x = (np.arange(args.m) + 0.5) / args.m
+        x = midpoints(args.m)
         f = GridFunction(np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0).astype(complex))
         out = riesz_potential(f, args.alpha)
         pairs = zip(x, f.values, out.values)

@@ -181,10 +181,6 @@ class CubeSystem:
         return self._cache[k]
 
 
-def cube_system(n: int = 1) -> CubeSystem:
-    return CubeSystem(dim=n)
-
-
 def _require_system_grid(f: GridFunction, system: CubeSystem):
     if f.dim != system.dim:
         raise ValueError(f"a {f.dim}-D function does not live on a {system.dim}-D cube system")

@@ -21,7 +21,6 @@ from .spaces import GridFunction, coefficients, duality_map, lp_norm, pairing, r
 
 _RESTARTS = 4          # random starts of the coefficient p-norm power method
 _ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
-_POLAR_TOL = 1e-9      # relative residual allowed of U T = A
 _SPECTRAL_TOL = 1e-8   # self-adjointness required before a spectral resolution
 
 
@@ -188,16 +187,15 @@ def self_conjugacy_check(A: BOperator, tgrid) -> bool:
 
 def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
     """A = U T with T = (A*A)^{1/2} naturally self-adjoint nonnegative and
-    U an H-metric partial isometry.  Computed by SVD in the H metric."""
+    U an H-metric partial isometry.  Computed by one SVD in the H metric,
+    h(A) = X diag(s) Y^H, as h(U) = X Y^H and h(T) = Y diag(s) Y^H; the
+    factors are returned unjudged (``polar-reconstruction`` judges them)."""
     mh = h_matrix(A)
     uh, s, vh = numerics.svd(mh)
     t_h = (vh * s) @ vh.conj().T
     u_h = uh @ vh.conj().T
     U = from_h_matrix(u_h, A.space)
     T = from_h_matrix(t_h, A.space)
-    resid = float(np.linalg.norm((U @ T).matrix - A.matrix))
-    if resid > _POLAR_TOL * max(1e-300, float(np.linalg.norm(A.matrix))):
-        raise ArithmeticError(f"polar reconstruction residual {resid:.3e} exceeds tolerance")
     return U, T
 
 

@@ -1,12 +1,15 @@
 """Trace-ideal quantities for truncated operators.
 
 Singular values are computed in the weighted metric, where the truncation
-is an honest Hilbert space, and every norm comes with a second,
-independently computed path so the defining identities are checked rather
-than assumed.  Eigenvalue inequalities (Weyl, Horn, Lalesco, Lidskii) use
-the coordinate-matrix point spectrum, which is similarity invariant and
-therefore metric independent; each function returns the two sides of its
-inequality, and the suites judge them.
+is an honest Hilbert space: one SVD of the metric transport h(A) gives
+them, and every Schatten norm is read from them.  For the checks that
+compare paths, ``singular_value_gap`` and ``schatten_norm_paths`` add a
+second, independently computed path from one eigen decomposition of
+h(A*A).  Eigenvalue inequalities (Weyl, Horn, Lalesco, Lidskii) use the
+coordinate-matrix point spectrum, which is similarity invariant and
+therefore metric independent.  Every function returns numbers, such as
+the two sides of an inequality or the two paths of an identity, and the
+suites judge them.
 """
 
 from __future__ import annotations
@@ -20,17 +23,11 @@ from .operators import BOperator, adjoint, h_eigen, h_matrix
 
 POWER_EXPONENTS = (1.0, 2.0, 4.0)
 
-# Relative tolerance between the two singular-value paths (squared domain).
-_SINGULAR_TOL = 1e-10
-# Relative tolerance between the two Schatten-norm paths.
-_NORM_TOL = 1e-9
-
 
 def _factor(A: BOperator) -> tuple[np.ndarray, np.ndarray, numerics.EigenResult, float, float]:
-    """(s, h(A*A), eig, gap, scale): every Schatten quantity of A is read from
-    this one SVD of its transport and one eigen decomposition of the
-    transport h(A*A)."""
-    _, s, _ = numerics.svd(h_matrix(A))
+    """(s, h(A*A), eig, gap, scale): the singular values of A and, from one
+    eigen decomposition of the transport h(A*A), the second path to them."""
+    s = singular_values(A)
     prod_h = h_matrix(adjoint(A) @ A)
     eig = h_eigen(prod_h)
     s2 = s**2
@@ -39,74 +36,65 @@ def _factor(A: BOperator) -> tuple[np.ndarray, np.ndarray, numerics.EigenResult,
     return s, prod_h, eig, gap, scale
 
 
-def _require_agreement(gap: float, scale: float) -> None:
-    if gap > _SINGULAR_TOL * scale:
-        raise ArithmeticError(f"singular-value paths disagree by {gap:.3e}")
-
-
 def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
     """Weighted-metric singular values by two paths, and how far apart they are.
 
-    Returns (s, gap, scale): s is the SVD of the metric transport of A,
-    descending; gap is the largest difference between s**2 and the
-    weighted-metric eigenvalues of A*A; scale is max(1, s_1**2), the size
-    the gap is judged against.  The comparison is made in the squared
-    domain, where both paths carry a backward-error bound of order
-    eps * s_1**2; taking square roots would amplify the error on small
-    singular values by cond(A).
+    Returns (s, gap, scale): s is ``singular_values(A)``; gap is the largest
+    difference between s**2 and the weighted-metric eigenvalues of A*A;
+    scale is max(1, s_1**2), the size the gap is judged against.  The
+    comparison is made in the squared domain, where both paths carry a
+    backward-error bound of order eps * s_1**2; taking square roots would
+    amplify the error on small singular values by cond(A).
     """
     s, _, _, gap, scale = _factor(A)
     return s, gap, scale
 
 
 def singular_values(A: BOperator) -> np.ndarray:
-    """Singular values in the weighted metric, descending.
-
-    The two paths of ``singular_value_gap`` must agree: a disagreement
-    beyond 1e-10 (relative) raises ArithmeticError.
-    """
-    s, gap, scale = singular_value_gap(A)
-    _require_agreement(gap, scale)
+    """Singular values in the weighted metric, descending: the SVD of the
+    metric transport h(A)."""
+    _, s, _ = numerics.svd(h_matrix(A))
     return s
+
+
+def _orders(ps: Sequence[float]) -> list[float]:
+    orders = [float(x) for x in ps]
+    for x in orders:
+        if not np.isfinite(x) or x < 1.0:
+            raise ValueError(f"Schatten order must be a finite real >= 1, got {x}")
+    return orders
+
+
+def _mu_norm(mu: np.ndarray, p: float) -> float:
+    return float(np.sum(mu**p) ** (1.0 / p))
 
 
 def schatten_norm_paths(A: BOperator, ps: Sequence[float]) -> list[tuple[float, float]]:
     """The two defining formulas for the Schatten p-norm, one pair per order
-    in ``ps``.
+    in ``ps``; comparing them is the job of the caller.
 
     First entry: the bracket formula (sum of Rayleigh brackets
     <A*A phi_n, phi_n*>^{p/2} over the biorthonormal eigenbasis of A*A)
     ^{1/p}, evaluated in H coordinates as diag(V^H h(A*A) V) / diag(V^H V)
     over the eigenvectors V.  Second entry: (sum mu_n^p)^{1/p} over the
-    SVD singular values.  Both come from one ``_factor`` call, whose
-    singular-value gap must be within tolerance.
+    singular values, which is ``schatten_norm``.  Both come from one
+    ``_factor`` call.
     """
-    ps = [float(x) for x in ps]
-    for x in ps:
-        if not np.isfinite(x) or x < 1.0:
-            raise ValueError(f"Schatten order must be a finite real >= 1, got {x}")
-    mu, prod_h, eig, gap, scale = _factor(A)
-    _require_agreement(gap, scale)
+    ps = _orders(ps)
+    mu, prod_h, eig, _, _ = _factor(A)
     v = eig.vectors
     num = np.sum(v.conj() * (prod_h @ v), axis=0)
     den = np.sum(np.abs(v) ** 2, axis=0)
     brackets = np.maximum((num / den).real, 0.0)
-    return [(float(np.sum(brackets ** (x / 2.0)) ** (1.0 / x)),
-             float(np.sum(mu**x) ** (1.0 / x))) for x in ps]
+    return [(float(np.sum(brackets ** (x / 2.0)) ** (1.0 / x)), _mu_norm(mu, x)) for x in ps]
 
 
 def schatten_norm(A: BOperator, ps: Sequence[float]) -> list[float]:
-    """Schatten p-norms, one per order in ``ps``, with the two defining
-    paths required to agree to 1e-9 relative; disagreement raises
-    ArithmeticError."""
-    norms = []
-    for bracket_norm, mu_norm in schatten_norm_paths(A, ps):
-        if abs(bracket_norm - mu_norm) > _NORM_TOL * max(1.0, mu_norm):
-            raise ArithmeticError(
-                f"Schatten paths disagree: bracket={bracket_norm!r} mu-sum={mu_norm!r}"
-            )
-        norms.append(mu_norm)
-    return norms
+    """Schatten p-norms (sum mu_n^p)^{1/p} over the singular values, one per
+    order in ``ps``."""
+    ps = _orders(ps)
+    mu = singular_values(A)
+    return [_mu_norm(mu, x) for x in ps]
 
 
 def _power_sums(values: np.ndarray) -> list[float]:

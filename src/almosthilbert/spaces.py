@@ -19,6 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def midpoints(resolution: int) -> np.ndarray:
+    """The cell midpoints (k + 1/2) / M, k < M, of M cells on the unit interval."""
+    return (np.arange(resolution) + 0.5) / resolution
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples at the cell midpoints of a uniform grid over the unit
@@ -53,7 +58,7 @@ class GridFunction:
 
     def midpoints(self) -> np.ndarray:
         """The cell midpoints along one axis."""
-        return self.spacing * (np.arange(self.resolution) + 0.5)
+        return midpoints(self.resolution)
 
     def _require_same_grid(self, other: "GridFunction"):
         if self.values.shape != other.values.shape:
@@ -79,8 +84,7 @@ class GridFunction:
 
 def from_callable(fn, resolution: int) -> GridFunction:
     """Sample ``fn`` at the cell midpoints of the unit interval."""
-    x = (1.0 / resolution) * (np.arange(resolution) + 0.5)
-    vals = np.asarray(fn(x), dtype=np.complex128)
+    vals = np.asarray(fn(midpoints(resolution)), dtype=np.complex128)
     return GridFunction(np.broadcast_to(vals, (resolution,)).copy())
 
 
@@ -162,7 +166,7 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
         raise ValueError(f"resolution {resolution} too coarse for N={N}: need >= {8 * N}")
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    t = (np.arange(resolution) + 0.5) / resolution
+    t = midpoints(resolution)
     synthesis = np.empty((N, resolution), dtype=np.complex128)
     analysis = np.empty((N, resolution), dtype=np.complex128)
     for n in range(N):

@@ -219,7 +219,7 @@ class _Run:
 
     @functools.cached_property
     def cubes(self) -> ks2.CubeSystem:
-        return ks2.cube_system(1)
+        return ks2.CubeSystem(1)
 
     def low(self, name: str, value: float) -> float:
         """Record the smallest ``value`` so far as report param ``name``."""

@@ -9,9 +9,9 @@ from almosthilbert.embedding import dyadic_weights
 from almosthilbert.ks2 import (
     PAIRING_PREFIX,
     Cube,
+    CubeSystem,
     converged_values,
     cube_rows,
-    cube_system,
     embedding_bounds,
     functional_Fk,
     functional_values,
@@ -28,7 +28,7 @@ from almosthilbert.ks2 import (
 from almosthilbert.spaces import GridFunction, from_callable
 from almosthilbert.suites import SuiteParams, run_suite
 
-UNIT = cube_system(1)
+UNIT = CubeSystem(1)
 
 
 def constant_one(resolution=512):
@@ -163,7 +163,7 @@ class TestCubes:
         assert c.diagonal == pytest.approx(0.5)
 
     def test_diagonal_two_dim(self):
-        system = cube_system(2)
+        system = CubeSystem(2)
         for k in (1, 5, 12):
             c = system.cube(k)
             l, _ = pairing_order(k)
@@ -175,13 +175,13 @@ class TestCubes:
 
     def test_rejects_higher_dim(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
-            cube_system(3)
+            CubeSystem(3)
 
     @pytest.mark.parametrize("dim, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError),
                                             (0, ValueError), (3, ValueError)])
     def test_rejects_bad_dim(self, dim, error):
         with pytest.raises(error):
-            cube_system(dim)
+            CubeSystem(dim)
 
 
 class TestFunctional:
@@ -227,14 +227,14 @@ class TestFunctional:
                 assert abs(functional_Fk(f, k, UNIT)) <= l1 + 1e-12
 
     def test_two_dimensional_constant(self):
-        system = cube_system(2)
+        system = CubeSystem(2)
         one = GridFunction(np.ones((128, 128)))
         # corner cube at scale 1: quarter of its area lands in the unit square
         assert functional_Fk(one, 1, system) == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     def test_grid_mismatch(self):
         for f, system in ((GridFunction(np.ones((64, 64))), UNIT),
-                          (GridFunction(np.ones(64)), cube_system(2))):
+                          (GridFunction(np.ones(64)), CubeSystem(2))):
             with pytest.raises(ValueError, match="cube system"):
                 functional_Fk(f, 1, system)
 
@@ -270,7 +270,7 @@ class TestKernelBitwise:
             assert np.complex128(functional_Fk(f, k, UNIT)).tobytes() == vals[k - 1].tobytes()
 
     def test_two_dimensional(self):
-        system = cube_system(2)
+        system = CubeSystem(2)
         rng = np.random.default_rng(50)
         f = GridFunction(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         vals = functional_values(f, 40, system)
@@ -523,7 +523,7 @@ class TestWeakStrong:
 
     def test_rejects_wrong_box(self):
         with pytest.raises(ValueError, match="unit interval"):
-            weak_strong_norms(4, 16, cube_system(2))
+            weak_strong_norms(4, 16, CubeSystem(2))
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -544,7 +544,7 @@ class TestDump:
         assert len(rows) == 4
 
     def test_two_dim_header(self):
-        header, _ = cube_rows(cube_system(2), 2)
+        header, _ = cube_rows(CubeSystem(2), 2)
         assert header == ["k", "l", "i", "center0", "center1", "side"]
 
     def test_count_validation(self):

@@ -231,6 +231,20 @@ class TestPolar:
             uh = h_matrix(U)
             np.testing.assert_allclose(uh.conj().T @ uh, np.eye(12), atol=1e-9)
 
+    def test_factors_accurate_in_h_at_dim_53(self):
+        # h(U) h(T) = h(A) to rounding in the H metric at every N; only the
+        # coordinate residual grows with the 2^(N-1) spread of the weights
+        rng = np.random.default_rng(53)
+        space = make_space(N=53)
+        coordinate = []
+        for _ in range(5):
+            A = rand_operator(space, rng)
+            U, T = polar_decompose(A)
+            ah = h_matrix(A)
+            assert np.linalg.norm(h_matrix(U) @ h_matrix(T) - ah) <= 1e-13 * np.linalg.norm(ah)
+            coordinate.append(np.linalg.norm((U @ T).matrix - A.matrix) / np.linalg.norm(A.matrix))
+        assert max(coordinate) > 1e-9
+
     def test_rank_deficient_still_reconstructs(self):
         space = make_space(N=4)
         rng = np.random.default_rng(13)

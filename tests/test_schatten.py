@@ -17,6 +17,7 @@ from almosthilbert.schatten import (
     lidskii_sums,
     schatten_norm,
     schatten_norm_paths,
+    singular_value_gap,
     singular_values,
     weyl_sums,
 )
@@ -60,7 +61,14 @@ class TestSingularValues:
         rng = np.random.default_rng(N)
         space = make_space(N=N)
         for _ in range(50):
-            singular_values(rand_operator(space, rng, scale=1.0 / np.sqrt(N)))
+            _, gap, scale = singular_value_gap(rand_operator(space, rng, scale=1.0 / np.sqrt(N)))
+            assert gap <= 1e-10 * scale
+
+    @pytest.mark.parametrize("N", [1, 8, 32])
+    def test_values_are_the_first_path(self, N):
+        rng = np.random.default_rng(40 + N)
+        A = rand_operator(make_space(N=N), rng)
+        assert singular_values(A).tobytes() == singular_value_gap(A)[0].tobytes()
 
     def test_spectrum_bundle(self):
         rng = np.random.default_rng(21)
@@ -137,6 +145,14 @@ class TestSchattenNorm:
             A = rand_operator(space, rng, scale=1.0 / np.sqrt(N))
             assert schatten_norm_paths(A, ps) == [schatten_norm_paths(A, (p,))[0] for p in ps]
             assert schatten_norm(A, ps) == [schatten_norm(A, (p,))[0] for p in ps]
+
+    @pytest.mark.parametrize("N", [1, 8, 32])
+    def test_norm_is_the_singular_value_path(self, N):
+        # bitwise: schatten_norm is the second entry of each path pair
+        rng = np.random.default_rng(50 + N)
+        A = rand_operator(make_space(N=N), rng)
+        ps = (1.0, 1.5, 2.0, 3.0, 4.0)
+        assert schatten_norm(A, ps) == [mu for _, mu in schatten_norm_paths(A, ps)]
 
     def test_rejects_bad_order(self):
         A = identity_operator(make_space(N=2))

@@ -61,9 +61,10 @@ class TestGridFunction:
 
     def test_unit_interval_formulas_at_basis_resolution(self):
         # M = 424 is the basis grid at N = 53, where 1/M is inexact: the
-        # midpoints and cell volume are (1/M)(k + 1/2) and 1/M as written.
+        # midpoints are (k + 1/2)/M, the points the basis members are
+        # sampled at, and the cell volume is 1/M as written.
         m = 424
-        expected = (1.0 / m) * (np.arange(m) + 0.5)
+        expected = (np.arange(m) + 0.5) / m
         f = from_callable(lambda t: t, m)
         assert f.midpoints().tobytes() == expected.tobytes()
         assert f.values.real.tobytes() == expected.tobytes()

@@ -7,7 +7,8 @@ import pytest
 from helpers import run_check
 
 from almosthilbert.report import FAIL, MEASURED, PASS, to_json
-from almosthilbert import integrals, suites
+from almosthilbert import integrals, operators, schatten, suites
+from almosthilbert.operators import BOperator
 from almosthilbert.spaces import GridFunction
 from almosthilbert.suites import (
     _REGISTRY,
@@ -219,6 +220,34 @@ class TestRunSuite:
         rep = run_suite("adjoint", seed=0, params=SuiteParams(dim=dim, trials=5))
         (check,) = [c for c in rep.checks if c.name == "self-conjugacy-equivalence"]
         assert check.status == PASS and check.samples == 20
+
+    def test_schatten_fails_honestly_at_dim_32(self):
+        # the p = 1 bracket loses accuracy on small singular values there
+        rep = run_suite("schatten", seed=0, params=SuiteParams(dim=32, trials=5))
+        assert len(rep.checks) == len(list_checks("schatten"))
+        assert {c.name for c in rep.checks if c.status == FAIL} == {"schatten-two-path"}
+
+    def test_adjoint_fails_honestly_at_dim_53(self):
+        rep = run_suite("adjoint", seed=0, params=SuiteParams(dim=53, trials=5))
+        assert len(rep.checks) == len(list_checks("adjoint")) == 13
+        assert {c.name for c in rep.checks if c.status == FAIL} == {
+            "adjoint-defining-identity", "polar-reconstruction", "spectral-reconstruction"}
+
+    @pytest.mark.parametrize("suite, failing", [
+        ("adjoint", {"adjoint-defining-identity", "lax-norm-identity",
+                     "spectral-reconstruction"}),
+        ("schatten", {"schatten-two-path", "singular-value-paths"}),
+    ])
+    def test_unweighted_adjoint_is_reported(self, monkeypatch, suite, failing):
+        # a planted defect, A* = A^H without the weights, shows as failed
+        # checks of a complete report
+        def unweighted(A):
+            return BOperator(A.matrix.conj().T, A.space)
+        for module in (operators, suites, schatten):
+            monkeypatch.setattr(module, "adjoint", unweighted)
+        rep = run_suite(suite, seed=0, params=FAST)
+        assert len(rep.checks) == len(list_checks(suite))
+        assert {c.name for c in rep.checks if c.status == FAIL} == failing
 
     def test_determinism_bytes(self):
         a = run_suite("embedding", seed=5, params=FAST)
