@@ -1,6 +1,8 @@
 """Truncated operators on B and their weighted-metric adjoints.
 
-A BOperator is an N x N matrix acting on basis coefficients.  With Gram
+A BOperator is an N x N matrix acting on basis coefficients, or a stack
+of them with shape (..., N, N) on one space; the algebra, the transports
+and the adjoint act slice by slice.  With Gram
 matrix W = diag(t_n), the adjoint determined by h_inner(Au, v) =
 h_inner(u, A*v) is the closed form A* = W^{-1} A^H W.  The similarity
 M -> W^{1/2} M W^{-1/2} transports a coordinate matrix to the H metric,
@@ -32,7 +34,7 @@ class BOperator:
     def __post_init__(self):
         m = numerics.as_matrix(self.matrix)
         n = self.space.dim
-        if m.shape != (n, n):
+        if m.shape[-2:] != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match truncation {n}")
         object.__setattr__(self, "matrix", m)
 
@@ -74,7 +76,7 @@ def h_matrix(A: BOperator) -> np.ndarray:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 def h_eigen(mh: np.ndarray) -> numerics.EigenResult:
@@ -93,7 +95,7 @@ def from_h_matrix(mh: np.ndarray, space: EmbeddingSpace) -> BOperator:
 def adjoint(A: BOperator) -> BOperator:
     """A* = W^{-1} A^H W, the weighted conjugate transpose."""
     w = A.space.weights
-    return BOperator(A.matrix.conj().T * (w[None, :] / w[:, None]), A.space)
+    return BOperator(A.matrix.conj().swapaxes(-1, -2) * (w[None, :] / w[:, None]), A.space)
 
 
 def h_opnorm(A: BOperator) -> float:
@@ -102,8 +104,9 @@ def h_opnorm(A: BOperator) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def b_opnorm_estimate(A: BOperator, p: float, seed: int = 0) -> float:
-    """Lower estimate of the operator norm in the coefficient p-norm model of B."""
+def b_opnorm_estimate(A: BOperator, p: float, seed=0):
+    """Lower estimate of the operator norm in the coefficient p-norm model of
+    B, one per slice of A (``seed``: one, or one per slice)."""
     return numerics.opnorm_p_estimate(A.matrix, p, restarts=_RESTARTS, seed=seed)
 
 
@@ -135,18 +138,17 @@ def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10) -> bool:
 
 
 def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
-    """Eigenvalues of the H-metric symmetrization of T, which must already
-    be H-symmetric to 1e-10 relative."""
+    """Eigenvalues of the H-metric symmetrization of each slice of T, which
+    must already be H-symmetric to 1e-10 relative."""
     mh = h_matrix(T)
-    scale = max(1.0, float(np.linalg.norm(mh)))
-    defect = float(np.linalg.norm(mh - mh.conj().T))
-    if defect > 1e-10 * scale:
-        raise ValueError(f"operator is not H-symmetric to 1e-10: defect={defect:.3e}")
+    defect = np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(defect > 1e-10 * np.maximum(1.0, np.linalg.norm(mh, axis=(-2, -1)))):
+        raise ValueError(f"operator is not H-symmetric to 1e-10: defect={np.max(defect):.3e}")
     return h_eigen(mh).values
 
 
-def _top_abs(values: np.ndarray) -> float:
-    return float(np.max(np.abs(values))) if values.size else 0.0
+def _top_abs(values: np.ndarray):
+    return np.max(np.abs(values), axis=-1, initial=0.0)
 
 
 def lax_check(T: BOperator) -> float:
@@ -160,13 +162,14 @@ def lax_check(T: BOperator) -> float:
     return gap / max(1.0, _top_abs(lam))
 
 
-def lax_khat(T: BOperator, p: float, seed: int = 0) -> float:
+def lax_khat(T: BOperator, p: float, seed=0):
     """The norm constant k-hat = ||T||_H^2 / ||T||_B^2 for H-symmetric T,
     with ||T||_B the coefficient p-norm estimate (the paper leaves k
-    unquantified)."""
+    unquantified); one per slice of T, ``seed`` as for
+    ``b_opnorm_estimate``."""
     norm_h = _top_abs(_h_symmetric_eigenvalues(T))
     norm_b = b_opnorm_estimate(T, p, seed)
-    return norm_h**2 / max(norm_b**2, 1e-300)
+    return norm_h**2 / np.maximum(norm_b**2, 1e-300)
 
 
 def self_conjugacy_check(A: BOperator, tgrid) -> bool:

@@ -9,7 +9,10 @@ h(A*A).  Eigenvalue inequalities (Weyl, Horn, Lalesco, Lidskii) use the
 coordinate-matrix point spectrum, which is similarity invariant and
 therefore metric independent.  Every function returns numbers, such as
 the two sides of an inequality or the two paths of an identity, and the
-suites judge them.
+suites judge them.  Every function takes an operator or a stack of them
+(``BOperator`` with a (..., N, N) matrix) and returns its numbers with the
+stack shape in front: a float per operator becomes an array of shape
+(...,).
 """
 
 from __future__ import annotations
@@ -24,19 +27,20 @@ from .operators import BOperator, adjoint, h_eigen, h_matrix
 POWER_EXPONENTS = (1.0, 2.0, 4.0)
 
 
-def _factor(A: BOperator) -> tuple[np.ndarray, np.ndarray, numerics.EigenResult, float, float]:
+def _factor(A: BOperator) -> tuple[np.ndarray, np.ndarray, numerics.EigenResult, np.ndarray,
+                                   np.ndarray]:
     """(s, h(A*A), eig, gap, scale): the singular values of A and, from one
     eigen decomposition of the transport h(A*A), the second path to them."""
     s = singular_values(A)
     prod_h = h_matrix(adjoint(A) @ A)
     eig = h_eigen(prod_h)
     s2 = s**2
-    scale = max(1.0, float(s2[0]) if s.size else 0.0)
-    gap = float(np.max(np.abs(s2 - eig.values))) if s.size else 0.0
+    scale = np.maximum(1.0, s2[..., 0])
+    gap = np.max(np.abs(s2 - eig.values), axis=-1)
     return s, prod_h, eig, gap, scale
 
 
-def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
+def singular_value_gap(A: BOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weighted-metric singular values by two paths, and how far apart they are.
 
     Returns (s, gap, scale): s is ``singular_values(A)``; gap is the largest
@@ -51,8 +55,8 @@ def singular_value_gap(A: BOperator) -> tuple[np.ndarray, float, float]:
 
 
 def singular_values(A: BOperator) -> np.ndarray:
-    """Singular values in the weighted metric, descending: the SVD of the
-    metric transport h(A)."""
+    """Singular values in the weighted metric, descending along the last
+    axis: the SVD of the metric transport h(A)."""
     _, s, _ = numerics.svd(h_matrix(A))
     return s
 
@@ -65,11 +69,18 @@ def _orders(ps: Sequence[float]) -> list[float]:
     return orders
 
 
-def _mu_norm(mu: np.ndarray, p: float) -> float:
-    return float(np.sum(mu**p) ** (1.0 / p))
+# The p-th powers and roots of scalars go through np.float_power, which
+# rounds as the C pow of a float does: a stack of operators then gets, bit
+# for bit, what each operator alone gets from scalar arithmetic, where
+# numpy's vectorised ``**`` on a row may round differently.
 
 
-def schatten_norm_paths(A: BOperator, ps: Sequence[float]) -> list[tuple[float, float]]:
+def _mu_norm(mu: np.ndarray, p: float) -> np.ndarray:
+    return np.float_power(np.sum(mu**p, axis=-1), 1.0 / p)
+
+
+def schatten_norm_paths(A: BOperator,
+                        ps: Sequence[float]) -> list[tuple[np.ndarray, np.ndarray]]:
     """The two defining formulas for the Schatten p-norm, one pair per order
     in ``ps``; comparing them is the job of the caller.
 
@@ -83,13 +94,14 @@ def schatten_norm_paths(A: BOperator, ps: Sequence[float]) -> list[tuple[float, 
     ps = _orders(ps)
     mu, prod_h, eig, _, _ = _factor(A)
     v = eig.vectors
-    num = np.sum(v.conj() * (prod_h @ v), axis=0)
-    den = np.sum(np.abs(v) ** 2, axis=0)
+    num = np.sum(v.conj() * (prod_h @ v), axis=-2)
+    den = np.sum(np.abs(v) ** 2, axis=-2)
     brackets = np.maximum((num / den).real, 0.0)
-    return [(float(np.sum(brackets ** (x / 2.0)) ** (1.0 / x)), _mu_norm(mu, x)) for x in ps]
+    return [(np.float_power(np.sum(brackets ** (x / 2.0), axis=-1), 1.0 / x), _mu_norm(mu, x))
+            for x in ps]
 
 
-def schatten_norm(A: BOperator, ps: Sequence[float]) -> list[float]:
+def schatten_norm(A: BOperator, ps: Sequence[float]) -> list[np.ndarray]:
     """Schatten p-norms (sum mu_n^p)^{1/p} over the singular values, one per
     order in ``ps``."""
     ps = _orders(ps)
@@ -97,32 +109,32 @@ def schatten_norm(A: BOperator, ps: Sequence[float]) -> list[float]:
     return [_mu_norm(mu, x) for x in ps]
 
 
-def _power_sums(values: np.ndarray) -> list[float]:
-    """sum_n values_n^p for each p in POWER_EXPONENTS, one Python float per
-    term, the terms added by numpy in list order."""
-    return [float(np.sum([float(v) ** p for v in values])) for p in POWER_EXPONENTS]
+def _power_sums(values: np.ndarray) -> np.ndarray:
+    """sum_n values_n^p along the last axis, for each p in POWER_EXPONENTS
+    (a new last axis)."""
+    return np.stack([np.sum(np.float_power(values, p), axis=-1) for p in POWER_EXPONENTS], -1)
 
 
-def weyl_sums(A: BOperator) -> list[tuple[float, float]]:
-    """(sum |eigenvalue|^p, sum singular value^p) for each p in
+def weyl_sums(A: BOperator) -> np.ndarray:
+    """Rows (sum |eigenvalue|^p, sum singular value^p), one for each p in
     POWER_EXPONENTS; Weyl's inequality says the first never exceeds the
     second."""
     lam = numerics.general_eigenvalues(A.matrix)
-    return list(zip(_power_sums(np.abs(lam)), _power_sums(singular_values(A))))
+    return np.stack([_power_sums(np.abs(lam)), _power_sums(singular_values(A))], axis=-1)
 
 
-def horn_sums(A1: BOperator, A2: BOperator) -> list[tuple[float, float]]:
-    """(sum |eigenvalue of A1 A2|^p, sum (paired singular-value product)^p),
-    both sorted descending, for each p in POWER_EXPONENTS; Horn's
-    inequality says the first never exceeds the second."""
+def horn_sums(A1: BOperator, A2: BOperator) -> np.ndarray:
+    """Rows (sum |eigenvalue of A1 A2|^p, sum (paired singular-value
+    product)^p), both sorted descending, one for each p in POWER_EXPONENTS;
+    Horn's inequality says the first never exceeds the second."""
     A1._require_same_space(A2)
     lam = numerics.general_eigenvalues((A1 @ A2).matrix)
     mu_pair = singular_values(A1) * singular_values(A2)
-    return list(zip(_power_sums(np.abs(lam)), _power_sums(mu_pair)))
+    return np.stack([_power_sums(np.abs(lam)), _power_sums(mu_pair)], axis=-1)
 
 
-def lidskii_sums(A: BOperator) -> tuple[complex, complex]:
+def lidskii_sums(A: BOperator) -> tuple[np.ndarray, np.ndarray]:
     """(sum of eigenvalues, coordinate trace): equal by Lidskii's theorem
     (similarity invariant)."""
     lam = numerics.general_eigenvalues(A.matrix)
-    return complex(np.sum(lam)), complex(np.trace(A.matrix))
+    return np.sum(lam, axis=-1), np.trace(A.matrix, axis1=-2, axis2=-1)

@@ -6,14 +6,16 @@ its suite, its tolerance, a nominal instance count, a ``draw`` that takes
 one instance's randomness from the check's own stream, and a ``measure``
 that returns that instance's value or values.  ``run_suite`` is the one
 place that loops over instances: it scales the count by ``trials``, draws
-and measures one instance at a time, reduces the values, compares the
-result with the tolerance and builds the check result; the library modules
-and the check bodies only return numbers.  Checks are grouped into suites
-(embedding, adjoint, schatten, ks2, integral), and the four quantities the
-underlying theory leaves unquantified (the equivalence constant k-hat, the
-ratio ||A*||_B/||A||_B for p != 2, the Hilbert-transform L^p constant, and
-the Rayleigh-quotient gap) ride along with *every* suite as measured-only
-entries.
+a bounded chunk of instances in index order and measures the chunk, reduces
+the values, compares the result with the tolerance and builds the check
+result; the library modules and the check bodies only return numbers.  A
+stacked check measures its whole chunk at once, as one (T, N, N) stack of
+operators; any other has chunks of one instance.  Checks are grouped into
+suites (embedding, adjoint, schatten, ks2, integral), and the four
+quantities the underlying theory leaves unquantified (the equivalence
+constant k-hat, the ratio ||A*||_B/||A||_B for p != 2, the
+Hilbert-transform L^p constant, and the Rayleigh-quotient gap) ride along
+with *every* suite as measured-only entries.
 
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
@@ -126,6 +128,18 @@ def check_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# The bytes of complex128 N x N matrices one chunk of a stacked check may
+# hold: 32 operators at N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.
+# All 500 instances of a check at once raised the nominal peak RSS by 17 %,
+# past the benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
+_CHUNK_BYTES = 2**15
+
+
+def _chunk(dim: int) -> int:
+    """Instances per chunk of a stacked check whose operators are dim x dim."""
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
 @dataclass(frozen=True)
 class _Check:
     suite: str  # a suite name, or "*" for every suite
@@ -134,31 +148,38 @@ class _Check:
     blocks: int
     samples: int | None
     draw: Callable
-    measure: Callable
+    measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
+    stacked: bool = False  # chunks of _chunk(dim) instances; otherwise of one
 
 
 _REGISTRY: dict[str, _Check] = {}
 
 
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
-           blocks: int = 1, samples: int | None = None, draw: Callable = lambda run, i: None):
-    """Register ``measure(run, x)`` as check ``name``, asserted against ``tol``
-    (a measured entry when ``tol`` is None).
+           blocks: int = 1, samples: int | None = None, draw: Callable = lambda run, i: None,
+           stacked: bool = False):
+    """Register ``measure`` as check ``name``, asserted against ``tol`` (a
+    measured entry when ``tol`` is None).
 
     ``run_suite`` runs ``blocks * _count(params, count)`` instances (taking
-    a count of one when ``count`` is None) and measures ``x = draw(run, i)``
-    for each index i before it draws the next.  ``draw`` takes all of an
-    instance's randomness from ``run.rng``; ``measure`` returns its samples:
-    a number for one sample, a sequence for several, and a sequence of rows
-    where one sample has several quantities.  A check at tolerance 0 counts
-    its failing (true) samples; any other reports its largest quantity,
-    starting from 0.0, and fails on a NaN.  ``samples`` fixes the count of a
-    check whose one value sums up that many evaluations.  ``measure`` may
-    record report params in ``run.extra`` and tail bounds in ``run.tails``."""
+    a count of one when ``count`` is None).  It draws them in index order,
+    ``draw(run, i)``, a chunk at a time, and measures each chunk before it
+    draws the next.  ``draw`` takes all of an instance's randomness from
+    ``run.rng``.  ``measure(run, x)`` returns one instance's samples: a
+    number for one sample, a sequence for several, and a sequence of rows
+    where one sample has several quantities; ``_check`` lifts it to a chunk.
+    With ``stacked=True``, ``measure(run, xs)`` takes the chunk's list of
+    instances itself and returns those values with one leading entry per
+    instance.  A check at tolerance 0 counts its failing (true) samples; any
+    other reports its largest quantity, starting from 0.0, and fails on a
+    NaN.  ``samples`` fixes the count of a check whose one value sums up
+    that many evaluations.  ``measure`` may record report params in
+    ``run.extra`` and tail bounds in ``run.tails``."""
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
-        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, measure)
+        chunk_measure = measure if stacked else lambda run, xs: [measure(run, x) for x in xs]
+        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, chunk_measure, stacked)
         return measure
 
     return deco
@@ -221,9 +242,11 @@ class _Run:
     def cubes(self) -> ks2.CubeSystem:
         return ks2.CubeSystem(1)
 
-    def low(self, name: str, value: float) -> float:
-        """Record the smallest ``value`` so far as report param ``name``."""
-        self.extra[name] = min(self.extra.get(name, np.inf), value)
+    def low(self, name: str, value):
+        """Record the smallest entry of ``value`` (a number or an array) so
+        far, NaN aside, as report param ``name``."""
+        self.extra[name] = float(np.fmin.reduce(np.ravel(value),
+                                                initial=self.extra.get(name, np.inf)))
         return value
 
     def tail(self, name: str, value: float) -> None:
@@ -245,13 +268,26 @@ class _Run:
         space = self.space(p=p)
         return reconstruct(self.coeffs(space.dim), space.basis)
 
+    def matrix(self, dim: int | None = None) -> np.ndarray:
+        """A random operator's coordinate matrix, entries of variance 2/N."""
+        n = self.space(dim=dim).dim
+        return self.coeffs(n, n) / np.sqrt(n)
+
     def operator(self, dim: int | None = None) -> BOperator:
-        space = self.space(dim=dim)
-        return BOperator(self.coeffs(space.dim, space.dim) / np.sqrt(space.dim), space)
+        return BOperator(self.matrix(dim), self.space(dim=dim))
+
+    def hermitian(self) -> np.ndarray:
+        """The H-metric transport of a random naturally self-adjoint operator."""
+        a = self.coeffs(self.space().dim, self.space().dim)
+        return a + a.conj().T
 
     def selfadjoint(self) -> BOperator:
-        a = self.coeffs(self.space().dim, self.space().dim)
-        return from_h_matrix(a + a.conj().T, self.space())
+        return from_h_matrix(self.hermitian(), self.space())
+
+    def stacked(self, matrices) -> BOperator:
+        """Operators on the run's own space, given by their coordinate
+        matrices, as one stacked operator."""
+        return BOperator(np.stack(matrices), self.space())
 
     def step(self) -> GridFunction:
         return GridFunction(np.repeat(self.coeffs(8), self.params.grid // 8))
@@ -262,6 +298,10 @@ class _Run:
 
 def _draw_operator(run, i):
     return run.operator()
+
+
+def _draw_matrix(run, i):
+    return run.matrix()
 
 
 def _draw_step(run, i):
@@ -496,25 +536,29 @@ def _chk_minmax(run, x):
 _SCHATTEN_PS = (1.0, 2.0, 4.0)
 
 
-@_check("schatten-two-path", "schatten", tol=1e-9, count=500,
-        draw=lambda run, i: (run.operator(), _SCHATTEN_PS[i % len(_SCHATTEN_PS)]))
-def _chk_two_path(run, x):
-    a_op, p = x
-    [(bracket, mu)] = schatten.schatten_norm_paths(a_op, (p,))
-    return abs(bracket - mu) / max(mu, 1e-300)
+@_check("schatten-two-path", "schatten", tol=1e-9, count=500, stacked=True,
+        draw=lambda run, i: (run.matrix(), i % len(_SCHATTEN_PS)))
+def _chk_two_path(run, xs):
+    # every order of every instance, then each instance's own order
+    mats, orders = zip(*xs)
+    paths = np.array(schatten.schatten_norm_paths(run.stacked(mats), _SCHATTEN_PS))
+    bracket, mu = paths[list(orders), :, np.arange(len(xs))].T
+    return np.abs(bracket - mu) / np.maximum(mu, 1e-300)
 
 
-@_check("singular-value-paths", "schatten", tol=1e-10, count=200, draw=_draw_operator)
-def _chk_sv_paths(run, a_op):
-    _, gap, scale = schatten.singular_value_gap(a_op)
+@_check("singular-value-paths", "schatten", tol=1e-10, count=200, stacked=True,
+        draw=_draw_matrix)
+def _chk_sv_paths(run, mats):
+    _, gap, scale = schatten.singular_value_gap(run.stacked(mats))
     return gap / scale
 
 
-@_check("schatten-holder-monotone", "schatten", tol=1e-10, count=100, draw=_draw_operator)
-def _chk_holder(run, a_op):
-    norms = schatten.schatten_norm(a_op, (1.0, 1.5, 2.0, 3.0, 4.0))
-    scale = max(norms[0], 1e-300)
-    return [[(hi - lo) / scale for lo, hi in zip(norms, norms[1:])]]
+@_check("schatten-holder-monotone", "schatten", tol=1e-10, count=100, stacked=True,
+        draw=_draw_matrix)
+def _chk_holder(run, mats):
+    norms = np.stack(schatten.schatten_norm(run.stacked(mats), (1.0, 1.5, 2.0, 3.0, 4.0)), -1)
+    scale = np.maximum(norms[:, :1], 1e-300)
+    return ((norms[:, 1:] - norms[:, :-1]) / scale)[:, None, :]
 
 
 def _draw_unitary_invariance(run, i):
@@ -533,38 +577,42 @@ def _chk_unitary_invariance(run, x):
     return [abs(after - base) / max(base, 1e-300) for base, after in zip(bases, moved)]
 
 
-def _bound_excess(excess: float, size: float) -> float:
+def _bound_excess(excess, size):
     """An excess over a bound of the given size, rescaled from the tolerance
     1e-9*(size+1) to a 1e-9 budget."""
-    return excess * 1e-9 / max(1e-9 * (size + 1.0), 1e-300)
+    return excess * 1e-9 / np.maximum(1e-9 * (size + 1.0), 1e-300)
 
 
-def _excesses(pairs) -> list[float]:
-    """The rescaled excess of each (lhs, rhs) pair of lhs <= rhs, negative where it holds."""
-    return [_bound_excess(lhs - rhs, rhs) for lhs, rhs in pairs]
+def _excesses(pairs) -> np.ndarray:
+    """The rescaled excess of each (lhs, rhs) pair of lhs <= rhs (the last
+    axis), negative where it holds."""
+    pairs = np.asarray(pairs)
+    return _bound_excess(pairs[..., 0] - pairs[..., 1], pairs[..., 1])
 
 
-@_check("weyl-inequality", "schatten", tol=1e-9, count=500, draw=_draw_operator)
-def _chk_weyl(run, a_op):
-    return [_excesses(schatten.weyl_sums(a_op))]
+@_check("weyl-inequality", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
+def _chk_weyl(run, mats):
+    return _excesses(schatten.weyl_sums(run.stacked(mats)))[:, None, :]
 
 
-@_check("horn-inequality", "schatten", tol=1e-9, count=500,
-        draw=lambda run, i: (run.operator(), run.operator()))
-def _chk_horn(run, x):
-    return [_excesses(schatten.horn_sums(*x))]
+@_check("horn-inequality", "schatten", tol=1e-9, count=500, stacked=True,
+        draw=lambda run, i: (run.matrix(), run.matrix()))
+def _chk_horn(run, xs):
+    firsts, seconds = zip(*xs)
+    return _excesses(schatten.horn_sums(run.stacked(firsts), run.stacked(seconds)))[:, None, :]
 
 
-@_check("lalesco-inequality", "schatten", tol=1e-9, count=500, draw=_draw_operator)
-def _chk_lalesco(run, a_op):
+@_check("lalesco-inequality", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
+def _chk_lalesco(run, mats):
     # Lalesco's inequality is the p = 1 row of Weyl's.
-    return [_excesses(schatten.weyl_sums(a_op)[:1])]
+    return _excesses(schatten.weyl_sums(run.stacked(mats))[:, :1])
 
 
-@_check("lidskii-trace", "schatten", tol=1e-9, count=500, draw=_draw_operator)
-def _chk_lidskii(run, a_op):
-    eigen_sum, trace = schatten.lidskii_sums(a_op)
-    return _bound_excess(abs(eigen_sum - trace), abs(trace))
+@_check("lidskii-trace", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
+def _chk_lidskii(run, mats):
+    eigen_sum, trace = schatten.lidskii_sums(run.stacked(mats))
+    modulus = lambda z: np.hypot(z.real, z.imag)  # rounds as abs() of a complex does
+    return _bound_excess(modulus(eigen_sum - trace), modulus(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +669,7 @@ def _chk_ks2_embedding(run, f):
     qs = (1.0, 2.0, np.inf)
     run.extra["q_list"] = ",".join(f"{q:g}" for q in qs)
     norm = ks2.values_norm(run.converged(f))
-    return _excesses((norm, b) for b in ks2.embedding_bounds(f, qs))
+    return _excesses([(norm, b) for b in ks2.embedding_bounds(f, qs)])
 
 
 _WEAK_M_MAX = 64
@@ -718,21 +766,23 @@ def _chk_riesz_positivity(run, f):
 # ---------------------------------------------------------------------------
 
 
-@_check("lax-constant-khat", "*", count=20, draw=lambda run, i: (run.selfadjoint(), run.seed()))
-def _meas_khat(run, x):
-    t_op, seed = x
+@_check("lax-constant-khat", "*", count=20, stacked=True,
+        draw=lambda run, i: (run.hermitian(), run.seed()))
+def _meas_khat(run, xs):
+    hs, seeds = zip(*xs)
     p = run.extra["p"] = run.params.p
-    return run.low("khat_min", lax_khat(t_op, p, seed=seed))
+    return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.space()), p, seed=seeds))
 
 
-@_check("bnorm-adjoint-ratio", "*", count=20,
-        draw=lambda run, i: (run.operator(), run.seed(), run.seed()))
-def _meas_bnorm_ratio(run, x):
-    a_op, seed, adjoint_seed = x
+@_check("bnorm-adjoint-ratio", "*", count=20, stacked=True,
+        draw=lambda run, i: (run.matrix(), run.seed(), run.seed()))
+def _meas_bnorm_ratio(run, xs):
+    mats, seeds, adjoint_seeds = zip(*xs)
+    a_op = run.stacked(mats)
     p = run.extra["p"] = run.params.p
-    na = b_opnorm_estimate(a_op, p, seed=seed)
-    nastar = b_opnorm_estimate(adjoint(a_op), p, seed=adjoint_seed)
-    return run.low("ratio_min", nastar / max(na, 1e-300))
+    na = b_opnorm_estimate(a_op, p, seed=seeds)
+    nastar = b_opnorm_estimate(adjoint(a_op), p, seed=adjoint_seeds)
+    return run.low("ratio_min", nastar / np.maximum(na, 1e-300))
 
 
 @_check("hilbert-cp-constant", "*", count=40,
@@ -764,9 +814,11 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
 
 
 def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> VerificationReport:
-    """Run every check of a suite with per-check seeded randomness: draw and
-    measure each check's instances one at a time, reduce their values and
-    compare the result with the check's tolerance."""
+    """Run every check of a suite with per-check seeded randomness: draw each
+    check's instances in index order a chunk at a time (one instance, or
+    ``_chunk(dim)`` for a stacked check), measure each chunk before drawing
+    the next, reduce the values and compare the result with the check's
+    tolerance."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
@@ -777,10 +829,15 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
         block_size = 1 if check.count is None else _count(params, check.count)
         run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), spaces,
                    block_size)
+        total = check.blocks * block_size
+        chunk = _chunk(params.dim) if check.stacked else 1
         worst, samples = 0.0, 0
-        for i in range(check.blocks * block_size):
-            values = np.asarray(check.measure(run, check.draw(run, i)), dtype=float)
-            samples += len(values) if values.ndim else 1
+        for first in range(0, total, chunk):
+            stop = min(first + chunk, total)
+            xs = [check.draw(run, i) for i in range(first, stop)]
+            values = np.asarray(check.measure(run, xs), dtype=float)
+            del xs  # the chunk's instances go before the next chunk is drawn
+            samples += (stop - first) * (values.shape[1] if values.ndim > 1 else 1)
             if check.tol == 0.0:
                 worst += values.sum()
             else:

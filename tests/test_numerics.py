@@ -266,3 +266,106 @@ class TestOpnormEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert numerics.opnorm_p_estimate(np.zeros((5, 5)), p, seed=0) == 0.0
+
+
+class TestStacks:
+    """A stacked call is slice by slice the 2-D call, and is validated once."""
+
+    @staticmethod
+    def stack(n, hermitian=False, count=5, seed=60):
+        a = rand_complex(np.random.default_rng(seed + n), count, n, n)
+        return a + a.conj().swapaxes(-1, -2) if hermitian else a
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_svd_slices_are_the_2d_calls(self, n):
+        a = self.stack(n)
+        stacked = numerics.svd(a)
+        for k in range(len(a)):
+            for got, want in zip(stacked, numerics.svd(a[k])):
+                assert got[k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_hermitian_eigen_slices_are_the_2d_calls(self, n):
+        a = self.stack(n, hermitian=True)
+        stacked = numerics.hermitian_eigen(a)
+        # each eigenvector contiguous, as one matrix's v[:, order] lays it
+        # out, so sums over its entries round alike in every caller
+        assert stacked.vectors.strides[-2] == stacked.vectors.itemsize
+        for k in range(len(a)):
+            alone = numerics.hermitian_eigen(a[k])
+            assert stacked.values[k].tobytes() == alone.values.tobytes()
+            assert stacked.vectors[k].tobytes() == alone.vectors.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_general_eigenvalues_slices_are_the_2d_calls(self, n):
+        a = self.stack(n)
+        stacked = numerics.general_eigenvalues(a)
+        for k in range(len(a)):
+            assert stacked[k].tobytes() == numerics.general_eigenvalues(a[k]).tobytes()
+
+    @pytest.mark.parametrize("p", [1, 1.01, 3, 64, np.inf])
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_opnorm_slices_are_the_2d_calls(self, n, p):
+        # the seeds are the slices' own; the frozen columns of one slice do
+        # not change another's iteration beyond the stationarity slack
+        a = self.stack(n, count=6)
+        seeds = [11 * k + 3 for k in range(len(a))]
+        stacked = numerics.opnorm_p_estimate(a, p, seed=seeds)
+        assert stacked.shape == (len(a),)
+        for k, seed in enumerate(seeds):
+            alone = numerics.opnorm_p_estimate(a[k], p, seed=seed)
+            assert isinstance(alone, float)
+            assert abs(stacked[k] - alone) <= 1e-13 * max(alone, 1.0)
+
+    def test_opnorm_one_seed_serves_every_slice(self):
+        a = np.stack([np.diag([2.0, 1.0])] * 3)
+        np.testing.assert_allclose(numerics.opnorm_p_estimate(a, 3, seed=5), 2.0, rtol=1e-12)
+
+    def test_opnorm_zero_slice_without_warnings(self):
+        # a zero slice freezes at once; its columns must not divide by zero
+        a = self.stack(4, count=3)
+        a[1] = 0.0
+        for p in (1.01, 3, 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                est = numerics.opnorm_p_estimate(a, p, seed=[1, 2, 3])
+            assert est[1] == 0.0 and np.all(est[[0, 2]] > 0.0)
+
+    @pytest.mark.parametrize("kernel", [numerics.svd, numerics.hermitian_eigen,
+                                        numerics.general_eigenvalues,
+                                        lambda m: numerics.opnorm_p_estimate(m, 3)])
+    def test_one_non_finite_slice_refuses_the_stack(self, kernel):
+        a = self.stack(4, hermitian=True)
+        a[3, 1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            kernel(a)
+
+    def test_one_non_hermitian_slice_refuses_the_stack(self):
+        a = self.stack(4, hermitian=True)
+        a[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match=r"not Hermitian.*slice \[2\]"):
+            numerics.hermitian_eigen(a)
+
+    @pytest.mark.parametrize("kernel, target, position", [
+        (numerics.svd, "svd", 1), (numerics.hermitian_eigen, "eigh", 0)])
+    def test_one_failed_reconstruction_refuses_the_stack(self, monkeypatch, kernel, target,
+                                                         position):
+        # slice 3's values come back wrong; its residual alone fails
+        real = getattr(np.linalg, target)
+
+        def corrupt(*args, **kwargs):
+            out = list(real(*args, **kwargs))
+            out[position][3] *= 1.5
+            return tuple(out)
+
+        monkeypatch.setattr(np.linalg, target, corrupt)
+        with pytest.raises(ArithmeticError, match=r"residual.*slice \[3\]"):
+            kernel(self.stack(4, hermitian=True))
+
+    def test_stack_with_mismatched_slices_refused(self):
+        with pytest.raises(ValueError, match="square"):
+            numerics.general_eigenvalues(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="matrix or a stack"):
+            numerics.as_matrix(np.zeros(3))
+        with pytest.raises(ValueError, match="one square matrix"):
+            numerics.matrix_exp(np.zeros((2, 3, 3)))

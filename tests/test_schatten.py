@@ -13,6 +13,8 @@ from almosthilbert.operators import (
     identity_operator,
 )
 from almosthilbert.schatten import (
+    POWER_EXPONENTS,
+    _power_sums,
     horn_sums,
     lidskii_sums,
     schatten_norm,
@@ -240,3 +242,47 @@ class TestEigenvalueInequalities:
             assert holds(*weyl_sums(A)[0])
             eigen_sum, trace = lidskii_sums(A)
             assert abs(eigen_sum - trace) <= 1e-9 * (abs(trace) + 1.0)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("N", [1, 8, 16])
+    def test_stacked_values_are_the_single_operator_values(self, N):
+        # bitwise: each operator of a stack gets what it gets alone
+        rng = np.random.default_rng(70 + N)
+        space = make_space(N=N)
+        mats = rand_complex(rng, 40, N, N) / np.sqrt(N)
+        seconds = rand_complex(rng, 40, N, N) / np.sqrt(N)
+        A, B = BOperator(mats, space), BOperator(seconds, space)
+        ps = (1.0, 1.5, 2.0, 4.0)
+        stacked = {
+            "gap": singular_value_gap(A)[1:],
+            "paths": schatten_norm_paths(A, ps),
+            "norms": schatten_norm(A, ps),
+            "weyl": weyl_sums(A),
+            "horn": horn_sums(A, B),
+            "lidskii": lidskii_sums(A),
+        }
+        for k in range(len(mats)):
+            a, b = BOperator(mats[k], space), BOperator(seconds[k], space)
+            alone = {
+                "gap": singular_value_gap(a)[1:],
+                "paths": schatten_norm_paths(a, ps),
+                "norms": schatten_norm(a, ps),
+                "weyl": weyl_sums(a),
+                "horn": horn_sums(a, b),
+                "lidskii": lidskii_sums(a),
+            }
+            for name, value in alone.items():
+                # the rows of weyl and horn are per operator; the others are
+                # tuples or lists of per-stack arrays
+                rows = name in ("weyl", "horn")
+                got = stacked[name][k] if rows else np.asarray(stacked[name])[..., k]
+                assert got.tobytes() == np.asarray(value).tobytes(), name
+
+    def test_power_sums_match_the_scalar_loop(self):
+        # reference: each power a Python float, the terms added by numpy
+        values = np.abs(rand_complex(np.random.default_rng(80), 300, 8))
+        sums = _power_sums(values)
+        for k, row in enumerate(values):
+            loop = [float(np.sum([float(v) ** p for v in row])) for p in POWER_EXPONENTS]
+            assert sums[k].tolist() == loop

@@ -240,9 +240,9 @@ class TestRunSuite:
     ])
     def test_unweighted_adjoint_is_reported(self, monkeypatch, suite, failing):
         # a planted defect, A* = A^H without the weights, shows as failed
-        # checks of a complete report
+        # checks of a complete report (swapaxes, not .T: A may be a stack)
         def unweighted(A):
-            return BOperator(A.matrix.conj().T, A.space)
+            return BOperator(A.matrix.conj().swapaxes(-1, -2), A.space)
         for module in (operators, suites, schatten):
             monkeypatch.setattr(module, "adjoint", unweighted)
         rep = run_suite(suite, seed=0, params=FAST)
@@ -302,25 +302,79 @@ class TestRunSuite:
         (entry,) = [c for c in json.loads(text)["checks"] if c["name"] == "hilbert-isometry"]
         assert entry["worst_violation"] is None
 
-    def test_draws_and_measures_one_instance_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("stack, chunk", [(False, 1), (True, suites._chunk(FAST.dim))])
+    def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, stack, chunk):
         # holding every instance of a check at once would hold, e.g., all
         # 2,000 grid functions of adjoint-defining-identity
-        log = []
+        log, alive, peak = [], [0], [0]
+
+        class Instance:
+            def __init__(self, i):
+                self.i = i
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+
+            def __del__(self):
+                alive[0] -= 1
 
         def draw(run, i):
             log.append(("draw", i))
-            return i
+            return Instance(i)
 
-        def measure(run, x):
-            log.append(("measure", x))
-            return 0.0
+        def measure(run, xs):
+            log.append(("measure", [x.i for x in xs]))
+            return np.zeros(len(xs))
 
-        fake = _Check(suite="integral", tol=1.0, count=100, blocks=1, samples=None,
-                      draw=draw, measure=measure)
+        trials = 3 * chunk + 1  # count 100: three full chunks and one instance
+        fake = _Check(suite="integral", tol=1.0, count=100, blocks=1, samples=None, draw=draw,
+                      measure=measure, stacked=stack)
         monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
-        rep = run_suite("integral", seed=0, params=SuiteParams(trials=3))
-        assert log == [(step, i) for i in range(3) for step in ("draw", "measure")]
-        assert [(c.name, c.status, c.samples) for c in rep.checks] == [("fake", PASS, 3)]
+        rep = run_suite("integral", seed=0, params=replace(FAST, trials=trials))
+        expected = []
+        for first in range(0, trials, chunk):
+            indices = list(range(first, min(first + chunk, trials)))
+            expected += [("draw", i) for i in indices] + [("measure", indices)]
+        assert log == expected
+        assert peak[0] == chunk and alive[0] == 0
+        assert [(c.name, c.status, c.samples) for c in rep.checks] == [("fake", PASS, trials)]
+
+    def test_chunk_is_sized_by_operator_bytes(self):
+        assert [suites._chunk(n) for n in (1, 8, 16, 32, 33, 53)] == [2048, 32, 8, 2, 1, 1]
+
+    @pytest.mark.parametrize("params, counts", [
+        # 35 instances of the 500-count checks: a chunk of 32 and one of 3
+        (SuiteParams(trials=7), {
+            "schatten-two-path": 35, "singular-value-paths": 14, "schatten-holder-monotone": 7,
+            "schatten-unitary-invariance": 9, "weyl-inequality": 35, "horn-inequality": 35,
+            "lalesco-inequality": 35, "lidskii-trace": 35, "lax-constant-khat": 1,
+            "bnorm-adjoint-ratio": 1, "hilbert-cp-constant": 2, "rayleigh-quotient-gap": 3}),
+        # chunks of 8 at N = 16: the measured entries cross one too
+        (SuiteParams(dim=16, trials=50), {
+            "schatten-two-path": 250, "singular-value-paths": 100,
+            "schatten-holder-monotone": 50, "schatten-unitary-invariance": 75,
+            "weyl-inequality": 250, "horn-inequality": 250, "lalesco-inequality": 250,
+            "lidskii-trace": 250, "lax-constant-khat": 10, "bnorm-adjoint-ratio": 10,
+            "hilbert-cp-constant": 20, "rayleigh-quotient-gap": 25}),
+    ], ids=["dim8-trials7", "dim16-trials50"])
+    def test_sample_counts_across_chunk_boundaries(self, params, counts):
+        rep = run_suite("schatten", seed=0, params=params)
+        assert rep.passed
+        assert {c.name: c.samples for c in rep.checks} == counts
+
+    def test_eigenvalue_defect_is_reported_not_raised(self, monkeypatch):
+        # a 1e-6 relative error in one eigenvalue per matrix misses the trace;
+        # lidskii-trace reports it in a complete report
+        real = np.linalg.eigvals
+
+        def shifted(a):
+            lam = real(a)
+            lam[..., 0] *= 1.0 + 1e-6
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", shifted)
+        rep = run_suite("schatten", seed=0, params=FAST)
+        assert len(rep.checks) == len(list_checks("schatten"))
+        assert "lidskii-trace" in {c.name for c in rep.checks if c.status == FAIL}
 
     def test_ks2_tail_bound_recorded(self):
         rep = run_suite("ks2", seed=9, params=FAST)
