@@ -72,8 +72,8 @@ from .schatten import (  # noqa: F401
 )
 from .ks2 import (  # noqa: F401
     Cube,
-    CubeSystem,
     converged_values,
+    cube,
     cube_rows,
     embedding_bounds,
     functional_Fk,

@@ -28,7 +28,7 @@ from .integrals import (
     riesz_potential,
     signal_from_callable,
 )
-from .ks2 import CubeSystem, cube_rows
+from .ks2 import cube_rows
 from .report import render
 from .spaces import GridFunction, midpoints
 from .suites import SUITE_NAMES, SuiteParams, list_checks, run_suite
@@ -145,7 +145,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_dump_cubes(args) -> int:
-    header, rows = cube_rows(CubeSystem(args.n), args.count)
+    header, rows = cube_rows(args.n, args.count)
     _write_text(_rows_to_csv(header, rows), args.out)
     return 0
 

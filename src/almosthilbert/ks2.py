@@ -4,6 +4,8 @@ averaging functionals.
 Cubes are enumerated by a fixed zig-zag pairing of (scale, center-index);
 centers walk a documented enumeration of the dyadic rationals of the unit
 interval or the unit square, and the cube at scale l has diagonal 2^{-l}.
+The k-th cube in dimension n is the pure function ``cube(k, n)``; every
+functional takes n from the dimension of its grid function.
 The k-th functional integrates its argument over the part of the k-th cube
 inside the unit interval or square (exact per-cell interval intersection,
 so aligned step functions evaluate exactly), and the inner product is the
@@ -41,10 +43,11 @@ The containment bounds (``embedding_bounds``) and the weak-to-strong norms
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,51 +142,30 @@ def rational_center(n: int, i: int) -> tuple[float, ...]:
     if n == 2:
         a, b = pairing_order(i)
         return (_dyadic_unit(a), _dyadic_unit(b))
-    raise ValueError("cube systems are shipped for dimensions 1 and 2 only")
+    raise ValueError("cubes are enumerated in dimensions 1 and 2 only")
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """Closed cube with diagonal 2^{-l}: side = 2^{-l}/sqrt(n)."""
 
     center: tuple[float, ...]
     side: float
     l: int
 
-    def __post_init__(self):
-        n = len(self.center)
-        expected = 2.0**-self.l / math.sqrt(n)
-        if not np.isclose(self.side, expected, rtol=1e-12, atol=0.0):
-            raise ValueError(f"side {self.side} inconsistent with scale {self.l} in dim {n}")
-
     @property
     def diagonal(self) -> float:
         return self.side * math.sqrt(len(self.center))
 
 
-@dataclass(frozen=True)
-class CubeSystem:
-    """Immutable enumeration of cubes over the unit interval (dim 1) or the
-    unit square (dim 2)."""
-
-    dim: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if _positive_int("dim", self.dim) not in (1, 2):
-            raise ValueError("cube systems are shipped for dimensions 1 and 2 only")
-
-    def cube(self, k: int) -> Cube:
-        if k not in self._cache:
-            l, i = pairing_order(k)
-            self._cache[k] = Cube(center=rational_center(self.dim, i),
-                                  side=2.0**-l / math.sqrt(self.dim), l=l)
-        return self._cache[k]
-
-
-def _require_system_grid(f: GridFunction, system: CubeSystem):
-    if f.dim != system.dim:
-        raise ValueError(f"a {f.dim}-D function does not live on a {system.dim}-D cube system")
+@functools.lru_cache(maxsize=None, typed=True)
+def cube(k: int, n: int) -> Cube:
+    """The k-th cube of the enumeration over the unit interval (n = 1) or
+    the unit square (n = 2): the scale l and center index i of
+    ``pairing_order(k)`` give center ``rational_center(n, i)`` and side
+    2^{-l}/sqrt(n).  A pure function of (k, n), computed once per pair."""
+    l, i = pairing_order(k)
+    n = _positive_int("dim", n)
+    return Cube(center=rational_center(n, i), side=2.0**-l / math.sqrt(n), l=l)
 
 
 # Cells of overlap weights built at once in the 1-D path: a block holds
@@ -207,11 +189,10 @@ def _overlaps(edges: np.ndarray, cubes: list[Cube], ax: int) -> np.ndarray:
     return np.clip(w, 0.0, None, out=w)
 
 
-def _integrals(f: GridFunction, ks, system: CubeSystem) -> np.ndarray:
+def _integrals(f: GridFunction, ks) -> np.ndarray:
     """F_k(f) for each cube index k in ``ks``: in 1-D a block of cubes at a
     time, each row summed over all M cells; in 2-D one cube at a time."""
-    _require_system_grid(f, system)
-    cubes = [system.cube(k) for k in ks]
+    cubes = [cube(k, f.dim) for k in ks]
     edges = _cell_edges(f)
     out = np.empty(len(cubes), dtype=np.complex128)
     if f.dim == 1:
@@ -220,19 +201,19 @@ def _integrals(f: GridFunction, ks, system: CubeSystem) -> np.ndarray:
             w = _overlaps(edges, cubes[s:s + rows], 0)
             out[s:s + rows] = np.sum(f.values * w, axis=1)
     else:
-        for j, cube in enumerate(cubes):
-            w0, w1 = (_overlaps(edges, [cube], ax)[0] for ax in (0, 1))
+        for j, c in enumerate(cubes):
+            w0, w1 = (_overlaps(edges, [c], ax)[0] for ax in (0, 1))
             out[j] = w0 @ f.values @ w1
     return out
 
 
-def functional_Fk(f: GridFunction, k: int, system: CubeSystem) -> complex:
+def functional_Fk(f: GridFunction, k: int) -> complex:
     """Integral of f over the part of the k-th cube inside the unit interval
     or square: bit for bit entry k - 1 of ``functional_values``."""
-    return complex(_integrals(f, [_positive_int("cube index", k)], system)[0])
+    return complex(_integrals(f, [_positive_int("cube index", k)])[0])
 
 
-def functional_values(f: GridFunction, K: int, system: CubeSystem) -> np.ndarray:
+def functional_values(f: GridFunction, K: int) -> np.ndarray:
     """The vector (F_1(f), ..., F_K(f)).
 
     On a 1-D grid the overlap weights of up to max(1, 2^15 // M) cubes are
@@ -241,7 +222,7 @@ def functional_values(f: GridFunction, K: int, system: CubeSystem) -> np.ndarray
     ``functional_Fk`` call (see the module docstring).
     """
     K = _positive_int("truncation", K)
-    return _integrals(f, range(1, K + 1), system)
+    return _integrals(f, range(1, K + 1))
 
 
 # The first prefix of functionals ``converged_values`` evaluates; each
@@ -250,7 +231,7 @@ _FIRST_PREFIX = 128
 _HALF_EPS = np.finfo(float).eps / 2.0
 
 
-def converged_values(f: GridFunction, K: int, system: CubeSystem) -> tuple[np.ndarray, int]:
+def converged_values(f: GridFunction, K: int) -> tuple[np.ndarray, int]:
     """The vector (F_1(f), ..., F_K(f)) cut at the effective truncation
     K_eff, and K_eff.
 
@@ -265,7 +246,7 @@ def converged_values(f: GridFunction, K: int, system: CubeSystem) -> tuple[np.nd
     l1_square = lp_norm(f, 1) ** 2
     n = min(_FIRST_PREFIX, K)
     while True:
-        v = functional_values(f, n, system)
+        v = functional_values(f, n)
         weights = dyadic_weights(n)
         partial = np.cumsum(weights * np.abs(v) ** 2)
         held = np.flatnonzero(weights * l1_square <= _HALF_EPS * partial)
@@ -292,14 +273,14 @@ def values_norm(v: np.ndarray) -> float:
     return math.sqrt(max(values_inner(v, v).real, 0.0))
 
 
-def ks2_inner(f: GridFunction, g: GridFunction, K: int, system: CubeSystem) -> complex:
+def ks2_inner(f: GridFunction, g: GridFunction, K: int) -> complex:
     """Weighted square-sum pairing sum_k 2^{-k} F_k(f) conj(F_k(g))."""
     f._require_same_grid(g)
-    return values_inner(converged_values(f, K, system)[0], converged_values(g, K, system)[0])
+    return values_inner(converged_values(f, K)[0], converged_values(g, K)[0])
 
 
-def ks2_norm(f: GridFunction, K: int, system: CubeSystem) -> float:
-    return values_norm(converged_values(f, K, system)[0])
+def ks2_norm(f: GridFunction, K: int) -> float:
+    return values_norm(converged_values(f, K)[0])
 
 
 def tail_bound(f: GridFunction, K: int) -> float:
@@ -326,34 +307,29 @@ def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]
     return bounds
 
 
-def weak_strong_norms(m_max: int, K: int, system: CubeSystem,
-                      resolution: int = 4096) -> tuple[list[float], int]:
+def weak_strong_norms(m_max: int, K: int, resolution: int = 4096) -> tuple[list[float], int]:
     """The square-sum norms of sin(2 pi m x), m = 1..m_max, and the largest
     effective truncation among them.
 
     The sequence goes weakly to zero in L^2 without going strongly; under
     this norm it decays outright.
     """
-    if system.dim != 1:
-        raise ValueError("the decay demonstration runs on the unit interval")
     m_max = _positive_int("m_max", m_max)
     resolution = _positive_int("resolution", resolution)
     norms, k_max = [], 1
     for m in range(1, m_max + 1):
         f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t), resolution)
-        v, k_eff = converged_values(f, K, system)
+        v, k_eff = converged_values(f, K)
         norms.append(values_norm(v))
         k_max = max(k_max, k_eff)
     return norms, k_max
 
 
-def cube_rows(system: CubeSystem, count: int) -> tuple[list[str], list[list]]:
-    """Header and rows for an audit dump of the first ``count`` cubes."""
+def cube_rows(n: int, count: int) -> tuple[list[str], list[list]]:
+    """Header and rows for an audit dump of the first ``count`` cubes in
+    dimension n."""
     count = _positive_int("count", count)
-    header = ["k", "l", "i", *[f"center{ax}" for ax in range(system.dim)], "side"]
-    rows = []
-    for k in range(1, count + 1):
-        l, i = pairing_order(k)
-        c = system.cube(k)
-        rows.append([k, l, i, *[repr(float(x)) for x in c.center], repr(float(c.side))])
-    return header, rows
+    cubes = [cube(k, n) for k in range(1, count + 1)]
+    header = ["k", "l", "i", *[f"center{ax}" for ax in range(n)], "side"]
+    return header, [[k, c.l, pairing_order(k)[1], *[repr(float(x)) for x in c.center],
+                     repr(float(c.side))] for k, c in enumerate(cubes, 1)]

@@ -1,8 +1,9 @@
 """Truncated operators on B and their weighted-metric adjoints.
 
 A BOperator is an N x N matrix acting on basis coefficients, or a stack
-of them with shape (..., N, N) on one space; the algebra, the transports
-and the adjoint act slice by slice.  With Gram
+of them with shape (..., N, N) on one space.  The algebra, transports,
+adjoint, norms, self-adjointness test, Lax checks and polar factors act
+slice by slice; every other function refuses a stack.  With Gram
 matrix W = diag(t_n), the adjoint determined by h_inner(Au, v) =
 h_inner(u, A*v) is the closed form A* = W^{-1} A^H W.  The similarity
 M -> W^{1/2} M W^{-1/2} transports a coordinate matrix to the H metric,
@@ -60,12 +61,19 @@ class BOperator:
     __rmul__ = __mul__
 
 
+def _one(A: BOperator, what: str) -> None:
+    """Refuse a stack where ``what`` takes one operator."""
+    if A.matrix.ndim > 2:
+        raise ValueError(f"{what} takes one operator, not a stack of shape {A.matrix.shape}")
+
+
 def identity_operator(space: EmbeddingSpace) -> BOperator:
     return BOperator(np.eye(space.dim, dtype=np.complex128), space)
 
 
 def apply_op(A: BOperator, u: GridFunction) -> GridFunction:
     """Act on a function through the truncation: synthesize M c(u)."""
+    _one(A, "apply_op")
     return reconstruct(A.matrix @ coefficients(u, A.space.basis), A.space.basis)
 
 
@@ -98,10 +106,11 @@ def adjoint(A: BOperator) -> BOperator:
     return BOperator(A.matrix.conj().swapaxes(-1, -2) * (w[None, :] / w[:, None]), A.space)
 
 
-def h_opnorm(A: BOperator) -> float:
-    """Operator norm in the H metric: top singular value of the transport."""
+def h_opnorm(A: BOperator):
+    """Operator norm in the H metric: top singular value of the transport,
+    one per slice of A."""
     _, s, _ = numerics.svd(h_matrix(A))
-    return float(s[0]) if s.size else 0.0
+    return np.max(s, axis=-1, initial=0.0)
 
 
 def b_opnorm_estimate(A: BOperator, p: float, seed=0):
@@ -119,6 +128,8 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a: complex) -> float:
     """Worst relative defect of the *-algebra identities: conjugate
     homogeneity, involution, additivity, anti-multiplicativity, and
     self-adjointness of A*A."""
+    _one(A, "adjoint_algebra_defect")
+    _one(B, "adjoint_algebra_defect")
     A._require_same_space(B)
     astar, bstar = adjoint(A), adjoint(B)
     return max(
@@ -130,11 +141,13 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a: complex) -> float:
     )
 
 
-def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10) -> bool:
+def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10):
     """True iff A = A* within tol, judged in the H metric, where A* is the
-    conjugate transpose: ||h(A) - h(A)^H||_F <= tol."""
+    conjugate transpose: ||h(A) - h(A)^H||_F <= tol.  A bool for one
+    operator, a bool array over the slices of a stack."""
     mh = h_matrix(A)
-    return float(np.linalg.norm(mh - mh.conj().T)) <= tol
+    held = np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol
+    return bool(held) if held.ndim == 0 else held
 
 
 def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
@@ -151,15 +164,15 @@ def _top_abs(values: np.ndarray):
     return np.max(np.abs(values), axis=-1, initial=0.0)
 
 
-def lax_check(T: BOperator) -> float:
+def lax_check(T: BOperator):
     """Lax's point-spectrum invariance for H-symmetric T, as a defect: the
     largest gap between the sorted coordinate eigenvalues and those of the
-    H-metric symmetrization, relative to max(1, ||T||_H)."""
+    H-metric symmetrization, relative to max(1, ||T||_H); one per slice of T."""
     lam = _h_symmetric_eigenvalues(T)
     lam_h = np.sort_complex(lam.astype(np.complex128))
     lam_b = np.sort_complex(numerics.general_eigenvalues(T.matrix))
-    gap = float(np.max(np.abs(lam_b - lam_h))) if lam_h.size else 0.0
-    return gap / max(1.0, _top_abs(lam))
+    gap = np.max(np.abs(lam_b - lam_h), axis=-1, initial=0.0)
+    return gap / np.maximum(1.0, _top_abs(lam))
 
 
 def lax_khat(T: BOperator, p: float, seed=0):
@@ -178,6 +191,7 @@ def self_conjugacy_check(A: BOperator, tgrid) -> bool:
     h(exp(itA)), so the W^{1/2} scaling never enters it, and the isometry
     defect is evaluated exactly on the whole truncated space as
     ||E^H E - I||_F."""
+    _one(A, "self_conjugacy_check")
     mh = h_matrix(A)
     eye = np.eye(A.space.dim)
     for t in tgrid:
@@ -192,11 +206,13 @@ def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
     """A = U T with T = (A*A)^{1/2} naturally self-adjoint nonnegative and
     U an H-metric partial isometry.  Computed by one SVD in the H metric,
     h(A) = X diag(s) Y^H, as h(U) = X Y^H and h(T) = Y diag(s) Y^H; the
-    factors are returned unjudged (``polar-reconstruction`` judges them)."""
+    factors are returned unjudged (``polar-reconstruction`` judges them);
+    for a stack, both factors are stacks of the slices' factors."""
     mh = h_matrix(A)
     uh, s, vh = numerics.svd(mh)
-    t_h = (vh * s) @ vh.conj().T
-    u_h = uh @ vh.conj().T
+    vh_t = vh.conj().swapaxes(-1, -2)
+    t_h = (vh * s[..., None, :]) @ vh_t
+    u_h = uh @ vh_t
     U = from_h_matrix(u_h, A.space)
     T = from_h_matrix(t_h, A.space)
     return U, T
@@ -212,6 +228,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
     operator.  Eigenvalues within relative gap 1e-8 are merged into one
     cluster so each projection is well defined under floating point."""
+    _one(A, "spectral_decompose")
     if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
     vals, vecs = h_eigen(h_matrix(A))
@@ -246,6 +263,7 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> f
     at most 1e-12 relative, or after 2,000 steps, and reports the smallest
     eigenvalue of X^H S X: whatever search space found X, the result is
     the minimal Rayleigh quotient of the explicit subspace span(X)."""
+    _one(A, "minmax_eigenvalue")
     n = A.space.dim
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index k={k} out of range 1..{n}")
@@ -277,13 +295,14 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> f
     return best
 
 
-def rayleigh_compare(A: BOperator, psi: GridFunction, space: EmbeddingSpace):
-    """Both Rayleigh-type quotients at psi and their gap.
+def rayleigh_compare(A: BOperator, psi: GridFunction):
+    """Both Rayleigh-type quotients at psi and their gap, in A's space.
 
     b_ratio uses the nonlinear duality bracket <A psi, J(psi-hat)> /
     <psi, J(psi-hat)>; h_ratio uses the H inner product.  The paper only
     claims the two are 'close', so this is a measurement.
     """
+    space = A.space
     p = space.basis.p
     bn = lp_norm(psi, p)
     if bn == 0.0:

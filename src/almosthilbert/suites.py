@@ -28,7 +28,6 @@ regardless because rendering sorts by check name.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -220,8 +219,8 @@ class _Spaces:
 
 class _Run:
     """One check's part of a ``run_suite`` call: the params, the check's
-    random stream, the spaces and cube system it works in (each built at most
-    once for the check), and the report params and tail bounds its
+    random stream, the spaces it works in (each built at most once for the
+    check), and the report params and tail bounds its
     ``measure`` records.  The random draws below are for ``draw`` alone."""
 
     def __init__(self, params: SuiteParams, rng, spaces: _Spaces, block_size: int):
@@ -238,10 +237,6 @@ class _Run:
             self._built[p, dim] = self._spaces.get(p=p, dim=dim)
         return self._built[p, dim]
 
-    @functools.cached_property
-    def cubes(self) -> ks2.CubeSystem:
-        return ks2.CubeSystem(1)
-
     def low(self, name: str, value):
         """Record the smallest entry of ``value`` (a number or an array) so
         far, NaN aside, as report param ``name``."""
@@ -253,13 +248,13 @@ class _Run:
         """Record the largest ``value`` so far as tail bound ``name``."""
         self.tails[name] = max(self.tails.get(name, 0.0), value)
 
-    def converged(self, f: GridFunction, K: int | None = None) -> np.ndarray:
-        """``f``'s functional values at truncation K (the run's by default),
-        cut at its effective truncation, whose largest value so far is
-        report param ``K_eff``."""
-        v, k_eff = ks2.converged_values(f, K or self.params.cubes, self.cubes)
+    def converged(self, f: GridFunction, K: int | None = None) -> tuple[np.ndarray, int]:
+        """``f``'s functional values at truncation K (the run's by default)
+        cut at its effective truncation K_eff, and K_eff, whose largest value
+        so far is report param ``K_eff``."""
+        v, k_eff = ks2.converged_values(f, K or self.params.cubes)
         self.extra["K_eff"] = max(self.extra.get("K_eff", 1), k_eff)
-        return v
+        return v, k_eff
 
     def coeffs(self, *shape) -> np.ndarray:
         return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
@@ -465,7 +460,7 @@ def _chk_positive_product(run, a_op):
     return [(float(np.max(np.abs(lam.imag))) / scale, -float(np.min(lam.real)) / scale)]
 
 
-@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=200, blocks=2,
+@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=400,
         draw=lambda run, i: run.selfadjoint() if i % 2 == 0 else run.operator())
 def _chk_self_conjugacy(run, a_op):
     return self_conjugacy_check(a_op, (0.25, 0.75)) != is_naturally_selfadjoint(a_op, tol=1e-8)
@@ -628,7 +623,7 @@ def _chk_pairing_bijection(run, x):
 @_check("ks2-gram-psd", "ks2", tol=1e-10, count=20,
         draw=lambda run, i: [run.step() for _ in range(6)])
 def _chk_gram_psd(run, fs):
-    vs = [run.converged(f) for f in fs]
+    vs = [run.converged(f)[0] for f in fs]
     g = np.array([[ks2.values_inner(a, b) for b in vs] for a in vs])
     scale = max(1.0, float(np.max(np.abs(g))))
     lam = numerics.hermitian_eigen((g + g.conj().T) / 2.0).values
@@ -638,10 +633,11 @@ def _chk_gram_psd(run, fs):
 @_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, draw=_draw_step)
 def _chk_truncation(run, f):
     ks = sorted({8, 16, 32, run.params.cubes})
-    v = run.converged(f, ks[-1])
+    v, k_eff = run.converged(f, ks[-1])
     norms = [ks2.values_norm(v[:k]) for k in ks]
     run.extra["K"] = ks[-1]
-    run.tail("ks2-truncation-tail", ks2.tail_bound(f, ks[-1]))
+    # Everything past K_eff is dropped, so the tail in effect is the one past it.
+    run.tail("ks2-truncation-tail", ks2.tail_bound(f, k_eff))
     scale = max(norms[-1], 1e-300)
     return [[(lo - hi) / scale for lo, hi in zip(norms, norms[1:])]]
 
@@ -649,7 +645,7 @@ def _chk_truncation(run, f):
 @_check("ks2-functional-contraction", "ks2", tol=1e-12, count=500, draw=_draw_step)
 def _chk_contraction(run, f):
     l1 = float(np.mean(np.abs(f.values)))
-    return [(abs(ks2.functional_Fk(f, k, run.cubes)) - l1) / max(l1, 1.0)
+    return [(abs(ks2.functional_Fk(f, k)) - l1) / max(l1, 1.0)
             for k in (1, 2, 7, 19, run.params.cubes)]
 
 
@@ -658,7 +654,7 @@ def _chk_fundamentality(run, f):
     # A nonzero value among the first eight settles it; only an all-zero
     # prefix needs the rest.
     k_max = run.extra["K"] = 256
-    return all(float(np.max(np.abs(ks2.functional_values(f, k, run.cubes)))) == 0.0
+    return all(float(np.max(np.abs(ks2.functional_values(f, k)))) == 0.0
                for k in (8, k_max))
 
 
@@ -668,7 +664,7 @@ def _chk_ks2_embedding(run, f):
     # already implies every finite q.
     qs = (1.0, 2.0, np.inf)
     run.extra["q_list"] = ",".join(f"{q:g}" for q in qs)
-    norm = ks2.values_norm(run.converged(f))
+    norm = ks2.values_norm(run.converged(f)[0])
     return _excesses([(norm, b) for b in ks2.embedding_bounds(f, qs)])
 
 
@@ -682,7 +678,7 @@ def _chk_weak_strong(run, x):
     # of the last norm to the first was fixed from a reference run at
     # m_max = 64, K = 256.
     resolution = max(run.params.grid, 1024)
-    norms, k_eff = ks2.weak_strong_norms(_WEAK_M_MAX, max(run.params.cubes, 256), run.cubes,
+    norms, k_eff = ks2.weak_strong_norms(_WEAK_M_MAX, max(run.params.cubes, 256),
                                          resolution=resolution)
     run.extra.update(m_max=_WEAK_M_MAX, resolution=resolution, K_eff=k_eff)
     return norms[-1] / max(norms[0], 1e-300)
@@ -796,7 +792,7 @@ def _meas_cp(run, f):
         draw=lambda run, i: (run.selfadjoint(), run.poly()))
 def _meas_rayleigh(run, x):
     run.extra["p"] = run.params.p
-    return rayleigh_compare(*x, run.space())[2]
+    return rayleigh_compare(*x)[2]
 
 
 # ---------------------------------------------------------------------------

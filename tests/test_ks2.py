@@ -8,9 +8,8 @@ from almosthilbert import ks2
 from almosthilbert.embedding import dyadic_weights
 from almosthilbert.ks2 import (
     PAIRING_PREFIX,
-    Cube,
-    CubeSystem,
     converged_values,
+    cube,
     cube_rows,
     embedding_bounds,
     functional_Fk,
@@ -28,9 +27,6 @@ from almosthilbert.ks2 import (
 from almosthilbert.spaces import GridFunction, from_callable
 from almosthilbert.suites import SuiteParams, run_suite
 
-UNIT = CubeSystem(1)
-
-
 def constant_one(resolution=512):
     return from_callable(lambda t: np.ones_like(t), resolution)
 
@@ -40,17 +36,17 @@ def random_step(rng, levels=8, resolution=256):
     return GridFunction(np.repeat(vals, resolution // levels))
 
 
-def reference_values(f, K, system):
+def reference_values(f, K):
     """The per-cube loop that ``functional_values`` replaces: edges rebuilt
     and every cell's overlap with one cube at a time, each row summed alone."""
     out = []
     for k in range(1, K + 1):
-        cube = system.cube(k)
+        center, side, _ = cube(k, f.dim)
         w = []
         for ax in range(f.dim):
             edges = np.arange(f.resolution + 1) / f.resolution
-            a = cube.center[ax] - cube.side / 2.0
-            b = cube.center[ax] + cube.side / 2.0
+            a = center[ax] - side / 2.0
+            b = center[ax] + side / 2.0
             w.append(np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None))
         out.append(complex(np.sum(f.values * w[0])) if f.dim == 1
                    else complex(w[0] @ f.values @ w[1]))
@@ -156,32 +152,27 @@ class TestRationalCenter:
 
 class TestCubes:
     def test_first_cube(self):
-        c = UNIT.cube(1)
+        c = cube(1, 1)
         assert c.center == (0.0,)
         assert c.side == 0.5
         assert c.l == 1
         assert c.diagonal == pytest.approx(0.5)
 
     def test_diagonal_two_dim(self):
-        system = CubeSystem(2)
         for k in (1, 5, 12):
-            c = system.cube(k)
+            c = cube(k, 2)
             l, _ = pairing_order(k)
             assert c.diagonal == pytest.approx(2.0**-l, rel=1e-12)
 
-    def test_side_validation(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Cube(center=(0.0,), side=0.3, l=1)
-
     def test_rejects_higher_dim(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
-            CubeSystem(3)
+            cube(1, 3)
 
     @pytest.mark.parametrize("dim, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError),
                                             (0, ValueError), (3, ValueError)])
     def test_rejects_bad_dim(self, dim, error):
         with pytest.raises(error):
-            CubeSystem(dim)
+            cube(1, dim)
 
 
 class TestFunctional:
@@ -189,18 +180,18 @@ class TestFunctional:
         one = constant_one()
         expected = {1: 0.25, 2: 0.125, 3: 0.25, 4: 0.5}
         for k, val in expected.items():
-            assert functional_Fk(one, k, UNIT) == pytest.approx(val, abs=1e-12)
+            assert functional_Fk(one, k) == pytest.approx(val, abs=1e-12)
 
     def test_prefix_doubles_past_the_first(self, monkeypatch):
         # Every early cube covers an even count of cells of the alternating
         # function, so its functionals vanish and K_eff lies past 128.
         f = GridFunction((-1.0) ** np.arange(4096))
-        full = functional_values(f, 1024, UNIT)
+        full = functional_values(f, 1024)
         lengths = []
         original = ks2.functional_values
         monkeypatch.setattr(ks2, "functional_values",
-                            lambda f, K, system: lengths.append(K) or original(f, K, system))
-        v, k_eff = converged_values(f, 1024, UNIT)
+                            lambda f, K: lengths.append(K) or original(f, K))
+        v, k_eff = converged_values(f, 1024)
         rule = stopping_rule(f, full)
         assert lengths == [128, 256]
         assert 128 < k_eff <= 256
@@ -210,12 +201,12 @@ class TestFunctional:
 
     def test_zero_function(self):
         z = GridFunction(np.zeros(64))
-        assert functional_Fk(z, 7, UNIT) == 0.0
+        assert functional_Fk(z, 7) == 0.0
 
     def test_aligned_step_exact(self):
         f = GridFunction(np.where(np.arange(64) < 32, 1.0, 0.0))
         # cube 4 is [1/4, 3/4]; the step lives on [0, 1/2)
-        assert functional_Fk(f, 4, UNIT) == pytest.approx(0.25, abs=1e-15)
+        assert functional_Fk(f, 4) == pytest.approx(0.25, abs=1e-15)
 
     def test_l1_contraction(self):
         rng = np.random.default_rng(40)
@@ -224,30 +215,23 @@ class TestFunctional:
                              + 1j * rng.standard_normal(256))
             l1 = float(np.sum(np.abs(f.values)) / 256)
             for k in (1, 2, 7, 19, 32):
-                assert abs(functional_Fk(f, k, UNIT)) <= l1 + 1e-12
+                assert abs(functional_Fk(f, k)) <= l1 + 1e-12
 
     def test_two_dimensional_constant(self):
-        system = CubeSystem(2)
         one = GridFunction(np.ones((128, 128)))
         # corner cube at scale 1: quarter of its area lands in the unit square
-        assert functional_Fk(one, 1, system) == pytest.approx(1.0 / 32.0, abs=1e-12)
-
-    def test_grid_mismatch(self):
-        for f, system in ((GridFunction(np.ones((64, 64))), UNIT),
-                          (GridFunction(np.ones(64)), CubeSystem(2))):
-            with pytest.raises(ValueError, match="cube system"):
-                functional_Fk(f, 1, system)
+        assert functional_Fk(one, 1) == pytest.approx(1.0 / 32.0, abs=1e-12)
 
     @pytest.mark.parametrize("k, error", [(2.5, TypeError), (True, TypeError), ("3", TypeError),
                                           (0, ValueError), (-2, ValueError)])
     def test_rejects_bad_cube_index(self, k, error):
         with pytest.raises(error, match="cube index"):
-            functional_Fk(constant_one(64), k, UNIT)
+            functional_Fk(constant_one(64), k)
 
     @pytest.mark.parametrize("K, error", [(8.0, TypeError), (0, ValueError)])
     def test_values_reject_bad_truncation(self, K, error):
         with pytest.raises(error, match="truncation"):
-            functional_values(constant_one(64), K, UNIT)
+            functional_values(constant_one(64), K)
 
 
 class TestKernelBitwise:
@@ -258,83 +242,82 @@ class TestKernelBitwise:
     @pytest.mark.parametrize("M, K", [(16, 8), (256, 64), (2048, 300), (8192, 1024)])
     def test_matches_per_cube_loop(self, M, K, kind):
         f = kernel_input(kind, M)
-        got = functional_values(f, K, UNIT)
+        got = functional_values(f, K)
         assert got.dtype == np.complex128 and got.shape == (K,)
-        assert got.tobytes() == reference_values(f, K, UNIT).tobytes()
+        assert got.tobytes() == reference_values(f, K).tobytes()
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_single_functional_is_vector_entry(self, kind):
         f = kernel_input(kind, 512)
-        vals = functional_values(f, 96, UNIT)
+        vals = functional_values(f, 96)
         for k in range(1, 97):
-            assert np.complex128(functional_Fk(f, k, UNIT)).tobytes() == vals[k - 1].tobytes()
+            assert np.complex128(functional_Fk(f, k)).tobytes() == vals[k - 1].tobytes()
 
     def test_two_dimensional(self):
-        system = CubeSystem(2)
         rng = np.random.default_rng(50)
         f = GridFunction(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        vals = functional_values(f, 40, system)
-        assert vals.tobytes() == reference_values(f, 40, system).tobytes()
+        vals = functional_values(f, 40)
+        assert vals.tobytes() == reference_values(f, 40).tobytes()
         for k in range(1, 41):
-            assert np.complex128(functional_Fk(f, k, system)).tobytes() == vals[k - 1].tobytes()
+            assert np.complex128(functional_Fk(f, k)).tobytes() == vals[k - 1].tobytes()
 
 
 class TestInnerProduct:
     def test_zero_argument(self):
         one = constant_one()
         z = GridFunction(np.zeros(512))
-        assert ks2_inner(one, z, 32, UNIT) == 0.0
+        assert ks2_inner(one, z, 32) == 0.0
 
     def test_nonnegative_selfpairing(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             f = random_step(rng)
-            assert ks2_inner(f, f, 32, UNIT).real >= 0.0
+            assert ks2_inner(f, f, 32).real >= 0.0
 
     def test_hermitian(self):
         rng = np.random.default_rng(42)
         f, g = random_step(rng), random_step(rng)
-        lhs = ks2_inner(f, g, 48, UNIT)
-        rhs = np.conj(ks2_inner(g, f, 48, UNIT))
+        lhs = ks2_inner(f, g, 48)
+        rhs = np.conj(ks2_inner(g, f, 48))
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_fraction_oracle_for_constant(self):
         K = 64
         total = Fraction(0)
         for k in range(1, K + 1):
-            cube = UNIT.cube(k)
-            c, s = Fraction(cube.center[0]), Fraction(cube.side)
+            center, side, _ = cube(k, 1)
+            c, s = Fraction(center[0]), Fraction(side)
             overlap = max(Fraction(0), min(c + s / 2, Fraction(1)) - max(c - s / 2, Fraction(0)))
             total += Fraction(1, 2**k) * overlap**2
-        got = ks2_inner(constant_one(resolution=100), constant_one(resolution=100), K, UNIT)
+        got = ks2_inner(constant_one(resolution=100), constant_one(resolution=100), K)
         assert got.real == pytest.approx(float(total), abs=1e-12)
         assert abs(got.imag) <= 1e-15
 
     def test_gram_positive_semidefinite(self):
         rng = np.random.default_rng(43)
         fs = [random_step(rng) for _ in range(6)]
-        gram = np.array([[ks2_inner(a, b, 40, UNIT) for b in fs] for a in fs])
+        gram = np.array([[ks2_inner(a, b, 40) for b in fs] for a in fs])
         assert np.min(np.linalg.eigvalsh((gram + gram.conj().T) / 2)) >= -1e-10
 
     def test_norm_monotone_in_truncation(self):
         rng = np.random.default_rng(44)
         f = random_step(rng)
-        norms = [ks2_norm(f, K, UNIT) for K in range(1, 65)]
+        norms = [ks2_norm(f, K) for K in range(1, 65)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_sup_bound(self):
         rng = np.random.default_rng(45)
         for _ in range(200):
             f = random_step(rng)
-            vals = functional_values(f, 48, UNIT)
-            assert ks2_norm(f, 48, UNIT) <= float(np.max(np.abs(vals))) + 1e-12
+            vals = functional_values(f, 48)
+            assert ks2_norm(f, 48) <= float(np.max(np.abs(vals))) + 1e-12
 
     def test_tail_bound_dominates_extension(self):
         rng = np.random.default_rng(46)
         for _ in range(20):
             f = random_step(rng)
-            small = ks2_inner(f, f, 24, UNIT).real
-            big = ks2_inner(f, f, 48, UNIT).real
+            small = ks2_inner(f, f, 24).real
+            big = ks2_inner(f, f, 48).real
             assert big - small <= tail_bound(f, 24) + 1e-15
 
     def test_fundamentality_witness(self):
@@ -343,13 +326,13 @@ class TestInnerProduct:
             f = random_step(rng)
             if np.max(np.abs(f.values)) == 0.0:
                 continue
-            assert np.max(np.abs(functional_values(f, 256, UNIT))) > 0.0
+            assert np.max(np.abs(functional_values(f, 256))) > 0.0
 
     def test_grid_mismatch(self):
         f = GridFunction(np.ones(64))
         for g in (GridFunction(np.ones(128)), GridFunction(np.ones((64, 64)))):
             with pytest.raises(ValueError, match="grid mismatch"):
-                ks2_inner(f, g, 8, UNIT)
+                ks2_inner(f, g, 8)
 
     @pytest.mark.parametrize("K, error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)])
     def test_tail_bound_rejects_bad_truncation(self, K, error):
@@ -369,19 +352,19 @@ class TestVectorOnce:
         rng = np.random.default_rng(51)
         for _ in range(5):
             f = random_step(rng)
-            v = functional_values(f, 64, UNIT)
+            v = functional_values(f, 64)
             for k in (1, 8, 16, 32, 63, 64):
-                assert np.float64(ks2_norm(f, k, UNIT)).tobytes() == \
+                assert np.float64(ks2_norm(f, k)).tobytes() == \
                     np.float64(values_norm(v[:k])).tobytes()
 
     def test_gram_from_shared_vectors(self):
         rng = np.random.default_rng(52)
         fs = [random_step(rng) for _ in range(6)]
-        vs = [functional_values(f, 64, UNIT) for f in fs]
+        vs = [functional_values(f, 64) for f in fs]
         shared = np.array([[values_inner(a, b) for b in vs] for a in vs])
-        pairwise = np.array([[ks2_inner(a, b, 64, UNIT) for b in fs] for a in fs])
+        pairwise = np.array([[ks2_inner(a, b, 64) for b in fs] for a in fs])
         assert shared.tobytes() == pairwise.tobytes()
-        refs = [reference_values(f, 64, UNIT) for f in fs]
+        refs = [reference_values(f, 64) for f in fs]
         loop = np.array([[complex(np.sum(dyadic_weights(64) * a * np.conj(b))) for b in refs]
                          for a in refs])
         assert shared.tobytes() == loop.tobytes()
@@ -415,8 +398,8 @@ class TestEffectiveTruncation:
     @pytest.mark.parametrize("resolution", [256, 8192])
     def test_stops_at_first_k_where_rule_holds(self, kind, resolution):
         f = kernel_input(kind, resolution)
-        full = functional_values(f, 1024, UNIT)
-        v, k_eff = converged_values(f, 1024, UNIT)
+        full = functional_values(f, 1024)
+        v, k_eff = converged_values(f, 1024)
         rule = stopping_rule(f, full)
         assert 1 < k_eff < 1024
         assert rule[k_eff - 1] and not rule[k_eff - 2]
@@ -429,30 +412,30 @@ class TestEffectiveTruncation:
         z = GridFunction(np.zeros(512))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            v, k_eff = converged_values(z, 64, UNIT)
+            v, k_eff = converged_values(z, 64)
         assert k_eff == 1
         assert v.shape == (64,) and not np.any(v)
 
     def test_short_unconverged_truncation_is_the_full_vector(self):
         f = kernel_input("step", 512)
-        v, k_eff = converged_values(f, 16, UNIT)
+        v, k_eff = converged_values(f, 16)
         assert k_eff == 16
-        assert v.tobytes() == functional_values(f, 16, UNIT).tobytes()
+        assert v.tobytes() == functional_values(f, 16).tobytes()
 
     def test_norm_square_is_self_pairing(self):
         rng = np.random.default_rng(54)
         for _ in range(10):
             f = random_step(rng, resolution=1024)
-            assert ks2_norm(f, 512, UNIT) ** 2 == pytest.approx(
-                ks2_inner(f, f, 512, UNIT).real, rel=4 * EPS)
+            assert ks2_norm(f, 512) ** 2 == pytest.approx(
+                ks2_inner(f, f, 512).real, rel=4 * EPS)
 
     def test_suite_evaluates_one_short_prefix_per_function(self, monkeypatch):
         calls = []
         original = ks2.functional_values
 
-        def counted(f, K, system):
+        def counted(f, K):
             calls.append((f, K))  # holds f, so no two functions share an id
-            return original(f, K, system)
+            return original(f, K)
 
         monkeypatch.setattr(ks2, "functional_values", counted)
         run_suite("ks2", 0, SuiteParams(grid=8192, cubes=1024, trials=1))
@@ -465,7 +448,7 @@ class TestEffectiveTruncation:
 
 def bound_holds(f, q, K=64):
     """The suites' containment test: norm <= bound within 1e-9 * (1 + bound)."""
-    norm = ks2_norm(f, K, UNIT)
+    norm = ks2_norm(f, K)
     return all(norm - b <= 1e-9 * (1.0 + b) for b in embedding_bounds(f, q))
 
 
@@ -473,14 +456,14 @@ class TestEmbeddingBound:
     def test_zero(self):
         z = GridFunction(np.zeros(128))
         assert embedding_bounds(z, [1.0, 2.0, np.inf]) == [0.0, 0.0, 0.0]
-        assert ks2_norm(z, 64, UNIT) == 0.0
+        assert ks2_norm(z, 64) == 0.0
         assert tail_bound(z, 64) == 0.0
 
     def test_constant_q2(self):
         f = constant_one()
         assert bound_holds(f, 2.0)
         assert embedding_bounds(f, 2.0) == [pytest.approx(1.0, abs=1e-12)]
-        assert ks2_norm(f, 64, UNIT) <= 1.0
+        assert ks2_norm(f, 64) <= 1.0
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
     def test_random_finite_q(self, q):
@@ -495,7 +478,7 @@ class TestEmbeddingBound:
             assert bound_holds(f, np.inf)
             sup = float(np.max(np.abs(f.values)))
             assert embedding_bounds(f, np.inf) == [0.5 * sup]
-            assert ks2_norm(f, 64, UNIT) <= 0.5 * sup + 1e-9
+            assert ks2_norm(f, 64) <= 0.5 * sup + 1e-9
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError, match="q must lie"):
@@ -505,53 +488,49 @@ class TestEmbeddingBound:
 class TestWeakStrong:
     def test_zero_frequency_norm(self):
         z = GridFunction(np.zeros(512))
-        assert ks2_norm(z, 64, UNIT) == 0.0
+        assert ks2_norm(z, 64) == 0.0
 
     def test_per_functional_envelope(self):
         for m in (1, 2, 4, 8, 16, 32, 64):
             f = from_callable(lambda t, m=m: np.sin(2.0 * np.pi * m * t), 4096)
             for k in range(1, 9):
-                assert abs(functional_Fk(f, k, UNIT)) <= 1.0 / (np.pi * m) + 5e-3
+                assert abs(functional_Fk(f, k)) <= 1.0 / (np.pi * m) + 5e-3
 
     def test_decay_demo(self):
-        norms, k_eff = weak_strong_norms(64, 256, UNIT, resolution=1024)
+        norms, k_eff = weak_strong_norms(64, 256, resolution=1024)
         assert len(norms) == 64
         assert 1 <= k_eff < 256
         assert norms[-1] / norms[0] <= 0.2
         f = from_callable(lambda t: np.sin(2.0 * np.pi * t), 1024)
-        assert norms[0] == ks2_norm(f, 256, UNIT)
-
-    def test_rejects_wrong_box(self):
-        with pytest.raises(ValueError, match="unit interval"):
-            weak_strong_norms(4, 16, CubeSystem(2))
+        assert norms[0] == ks2_norm(f, 256)
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):
-            weak_strong_norms(0, 16, UNIT)
+            weak_strong_norms(0, 16)
 
     @pytest.mark.parametrize("resolution, error", [(0, ValueError), (-8, ValueError),
                                                    (64.0, TypeError)])
     def test_rejects_bad_resolution(self, resolution, error):
         with pytest.raises(error, match="resolution"):
-            weak_strong_norms(4, 16, UNIT, resolution=resolution)
+            weak_strong_norms(4, 16, resolution=resolution)
 
 
 class TestDump:
     def test_header_and_first_row(self):
-        header, rows = cube_rows(UNIT, 4)
+        header, rows = cube_rows(1, 4)
         assert header == ["k", "l", "i", "center0", "side"]
         assert rows[0] == [1, 1, 1, "0.0", "0.5"]
         assert len(rows) == 4
 
     def test_two_dim_header(self):
-        header, _ = cube_rows(CubeSystem(2), 2)
+        header, _ = cube_rows(2, 2)
         assert header == ["k", "l", "i", "center0", "center1", "side"]
 
     def test_count_validation(self):
         with pytest.raises(ValueError, match="count"):
-            cube_rows(UNIT, 0)
+            cube_rows(1, 0)
 
     @pytest.mark.parametrize("count", [True, 2.5, "3"])
     def test_count_must_be_an_integer(self, count):
         with pytest.raises(TypeError, match="count"):
-            cube_rows(UNIT, count)
+            cube_rows(1, count)

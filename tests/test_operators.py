@@ -380,7 +380,7 @@ class TestRayleigh:
         space = make_space()
         rng = np.random.default_rng(16)
         psi = random_poly(space, rng)
-        b_ratio, h_ratio, gap = rayleigh_compare(identity_operator(space), psi, space)
+        b_ratio, h_ratio, gap = rayleigh_compare(identity_operator(space), psi)
         assert b_ratio == pytest.approx(1.0, abs=1e-10)
         assert h_ratio == pytest.approx(1.0, abs=1e-10)
         assert gap <= 1e-10
@@ -395,7 +395,7 @@ class TestRayleigh:
         coeffs = eig.vectors[:, 0] / sw
         psi = reconstruct(coeffs, space.basis)
         lam = eig.values[0]
-        b_ratio, h_ratio, gap = rayleigh_compare(A, psi, space)
+        b_ratio, h_ratio, gap = rayleigh_compare(A, psi)
         assert b_ratio == pytest.approx(lam, rel=1e-8)
         assert h_ratio == pytest.approx(lam, rel=1e-8)
         assert gap <= 1e-8 * max(1.0, abs(lam))
@@ -404,7 +404,56 @@ class TestRayleigh:
         space = make_space()
         zero = 0.0 * space.basis.member(0)
         with pytest.raises(ValueError, match="psi != 0"):
-            rayleigh_compare(identity_operator(space), zero, space)
+            rayleigh_compare(identity_operator(space), zero)
+
+
+class TestStacks:
+    """A stack of operators is judged slice by slice, or refused."""
+
+    @staticmethod
+    def _stack(ops):
+        return BOperator(np.stack([A.matrix for A in ops]), ops[0].space)
+
+    def test_selfadjoint_per_slice(self):
+        rng = np.random.default_rng(60)
+        space = make_space(N=8)
+        ops = [rand_selfadjoint(space, rng) if i % 2 == 0 else rand_operator(space, rng)
+               for i in range(8)]
+        alone = [is_naturally_selfadjoint(A) for A in ops]
+        assert alone == [True, False] * 4
+        assert is_naturally_selfadjoint(self._stack(ops)).tolist() == alone
+        sym = ops[::2]
+        assert is_naturally_selfadjoint(self._stack(sym)).tolist() == [True] * 4
+
+    def test_norms_lax_and_polar_per_slice(self):
+        rng = np.random.default_rng(61)
+        space = make_space(N=8)
+        ops = [rand_selfadjoint(space, rng) for _ in range(8)]
+        stack = self._stack(ops)
+        np.testing.assert_array_equal(h_opnorm(stack), [h_opnorm(A) for A in ops])
+        np.testing.assert_array_equal(lax_check(stack), [lax_check(A) for A in ops])
+        U, T = polar_decompose(stack)
+        for i, A in enumerate(ops):
+            u, t = polar_decompose(A)
+            np.testing.assert_array_equal(U.matrix[i], u.matrix)
+            np.testing.assert_array_equal(T.matrix[i], t.matrix)
+
+    def test_one_operator_functions_refuse_a_stack(self):
+        rng = np.random.default_rng(62)
+        space = make_space(N=4)
+        A = rand_selfadjoint(space, rng)
+        stack = self._stack([A, A])
+        psi = random_poly(space, rng)
+        calls = [lambda: apply_op(stack, psi),
+                 lambda: adjoint_algebra_defect(stack, A, 1.0),
+                 lambda: adjoint_algebra_defect(A, stack, 1.0),
+                 lambda: self_conjugacy_check(stack, (0.25,)),
+                 lambda: spectral_decompose(stack),
+                 lambda: minmax_eigenvalue(stack, 1),
+                 lambda: rayleigh_compare(stack, psi)]
+        for call in calls:
+            with pytest.raises(ValueError, match="not a stack"):
+                call()
 
 
 class TestFiniteDifference:
