@@ -51,7 +51,6 @@ from .operators import (  # noqa: F401
     h_eigen,
     h_matrix,
     h_opnorm,
-    identity_operator,
     is_naturally_selfadjoint,
     lax_check,
     lax_khat,
@@ -78,7 +77,6 @@ from .ks2 import (  # noqa: F401
     embedding_bounds,
     functional_Fk,
     functional_values,
-    inverse_pairing,
     ks2_inner,
     ks2_norm,
     pairing_order,

@@ -78,13 +78,6 @@ def _classic_pair(c: int) -> tuple[int, int]:
     return 1 + o, s - 1 - o
 
 
-def _classic_index(l: int, i: int) -> int:
-    s = l + i
-    start = 1 + (s - 2) * (s - 1) // 2
-    o = (s - 1 - l) if s % 2 == 1 else (l - 1)
-    return start + o
-
-
 def pairing_order(k: int) -> tuple[int, int]:
     """The (scale, center-index) pair enumerated at global index k >= 1.
 
@@ -101,18 +94,6 @@ def pairing_order(k: int) -> tuple[int, int]:
     if k == 9:
         return _classic_pair(7)
     return _classic_pair(k)
-
-
-def inverse_pairing(l: int, i: int) -> int:
-    """Global index of the pair (l, i); inverse of pairing_order."""
-    if l < 1 or i < 1:
-        raise ValueError("scale and center index must be >= 1")
-    c = _classic_index(l, i)
-    if c == 7:
-        return 9
-    if c in (8, 9):
-        return c - 1
-    return c
 
 
 def _dyadic_unit(i: int) -> float:

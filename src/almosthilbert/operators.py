@@ -67,10 +67,6 @@ def _one(A: BOperator, what: str) -> None:
         raise ValueError(f"{what} takes one operator, not a stack of shape {A.matrix.shape}")
 
 
-def identity_operator(space: EmbeddingSpace) -> BOperator:
-    return BOperator(np.eye(space.dim, dtype=np.complex128), space)
-
-
 def apply_op(A: BOperator, u: GridFunction) -> GridFunction:
     """Act on a function through the truncation: synthesize M c(u)."""
     _one(A, "apply_op")
@@ -141,12 +137,16 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a: complex) -> float:
     )
 
 
+def _h_asymmetry(mh: np.ndarray) -> np.ndarray:
+    """||mh - mh^H||_F of each slice of a transport mh (from ``h_matrix``)."""
+    return np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1))
+
+
 def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10):
     """True iff A = A* within tol, judged in the H metric, where A* is the
     conjugate transpose: ||h(A) - h(A)^H||_F <= tol.  A bool for one
     operator, a bool array over the slices of a stack."""
-    mh = h_matrix(A)
-    held = np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol
+    held = _h_asymmetry(h_matrix(A)) <= tol
     return bool(held) if held.ndim == 0 else held
 
 
@@ -154,7 +154,7 @@ def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
     """Eigenvalues of the H-metric symmetrization of each slice of T, which
     must already be H-symmetric to 1e-10 relative."""
     mh = h_matrix(T)
-    defect = np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1))
+    defect = _h_asymmetry(mh)
     if np.any(defect > 1e-10 * np.maximum(1.0, np.linalg.norm(mh, axis=(-2, -1)))):
         raise ValueError(f"operator is not H-symmetric to 1e-10: defect={np.max(defect):.3e}")
     return h_eigen(mh).values

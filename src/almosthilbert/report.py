@@ -97,6 +97,15 @@ def to_csv(report: VerificationReport) -> str:
     return buf.getvalue()
 
 
+def _rank(c: CheckResult) -> tuple[bool, float]:
+    """How badly an asserted check fared: (failing, worst / tol).  A NaN
+    worst or a nonzero tally (tol 0) counts as failing and ranks infinite."""
+    worst, tol = c.worst_violation, c.params.get("tol", 0.0)
+    if math.isnan(worst) or (worst > 0.0 and tol == 0.0):
+        return True, math.inf
+    return c.status == FAIL, worst / tol if tol else 0.0
+
+
 def to_text(report: VerificationReport) -> str:
     lines = [f"suite {report.suite}  seed={report.seed}"]
     for c in report.sorted_checks():
@@ -113,10 +122,11 @@ def to_text(report: VerificationReport) -> str:
     failing = sum(1 for c in report.checks if c.status == FAIL)
     asserted = [c for c in report.checks if c.status != MEASURED]
     if asserted:
-        worst = max(asserted, key=lambda c: c.worst_violation)
+        worst = max(asserted, key=_rank)
         lines.append(
             f"{len(report.checks)} checks, {failing} failing; "
-            f"worst violation {worst.worst_violation:.3g} ({worst.name})"
+            f"worst violation {worst.worst_violation:.3g} against tol "
+            f"{worst.params.get('tol', math.nan):.3g} ({worst.name})"
         )
     else:
         lines.append(f"{len(report.checks)} checks, {failing} failing")

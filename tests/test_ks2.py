@@ -14,7 +14,6 @@ from almosthilbert.ks2 import (
     embedding_bounds,
     functional_Fk,
     functional_values,
-    inverse_pairing,
     ks2_inner,
     ks2_norm,
     pairing_order,
@@ -97,14 +96,15 @@ class TestPairingOrder:
         assert pairing_order(9) == (4, 1)
         assert pairing_order(10) == (1, 4)
 
-    def test_round_trip(self):
-        for k in range(1, 10**4 + 1):
-            assert inverse_pairing(*pairing_order(k)) == k
-
-    def test_forward_inverse(self):
-        for l in range(1, 41):
-            for i in range(1, 41):
-                assert pairing_order(inverse_pairing(l, i)) == (l, i)
+    def test_complete_diagonals_are_a_bijection(self):
+        # for every anti-diagonal S completed within 10^4 indices, the first
+        # S(S-1)/2 pairs are exactly those with l + i <= S
+        pairs = [pairing_order(k) for k in range(1, 10**4 + 1)]
+        S = 2
+        while S * (S - 1) // 2 <= len(pairs):
+            assert set(pairs[:S * (S - 1) // 2]) == {
+                (l, i) for l in range(1, S) for i in range(1, S + 1 - l)}, S
+            S += 1
 
     def test_closed_form_matches_diagonal_walk(self):
         # every index up to 2 * 10^4, then the first, second and last index
@@ -115,16 +115,19 @@ class TestPairingOrder:
             assert ks2._classic_pair(c) == reference_classic_pair(c), c
 
     def test_closed_form_inverts_at_large_index(self):
+        # diagonal s = l + i starts at index 1 + (s-2)(s-1)/2 and is walked
+        # with l descending for odd s and ascending for even s
         for c in (10**12, 10**15 + 7, 2**52 + 3):
-            assert ks2._classic_index(*ks2._classic_pair(c)) == c
+            l, i = ks2._classic_pair(c)
+            s = l + i
+            start = 1 + (s - 2) * (s - 1) // 2
+            assert start + ((s - 1 - l) if s % 2 == 1 else (l - 1)) == c
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
             pairing_order(0)
         with pytest.raises(TypeError, match="cube index"):
             pairing_order(2.5)
-        with pytest.raises(ValueError):
-            inverse_pairing(0, 1)
 
 
 class TestRationalCenter:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    identity_operator,
     make_space,
     rand_complex,
     rand_operator,
@@ -23,7 +24,6 @@ from almosthilbert.operators import (
     h_eigen,
     h_matrix,
     h_opnorm,
-    identity_operator,
     is_naturally_selfadjoint,
     lax_check,
     lax_khat,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_space, rand_complex, rand_operator, rand_selfadjoint
+from helpers import identity_operator, make_space, rand_complex, rand_operator, rand_selfadjoint
 
 from almosthilbert import numerics
 from almosthilbert.embedding import embedding_space
@@ -10,7 +10,6 @@ from almosthilbert.operators import (
     adjoint,
     from_h_matrix,
     h_matrix,
-    identity_operator,
 )
 from almosthilbert.schatten import (
     POWER_EXPONENTS,
@@ -117,12 +116,16 @@ class TestSchattenNorm:
                 assert abs(bracket - mu) <= 1e-9 * max(1.0, mu)
 
     def test_holder_monotonicity(self):
+        # 20 operators one at a time, then a (20, N, N) stack at the orders
+        # the suites once checked
         rng = np.random.default_rng(24)
         space = make_space(N=8)
-        for _ in range(20):
-            A = rand_operator(space, rng)
-            norms = schatten_norm(A, (1.0, 1.5, 2.0, 4.0, 8.0))
-            assert all(a >= b - 1e-10 * max(1.0, a) for a, b in zip(norms, norms[1:]))
+        ones = [(rand_operator(space, rng), (1.0, 1.5, 2.0, 4.0, 8.0)) for _ in range(20)]
+        stack = BOperator(rand_complex(rng, 20, 8, 8) / np.sqrt(8), space)
+        for A, orders in [*ones, (stack, (1.0, 1.5, 2.0, 3.0, 4.0))]:
+            norms = schatten_norm(A, orders)
+            for a, b in zip(norms, norms[1:]):
+                assert np.all(a >= b - 1e-10 * np.maximum(1.0, a))
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(25)
@@ -215,6 +218,9 @@ class TestEigenvalueInequalities:
             assert all(holds(*pair) for pair in pairs)
 
     def test_lalesco_triangular(self):
+        # Lalesco's inequality is the p = 1 row of Weyl's, so weyl-inequality
+        # judges it only while the first power is 1
+        assert POWER_EXPONENTS[0] == 1.0
         space = make_space(N=2)
         A = BOperator(np.array([[1.0, 2.0], [0.0, 3.0]]), space)
         lhs, rhs = weyl_sums(A)[0]
