@@ -20,6 +20,7 @@ from . import numerics  # noqa: F401
 from .spaces import (  # noqa: F401
     GridFunction,
     SchauderBasis,
+    analyze,
     coefficients,
     duality_map,
     fourier_sbasis,
@@ -27,10 +28,12 @@ from .spaces import (  # noqa: F401
     lp_norm,
     pairing,
     reconstruct,
+    synthesize,
 )
 from .embedding import (  # noqa: F401
     DualFunctional,
     EmbeddingSpace,
+    coefficient_h_inner,
     dyadic_weights,
     embedding_space,
     gram_matrix,
@@ -44,6 +47,7 @@ from .operators import (  # noqa: F401
     SpectralDecomposition,
     adjoint,
     adjoint_algebra_defect,
+    adjoint_identity_defect,
     apply_op,
     b_opnorm_estimate,
     finite_difference_operator,

@@ -50,9 +50,14 @@ def embedding_space(basis: SchauderBasis, weights=None) -> EmbeddingSpace:
 
 def h_inner(u: GridFunction, v: GridFunction, space: EmbeddingSpace) -> complex:
     """(u, v)_H = sum_n t_n <E_n*, u> conj(<E_n*, v>)."""
-    cu = coefficients(u, space.basis)
-    cv = coefficients(v, space.basis)
-    return complex(np.sum(space.weights * cu * np.conj(cv)))
+    return complex(coefficient_h_inner(coefficients(u, space.basis),
+                                       coefficients(v, space.basis), space))
+
+
+def coefficient_h_inner(cu: np.ndarray, cv: np.ndarray, space: EmbeddingSpace) -> np.ndarray:
+    """sum_n t_n cu_n conj(cv_n) over the last axis: the H inner product of
+    the functions with coefficients cu and cv, one per row of a stack."""
+    return np.sum(space.weights * cu * np.conj(cv), axis=-1)
 
 
 def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:

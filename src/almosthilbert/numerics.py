@@ -1,15 +1,16 @@
 """Dense complex linear algebra kernels used by every other module.
 
 Thin, validating wrappers around LAPACK factorizations (via numpy), a
-Pade matrix exponential, and a hand-rolled power method for induced
-matrix p-norms.  Every kernel but the exponential takes one matrix or a
-stack of them, shape (..., N, N), and validates once per stack: one
-finiteness test over the whole stack and residuals computed for every
-slice together, raising if any slice fails.  Slice k of a stacked call
-equals the call on slice k alone: bit for bit for the LAPACK kernels, and
-within the 1e-13 stationarity slack for the power method.  A 2-D call is
-the stack of one.  All functions are pure: no global state, randomness
-only through an explicit seed.
+Pade matrix exponential, a Frobenius norm, and a hand-rolled power method
+for induced matrix p-norms.  Every kernel takes one matrix or a stack of
+them, shape (..., N, N), and validates once per stack: one finiteness
+test over the whole stack and residuals computed for every slice
+together, raising if any slice fails.  The exponential scales and squares
+each slice its own number of times.  Slice k of a stacked call equals the
+call on slice k alone: bit for bit for the LAPACK kernels, the
+exponential and the norm, and within the 1e-13 stationarity slack for the
+power method.  A 2-D call is the stack of one.  All functions are pure:
+no global state, randomness only through an explicit seed.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ def _square(m, name: str) -> np.ndarray:
 def _fro(x: np.ndarray) -> np.ndarray:
     # The Frobenius norm of each slice.
     return np.linalg.norm(x, axis=(-2, -1))
+
+
+def frobenius_norm(x) -> np.ndarray:
+    """The Frobenius norm of each slice of x, rounded as ``np.linalg.norm``
+    rounds it for the slice alone: BLAS dot products of the real and the
+    imaginary parts over the entries in the slice's own memory order.
+    (``_fro`` sums squares pairwise instead, which rounds otherwise.)"""
+    x = np.asarray(x)
+    if x.strides[-1] != x.itemsize and x.strides[-2] == x.itemsize:
+        x = x.swapaxes(-1, -2)  # column-major slices: read them column by column
+    flat = np.ascontiguousarray(x).reshape(*x.shape[:-2], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, as for one matrix
+        return np.sqrt(sum((y @ y.swapaxes(-1, -2))[..., 0, 0] for y in parts))
 
 
 def _ct(x: np.ndarray) -> np.ndarray:
@@ -134,17 +149,20 @@ _THETA13 = 5.371920351148152
 
 
 def _expm_pade13(a: np.ndarray) -> np.ndarray:
-    """e^A by scaling and squaring: the degree-13 Pade approximant r_13 of
-    A / 2^s, with s the least integer putting the 1-norm at or below
-    theta_13, squared s times."""
+    """e^A of each slice by scaling and squaring: the degree-13 Pade
+    approximant r_13 of A / 2^s, with s the least integer putting the slice's
+    1-norm at or below theta_13, squared s times.  Each slice has its own s,
+    and a slice that needs fewer squarings than another is frozen (masked)
+    once it has had its own."""
     with np.errstate(over="ignore"):
-        norm1 = float(np.max(np.sum(np.abs(a), axis=0)))
-    if not math.isfinite(norm1):
+        norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    if not np.all(np.isfinite(norm1)):
         raise OverflowError("matrix 1-norm overflows float64; input norm too extreme")
-    s = math.ceil(math.log2(norm1 / _THETA13)) if norm1 > _THETA13 else 0
-    a = a * 2.0**-s
+    s = np.array([math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
+                  for x in norm1.flat], dtype=int).reshape(norm1.shape)
+    a = a * (2.0 ** -s)[..., None, None]
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=a.dtype)
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -154,17 +172,16 @@ def _expm_pade13(a: np.ndarray) -> np.ndarray:
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     e = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            e = e @ e
+        for step in range(int(np.max(s, initial=0))):
+            live = s > step
+            e[live] = e[live] @ e[live]
     return e
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential e^M (scaling-and-squaring Pade approximation)."""
-    a = as_matrix(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix_exp requires one square matrix")
-    e = _expm_pade13(a)
+    """Matrix exponential e^M of each slice (scaling-and-squaring Pade
+    approximation), raising OverflowError if any slice overflows."""
+    e = _expm_pade13(_square(m, "matrix_exp"))
     if not np.all(np.isfinite(e)):
         raise OverflowError("matrix exponential overflowed; input norm too extreme")
     return e

@@ -2,8 +2,10 @@
 
 A BOperator is an N x N matrix acting on basis coefficients, or a stack
 of them with shape (..., N, N) on one space.  The algebra, transports,
-adjoint, norms, self-adjointness test, Lax checks and polar factors act
-slice by slice; every other function refuses a stack.  With Gram
+adjoint, norms, *-algebra and defining-identity defects, self-adjointness
+and self-conjugacy tests, Lax checks, polar factors and the min-max
+estimate act slice by slice, each slice as it would alone; ``apply_op``,
+``spectral_decompose`` and ``rayleigh_compare`` refuse a stack.  With Gram
 matrix W = diag(t_n), the adjoint determined by h_inner(Au, v) =
 h_inner(u, A*v) is the closed form A* = W^{-1} A^H W.  The similarity
 M -> W^{1/2} M W^{-1/2} transports a coordinate matrix to the H metric,
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .embedding import EmbeddingSpace, h_inner
-from .spaces import GridFunction, coefficients, duality_map, lp_norm, pairing, reconstruct
+from .embedding import EmbeddingSpace, coefficient_h_inner, h_inner
+from .spaces import (GridFunction, analyze, coefficients, duality_map, lp_norm, pairing,
+                     reconstruct, synthesize)
 
 _RESTARTS = 4          # random starts of the coefficient p-norm power method
 _ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
@@ -115,26 +118,52 @@ def b_opnorm_estimate(A: BOperator, p: float, seed=0):
     return numerics.opnorm_p_estimate(A.matrix, p, restarts=_RESTARTS, seed=seed)
 
 
-def _rel_defect(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1.0)
-    return float(np.linalg.norm(lhs - rhs)) / scale
+def _rel_defect(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    fro = numerics.frobenius_norm
+    return fro(lhs - rhs) / np.maximum(np.maximum(fro(lhs), fro(rhs)), 1.0)
 
 
-def adjoint_algebra_defect(A: BOperator, B: BOperator, a: complex) -> float:
+def _scaled(a, A: BOperator) -> BOperator:
+    """a * A with one scalar per slice of A."""
+    return BOperator(np.asarray(a, dtype=np.complex128)[..., None, None] * A.matrix, A.space)
+
+
+def adjoint_algebra_defect(A: BOperator, B: BOperator, a):
     """Worst relative defect of the *-algebra identities: conjugate
     homogeneity, involution, additivity, anti-multiplicativity, and
-    self-adjointness of A*A."""
-    _one(A, "adjoint_algebra_defect")
-    _one(B, "adjoint_algebra_defect")
+    self-adjointness of A*A; one per slice of A and B, with the scalar
+    ``a`` one, or one per slice."""
     A._require_same_space(B)
     astar, bstar = adjoint(A), adjoint(B)
-    return max(
-        _rel_defect(adjoint(a * A).matrix, (np.conj(a) * astar).matrix),
+    return np.max([
+        _rel_defect(adjoint(_scaled(a, A)).matrix, _scaled(np.conj(a), astar).matrix),
         _rel_defect(adjoint(astar).matrix, A.matrix),
         _rel_defect(adjoint(A + B).matrix, (astar + bstar).matrix),
         _rel_defect(adjoint(A @ B).matrix, (bstar @ astar).matrix),
         _rel_defect(adjoint(astar @ A).matrix, (astar @ A).matrix),
-    )
+    ], axis=0)
+
+
+def adjoint_identity_defect(A: BOperator, cu, cv):
+    """Relative defect |(Au, v)_H - (u, A*v)_H| / max(1, |each side|) of the
+    defining identity, for the functions u and v with coefficients cu and cv;
+    one per slice of A, with cu and cv one row per slice.  Each function is
+    synthesized on the grid and analysed back, and Au and A*v likewise, as
+    ``apply_op`` and ``h_inner`` do for one function."""
+    space = A.space
+    basis = space.basis
+
+    def round_trip(c):
+        return analyze(synthesize(c, basis), basis)
+
+    def act(m, c):
+        return round_trip((m @ c[..., None])[..., 0])
+
+    c_u, c_v = round_trip(np.asarray(cu)), round_trip(np.asarray(cv))
+    lhs = coefficient_h_inner(act(A.matrix, c_u), c_v, space)
+    rhs = coefficient_h_inner(c_u, act(adjoint(A).matrix, c_v), space)
+    modulus = lambda z: np.hypot(z.real, z.imag)  # rounds as abs() of a complex does
+    return modulus(lhs - rhs) / np.maximum(np.maximum(1.0, modulus(lhs)), modulus(rhs))
 
 
 def _h_asymmetry(mh: np.ndarray) -> np.ndarray:
@@ -185,21 +214,24 @@ def lax_khat(T: BOperator, p: float, seed=0):
     return norm_h**2 / np.maximum(norm_b**2, 1e-300)
 
 
-def self_conjugacy_check(A: BOperator, tgrid) -> bool:
+def self_conjugacy_check(A: BOperator, tgrid):
     """True iff exp(itA) is an H-metric isometry for each t in tgrid, both
-    signs.  The exponential is taken of the transport, E = exp(it h(A)) =
+    signs; a bool for one operator, a bool array over the slices of a stack.
+    The exponential is taken of the transport, E = exp(it h(A)) =
     h(exp(itA)), so the W^{1/2} scaling never enters it, and the isometry
     defect is evaluated exactly on the whole truncated space as
-    ||E^H E - I||_F."""
-    _one(A, "self_conjugacy_check")
+    ||E^H E - I||_F.  A slice is refuted at its first failing t and sign,
+    and no later exponential is taken of it, so a slice that would overflow
+    only past that point refutes rather than raises."""
     mh = h_matrix(A)
     eye = np.eye(A.space.dim)
-    for t in tgrid:
-        for sign in (1.0, -1.0):
-            e = numerics.matrix_exp(1j * sign * float(t) * mh)
-            if float(np.linalg.norm(e.conj().T @ e - eye)) > _ISOMETRY_TOL:
-                return False
-    return True
+    held = np.ones(mh.shape[:-2], dtype=bool)
+    for t, sign in [(t, sign) for t in tgrid for sign in (1.0, -1.0)]:
+        if not held.any():
+            break
+        e = numerics.matrix_exp(1j * sign * float(t) * mh[held])
+        held[held] = numerics.frobenius_norm(e.conj().swapaxes(-1, -2) @ e - eye) <= _ISOMETRY_TOL
+    return bool(held) if held.ndim == 0 else held
 
 
 def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
@@ -249,7 +281,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     return SpectralDecomposition(np.array(eigenvalues), tuple(projections))
 
 
-def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> float:
+def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
     """Courant-Fischer estimate of the k-th largest eigenvalue (1-based,
     counted with multiplicity) of a naturally self-adjoint operator: the
     best, over ``trials`` random starts, of the minimal Rayleigh quotient
@@ -262,37 +294,54 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed: int = 0) -> f
     vectors.  A trial stops when the k-th Ritz value changes by
     at most 1e-12 relative, or after 2,000 steps, and reports the smallest
     eigenvalue of X^H S X: whatever search space found X, the result is
-    the minimal Rayleigh quotient of the explicit subspace span(X)."""
-    _one(A, "minmax_eigenvalue")
+    the minimal Rayleigh quotient of the explicit subspace span(X).
+
+    ``seed`` is one seed, or one per slice of A; a slice's starts are drawn
+    from its seed alone, trial by trial.  Every trial of every slice is one
+    slice of a single iteration, and a converged one is frozen (masked) while
+    the others go on, so each slice gets what a call on it alone gets.
+    Returns a float for one operator, an array over the slices of a stack."""
     n = A.space.dim
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index k={k} out of range 1..{n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sym = _sym(h_matrix(A))
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    for _ in range(trials):
-        x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-        x, _ = np.linalg.qr(x)
-        sx = sym @ x
-        direction = None
-        prev = np.inf
-        for _ in range(2000):
-            resid = sx - x @ (x.conj().T @ sx)
-            blocks = [x, resid] if direction is None else [x, resid, direction]
-            basis, _ = np.linalg.qr(np.hstack(blocks))
-            sbasis = sym @ basis
-            ritz = numerics.hermitian_eigen(_sym(basis.conj().T @ sbasis))
-            coef = ritz.vectors[:, :k]
-            x, sx = basis @ coef, sbasis @ coef
-            direction = basis[:, k:] @ coef[k:]
-            cand = float(ritz.values[k - 1])
-            if abs(cand - prev) <= 1e-12 * max(1.0, abs(cand)):
-                break
-            prev = cand
-        best = max(best, float(numerics.hermitian_eigen(_sym(x.conj().T @ sym @ x)).values[-1]))
-    return best
+    stack = A.matrix.shape[:-2]
+    # one row per (slice, trial), trials of a slice adjacent
+    sym = np.repeat(_sym(h_matrix(A)).reshape(-1, n, n), trials, axis=0)
+    starts = []
+    for s in np.broadcast_to(np.asarray(seed), stack).flat:
+        rng = np.random.default_rng(int(s))
+        for _ in range(trials):
+            starts.append(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    x, _ = np.linalg.qr(np.array(starts))
+    sx = sym @ x
+    direction = None
+    prev = np.full(len(x), np.inf)
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(2000):
+        xl, sxl = x[live], sx[live]
+        resid = sxl - xl @ (xl.conj().swapaxes(-1, -2) @ sxl)
+        blocks = [xl, resid] if direction is None else [xl, resid, direction[live]]
+        basis, _ = np.linalg.qr(np.concatenate(blocks, axis=-1))
+        sbasis = sym[live] @ basis
+        ritz = numerics.hermitian_eigen(_sym(basis.conj().swapaxes(-1, -2) @ sbasis))
+        coef = ritz.vectors[..., :k]
+        x[live], sx[live] = basis @ coef, sbasis @ coef
+        step = basis[..., k:] @ coef[..., k:, :]
+        if direction is None:
+            direction = np.empty((len(x),) + step.shape[1:], dtype=step.dtype)
+        direction[live] = step
+        cand = ritz.values[..., k - 1]
+        done = np.abs(cand - prev[live]) <= 1e-12 * np.maximum(1.0, np.abs(cand))
+        prev[live] = cand
+        live[live] = ~done
+        if not live.any():
+            break
+    xh = x.conj().swapaxes(-1, -2)
+    low = numerics.hermitian_eigen(_sym(xh @ sym @ x)).values[..., -1]
+    best = np.max(low.reshape(stack + (trials,)), axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
 def rayleigh_compare(A: BOperator, psi: GridFunction):

@@ -187,12 +187,24 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
     return SchauderBasis(synthesis=synthesis, analysis=analysis, p=p)
 
 
+def analyze(values: np.ndarray, basis: SchauderBasis) -> np.ndarray:
+    """The coefficients (<E_n*, u>)_n of grid values u, the grid on the last
+    axis: one analysis matrix-vector product per function of a stack."""
+    return (basis.analysis @ values[..., None])[..., 0] * (1.0 / values.shape[-1])
+
+
+def synthesize(coeffs: np.ndarray, basis: SchauderBasis) -> np.ndarray:
+    """The grid values of sum_n c_n E_n, the coefficients on the last axis:
+    one vector-matrix product with the synthesis matrix per row of a stack."""
+    return (coeffs[..., None, :] @ basis.synthesis)[..., 0, :]
+
+
 def coefficients(u: GridFunction, basis: SchauderBasis) -> np.ndarray:
     """Coefficient vector (<E_n*, u>)_n, one product with the analysis matrix."""
     if u.values.shape != basis.analysis.shape[1:]:
         raise ValueError(f"grid mismatch: {u.values.shape} samples against a basis "
                          f"on {basis.analysis.shape[1]} cells")
-    return basis.analysis @ u.values * u.cell_volume
+    return analyze(u.values, basis)
 
 
 def reconstruct(coeffs, basis: SchauderBasis) -> GridFunction:
@@ -200,4 +212,4 @@ def reconstruct(coeffs, basis: SchauderBasis) -> GridFunction:
     c = np.asarray(coeffs, dtype=np.complex128)
     if c.shape != (len(basis),):
         raise ValueError(f"expected {len(basis)} coefficients, got shape {c.shape}")
-    return GridFunction(c @ basis.synthesis)
+    return GridFunction(synthesize(c, basis))

@@ -50,7 +50,7 @@ from .operators import (
     BOperator,
     adjoint,
     adjoint_algebra_defect,
-    apply_op,
+    adjoint_identity_defect,
     b_opnorm_estimate,
     from_h_matrix,
     h_eigen,
@@ -127,16 +127,22 @@ def check_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# The bytes of complex128 N x N matrices one chunk of a stacked check may
-# hold: 32 operators at N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.
-# All 500 instances of a check at once raised the nominal peak RSS by 17 %,
-# past the benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
+# The bytes of complex128 values one chunk of a stacked check may hold: of
+# N x N operators alone, 32 at N = 8, 8 at N = 16, 2 at N = 32, one from
+# N = 33.  All 500 instances of a check at once raised the nominal peak RSS
+# by 17 %, past the benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
 _CHUNK_BYTES = 2**15
 
 
-def _chunk(dim: int) -> int:
-    """Instances per chunk of a stacked check whose operators are dim x dim."""
-    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+def _chunk(dim: int, grid: int = 0) -> int:
+    """Instances per chunk of a stacked check whose instances each hold a
+    dim x dim operator and ``grid`` further values (grid samples)."""
+    return max(1, _CHUNK_BYTES // (16 * (dim * dim + grid)))
+
+
+def _resolution(params: SuiteParams, dim: int) -> int:
+    """The grid size of the basis of N = dim members at these params."""
+    return max(64, 8 * dim, params.grid)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,13 @@ class _Check:
     samples: int | None
     draw: Callable
     measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
-    stacked: bool = False  # chunks of _chunk(dim) instances; otherwise of one
+    stacked: bool = False  # chunks of _chunk(dim, ...) instances; otherwise of one
+    grid_values: int = 0  # grid functions one stacked instance's measure holds at once
+
+    def chunk(self, params: SuiteParams) -> int:
+        if not self.stacked:
+            return 1
+        return _chunk(params.dim, self.grid_values * _resolution(params, params.dim))
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -156,7 +168,7 @@ _REGISTRY: dict[str, _Check] = {}
 
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
            blocks: int = 1, samples: int | None = None, draw: Callable = lambda run, i: None,
-           stacked: bool = False):
+           stacked: bool = False, grid_values: int = 0):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
@@ -169,16 +181,19 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     where one sample has several quantities; ``_check`` lifts it to a chunk.
     With ``stacked=True``, ``measure(run, xs)`` takes the chunk's list of
     instances itself and returns those values with one leading entry per
-    instance.  A check at tolerance 0 counts its failing (true) samples; any
-    other reports its largest quantity, starting from 0.0, and fails on a
-    NaN.  ``samples`` fixes the count of a check whose one value sums up
+    instance; its chunk is bounded by the bytes of one operator per instance
+    plus ``grid_values`` grid functions of the run's basis, the most its
+    measure holds at once.  A check at tolerance 0 counts its failing (true)
+    samples; any other reports its largest quantity, starting from 0.0, and
+    fails on a NaN.  ``samples`` fixes the count of a check whose one value sums up
     that many evaluations.  ``measure`` may record report params in
     ``run.extra`` and tail bounds in ``run.tails``."""
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
         chunk_measure = measure if stacked else lambda run, xs: [measure(run, x) for x in xs]
-        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, chunk_measure, stacked)
+        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, chunk_measure, stacked,
+                                 grid_values)
         return measure
 
     return deco
@@ -213,8 +228,7 @@ class _Spaces:
         return self._own
 
     def _build(self, n: int, p: float) -> EmbeddingSpace:
-        resolution = max(64, 8 * n, self.params.grid)
-        return embedding_space(fourier_sbasis(n, p, resolution))
+        return embedding_space(fourier_sbasis(n, p, _resolution(self.params, n)))
 
 
 class _Run:
@@ -268,9 +282,6 @@ class _Run:
         n = self.space(dim=dim).dim
         return self.coeffs(n, n) / np.sqrt(n)
 
-    def operator(self, dim: int | None = None) -> BOperator:
-        return BOperator(self.matrix(dim), self.space(dim=dim))
-
     def hermitian(self) -> np.ndarray:
         """The H-metric transport of a random naturally self-adjoint operator."""
         a = self.coeffs(self.space().dim, self.space().dim)
@@ -289,10 +300,6 @@ class _Run:
 
     def seed(self) -> int:
         return int(self.rng.integers(0, 2**62))
-
-
-def _draw_operator(run, i):
-    return run.operator()
 
 
 def _draw_matrix(run, i):
@@ -436,60 +443,85 @@ _ADJOINT_DIMS = (4, 8, 16)
 
 def _draw_algebra(run, i):
     dim = _ADJOINT_DIMS[i % len(_ADJOINT_DIMS)]
-    return run.operator(dim), run.operator(dim), complex(run.coeffs())
+    return run.matrix(dim), run.matrix(dim), complex(run.coeffs())
 
 
-@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, draw=_draw_algebra)
-def _chk_adjoint_algebra(run, x):
-    return adjoint_algebra_defect(*x)
+@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, stacked=True, draw=_draw_algebra)
+def _chk_adjoint_algebra(run, xs):
+    # one stack per dimension, its defects scattered back in index order
+    defects = np.empty(len(xs))
+    for dim in _ADJOINT_DIMS:
+        at = [j for j, x in enumerate(xs) if x[0].shape[-1] == dim]
+        if at:
+            firsts, seconds, scalars = zip(*(xs[j] for j in at))
+            space = run.space(dim=dim)
+            defects[at] = adjoint_algebra_defect(BOperator(np.stack(firsts), space),
+                                                 BOperator(np.stack(seconds), space), scalars)
+    return defects
 
 
-@_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000,
-        draw=lambda run, i: (run.operator(), run.poly(), run.poly()))
-def _chk_defining_identity(run, x):
-    a_op, u, v = x
-    lhs = h_inner(apply_op(a_op, u), v, run.space())
-    rhs = h_inner(u, apply_op(adjoint(a_op), v), run.space())
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+def _draw_identity(run, i):
+    # the coefficients of u and v, drawn as run.poly() draws them
+    n = run.space().dim
+    return run.matrix(), run.coeffs(n), run.coeffs(n)
 
 
-@_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, draw=_draw_operator)
-def _chk_positive_product(run, a_op):
+@_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000, stacked=True,
+        grid_values=1, draw=_draw_identity)
+def _chk_defining_identity(run, xs):
+    mats, cus, cvs = zip(*xs)
+    return adjoint_identity_defect(run.stacked(mats), np.array(cus), np.array(cvs))
+
+
+@_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, stacked=True,
+        draw=_draw_matrix)
+def _chk_positive_product(run, mats):
+    a_op = run.stacked(mats)
     lam = numerics.general_eigenvalues((adjoint(a_op) @ a_op).matrix)
-    scale = max(1.0, float(np.max(np.abs(lam))) if lam.size else 1.0)
-    return [(float(np.max(np.abs(lam.imag))) / scale, -float(np.min(lam.real)) / scale)]
+    scale = np.maximum(1.0, np.max(np.abs(lam), axis=-1))
+    return np.stack([np.max(np.abs(lam.imag), axis=-1) / scale,
+                     -np.min(lam.real, axis=-1) / scale], axis=-1)[:, None, :]
 
 
-@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=400,
-        draw=lambda run, i: run.selfadjoint() if i % 2 == 0 else run.operator())
-def _chk_self_conjugacy(run, a_op):
+def _draw_selfadjoint(run, i):
+    return run.selfadjoint().matrix
+
+
+@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=400, stacked=True,
+        draw=lambda run, i: _draw_selfadjoint(run, i) if i % 2 == 0 else run.matrix())
+def _chk_self_conjugacy(run, mats):
+    a_op = run.stacked(mats)
     return self_conjugacy_check(a_op, (0.25, 0.75)) != is_naturally_selfadjoint(a_op, tol=1e-8)
 
 
-@_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200,
-        draw=lambda run, i: run.selfadjoint())
-def _chk_lax_spectrum(run, t_op):
-    return lax_check(t_op)
+@_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200, stacked=True,
+        draw=_draw_selfadjoint)
+def _chk_lax_spectrum(run, mats):
+    return lax_check(run.stacked(mats))
 
 
-@_check("lax-norm-identity", "adjoint", tol=1e-8, count=100, draw=_draw_operator)
-def _chk_lax_norm(run, a_op):
+@_check("lax-norm-identity", "adjoint", tol=1e-8, count=100, stacked=True, draw=_draw_matrix)
+def _chk_lax_norm(run, mats):
+    a_op = run.stacked(mats)
     na = h_opnorm(a_op)
     nprod = h_opnorm(adjoint(a_op) @ a_op)
-    return abs(nprod - na**2) / max(1.0, na**2)
+    return np.abs(nprod - na**2) / np.maximum(1.0, na**2)
 
 
-@_check("polar-reconstruction", "adjoint", tol=1e-9, count=50, draw=_draw_operator)
-def _chk_polar(run, a_op):
+@_check("polar-reconstruction", "adjoint", tol=1e-9, count=50, stacked=True, draw=_draw_matrix)
+def _chk_polar(run, mats):
+    fro = numerics.frobenius_norm
+    a_op = run.stacked(mats)
     u_op, t_op = polar_decompose(a_op)
-    scale = max(float(np.linalg.norm(a_op.matrix)), 1e-300)
+    scale = np.maximum(fro(a_op.matrix), 1e-300)
     th = h_matrix(t_op)
-    tscale = max(1.0, float(np.linalg.norm(th)))
+    tscale = np.maximum(1.0, fro(th))
     uh = h_matrix(u_op)
-    return [(float(np.linalg.norm((u_op @ t_op).matrix - a_op.matrix)) / scale,
-             float(np.linalg.norm(th - th.conj().T)) / tscale,
-             -float(h_eigen(th).values[-1]) / tscale,
-             float(np.linalg.norm(uh.conj().T @ uh - np.eye(a_op.space.dim))))]
+    uh_t = uh.conj().swapaxes(-1, -2)
+    return np.stack([fro((u_op @ t_op).matrix - a_op.matrix) / scale,
+                     fro(th - th.conj().swapaxes(-1, -2)) / tscale,
+                     -h_eigen(th).values[:, -1] / tscale,
+                     fro(uh_t @ uh - np.eye(a_op.space.dim))], axis=-1)[:, None, :]
 
 
 @_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50,
@@ -510,18 +542,24 @@ def _chk_spectral(run, a_op):
 
 
 def _draw_minmax(run, i):
-    a_op = run.selfadjoint()
-    dim = a_op.space.dim
-    return a_op, [(k, run.seed()) for k in sorted({1, max(1, dim // 2), dim})]
+    hermitian = run.hermitian()
+    dim = len(hermitian)
+    return hermitian, [(k, run.seed()) for k in sorted({1, max(1, dim // 2), dim})]
 
 
-@_check("minmax-matches-direct", "adjoint", tol=1e-6, count=10, draw=_draw_minmax)
-def _chk_minmax(run, x):
-    a_op, seeded_ks = x
+@_check("minmax-matches-direct", "adjoint", tol=1e-6, count=10, stacked=True, draw=_draw_minmax)
+def _chk_minmax(run, xs):
+    # the instances share N, hence their k; one min-max stack per k
+    hermitians, seeded_ks = zip(*xs)
+    a_op = from_h_matrix(np.stack(hermitians), run.space())
     direct = h_eigen(h_matrix(a_op)).values
-    scale = max(1.0, float(np.max(np.abs(direct))))
-    return [abs(minmax_eigenvalue(a_op, k, trials=4, seed=seed) - float(direct[k - 1])) / scale
-            for k, seed in seeded_ks]
+    scale = np.maximum(1.0, np.max(np.abs(direct), axis=-1))
+    columns = []
+    for j, (k, _) in enumerate(seeded_ks[0]):
+        seeds = [pairs[j][1] for pairs in seeded_ks]
+        estimate = minmax_eigenvalue(a_op, k, trials=4, seed=seeds)
+        columns.append(np.abs(estimate - direct[:, k - 1]) / scale)
+    return np.stack(columns, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -549,19 +587,21 @@ def _chk_sv_paths(run, mats):
 
 
 def _draw_unitary_invariance(run, i):
-    a_op = run.operator()
-    return a_op, [run.coeffs(a_op.space.dim, a_op.space.dim) for _ in range(2)]
+    n = run.space().dim
+    return run.matrix(), [run.coeffs(n, n) for _ in range(2)]
 
 
-@_check("schatten-unitary-invariance", "schatten", tol=1e-9, count=50,
+@_check("schatten-unitary-invariance", "schatten", tol=1e-9, count=50, stacked=True,
         draw=_draw_unitary_invariance)
-def _chk_unitary_invariance(run, x):
-    a_op, gens = x
-    u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().T), a_op.space)
-                  for g in gens)
+def _chk_unitary_invariance(run, xs):
+    mats, gens = zip(*xs)
+    a_op = run.stacked(mats)
+    u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().swapaxes(-1, -2)), a_op.space)
+                  for g in np.stack(gens, axis=1))
     bases = schatten.schatten_norm(a_op, _SCHATTEN_PS)
     moved = schatten.schatten_norm(u_op @ a_op @ v_op, _SCHATTEN_PS)
-    return [abs(after - base) / max(base, 1e-300) for base, after in zip(bases, moved)]
+    return np.stack([np.abs(after - base) / np.maximum(base, 1e-300)
+                     for base, after in zip(bases, moved)], axis=-1)
 
 
 def _bound_excess(excess, size):
@@ -793,7 +833,7 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
 def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> VerificationReport:
     """Run every check of a suite with per-check seeded randomness: draw each
     check's instances in index order a chunk at a time (one instance, or
-    ``_chunk(dim)`` for a stacked check), measure each chunk before drawing
+    ``check.chunk(params)`` for a stacked check), measure each chunk before drawing
     the next, reduce the values and compare the result with the check's
     tolerance."""
     if params is None:
@@ -807,7 +847,7 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
         run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), spaces,
                    block_size)
         total = check.blocks * block_size
-        chunk = _chunk(params.dim) if check.stacked else 1
+        chunk = check.chunk(params)
         worst, samples = 0.0, 0
         for first in range(0, total, chunk):
             stop = min(first + chunk, total)

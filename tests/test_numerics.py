@@ -362,10 +362,40 @@ class TestStacks:
         with pytest.raises(ArithmeticError, match=r"residual.*slice \[3\]"):
             kernel(self.stack(4, hermitian=True))
 
+    @pytest.mark.parametrize("n", [1, 8, 16])
+    def test_matrix_exp_slices_are_the_2d_calls(self, n):
+        # 1-norms from far below theta_13 = 5.37 to far above it: each slice
+        # is scaled and squared its own number of times, the others frozen
+        a = self.stack(n, count=6)
+        norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+        a *= (np.array([1e-3, 0.2, 1.0, 5.0, 20.0, 60.0]) / norms)[:, None, None]
+        stacked = numerics.matrix_exp(a)
+        for k in range(len(a)):
+            np.testing.assert_array_equal(stacked[k], numerics.matrix_exp(a[k]))
+
+    def test_matrix_exp_one_overflowing_slice_refuses_the_stack(self):
+        a = self.stack(4, count=3)
+        a[1] = np.diag([1000.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="too extreme"):
+                numerics.matrix_exp(a)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "real"])
+    def test_frobenius_norm_rounds_as_the_norm_of_one_matrix(self, layout):
+        a = self.stack(16, count=5)
+        if layout == "F":
+            a = a.conj().swapaxes(-1, -2)
+        elif layout == "real":
+            a = np.ascontiguousarray(a.real)
+        got = numerics.frobenius_norm(a)
+        np.testing.assert_array_equal(got, [np.linalg.norm(m) for m in a])
+        assert numerics.frobenius_norm(a[2]) == np.linalg.norm(a[2])
+
     def test_stack_with_mismatched_slices_refused(self):
         with pytest.raises(ValueError, match="square"):
             numerics.general_eigenvalues(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="matrix or a stack"):
             numerics.as_matrix(np.zeros(3))
-        with pytest.raises(ValueError, match="one square matrix"):
-            numerics.matrix_exp(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="square"):
+            numerics.matrix_exp(np.zeros((2, 3, 4)))

@@ -17,6 +17,7 @@ from almosthilbert.operators import (
     BOperator,
     adjoint,
     adjoint_algebra_defect,
+    adjoint_identity_defect,
     apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
@@ -438,6 +439,57 @@ class TestStacks:
             np.testing.assert_array_equal(U.matrix[i], u.matrix)
             np.testing.assert_array_equal(T.matrix[i], t.matrix)
 
+    def test_algebra_defect_per_slice(self):
+        rng = np.random.default_rng(63)
+        space = make_space(N=8)
+        firsts = [rand_operator(space, rng) for _ in range(5)]
+        seconds = [rand_operator(space, rng) for _ in range(5)]
+        scalars = rand_complex(rng, 5)
+        stacked = adjoint_algebra_defect(self._stack(firsts), self._stack(seconds), scalars)
+        np.testing.assert_array_equal(
+            stacked, [adjoint_algebra_defect(A, B, complex(a))
+                      for A, B, a in zip(firsts, seconds, scalars)])
+
+    def test_identity_defect_per_slice_is_the_grid_path(self):
+        # each slice rounds as apply_op and h_inner do on grid functions
+        rng = np.random.default_rng(64)
+        space = make_space(N=8, resolution=256)
+        ops = [rand_operator(space, rng) for _ in range(5)]
+        cus, cvs = rand_complex(rng, 5, 8), rand_complex(rng, 5, 8)
+        stacked = adjoint_identity_defect(self._stack(ops), cus, cvs)
+        for A, cu, cv, got in zip(ops, cus, cvs, stacked):
+            u, v = reconstruct(cu, space.basis), reconstruct(cv, space.basis)
+            lhs = h_inner(apply_op(A, u), v, space)
+            rhs = h_inner(u, apply_op(adjoint(A), v), space)
+            assert got == abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+            np.testing.assert_array_equal(adjoint_identity_defect(A, cu, cv), got)
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_minmax_per_slice(self, k):
+        rng = np.random.default_rng(65)
+        space = make_space(N=8)
+        ops = [rand_selfadjoint(space, rng) for _ in range(4)]
+        seeds = [5, 6, 7, 8]
+        stacked = minmax_eigenvalue(self._stack(ops), k, trials=3, seed=seeds)
+        alone = [minmax_eigenvalue(A, k, trials=3, seed=s) for A, s in zip(ops, seeds)]
+        assert all(isinstance(x, float) for x in alone)
+        np.testing.assert_array_equal(stacked, alone)
+
+    def test_self_conjugacy_per_slice_refutes_before_overflow(self):
+        # exp(i t h(A)) of the second slice grows as e^(1000 t): finite and
+        # not isometric at t = 0.25, past float64 at t = 0.75
+        rng = np.random.default_rng(66)
+        space = make_space(N=4)
+        blowup = from_h_matrix(np.diag([-1000j, 0.0, 0.0, 0.0]), space)
+        with pytest.raises(OverflowError):
+            numerics.matrix_exp(0.75j * h_matrix(blowup))
+        ops = [rand_selfadjoint(space, rng), blowup, rand_operator(space, rng),
+               rand_selfadjoint(space, rng)]
+        alone = [self_conjugacy_check(A, (0.25, 0.75)) for A in ops]
+        assert alone == [True, False, False, True]
+        np.testing.assert_array_equal(self_conjugacy_check(self._stack(ops), (0.25, 0.75)),
+                                      alone)
+
     def test_one_operator_functions_refuse_a_stack(self):
         rng = np.random.default_rng(62)
         space = make_space(N=4)
@@ -445,11 +497,7 @@ class TestStacks:
         stack = self._stack([A, A])
         psi = random_poly(space, rng)
         calls = [lambda: apply_op(stack, psi),
-                 lambda: adjoint_algebra_defect(stack, A, 1.0),
-                 lambda: adjoint_algebra_defect(A, stack, 1.0),
-                 lambda: self_conjugacy_check(stack, (0.25,)),
                  lambda: spectral_decompose(stack),
-                 lambda: minmax_eigenvalue(stack, 1),
                  lambda: rayleigh_compare(stack, psi)]
         for call in calls:
             with pytest.raises(ValueError, match="not a stack"):

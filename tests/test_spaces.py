@@ -6,6 +6,7 @@ from almosthilbert.embedding import embedding_space, gram_matrix
 from almosthilbert.spaces import (
     GridFunction,
     SchauderBasis,
+    analyze,
     coefficients,
     duality_map,
     fourier_sbasis,
@@ -13,6 +14,7 @@ from almosthilbert.spaces import (
     lp_norm,
     pairing,
     reconstruct,
+    synthesize,
 )
 
 def random_trig_poly(basis, rng, scale=1.0):
@@ -277,6 +279,18 @@ class TestMatrixBitwise:
         space = embedding_space(basis)
         expected = reference_gram(members, duals, space.weights)
         assert gram_matrix(space).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N, M", [(8, 256), (16, 8192)])
+    def test_stack_rows_are_the_single_calls(self, N, M):
+        basis = fourier_sbasis(N, 3.0, M)
+        rng = np.random.default_rng(N + 1)
+        values = rng.standard_normal((5, M)) + 1j * rng.standard_normal((5, M))
+        coeffs = rng.standard_normal((5, N)) + 1j * rng.standard_normal((5, N))
+        analyzed, synthesized = analyze(values, basis), synthesize(coeffs, basis)
+        for k in range(5):
+            u = GridFunction(values[k])
+            np.testing.assert_array_equal(analyzed[k], coefficients(u, basis))
+            np.testing.assert_array_equal(synthesized[k], reconstruct(coeffs[k], basis).values)
 
 
 class TestCoefficients:

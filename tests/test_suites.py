@@ -335,15 +335,34 @@ class TestRunSuite:
     def test_chunk_is_sized_by_operator_bytes(self):
         assert [suites._chunk(n) for n in (1, 8, 16, 32, 33, 53)] == [2048, 32, 8, 2, 1, 1]
 
+    def test_chunk_counts_the_grid_values_a_measure_holds(self):
+        # adjoint-defining-identity holds one grid function per instance
+        check = suites._REGISTRY["adjoint-defining-identity"]
+        sizes = [check.chunk(SuiteParams(dim=n, grid=g))
+                 for n, g in ((8, 256), (16, 256), (8, 8192), (53, 256))]
+        assert sizes == [6, 4, 1, 1]
+        assert suites._REGISTRY["adjoint-algebra"].chunk(SuiteParams(grid=8192)) == 32
+
     @pytest.mark.parametrize("params, counts", [
-        # 35 instances of the 500-count checks: a chunk of 32 and one of 3
+        # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
+        # 70 of adjoint-defining-identity in chunks of 6 (grid values count)
         (SuiteParams(trials=7), {
+            "adjoint-algebra": 35, "adjoint-defining-identity": 70,
+            "adjoint-positive-product": 7, "self-conjugacy-equivalence": 28,
+            "lax-spectrum-invariance": 14, "lax-norm-identity": 7, "polar-reconstruction": 3,
+            "spectral-reconstruction": 3, "minmax-matches-direct": 3,
             "schatten-two-path": 35, "singular-value-paths": 14,
             "schatten-unitary-invariance": 9, "weyl-inequality": 35, "horn-inequality": 35,
             "lidskii-trace": 35, "lax-constant-khat": 1,
             "bnorm-adjoint-ratio": 1, "hilbert-cp-constant": 2, "rayleigh-quotient-gap": 3}),
-        # chunks of 8 at N = 16: the measured entries cross one too
+        # chunks of 8 at N = 16 (4 of adjoint-defining-identity): the
+        # measured entries cross one too
         (SuiteParams(dim=16, trials=50), {
+            "adjoint-algebra": 250, "adjoint-defining-identity": 500,
+            "adjoint-positive-product": 50, "self-conjugacy-equivalence": 200,
+            "lax-spectrum-invariance": 100, "lax-norm-identity": 50,
+            "polar-reconstruction": 25, "spectral-reconstruction": 25,
+            "minmax-matches-direct": 15,
             "schatten-two-path": 250, "singular-value-paths": 100,
             "schatten-unitary-invariance": 75,
             "weyl-inequality": 250, "horn-inequality": 250,
@@ -351,9 +370,12 @@ class TestRunSuite:
             "hilbert-cp-constant": 20, "rayleigh-quotient-gap": 25}),
     ], ids=["dim8-trials7", "dim16-trials50"])
     def test_sample_counts_across_chunk_boundaries(self, params, counts):
-        rep = run_suite("schatten", seed=0, params=params)
-        assert rep.passed
-        assert {c.name: c.samples for c in rep.checks} == counts
+        seen = {}
+        for suite in ("adjoint", "schatten"):
+            rep = run_suite(suite, seed=0, params=params)
+            assert rep.passed
+            seen.update({c.name: c.samples for c in rep.checks})
+        assert seen == counts
 
     def test_eigenvalue_defect_is_reported_not_raised(self, monkeypatch):
         # a 1e-6 relative error in one eigenvalue per matrix misses the trace;
