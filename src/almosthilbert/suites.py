@@ -860,14 +860,13 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
             else:
                 top = values.max(initial=0.0)
                 worst = top if np.isnan(top) else max(worst, top)
-        extra = run.extra
+        extra = run.extra if check.tol is None else {**run.extra, "tol": check.tol}
         if np.isnan(worst):
             status = FAIL
         elif check.tol is None:
             status = MEASURED
         else:
             status = PASS if worst <= check.tol else FAIL
-            extra = {**extra, "tol": check.tol}
         report.add(CheckResult(cname, status, float(worst), check.samples or samples, extra))
         report.tail_bounds.update(run.tails)
     report.duration = time.perf_counter() - start

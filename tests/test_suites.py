@@ -295,6 +295,7 @@ class TestRunSuite:
         assert "NaN" not in text
         (entry,) = [c for c in json.loads(text)["checks"] if c["name"] == "hilbert-isometry"]
         assert entry["worst_violation"] is None
+        assert entry["params"]["tol"] == 1e-12
 
     @pytest.mark.parametrize("stack, chunk", [(False, 1), (True, suites._chunk(FAST.dim))])
     def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, stack, chunk):
