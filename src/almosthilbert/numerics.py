@@ -198,7 +198,7 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
                   for x in norm1.flat], dtype=int).reshape(norm1.shape)
     a = a * (2.0 ** -s)[..., None, None]
     e = np.empty_like(a)
-    for degree in np.unique(m):
+    for degree in set(m.flat):
         at = m == degree
         e[at] = _pade(a[at], int(degree))
     with np.errstate(over="ignore", invalid="ignore"):
