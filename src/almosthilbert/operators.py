@@ -118,11 +118,6 @@ def b_opnorm_estimate(A: BOperator, p: float, seed=0):
     return numerics.opnorm_p_estimate(A.matrix, p, restarts=_RESTARTS, seed=seed)
 
 
-def _rel_defect(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fro = numerics.frobenius_norm
-    return fro(lhs - rhs) / np.maximum(np.maximum(fro(lhs), fro(rhs)), 1.0)
-
-
 def _scaled(a, A: BOperator) -> BOperator:
     """a * A with one scalar per slice of A."""
     return BOperator(np.asarray(a, dtype=np.complex128)[..., None, None] * A.matrix, A.space)
@@ -132,16 +127,19 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a):
     """Worst relative defect of the *-algebra identities: conjugate
     homogeneity, involution, additivity, anti-multiplicativity, and
     self-adjointness of A*A; one per slice of A and B, with the scalar
-    ``a`` one, or one per slice."""
+    ``a`` one, or one per slice.  The defect of an identity lhs = rhs is
+    ||lhs - rhs||_F / max(||lhs||_F, ||rhs||_F, 1)."""
     A._require_same_space(B)
     astar, bstar = adjoint(A), adjoint(B)
-    return np.max([
-        _rel_defect(adjoint(_scaled(a, A)).matrix, _scaled(np.conj(a), astar).matrix),
-        _rel_defect(adjoint(astar).matrix, A.matrix),
-        _rel_defect(adjoint(A + B).matrix, (astar + bstar).matrix),
-        _rel_defect(adjoint(A @ B).matrix, (bstar @ astar).matrix),
-        _rel_defect(adjoint(astar @ A).matrix, (astar @ A).matrix),
-    ], axis=0)
+    sides = [(adjoint(_scaled(a, A)), _scaled(np.conj(a), astar)),
+             (adjoint(astar), A),
+             (adjoint(A + B), astar + bstar),
+             (adjoint(A @ B), bstar @ astar),
+             (adjoint(astar @ A), astar @ A)]
+    lhs, rhs = (np.stack([pair[j].matrix for pair in sides]) for j in (0, 1))
+    fro = numerics.frobenius_norm
+    defects = fro(lhs - rhs) / np.maximum(np.maximum(fro(lhs), fro(rhs)), 1.0)
+    return np.max(defects, axis=0)
 
 
 def adjoint_identity_defect(A: BOperator, cu, cv):
