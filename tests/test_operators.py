@@ -408,6 +408,52 @@ class TestRayleigh:
             rayleigh_compare(identity_operator(space), zero)
 
 
+def reference_algebra_defect(A, B, a):
+    """The *-algebra defect of one operator pair, one identity at a time."""
+    def rel(lhs, rhs):
+        scale = max(float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)), 1.0)
+        return float(np.linalg.norm(lhs - rhs)) / scale
+
+    astar, bstar = adjoint(A), adjoint(B)
+    return max(rel(adjoint(a * A).matrix, (np.conj(a) * astar).matrix),
+               rel(adjoint(astar).matrix, A.matrix),
+               rel(adjoint(A + B).matrix, (astar + bstar).matrix),
+               rel(adjoint(A @ B).matrix, (bstar @ astar).matrix),
+               rel(adjoint(astar @ A).matrix, (astar @ A).matrix))
+
+
+def reference_minmax(A, k, trials, seed):
+    """The min-max estimate of one operator, one trial at a time."""
+    def sym(m):
+        return (m + m.conj().T) / 2.0
+
+    s = sym(h_matrix(A))
+    n = len(s)
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for _ in range(trials):
+        x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        x, _ = np.linalg.qr(x)
+        sx = s @ x
+        direction = None
+        prev = np.inf
+        for _ in range(2000):
+            resid = sx - x @ (x.conj().T @ sx)
+            blocks = [x, resid] if direction is None else [x, resid, direction]
+            basis, _ = np.linalg.qr(np.hstack(blocks))
+            sbasis = s @ basis
+            ritz = numerics.hermitian_eigen(sym(basis.conj().T @ sbasis))
+            coef = ritz.vectors[:, :k]
+            x, sx = basis @ coef, sbasis @ coef
+            direction = basis[:, k:] @ coef[k:]
+            cand = float(ritz.values[k - 1])
+            if abs(cand - prev) <= 1e-12 * max(1.0, abs(cand)):
+                break
+            prev = cand
+        best = max(best, float(numerics.hermitian_eigen(sym(x.conj().T @ s @ x)).values[-1]))
+    return best
+
+
 class TestStacks:
     """A stack of operators is judged slice by slice, or refused."""
 
@@ -447,7 +493,7 @@ class TestStacks:
         scalars = rand_complex(rng, 5)
         stacked = adjoint_algebra_defect(self._stack(firsts), self._stack(seconds), scalars)
         np.testing.assert_array_equal(
-            stacked, [adjoint_algebra_defect(A, B, complex(a))
+            stacked, [reference_algebra_defect(A, B, complex(a))
                       for A, B, a in zip(firsts, seconds, scalars)])
 
     def test_identity_defect_per_slice_is_the_grid_path(self):
@@ -474,6 +520,8 @@ class TestStacks:
         alone = [minmax_eigenvalue(A, k, trials=3, seed=s) for A, s in zip(ops, seeds)]
         assert all(isinstance(x, float) for x in alone)
         np.testing.assert_array_equal(stacked, alone)
+        np.testing.assert_array_equal(
+            alone, [reference_minmax(A, k, trials=3, seed=s) for A, s in zip(ops, seeds)])
 
     def test_self_conjugacy_per_slice_refutes_before_overflow(self):
         # exp(i t h(A)) of the second slice grows as e^(1000 t): finite and
