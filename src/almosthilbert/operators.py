@@ -314,22 +314,19 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
             starts.append(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
     x, _ = np.linalg.qr(np.array(starts))
     sx = sym @ x
-    direction = None
+    direction = np.empty_like(x)  # the previous step's, from the second step on
     prev = np.full(len(x), np.inf)
     live = np.ones(len(x), dtype=bool)
-    for _ in range(2000):
+    for step in range(2000):
         xl, sxl = x[live], sx[live]
         resid = sxl - xl @ (xl.conj().swapaxes(-1, -2) @ sxl)
-        blocks = [xl, resid] if direction is None else [xl, resid, direction[live]]
+        blocks = [xl, resid] + ([direction[live]] if step else [])
         basis, _ = np.linalg.qr(np.concatenate(blocks, axis=-1))
         sbasis = sym[live] @ basis
         ritz = numerics.hermitian_eigen(_sym(basis.conj().swapaxes(-1, -2) @ sbasis))
         coef = ritz.vectors[..., :k]
         x[live], sx[live] = basis @ coef, sbasis @ coef
-        step = basis[..., k:] @ coef[..., k:, :]
-        if direction is None:
-            direction = np.empty((len(x),) + step.shape[1:], dtype=step.dtype)
-        direction[live] = step
+        direction[live] = basis[..., k:] @ coef[..., k:, :]
         cand = ritz.values[..., k - 1]
         done = np.abs(cand - prev[live]) <= 1e-12 * np.maximum(1.0, np.abs(cand))
         prev[live] = cand
