@@ -5,8 +5,7 @@ Pade matrix exponential, a Frobenius norm, and a hand-rolled power method
 for induced matrix p-norms.  Every kernel takes one matrix or a stack of
 them, shape (..., N, N), and validates once per stack: one finiteness
 test over the whole stack and residuals computed for every slice
-together, raising if any slice fails.  The exponential picks each
-slice's Pade degree by its 1-norm (Higham 2005) and scales and squares
+together, raising if any slice fails.  The exponential scales and squares
 each slice its own number of times.  Slice k of a stacked call equals the
 call on slice k alone: bit for bit for the LAPACK kernels, the
 exponential and the norm, and within the 1e-13 stationarity slack for the
@@ -52,16 +51,12 @@ def _square(m, name: str) -> np.ndarray:
     return a
 
 
-def _fro(x: np.ndarray) -> np.ndarray:
-    # The Frobenius norm of each slice.
-    return np.linalg.norm(x, axis=(-2, -1))
-
-
 def frobenius_norm(x) -> np.ndarray:
     """The Frobenius norm of each slice of x, rounded as ``np.linalg.norm``
     rounds it for the slice alone: BLAS dot products of the real and the
     imaginary parts over the entries in the slice's own memory order.
-    (``_fro`` sums squares pairwise instead, which rounds otherwise.)"""
+    (``np.linalg.norm(x, axis=(-2, -1))`` sums squares pairwise instead,
+    which rounds otherwise.)"""
     x = np.asarray(x)
     if x.strides[-1] != x.itemsize and x.strides[-2] == x.itemsize:
         x = x.swapaxes(-1, -2)  # column-major slices: read them column by column
@@ -93,8 +88,9 @@ def hermitian_eigen(m) -> EigenResult:
     raised rather than silently returned.
     """
     a = _square(m, "hermitian_eigen")
-    scale = np.maximum(1.0, _fro(a))
-    _refuse(_fro(a - _ct(a)), _TOL * scale, ValueError, "matrix is not Hermitian: defect")
+    scale = np.maximum(1.0, frobenius_norm(a))
+    _refuse(frobenius_norm(a - _ct(a)), _TOL * scale, ValueError,
+            "matrix is not Hermitian: defect")
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -104,7 +100,7 @@ def hermitian_eigen(m) -> EigenResult:
     # Each eigenvector is kept contiguous, as v[:, order] of one matrix
     # lays it out: sums over a vector's entries then round alike.
     v = np.take_along_axis(v.swapaxes(-1, -2), order[..., :, None], axis=-2).swapaxes(-1, -2)
-    resid = _fro((v * w[..., None, :]) @ _ct(v) - a)
+    resid = frobenius_norm((v * w[..., None, :]) @ _ct(v) - a)
     _refuse(resid, 10.0 * _TOL * scale, ArithmeticError, "eigen reconstruction residual")
     return EigenResult(values=w, vectors=v)
 
@@ -120,8 +116,8 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ArithmeticError(f"svd failed to converge: {exc}") from exc
-    resid = _fro((u * s[..., None, :]) @ vh - a)
-    _refuse(resid, 10.0 * _TOL * np.maximum(1.0, _fro(a)), ArithmeticError,
+    resid = frobenius_norm((u * s[..., None, :]) @ vh - a)
+    _refuse(resid, 10.0 * _TOL * np.maximum(1.0, frobenius_norm(a)), ArithmeticError,
             "svd reconstruction residual")
     return u, s, _ct(vh)
 
@@ -139,68 +135,39 @@ def general_eigenvalues(m) -> np.ndarray:
     return np.take_along_axis(lam, order, axis=-1)
 
 
-# Numerator coefficients b_0..b_m of the degree-m Pade approximants r_m to
-# e^x, and theta_m, the largest 1-norm at which r_m is accurate to unit
-# roundoff (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Tables 2.2, 2.3).
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068e0, 13: 5.371920351148152e0}
+# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant to e^x,
+# and theta_13, the largest 1-norm at which it is accurate to unit roundoff
+# (Higham, SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
-def _pade_degree(norm1: float) -> int:
-    """The least degree m whose theta_m bounds the 1-norm; 13 past theta_9."""
-    return next((m for m in (3, 5, 7, 9) if norm1 <= _THETA[m]), 13)
-
-
-def _pade(a: np.ndarray, m: int) -> np.ndarray:
-    """r_m(A) = (V - U)^{-1} (V + U) of each slice, with U and V the odd and
-    even parts of the numerator, evaluated as in Higham's Algorithm 2.3."""
-    b = _PADE[m]
-    evens = [np.eye(a.shape[-1], dtype=a.dtype), a @ a]  # A^0, A^2, A^4, ...
-    while len(evens) < (4 if m == 13 else (m + 1) // 2):
-        evens.append(evens[1] @ evens[-1])
-    if m == 13:
-        ident, a2, a4, a6 = evens
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    else:
-        u = a @ sum(b[2 * j + 1] * evens[j] for j in reversed(range(len(evens))))
-        v = sum(b[2 * j] * evens[j] for j in reversed(range(len(evens))))
-    return np.linalg.solve(v - u, v + u)
-
-
-def _expm_pade(a: np.ndarray) -> np.ndarray:
-    """e^A of each slice by Higham's scaling and squaring: the Pade
-    approximant r_m of the least degree m in {3, 5, 7, 9} whose theta_m
-    bounds the slice's 1-norm, and otherwise r_13 of A / 2^s, with s the
-    least integer putting the 1-norm at or below theta_13, squared s times.
-    Each slice has its own m and s; the slices of one degree are evaluated
-    together, and a slice that needs fewer squarings than another is frozen
-    (masked) once it has had its own."""
+def _expm_pade13(a: np.ndarray) -> np.ndarray:
+    """e^A of each slice by scaling and squaring: the degree-13 Pade
+    approximant r_13 of A / 2^s, with s the least integer putting the slice's
+    1-norm at or below theta_13, squared s times.  Each slice has its own s,
+    and a slice that needs fewer squarings than another is frozen (masked)
+    once it has had its own."""
     with np.errstate(over="ignore"):
         norm1 = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
     if not np.all(np.isfinite(norm1)):
         raise OverflowError("matrix 1-norm overflows float64; input norm too extreme")
-    m = np.array([_pade_degree(x) for x in norm1.flat], dtype=int).reshape(norm1.shape)
-    s = np.array([math.ceil(math.log2(x / _THETA[13])) if x > _THETA[13] else 0
+    s = np.array([math.ceil(math.log2(x / _THETA13)) if x > _THETA13 else 0
                   for x in norm1.flat], dtype=int).reshape(norm1.shape)
     a = a * (2.0 ** -s)[..., None, None]
-    e = np.empty_like(a)
-    for degree in set(m.flat):
-        at = m == degree
-        e[at] = _pade(a[at], int(degree))
+    b = _PADE13
+    ident = np.eye(a.shape[-1], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    e = np.linalg.solve(v - u, v + u)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(int(np.max(s, initial=0))):
             live = s > step
@@ -209,10 +176,10 @@ def _expm_pade(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential e^M of each slice (Higham's scaling-and-squaring
-    Pade approximation, degree 3, 5, 7, 9 or 13 by 1-norm), raising
-    OverflowError if any slice overflows."""
-    e = _expm_pade(_square(m, "matrix_exp"))
+    """Matrix exponential e^M of each slice (scaling-and-squaring Pade
+    approximation of degree 13), raising OverflowError if any slice
+    overflows."""
+    e = _expm_pade13(_square(m, "matrix_exp"))
     if not np.all(np.isfinite(e)):
         raise OverflowError("matrix exponential overflowed; input norm too extreme")
     return e

@@ -166,7 +166,7 @@ def adjoint_identity_defect(A: BOperator, cu, cv):
 
 def _h_asymmetry(mh: np.ndarray) -> np.ndarray:
     """||mh - mh^H||_F of each slice of a transport mh (from ``h_matrix``)."""
-    return np.linalg.norm(mh - mh.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return numerics.frobenius_norm(mh - mh.conj().swapaxes(-1, -2))
 
 
 def is_naturally_selfadjoint(A: BOperator, tol: float = 1e-10):
@@ -182,7 +182,7 @@ def _h_symmetric_eigenvalues(T: BOperator) -> np.ndarray:
     must already be H-symmetric to 1e-10 relative."""
     mh = h_matrix(T)
     defect = _h_asymmetry(mh)
-    if np.any(defect > 1e-10 * np.maximum(1.0, np.linalg.norm(mh, axis=(-2, -1)))):
+    if np.any(defect > 1e-10 * np.maximum(1.0, numerics.frobenius_norm(mh))):
         raise ValueError(f"operator is not H-symmetric to 1e-10: defect={np.max(defect):.3e}")
     return h_eigen(mh).values
 

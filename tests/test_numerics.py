@@ -163,24 +163,18 @@ class TestMatrixExp:
         np.testing.assert_allclose(e, np.exp(4.0) * np.array([[1.0, 50.0], [0.0, 1.0]]),
                                    rtol=1e-13, atol=1e-13 * np.exp(4.0))
 
-    @pytest.mark.parametrize("m, above", [(3, 5), (5, 7), (7, 9), (9, 13), (13, 13)])
-    def test_degree_is_the_least_whose_theta_bounds_the_one_norm(self, m, above):
-        theta = numerics._THETA[m]
-        assert numerics._pade_degree(theta) == m
-        assert numerics._pade_degree(np.nextafter(theta, 0.0)) == m
-        assert numerics._pade_degree(np.nextafter(theta, np.inf)) == above
-
     @pytest.mark.parametrize("n", [1, 8, 16])
-    @pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
-    def test_matches_scipy_on_both_sides_of_each_theta(self, m, n):
+    def test_matches_scipy_on_both_sides_of_theta_13(self, n):
+        # just below theta_13 the approximant is taken unscaled, just above
+        # it is taken of A / 2 and squared once
         expm = pytest.importorskip("scipy.linalg").expm
-        rng = np.random.default_rng(10 * m + n)
+        rng = np.random.default_rng(130 + n)
         for factor in (0.99, 1.01):
             for kind in ("general", "skew"):
                 a = rand_complex(rng, n, n)
                 if kind == "skew":
                     a = a - a.conj().T
-                a *= factor * numerics._THETA[m] / np.max(np.sum(np.abs(a), axis=0))
+                a *= factor * numerics._THETA13 / np.max(np.sum(np.abs(a), axis=0))
                 ref = expm(a)
                 err = np.linalg.norm(numerics.matrix_exp(a) - ref)
                 assert err <= 1e-13 * max(1.0, np.linalg.norm(ref))
@@ -386,9 +380,9 @@ class TestStacks:
 
     @pytest.mark.parametrize("n", [1, 8, 16])
     def test_matrix_exp_slices_are_the_2d_calls(self, n):
-        # 1-norms from far below theta_3 to far above theta_13 = 5.37: each
-        # slice has its own Pade degree and is scaled and squared its own
-        # number of times, the others frozen meanwhile
+        # 1-norms from far below to far above theta_13 = 5.37: each slice
+        # is scaled and squared its own number of times, the others frozen
+        # meanwhile
         a = self.stack(n, count=7)
         norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
         a *= (np.array([1e-3, 0.2, 0.9, 2.0, 5.0, 20.0, 60.0]) / norms)[:, None, None]
