@@ -127,10 +127,11 @@ def check_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# The bytes of complex128 values one chunk of a stacked check may hold: of
-# N x N operators alone, 32 at N = 8, 8 at N = 16, 2 at N = 32, one from
-# N = 33.  All 500 instances of a check at once raised the nominal peak RSS
-# by 17 %, past the benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
+# The bytes of complex128 values one chunk of a stacked check may hold,
+# counting one operator per instance (see _check): of N x N operators alone,
+# 32 at N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.  All 500
+# instances of a check at once raised the nominal peak RSS by 17 %, past the
+# benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
 _CHUNK_BYTES = 2**15
 
 
@@ -156,11 +157,13 @@ class _Check:
     measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
     stacked: bool = False  # chunks of _chunk(dim, ...) instances; otherwise of one
     grid_values: int = 0  # grid functions one stacked instance's measure holds at once
+    dim: int = 0  # the largest N its instances draw; 0: --dim
 
     def chunk(self, params: SuiteParams) -> int:
         if not self.stacked:
             return 1
-        return _chunk(params.dim, self.grid_values * _resolution(params, params.dim))
+        return _chunk(self.dim or params.dim,
+                      self.grid_values * _resolution(params, params.dim))
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -168,7 +171,7 @@ _REGISTRY: dict[str, _Check] = {}
 
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
            blocks: int = 1, samples: int | None = None, draw: Callable = lambda run, i: None,
-           stacked: bool = False, grid_values: int = 0):
+           stacked: bool = False, grid_values: int = 0, dim: int = 0):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
@@ -181,9 +184,12 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     where one sample has several quantities; ``_check`` lifts it to a chunk.
     With ``stacked=True``, ``measure(run, xs)`` takes the chunk's list of
     instances itself and returns those values with one leading entry per
-    instance; its chunk is bounded by the bytes of one operator per instance
-    plus ``grid_values`` grid functions of the run's basis, the most its
-    measure holds at once.  A check at tolerance 0 counts its failing (true)
+    instance; its chunk is bounded by the bytes of one N x N operator per
+    instance, at N = ``dim`` (the largest N its instances draw) or else at
+    ``--dim``, plus ``grid_values`` grid functions of the run's basis, the
+    most its measure holds at once.  The bound counts one operator per
+    instance: a measure that draws two, repeats one per trial or builds
+    intermediates holds a small multiple of it.  A check at tolerance 0 counts its failing (true)
     samples; any other reports its largest quantity, starting from 0.0, and
     fails on a NaN.  ``samples`` fixes the count of a check whose one value sums up
     that many evaluations.  ``measure`` may record report params in
@@ -193,7 +199,7 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
             raise RuntimeError(f"duplicate check name {name!r}")
         chunk_measure = measure if stacked else lambda run, xs: [measure(run, x) for x in xs]
         _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, chunk_measure, stacked,
-                                 grid_values)
+                                 grid_values, dim)
         return measure
 
     return deco
@@ -446,7 +452,8 @@ def _draw_algebra(run, i):
     return run.matrix(dim), run.matrix(dim), complex(run.coeffs())
 
 
-@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, stacked=True, draw=_draw_algebra)
+@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, stacked=True,
+        dim=max(_ADJOINT_DIMS), draw=_draw_algebra)
 def _chk_adjoint_algebra(run, xs):
     # one stack per dimension, its defects scattered back in index order
     defects = np.empty(len(xs))
