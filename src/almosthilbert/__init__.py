@@ -20,7 +20,6 @@ from . import numerics  # noqa: F401
 from .spaces import (  # noqa: F401
     GridFunction,
     SchauderBasis,
-    analyze,
     coefficients,
     duality_map,
     fourier_sbasis,
@@ -28,12 +27,10 @@ from .spaces import (  # noqa: F401
     lp_norm,
     pairing,
     reconstruct,
-    synthesize,
 )
 from .embedding import (  # noqa: F401
     DualFunctional,
     EmbeddingSpace,
-    coefficient_h_inner,
     dyadic_weights,
     embedding_space,
     gram_matrix,
@@ -47,7 +44,6 @@ from .operators import (  # noqa: F401
     SpectralDecomposition,
     adjoint,
     adjoint_algebra_defect,
-    adjoint_identity_defect,
     apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
