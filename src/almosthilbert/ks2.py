@@ -13,14 +13,20 @@ so aligned step functions evaluate exactly), and the inner product is the
 Oscillating sequences that merely go weakly to zero in L^2 have norms
 here that genuinely decay, which is the point of the construction.
 
-Summation invariant: every F_k(f) on a 1-D grid is the numpy sum of the
-full row f * w_k over all M cells, w_k being the cells' clipped overlaps
-with cube k.  ``functional_values`` builds those rows a block of cubes at a
-time, and ``functional_Fk`` is the same computation on a block of one, so
-each value is the same M products added in the same pairwise order
-whatever the grouping, and the results are bit-for-bit those of a loop
-over single cubes.  Summing only the cells a cube meets, prefix sums, or a
-sparse or BLAS product would reorder the additions and move the last bits.
+Summation invariant: F_k(f) on a 1-D grid is a sum of the products
+f_j w_j, w_j being cell j's overlap with cube k, taken over the cells the
+cube meets only.  A cell inside the cube overlaps it by its full width, so
+those products are one slice of the row f * (e_{j+1} - e_j), summed by one
+``np.add.reduceat`` segment; the cube's two end cells are added after it,
+with their overlaps from the dense min/max formula.  Each product has the
+bits of the dense row f * w_k over all M cells, and the sum differs from
+that row's sum only by the order of its additions: both lie within
+gamma_M sum_j |f_j w_j| of the exact integral.  Each segment is reduced on
+its own, so a value does not depend on which other cubes share the call,
+and ``functional_Fk(f, k)`` is bit for bit entry k - 1 of
+``functional_values``.  A cube of scale l meets about 2^{-l} M + 2 cells,
+so K functionals read O(M + sum_k 2^{-l_k} M) cells instead of K M.
+Prefix sums would subtract large partial sums and lose the small ones.
 Each function's K-vector is computed once; pairings and norms at a smaller
 truncation use a prefix slice of it (``values_inner``, ``values_norm``).
 
@@ -149,12 +155,6 @@ def cube(k: int, n: int) -> Cube:
     return Cube(center=rational_center(n, i), side=2.0**-l / math.sqrt(n), l=l)
 
 
-# Cells of overlap weights built at once in the 1-D path: a block holds
-# max(1, _BLOCK_CELLS // M) cubes.  It bounds scratch memory only; each row
-# is summed whole, so the values do not depend on it.
-_BLOCK_CELLS = 2**15
-
-
 def _cell_edges(f: GridFunction) -> np.ndarray:
     """The M + 1 cell edges along each axis of f's grid."""
     return np.arange(f.resolution + 1) / f.resolution
@@ -170,40 +170,93 @@ def _overlaps(edges: np.ndarray, cubes: list[Cube], ax: int) -> np.ndarray:
     return np.clip(w, 0.0, None, out=w)
 
 
-def _integrals(f: GridFunction, ks) -> np.ndarray:
-    """F_k(f) for each cube index k in ``ks``: in 1-D a block of cubes at a
-    time, each row summed over all M cells; in 2-D one cube at a time."""
-    cubes = [cube(k, f.dim) for k in ks]
-    edges = _cell_edges(f)
-    out = np.empty(len(cubes), dtype=np.complex128)
+class _CellLayout(NamedTuple):
+    """Where each cube of one call meets a 1-D grid of M cells.
+
+    Cube k spans [a, b]; its interior cells (both edges in [a, b]) run
+    from the first edge >= a to the last edge <= b and overlap it by their
+    full width.  The two cells holding a and b (one cell when no edge lies
+    in the cube) are its end cells.
+    """
+
+    widths: np.ndarray  # (M,) e_{j+1} - e_j, an interior cell's overlap
+    order: np.ndarray  # the cubes sorted by their first interior cell
+    bounds: np.ndarray  # (2K,) start, stop of each sorted cube's interior cells
+    ends: np.ndarray  # (2, K) the left and right end cells, 0 where dropped
+    end_w: np.ndarray  # (2, K) their overlaps with the cube, 0 where dropped
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_layout(resolution: int, ks: tuple[int, ...]) -> _CellLayout:
+    """The layout of the 1-D cubes ``ks`` on a grid of ``resolution`` cells.
+
+    It depends on the grid and the cubes alone and takes several times as
+    long to build as a one-cube sum, so it is built once per pair and its
+    arrays are read-only."""
+    edges = np.arange(resolution + 1) / resolution
+    center = np.array([cube(k, 1).center[0] for k in ks])
+    half = np.array([cube(k, 1).side for k in ks]) / 2.0
+    a, b = center - half, center + half
+    start = np.searchsorted(edges, a, side="left")
+    stop = np.searchsorted(edges, b, side="right") - 1
+    # An end past either end of the grid is dropped, and so is the right
+    # end when no edge lies in the cube: its one cell is the left end.
+    kept = np.stack([start >= 1, (stop <= resolution - 1) & (stop >= start)])
+    ends = np.where(kept, np.stack([start - 1, stop]), 0)
+    # The dense overlap formula, whose clip at 0 never acts on an end cell.
+    end_w = np.minimum(edges[ends + 1], b) - np.maximum(edges[ends], a)
+    end_w = np.where(kept, end_w, 0.0)
+    # An empty interior points at the zero cell appended past the grid.
+    empty = stop <= start
+    start[empty] = stop[empty] = resolution
+    order = np.argsort(start, kind="stable")
+    bounds = np.stack([start[order], stop[order]], axis=1).ravel()
+    layout = _CellLayout(np.diff(edges), order, bounds, ends, end_w)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _integrals(f: GridFunction, ks: tuple[int, ...]) -> np.ndarray:
+    """F_k(f) for each cube index k in ``ks``: in 1-D each cube's interior
+    cells summed as one slice of f * widths plus its two end cells; in 2-D
+    one cube at a time over the whole grid."""
     if f.dim == 1:
-        rows = max(1, _BLOCK_CELLS // f.resolution)
-        for s in range(0, len(cubes), rows):
-            w = _overlaps(edges, cubes[s:s + rows], 0)
-            out[s:s + rows] = np.sum(f.values * w, axis=1)
-    else:
-        for j, c in enumerate(cubes):
-            w0, w1 = (_overlaps(edges, [c], ax)[0] for ax in (0, 1))
-            out[j] = w0 @ f.values @ w1
+        lay = _cell_layout(f.resolution, ks)
+        g = np.empty(f.resolution + 1, dtype=np.complex128)
+        np.multiply(f.values, lay.widths, out=g[:-1])
+        g[-1] = 0.0
+        # Sorted starts keep the sums reduceat takes between slices to one
+        # pass over the grid in all.
+        out = np.empty(len(ks), dtype=np.complex128)
+        out[lay.order] = np.add.reduceat(g, lay.bounds)[::2]
+        tips = f.values[lay.ends] * lay.end_w
+        out += tips[0]
+        out += tips[1]
+        return out
+    edges = _cell_edges(f)
+    out = np.empty(len(ks), dtype=np.complex128)
+    for j, k in enumerate(ks):
+        c = cube(k, f.dim)
+        w0, w1 = (_overlaps(edges, [c], ax)[0] for ax in (0, 1))
+        out[j] = w0 @ f.values @ w1
     return out
 
 
 def functional_Fk(f: GridFunction, k: int) -> complex:
     """Integral of f over the part of the k-th cube inside the unit interval
     or square: bit for bit entry k - 1 of ``functional_values``."""
-    return complex(_integrals(f, [_positive_int("cube index", k)])[0])
+    return complex(_integrals(f, (_positive_int("cube index", k),))[0])
 
 
 def functional_values(f: GridFunction, K: int) -> np.ndarray:
     """The vector (F_1(f), ..., F_K(f)).
 
-    On a 1-D grid the overlap weights of up to max(1, 2^15 // M) cubes are
-    built as one array and each cube's row f * w_k is summed over all M
-    cells, so every entry is added in the same order as a lone
-    ``functional_Fk`` call (see the module docstring).
+    On a 1-D grid each entry sums only the cells its cube meets, in the
+    same order as a lone ``functional_Fk`` call (see the module docstring).
     """
     K = _positive_int("truncation", K)
-    return _integrals(f, range(1, K + 1))
+    return _integrals(f, tuple(range(1, K + 1)))
 
 
 # The first prefix of functionals ``converged_values`` evaluates; each

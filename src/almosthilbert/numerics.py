@@ -185,13 +185,22 @@ def matrix_exp(m) -> np.ndarray:
     return e
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _pnorms(x: np.ndarray, p: float) -> np.ndarray:
     # The l^p norms of the columns of x (the last axis but one), p in
-    # [1, inf]: the one p-norm definition of this module.
+    # [1, inf]: the one p-norm definition of this module.  Each column is
+    # divided by its largest modulus before the power, so no power exceeds
+    # 1 and a large p (the dual exponent 101 of p = 1.01) cannot overflow.
+    # A zero column is divided by the smallest normal float instead.
     ax = np.abs(x)
+    top = np.maximum.reduce(ax, axis=-2, keepdims=True, initial=0.0)
     if p == np.inf:
-        return np.max(ax, axis=-2, initial=0.0)
-    return np.sum(ax**p, axis=-2) ** (1.0 / p)
+        return top[..., 0, :]
+    scale = np.maximum(top, _TINY)
+    ax /= scale
+    return np.add.reduce(np.power(ax, p, out=ax), axis=-2) ** (1.0 / p) * scale[..., 0, :]
 
 
 def vector_pnorm(x: np.ndarray, p: float) -> float:

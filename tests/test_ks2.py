@@ -35,21 +35,45 @@ def random_step(rng, levels=8, resolution=256):
     return GridFunction(np.repeat(vals, resolution // levels))
 
 
+def reference_weights(f, k):
+    """Every cell's overlap with cube k along each axis, edges rebuilt."""
+    center, side, _ = cube(k, f.dim)
+    edges = np.arange(f.resolution + 1) / f.resolution
+    return [np.clip(np.minimum(edges[1:], c + side / 2.0) - np.maximum(edges[:-1], c - side / 2.0),
+                    0.0, None) for c in center]
+
+
 def reference_values(f, K):
-    """The per-cube loop that ``functional_values`` replaces: edges rebuilt
-    and every cell's overlap with one cube at a time, each row summed alone."""
+    """The dense per-cube loop: every cell's overlap with one cube at a
+    time, each row summed whole over the grid."""
     out = []
     for k in range(1, K + 1):
-        center, side, _ = cube(k, f.dim)
-        w = []
-        for ax in range(f.dim):
-            edges = np.arange(f.resolution + 1) / f.resolution
-            a = center[ax] - side / 2.0
-            b = center[ax] + side / 2.0
-            w.append(np.clip(np.minimum(edges[1:], b) - np.maximum(edges[:-1], a), 0.0, None))
+        w = reference_weights(f, k)
         out.append(complex(np.sum(f.values * w[0])) if f.dim == 1
                    else complex(w[0] @ f.values @ w[1]))
     return np.array(out, dtype=np.complex128)
+
+
+def summation_slack(f, k):
+    """2 gamma_M sum_j |f_j w_j| for cube k of a 1-D f.
+
+    Any two sums of the same M products, in whatever order, differ by at
+    most this: each lies within gamma_M sum_j |x_j| of the exact sum in
+    each of its real and imaginary parts (Higham, Accuracy and Stability
+    of Numerical Algorithms, ch. 3; gamma_n = nu / (1 - nu), u the unit
+    roundoff), and Minkowski's inequality joins the two parts.
+    """
+    nu = f.resolution * np.finfo(float).eps / 2.0
+    return 2.0 * nu / (1.0 - nu) * np.sum(np.abs(f.values * reference_weights(f, k)[0]))
+
+
+def assert_near_dense(got, f, ks=None):
+    """``got`` holds F_k(f) for each k in ``ks`` (1..len(got) by default)
+    within the summation slack of the dense loop."""
+    ks = range(1, len(got) + 1) if ks is None else ks
+    dense = reference_values(f, max(ks))
+    for value, k in zip(got, ks):
+        assert abs(value - dense[k - 1]) <= summation_slack(f, k), k
 
 
 def reference_classic_pair(c):
@@ -238,16 +262,65 @@ class TestFunctional:
 
 
 class TestKernelBitwise:
-    """The blocked kernel against the per-cube reference loop, bit for bit."""
+    """The 1-D kernel sums the dense loop's products over the cells each
+    cube meets: within the summation slack of that loop, and bit for bit
+    the same value however the cubes are grouped into calls."""
 
-    # M = 2048 holds 16 cubes per block, so K = 300 ends in a partial block.
     @pytest.mark.parametrize("kind", ["step", "sine"])
     @pytest.mark.parametrize("M, K", [(16, 8), (256, 64), (2048, 300), (8192, 1024)])
     def test_matches_per_cube_loop(self, M, K, kind):
         f = kernel_input(kind, M)
         got = functional_values(f, K)
         assert got.dtype == np.complex128 and got.shape == (K,)
-        assert got.tobytes() == reference_values(f, K).tobytes()
+        assert_near_dense(got, f)
+
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    @pytest.mark.parametrize("M", [424, 1000])
+    def test_grid_not_a_power_of_two(self, M, kind):
+        f = kernel_input(kind, M)
+        assert_near_dense(functional_values(f, 300), f)
+
+    def test_cubes_smaller_than_a_cell(self):
+        # From k = 45 on, 741 of the first 1074 cubes have scales below the
+        # cell width 2^-8, the smallest 2^-46.
+        f = kernel_input("sine", 256)
+        assert min(cube(k, 1).side for k in range(1, 1075)) == 2.0**-46
+        assert_near_dense(functional_values(f, 1074), f)
+
+    def test_cubes_clipped_at_the_ends(self):
+        ks = [k for k in range(1, 1075) if cube(k, 1).center[0] in (0.0, 1.0)]
+        assert len(ks) > 40
+        f = kernel_input("step", 1000)
+        assert_near_dense([functional_Fk(f, k) for k in ks], f, ks)
+        # On a dyadic grid the clipped half of a cube integrates 1 exactly.
+        one = constant_one(256)
+        for k in ks:
+            assert functional_Fk(one, k) == cube(k, 1).side / 2.0
+
+    def test_zero_function_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = functional_values(GridFunction(np.zeros(1000)), 1074)
+        assert not np.any(vals)
+
+    def test_aligned_dyadic_steps_exact(self):
+        # Integer levels on eight dyadic steps, dyadic cube ends: every
+        # product and partial sum is a dyadic rational of at most 49 bits,
+        # so any summation order gives the exact integral.
+        levels = np.random.default_rng(54).integers(-4, 5, 8)
+        f = GridFunction(np.repeat(levels.astype(float), 32))
+        vals = functional_values(f, 1074)
+        for k in range(1, 1075):
+            center, side, _ = cube(k, 1)
+            a, b = Fraction(center[0]) - Fraction(side) / 2, Fraction(center[0]) + Fraction(side) / 2
+            exact = sum(int(v) * max(Fraction(0), min(b, Fraction(i + 1, 8)) - max(a, Fraction(i, 8)))
+                        for i, v in enumerate(levels))
+            assert vals[k - 1] == float(exact)
+
+    @pytest.mark.parametrize("kind", ["step", "sine"])
+    def test_values_do_not_depend_on_the_other_cubes(self, kind):
+        f = kernel_input(kind, 2048)
+        assert functional_values(f, 300)[:64].tobytes() == functional_values(f, 64).tobytes()
 
     @pytest.mark.parametrize("kind", ["step", "sine"])
     def test_single_functional_is_vector_entry(self, kind):
@@ -367,10 +440,12 @@ class TestVectorOnce:
         shared = np.array([[values_inner(a, b) for b in vs] for a in vs])
         pairwise = np.array([[ks2_inner(a, b, 64) for b in fs] for a in fs])
         assert shared.tobytes() == pairwise.tobytes()
-        refs = [reference_values(f, 64) for f in fs]
-        loop = np.array([[complex(np.sum(dyadic_weights(64) * a * np.conj(b))) for b in refs]
-                         for a in refs])
+        singles = [np.array([functional_Fk(f, k) for k in range(1, 65)]) for f in fs]
+        loop = np.array([[complex(np.sum(dyadic_weights(64) * a * np.conj(b))) for b in singles]
+                         for a in singles])
         assert shared.tobytes() == loop.tobytes()
+        for f, v in zip(fs, vs):
+            assert_near_dense(v, f)
 
     def test_embedding_bound_all_q_at_once(self):
         rng = np.random.default_rng(53)

@@ -284,6 +284,20 @@ class TestOpnormEstimate:
             assert numerics.opnorm_p_estimate(np.zeros((5, 5)), p, seed=0) == 0.0
 
 
+class TestVectorPnorm:
+    """Each column is scaled by its largest modulus before the power."""
+
+    @pytest.mark.parametrize("x, p, norm", [
+        ([0.0, -1j * 2.0**600, 0.0], 101.0, 2.0**600),
+        ([3.0 * 2.0**600, 4.0j * 2.0**600], 2.0, 5.0 * 2.0**600),
+    ])
+    def test_overflowing_power_gives_the_exact_norm(self, x, p, norm):
+        # Unscaled, |x_j|^p exceeds the float64 range.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert numerics.vector_pnorm(np.array(x), p) == norm
+
+
 class TestStacks:
     """A stacked call is slice by slice the 2-D call, and is validated once."""
 
