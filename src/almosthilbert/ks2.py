@@ -155,9 +155,9 @@ def cube(k: int, n: int) -> Cube:
     return Cube(center=rational_center(n, i), side=2.0**-l / math.sqrt(n), l=l)
 
 
-def _cell_edges(f: GridFunction) -> np.ndarray:
-    """The M + 1 cell edges along each axis of f's grid."""
-    return np.arange(f.resolution + 1) / f.resolution
+def _cell_edges(resolution: int) -> np.ndarray:
+    """The M + 1 cell edges along each axis of a grid of M cells."""
+    return np.arange(resolution + 1) / resolution
 
 
 def _overlaps(edges: np.ndarray, cubes: list[Cube], ax: int) -> np.ndarray:
@@ -193,7 +193,7 @@ def _cell_layout(resolution: int, ks: tuple[int, ...]) -> _CellLayout:
     It depends on the grid and the cubes alone and takes several times as
     long to build as a one-cube sum, so it is built once per pair and its
     arrays are read-only."""
-    edges = np.arange(resolution + 1) / resolution
+    edges = _cell_edges(resolution)
     center = np.array([cube(k, 1).center[0] for k in ks])
     half = np.array([cube(k, 1).side for k in ks]) / 2.0
     a, b = center - half, center + half
@@ -234,7 +234,7 @@ def _integrals(f: GridFunction, ks: tuple[int, ...]) -> np.ndarray:
         out += tips[0]
         out += tips[1]
         return out
-    edges = _cell_edges(f)
+    edges = _cell_edges(f.resolution)
     out = np.empty(len(ks), dtype=np.complex128)
     for j, k in enumerate(ks):
         c = cube(k, f.dim)

@@ -195,12 +195,11 @@ def _pnorms(x: np.ndarray, p: float) -> np.ndarray:
     # 1 and a large p (the dual exponent 101 of p = 1.01) cannot overflow.
     # A zero column is divided by the smallest normal float instead.
     ax = np.abs(x)
-    top = np.maximum.reduce(ax, axis=-2, keepdims=True, initial=0.0)
     if p == np.inf:
-        return top[..., 0, :]
-    scale = np.maximum(top, _TINY)
-    ax /= scale
-    return np.add.reduce(np.power(ax, p, out=ax), axis=-2) ** (1.0 / p) * scale[..., 0, :]
+        return np.maximum.reduce(ax, axis=-2, initial=0.0)
+    scale = np.maximum.reduce(ax, axis=-2, initial=_TINY)
+    ax /= scale[..., None, :]
+    return np.add.reduce(np.power(ax, p, out=ax), axis=-2) ** (1.0 / p) * scale
 
 
 def vector_pnorm(x: np.ndarray, p: float) -> float:

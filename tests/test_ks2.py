@@ -304,9 +304,9 @@ class TestKernelBitwise:
         assert not np.any(vals)
 
     def test_aligned_dyadic_steps_exact(self):
-        # Integer levels on eight dyadic steps, dyadic cube ends: every
-        # product and partial sum is a dyadic rational of at most 49 bits,
-        # so any summation order gives the exact integral.
+        # Integer levels on eight dyadic steps, cube ends on multiples of
+        # 2^-47: every product and partial sum is such a multiple below 8 in
+        # modulus, 53 bits at most, so any summation order is exact.
         levels = np.random.default_rng(54).integers(-4, 5, 8)
         f = GridFunction(np.repeat(levels.astype(float), 32))
         vals = functional_values(f, 1074)
