@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import GridFunction, SchauderBasis, coefficients, lp_norm
+from .spaces import GridFunction, SchauderBasis, analyze, coefficients, lp_norm
 
 
 def dyadic_weights(N: int) -> np.ndarray:
@@ -67,8 +67,7 @@ def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:
 
 def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
     """G_mk = h_inner(E_m, E_k) from c[n, m] = <E_n*, E_m>; diag(t_n) up to quadrature error."""
-    basis = space.basis
-    c = np.stack([coefficients(basis.member(m), basis) for m in range(len(basis))], axis=1)
+    c = analyze(space.basis.synthesis, space.basis).T
     return c.T @ (space.weights[:, None] * np.conj(c))
 
 

@@ -22,10 +22,8 @@ from .spaces import GridFunction
 
 
 def _signal_size(f: GridFunction) -> int:
-    """Sample count M of a periodic signal: a 1-D GridFunction with M a
-    power of two >= 4 and finite samples."""
-    if f.dim != 1:
-        raise ValueError(f"a periodic signal is 1-D, on the unit interval; got a {f.dim}-D grid")
+    """Sample count M of a periodic signal: a GridFunction with M a power
+    of two >= 4 and finite samples."""
     m = f.resolution
     if m < 4 or m & (m - 1) != 0:
         raise ValueError(f"sample count must be a power of two >= 4, got {m}")
@@ -101,7 +99,7 @@ def _power_antiderivative(u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
-    """Fractional integral of order alpha on a 1-D grid of the unit interval.
+    """Fractional integral of order alpha on a grid of the unit interval.
 
     Every cell's contribution integrates |x - y|^(alpha-1) in closed form
     (the singular cell included), so the kernel weights are a symmetric
@@ -109,8 +107,6 @@ def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
-    if f.dim != 1:
-        raise ValueError("the fractional integral is shipped for 1-D grids only")
     res = f.resolution
     h = 1.0 / res
     d = np.arange(-(res - 1), res)

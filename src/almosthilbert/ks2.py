@@ -4,18 +4,19 @@ averaging functionals.
 Cubes are enumerated by a fixed zig-zag pairing of (scale, center-index);
 centers walk a documented enumeration of the dyadic rationals of the unit
 interval or the unit square, and the cube at scale l has diagonal 2^{-l}.
-The k-th cube in dimension n is the pure function ``cube(k, n)``; every
-functional takes n from the dimension of its grid function.
-The k-th functional integrates its argument over the part of the k-th cube
-inside the unit interval or square (exact per-cell interval intersection,
+The k-th cube in dimension n is the pure function ``cube(k, n)``.  Grid
+functions live on the unit interval, so the functionals use the cubes of
+dimension 1; those of the unit square feed the audit table ``cube_rows``.
+The k-th functional integrates its argument over the part of the k-th
+cube inside the unit interval (exact per-cell interval intersection,
 so aligned step functions evaluate exactly), and the inner product is the
 2^{-k}-weighted square sum of functional values.
 Oscillating sequences that merely go weakly to zero in L^2 have norms
 here that genuinely decay, which is the point of the construction.
 
-Summation invariant: F_k(f) on a 1-D grid is a sum of the products
-f_j w_j, w_j being cell j's overlap with cube k, taken over the cells the
-cube meets only.  A cell inside the cube overlaps it by its full width, so
+Summation invariant: F_k(f) is a sum of the products f_j w_j, w_j
+being cell j's overlap with cube k, taken over the cells the cube meets
+only.  A cell inside the cube overlaps it by its full width, so
 those products are one slice of the row f * (e_{j+1} - e_j), summed by one
 ``np.add.reduceat`` segment; the cube's two end cells are added after it,
 with their overlaps from the dense min/max formula.  Each product has the
@@ -155,23 +156,8 @@ def cube(k: int, n: int) -> Cube:
     return Cube(center=rational_center(n, i), side=2.0**-l / math.sqrt(n), l=l)
 
 
-def _cell_edges(resolution: int) -> np.ndarray:
-    """The M + 1 cell edges along each axis of a grid of M cells."""
-    return np.arange(resolution + 1) / resolution
-
-
-def _overlaps(edges: np.ndarray, cubes: list[Cube], ax: int) -> np.ndarray:
-    """Exact lengths of each grid cell's intersection with each cube along
-    axis ``ax``: one row of len(edges) - 1 cells per cube."""
-    center = np.array([c.center[ax] for c in cubes])[:, None]
-    half = np.array([c.side for c in cubes])[:, None] / 2.0
-    w = np.minimum(edges[1:], center + half)
-    w -= np.maximum(edges[:-1], center - half)
-    return np.clip(w, 0.0, None, out=w)
-
-
 class _CellLayout(NamedTuple):
-    """Where each cube of one call meets a 1-D grid of M cells.
+    """Where each cube of one call meets a grid of M cells.
 
     Cube k spans [a, b]; its interior cells (both edges in [a, b]) run
     from the first edge >= a to the last edge <= b and overlap it by their
@@ -193,7 +179,7 @@ def _cell_layout(resolution: int, ks: tuple[int, ...]) -> _CellLayout:
     It depends on the grid and the cubes alone and takes several times as
     long to build as a one-cube sum, so it is built once per pair and its
     arrays are read-only."""
-    edges = _cell_edges(resolution)
+    edges = np.arange(resolution + 1) / resolution
     center = np.array([cube(k, 1).center[0] for k in ks])
     half = np.array([cube(k, 1).side for k in ks]) / 2.0
     a, b = center - half, center + half
@@ -218,42 +204,33 @@ def _cell_layout(resolution: int, ks: tuple[int, ...]) -> _CellLayout:
 
 
 def _integrals(f: GridFunction, ks: tuple[int, ...]) -> np.ndarray:
-    """F_k(f) for each cube index k in ``ks``: in 1-D each cube's interior
-    cells summed as one slice of f * widths plus its two end cells; in 2-D
-    one cube at a time over the whole grid."""
-    if f.dim == 1:
-        lay = _cell_layout(f.resolution, ks)
-        g = np.empty(f.resolution + 1, dtype=np.complex128)
-        np.multiply(f.values, lay.widths, out=g[:-1])
-        g[-1] = 0.0
-        # Sorted starts keep the sums reduceat takes between slices to one
-        # pass over the grid in all.
-        out = np.empty(len(ks), dtype=np.complex128)
-        out[lay.order] = np.add.reduceat(g, lay.bounds)[::2]
-        tips = f.values[lay.ends] * lay.end_w
-        out += tips[0]
-        out += tips[1]
-        return out
-    edges = _cell_edges(f.resolution)
+    """F_k(f) for each cube index k in ``ks``: each cube's interior cells
+    summed as one slice of f * widths, plus its two end cells."""
+    lay = _cell_layout(f.resolution, ks)
+    g = np.empty(f.resolution + 1, dtype=np.complex128)
+    np.multiply(f.values, lay.widths, out=g[:-1])
+    g[-1] = 0.0
+    # Sorted starts keep the sums reduceat takes between slices to one
+    # pass over the grid in all.
     out = np.empty(len(ks), dtype=np.complex128)
-    for j, k in enumerate(ks):
-        c = cube(k, f.dim)
-        w0, w1 = (_overlaps(edges, [c], ax)[0] for ax in (0, 1))
-        out[j] = w0 @ f.values @ w1
+    out[lay.order] = np.add.reduceat(g, lay.bounds)[::2]
+    tips = f.values[lay.ends] * lay.end_w
+    out += tips[0]
+    out += tips[1]
     return out
 
 
 def functional_Fk(f: GridFunction, k: int) -> complex:
-    """Integral of f over the part of the k-th cube inside the unit interval
-    or square: bit for bit entry k - 1 of ``functional_values``."""
+    """Integral of f over the part of the k-th cube inside the unit
+    interval: bit for bit entry k - 1 of ``functional_values``."""
     return complex(_integrals(f, (_positive_int("cube index", k),))[0])
 
 
 def functional_values(f: GridFunction, K: int) -> np.ndarray:
     """The vector (F_1(f), ..., F_K(f)).
 
-    On a 1-D grid each entry sums only the cells its cube meets, in the
-    same order as a lone ``functional_Fk`` call (see the module docstring).
+    Each entry sums only the cells its cube meets, in the same order as a
+    lone ``functional_Fk`` call (see the module docstring).
     """
     K = _positive_int("truncation", K)
     return _integrals(f, tuple(range(1, K + 1)))
@@ -326,19 +303,12 @@ def tail_bound(f: GridFunction, K: int) -> float:
 def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]:
     """The containment bounds on the square-sum norm of f, one per exponent
     in ``q`` (one exponent or a sequence): the L^q norm for finite q, and
-    (2 sqrt(n))^{-n} times the sup norm for q = inf."""
+    half the sup norm for q = inf."""
     qs = [float(x) for x in np.atleast_1d(q)]
     for x in qs:
         if not x >= 1.0:
             raise ValueError(f"q must lie in [1, inf], got {x}")
-    n = f.dim
-    bounds = []
-    for x in qs:
-        if x == np.inf:
-            bounds.append((0.5 / math.sqrt(n)) ** n * lp_norm(f, np.inf))
-        else:
-            bounds.append(lp_norm(f, x))
-    return bounds
+    return [0.5 * lp_norm(f, x) if x == np.inf else lp_norm(f, x) for x in qs]
 
 
 def weak_strong_norms(m_max: int, K: int, resolution: int = 4096) -> tuple[list[float], int]:

@@ -262,7 +262,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
     vals, vecs = h_eigen(h_matrix(A))
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
+    scale = max(1.0, float(np.max(np.abs(vals))))
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if abs(vals[i] - vals[clusters[-1][0]]) <= 1e-8 * scale:
@@ -367,7 +367,7 @@ def finite_difference_operator(a: GridFunction, b: GridFunction,
     b._require_same_grid(grid)
     if float(np.min(a.values.real)) <= 0.0:
         raise ValueError("ellipticity violated: a(x) must be bounded below by a positive constant")
-    h = grid.spacing
+    h = grid.cell_volume
     x = grid.midpoints()
     u = space.basis.synthesis  # row m is the member E_m
     d2 = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h**2

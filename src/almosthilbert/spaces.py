@@ -1,11 +1,11 @@
 """Grid-sampled function spaces: L^p norms, the duality map, and the
 trigonometric Schauder basis.
 
-A GridFunction samples a complex function at cell midpoints of a uniform
-grid over the unit interval or the unit square; the dimension is that of
-its samples.  All integrals are composite-midpoint quadrature, which is
-exact for step functions aligned with the grid and spectrally accurate for
-smooth periodic integrands.
+A GridFunction samples a complex function at the cell midpoints of a
+uniform grid over the unit interval, the one domain of every function
+here.  All integrals are composite-midpoint quadrature, which is exact for
+step functions aligned with the grid and spectrally accurate for smooth
+periodic integrands.
 
 The duality bracket ``pairing(f, g)`` conjugates its *second* argument;
 a dual functional with representer g acts on u as ``pairing(u, g)``, which
@@ -27,37 +27,27 @@ def midpoints(resolution: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples at the cell midpoints of a uniform grid over the unit
-    interval (1-D values) or the unit square (2-D values)."""
+    interval: a nonempty 1-D array."""
 
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim not in (1, 2):
-            raise ValueError("only dimensions 1 and 2 are supported")
-        res = vals.shape[0]
-        if vals.shape != (res,) * vals.ndim or res < 1:
-            raise ValueError("samples must form a nonempty square grid")
+        if vals.ndim != 1 or not vals.size:
+            raise ValueError(f"samples must form a nonempty 1-D array, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
 
     @property
     def resolution(self) -> int:
         return self.values.shape[0]
 
     @property
-    def spacing(self) -> float:
+    def cell_volume(self) -> float:
+        """The width 1/M of each of the M cells."""
         return 1.0 / self.resolution
 
-    @property
-    def cell_volume(self) -> float:
-        return self.spacing ** self.dim
-
     def midpoints(self) -> np.ndarray:
-        """The cell midpoints along one axis."""
+        """The cell midpoints of the grid."""
         return midpoints(self.resolution)
 
     def _require_same_grid(self, other: "GridFunction"):
@@ -92,7 +82,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """Composite-midpoint quadrature of (integral |f|^p)^(1/p); sup of samples for p = inf."""
     a = np.abs(f.values)
     if p == np.inf:
-        return float(a.max()) if a.size else 0.0
+        return float(a.max())
     if p < 1:
         raise ValueError("p must be >= 1 or inf")
     return float((np.sum(a**p) * f.cell_volume) ** (1.0 / p))

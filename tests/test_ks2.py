@@ -36,26 +36,22 @@ def random_step(rng, levels=8, resolution=256):
 
 
 def reference_weights(f, k):
-    """Every cell's overlap with cube k along each axis, edges rebuilt."""
-    center, side, _ = cube(k, f.dim)
+    """Every cell's overlap with cube k, edges rebuilt."""
+    (c,), side, _ = cube(k, 1)
     edges = np.arange(f.resolution + 1) / f.resolution
-    return [np.clip(np.minimum(edges[1:], c + side / 2.0) - np.maximum(edges[:-1], c - side / 2.0),
-                    0.0, None) for c in center]
+    return np.clip(np.minimum(edges[1:], c + side / 2.0) - np.maximum(edges[:-1], c - side / 2.0),
+                   0.0, None)
 
 
 def reference_values(f, K):
     """The dense per-cube loop: every cell's overlap with one cube at a
     time, each row summed whole over the grid."""
-    out = []
-    for k in range(1, K + 1):
-        w = reference_weights(f, k)
-        out.append(complex(np.sum(f.values * w[0])) if f.dim == 1
-                   else complex(w[0] @ f.values @ w[1]))
-    return np.array(out, dtype=np.complex128)
+    return np.array([complex(np.sum(f.values * reference_weights(f, k)))
+                     for k in range(1, K + 1)], dtype=np.complex128)
 
 
 def summation_slack(f, k):
-    """2 gamma_M sum_j |f_j w_j| for cube k of a 1-D f.
+    """2 gamma_M sum_j |f_j w_j| for cube k of f.
 
     Any two sums of the same M products, in whatever order, differ by at
     most this: each lies within gamma_M sum_j |x_j| of the exact sum in
@@ -64,7 +60,7 @@ def summation_slack(f, k):
     roundoff), and Minkowski's inequality joins the two parts.
     """
     nu = f.resolution * np.finfo(float).eps / 2.0
-    return 2.0 * nu / (1.0 - nu) * np.sum(np.abs(f.values * reference_weights(f, k)[0]))
+    return 2.0 * nu / (1.0 - nu) * np.sum(np.abs(f.values * reference_weights(f, k)))
 
 
 def assert_near_dense(got, f, ks=None):
@@ -244,11 +240,6 @@ class TestFunctional:
             for k in (1, 2, 7, 19, 32):
                 assert abs(functional_Fk(f, k)) <= l1 + 1e-12
 
-    def test_two_dimensional_constant(self):
-        one = GridFunction(np.ones((128, 128)))
-        # corner cube at scale 1: quarter of its area lands in the unit square
-        assert functional_Fk(one, 1) == pytest.approx(1.0 / 32.0, abs=1e-12)
-
     @pytest.mark.parametrize("k, error", [(2.5, TypeError), (True, TypeError), ("3", TypeError),
                                           (0, ValueError), (-2, ValueError)])
     def test_rejects_bad_cube_index(self, k, error):
@@ -262,7 +253,7 @@ class TestFunctional:
 
 
 class TestKernelBitwise:
-    """The 1-D kernel sums the dense loop's products over the cells each
+    """The kernel sums the dense loop's products over the cells each
     cube meets: within the summation slack of that loop, and bit for bit
     the same value however the cubes are grouped into calls."""
 
@@ -327,14 +318,6 @@ class TestKernelBitwise:
         f = kernel_input(kind, 512)
         vals = functional_values(f, 96)
         for k in range(1, 97):
-            assert np.complex128(functional_Fk(f, k)).tobytes() == vals[k - 1].tobytes()
-
-    def test_two_dimensional(self):
-        rng = np.random.default_rng(50)
-        f = GridFunction(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-        vals = functional_values(f, 40)
-        assert vals.tobytes() == reference_values(f, 40).tobytes()
-        for k in range(1, 41):
             assert np.complex128(functional_Fk(f, k)).tobytes() == vals[k - 1].tobytes()
 
 
@@ -406,9 +389,8 @@ class TestInnerProduct:
 
     def test_grid_mismatch(self):
         f = GridFunction(np.ones(64))
-        for g in (GridFunction(np.ones(128)), GridFunction(np.ones((64, 64)))):
-            with pytest.raises(ValueError, match="grid mismatch"):
-                ks2_inner(f, g, 8)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            ks2_inner(f, GridFunction(np.ones(128)), 8)
 
     @pytest.mark.parametrize("K, error", [(-3, ValueError), (0, ValueError), (2.5, TypeError)])
     def test_tail_bound_rejects_bad_truncation(self, K, error):

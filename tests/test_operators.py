@@ -566,7 +566,7 @@ class TestFiniteDifference:
         A = finite_difference_operator(one, zero, space)
         scale = np.linalg.norm(A.matrix)
         assert is_naturally_selfadjoint(A, tol=1e-10 * scale)
-        h = grid.spacing
+        h = grid.cell_volume
         for n in range(space.dim):
             freq = (n + 1) // 2
             expected = (2.0 * np.cos(2 * np.pi * freq * h) - 2.0) / h**2

@@ -53,7 +53,7 @@ def reference_gram(members, duals, weights):
 
 class TestGridFunction:
     def test_rejects_shape_mismatch(self):
-        for shape in ((), (0,), (4, 8), (2, 2, 2)):
+        for shape in ((), (0,), (4, 4), (8, 8), (4, 8), (2, 2, 2)):
             with pytest.raises(ValueError):
                 GridFunction(np.zeros(shape))
 
@@ -71,12 +71,6 @@ class TestGridFunction:
         assert f.midpoints().tobytes() == expected.tobytes()
         assert f.values.real.tobytes() == expected.tobytes()
         assert f.cell_volume == 1.0 / m
-        assert GridFunction(np.zeros((m, m))).cell_volume == (1.0 / m) * (1.0 / m)
-
-    def test_cell_volume_2d(self):
-        f = GridFunction(np.zeros((8, 8)))
-        assert f.dim == 2
-        assert f.cell_volume == 1 / 64
 
     def test_arithmetic(self):
         f = from_callable(lambda t: t, 16)
@@ -122,9 +116,8 @@ class TestPairing:
         assert pairing(g, f) == pytest.approx(1j)
 
     def test_grid_mismatch(self):
-        for other in (np.zeros(16), np.zeros((8, 8))):
-            with pytest.raises(ValueError, match="grid mismatch"):
-                pairing(GridFunction(np.zeros(8)), GridFunction(other))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            pairing(GridFunction(np.zeros(8)), GridFunction(np.zeros(16)))
 
 
 class TestDualityMap:
@@ -321,9 +314,8 @@ class TestCoefficients:
 
     def test_rejects_other_grid(self):
         basis = fourier_sbasis(4, 2, 64)
-        for u in (GridFunction(np.zeros(128)), GridFunction(np.zeros((64, 64)))):
-            with pytest.raises(ValueError, match="grid mismatch"):
-                coefficients(u, basis)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            coefficients(GridFunction(np.zeros(128)), basis)
 
     def test_wrong_length_rejected(self):
         basis = fourier_sbasis(4, 2, 64)
