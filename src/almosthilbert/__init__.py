@@ -44,7 +44,6 @@ from .operators import (  # noqa: F401
     SpectralDecomposition,
     adjoint,
     adjoint_algebra_defect,
-    apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
     from_h_matrix,
@@ -56,7 +55,6 @@ from .operators import (  # noqa: F401
     lax_khat,
     minmax_eigenvalue,
     polar_decompose,
-    rayleigh_compare,
     self_conjugacy_check,
     spectral_decompose,
 )

@@ -4,14 +4,14 @@ A BOperator is an N x N matrix acting on basis coefficients, or a stack
 of them with shape (..., N, N) on one space.  The algebra, transports,
 adjoint, norms, *-algebra and defining-identity defects, self-adjointness
 and self-conjugacy tests, Lax checks, polar factors and the min-max
-estimate act slice by slice, each slice as it would alone; ``apply_op``,
-``spectral_decompose`` and ``rayleigh_compare`` refuse a stack.  With Gram
-matrix W = diag(t_n), the adjoint determined by h_inner(Au, v) =
-h_inner(u, A*v) is the closed form A* = W^{-1} A^H W.  The similarity
-M -> W^{1/2} M W^{-1/2} transports a coordinate matrix to the H metric,
-where self-adjointness becomes ordinary Hermitian symmetry; polar and
-spectral decompositions, norm checks, and the Courant-Fischer cross-check
-all run through that transport.
+estimate act slice by slice, each slice as it would alone;
+``spectral_decompose`` refuses a stack.  With Gram matrix W = diag(t_n),
+the adjoint determined by h_inner(Au, v) = h_inner(u, A*v) is the closed
+form A* = W^{-1} A^H W.  The similarity M -> W^{1/2} M W^{-1/2} transports
+a coordinate matrix to the H metric, where self-adjointness becomes
+ordinary Hermitian symmetry; polar and spectral decompositions, norm
+checks, and the Courant-Fischer cross-check all run through that
+transport.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .embedding import EmbeddingSpace, coefficient_h_inner, h_inner
-from .spaces import (GridFunction, analyze, coefficients, duality_map, lp_norm, pairing,
-                     reconstruct, synthesize)
+from .embedding import EmbeddingSpace, coefficient_h_inner
+from .spaces import GridFunction, analyze, synthesize
 
 _RESTARTS = 4          # random starts of the coefficient p-norm power method
 _ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
@@ -62,18 +61,6 @@ class BOperator:
         return BOperator(complex(scalar) * self.matrix, self.space)
 
     __rmul__ = __mul__
-
-
-def _one(A: BOperator, what: str) -> None:
-    """Refuse a stack where ``what`` takes one operator."""
-    if A.matrix.ndim > 2:
-        raise ValueError(f"{what} takes one operator, not a stack of shape {A.matrix.shape}")
-
-
-def apply_op(A: BOperator, u: GridFunction) -> GridFunction:
-    """Act on a function through the truncation: synthesize M c(u)."""
-    _one(A, "apply_op")
-    return reconstruct(A.matrix @ coefficients(u, A.space.basis), A.space.basis)
 
 
 def h_matrix(A: BOperator) -> np.ndarray:
@@ -146,8 +133,9 @@ def adjoint_identity_defect(A: BOperator, cu, cv):
     """Relative defect |(Au, v)_H - (u, A*v)_H| / max(1, |each side|) of the
     defining identity, for the functions u and v with coefficients cu and cv;
     one per slice of A, with cu and cv one row per slice.  Each function is
-    synthesized on the grid and analysed back, and Au and A*v likewise, as
-    ``apply_op`` and ``h_inner`` do for one function."""
+    synthesized on the grid and analysed back, and Au and A*v likewise: an
+    operator acts on a grid function through its coefficients, as the
+    synthesis of M c(u)."""
     space = A.space
     basis = space.basis
 
@@ -258,7 +246,9 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
     operator.  Eigenvalues within relative gap 1e-8 are merged into one
     cluster so each projection is well defined under floating point."""
-    _one(A, "spectral_decompose")
+    if A.matrix.ndim > 2:
+        raise ValueError("spectral_decompose takes one operator, "
+                         f"not a stack of shape {A.matrix.shape}")
     if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
     vals, vecs = h_eigen(h_matrix(A))
@@ -337,25 +327,6 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
     low = numerics.hermitian_eigen(_sym(xh @ sym @ x)).values[..., -1]
     best = np.max(low.reshape(stack + (trials,)), axis=-1)
     return float(best) if best.ndim == 0 else best
-
-
-def rayleigh_compare(A: BOperator, psi: GridFunction):
-    """Both Rayleigh-type quotients at psi and their gap, in A's space.
-
-    b_ratio uses the nonlinear duality bracket <A psi, J(psi-hat)> /
-    <psi, J(psi-hat)>; h_ratio uses the H inner product.  The paper only
-    claims the two are 'close', so this is a measurement.
-    """
-    space = A.space
-    p = space.basis.p
-    bn = lp_norm(psi, p)
-    if bn == 0.0:
-        raise ValueError("rayleigh_compare requires psi != 0")
-    psi_star = duality_map((1.0 / bn) * psi, p)
-    a_psi = apply_op(A, psi)
-    b_ratio = pairing(a_psi, psi_star) / pairing(psi, psi_star)
-    h_ratio = h_inner(a_psi, psi, space) / h_inner(psi, psi, space)
-    return b_ratio, h_ratio, abs(b_ratio - h_ratio)
 
 
 def finite_difference_operator(a: GridFunction, b: GridFunction,

@@ -11,11 +11,12 @@ the values, compares the result with the tolerance and builds the check
 result; the library modules and the check bodies only return numbers.  A
 stacked check measures its whole chunk at once, as one (T, N, N) stack of
 operators; any other has chunks of one instance.  Checks are grouped into
-suites (embedding, adjoint, schatten, ks2, integral), and the four
-quantities the underlying theory leaves unquantified (the equivalence
-constant k-hat, the ratio ||A*||_B/||A||_B for p != 2, the
-Hilbert-transform L^p constant, and the Rayleigh-quotient gap) ride along
-with *every* suite as measured-only entries.
+suites (embedding, adjoint, schatten, ks2, integral); each check belongs to
+exactly one of them, and "all" is their union.  The three quantities the
+underlying theory leaves unquantified are measured-only entries of the
+suite of the claim they belong to: the equivalence constant k-hat and the
+ratio ||A*||_B/||A||_B for p != 2 in adjoint, the Hilbert-transform L^p
+constant in integral.
 
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
@@ -61,7 +62,6 @@ from .operators import (
     lax_khat,
     minmax_eigenvalue,
     polar_decompose,
-    rayleigh_compare,
     self_conjugacy_check,
     spectral_decompose,
 )
@@ -148,7 +148,7 @@ def _resolution(params: SuiteParams, dim: int) -> int:
 
 @dataclass(frozen=True)
 class _Check:
-    suite: str  # a suite name, or "*" for every suite
+    suite: str  # the one suite it belongs to
     tol: float | None  # None: a measured entry
     count: int | None  # nominal instances per block at trials = 100; None: one instance
     blocks: int
@@ -569,6 +569,25 @@ def _chk_minmax(run, xs):
     return np.stack(columns, axis=-1)
 
 
+@_check("lax-constant-khat", "adjoint", count=20, stacked=True,
+        draw=lambda run, i: (run.hermitian(), run.seed()))
+def _meas_khat(run, xs):
+    hs, seeds = zip(*xs)
+    p = run.extra["p"] = run.params.p
+    return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.space()), p, seed=seeds))
+
+
+@_check("bnorm-adjoint-ratio", "adjoint", count=20, stacked=True,
+        draw=lambda run, i: (run.matrix(), run.seed(), run.seed()))
+def _meas_bnorm_ratio(run, xs):
+    mats, seeds, adjoint_seeds = zip(*xs)
+    a_op = run.stacked(mats)
+    p = run.extra["p"] = run.params.p
+    na = b_opnorm_estimate(a_op, p, seed=seeds)
+    nastar = b_opnorm_estimate(adjoint(a_op), p, seed=adjoint_seeds)
+    return run.low("ratio_min", nastar / np.maximum(na, 1e-300))
+
+
 # ---------------------------------------------------------------------------
 # singular-value / trace-class checks (schatten suite)
 # ---------------------------------------------------------------------------
@@ -785,42 +804,11 @@ def _chk_riesz_positivity(run, f):
     return -float(pairing(integrals.riesz_potential(f, alpha), f).real)
 
 
-# ---------------------------------------------------------------------------
-# measured-only entries, attached to every suite
-# ---------------------------------------------------------------------------
-
-
-@_check("lax-constant-khat", "*", count=20, stacked=True,
-        draw=lambda run, i: (run.hermitian(), run.seed()))
-def _meas_khat(run, xs):
-    hs, seeds = zip(*xs)
-    p = run.extra["p"] = run.params.p
-    return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.space()), p, seed=seeds))
-
-
-@_check("bnorm-adjoint-ratio", "*", count=20, stacked=True,
-        draw=lambda run, i: (run.matrix(), run.seed(), run.seed()))
-def _meas_bnorm_ratio(run, xs):
-    mats, seeds, adjoint_seeds = zip(*xs)
-    a_op = run.stacked(mats)
-    p = run.extra["p"] = run.params.p
-    na = b_opnorm_estimate(a_op, p, seed=seeds)
-    nastar = b_opnorm_estimate(adjoint(a_op), p, seed=adjoint_seeds)
-    return run.low("ratio_min", nastar / np.maximum(na, 1e-300))
-
-
-@_check("hilbert-cp-constant", "*", count=40,
+@_check("hilbert-cp-constant", "integral", count=40,
         draw=lambda run, i: integrals.random_bandlimited(run.rng, min(run.params.grid, 512)))
 def _meas_cp(run, f):
     p = run.extra["p"] = run.params.p
     return lp_norm(integrals.hilbert_multiplier(f), p) / max(lp_norm(f, p), 1e-300)
-
-
-@_check("rayleigh-quotient-gap", "*", count=50,
-        draw=lambda run, i: (run.selfadjoint(), run.poly()))
-def _meas_rayleigh(run, x):
-    run.extra["p"] = run.params.p
-    return rayleigh_compare(*x)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +820,7 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
     """Check names belonging to a suite, sorted; measured entries included."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}: choose from {', '.join(SUITE_NAMES)}")
-    names = [name for name, check in _REGISTRY.items()
-             if check.suite == "*" or suite == "all" or check.suite == suite]
+    names = [name for name, check in _REGISTRY.items() if suite in ("all", check.suite)]
     return tuple(sorted(names))
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from almosthilbert import suites
 from almosthilbert.embedding import embedding_space
 from almosthilbert.operators import BOperator, from_h_matrix
-from almosthilbert.spaces import fourier_sbasis, reconstruct
+from almosthilbert.spaces import coefficients, fourier_sbasis, reconstruct
 
 
 def make_space(N=4, p=2, resolution=None):
@@ -16,6 +16,13 @@ def make_space(N=4, p=2, resolution=None):
 
 def identity_operator(space):
     return BOperator(np.eye(space.dim, dtype=np.complex128), space)
+
+
+def apply_op(A, u):
+    """One operator acting on a grid function through the truncation:
+    synthesize M c(u).  The reference the defining-identity tests hold the
+    operator algebra to."""
+    return reconstruct(A.matrix @ coefficients(u, A.space.basis), A.space.basis)
 
 
 def rand_complex(rng, *shape):

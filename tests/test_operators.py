@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply_op,
     identity_operator,
     make_space,
     rand_complex,
@@ -18,7 +19,6 @@ from almosthilbert.operators import (
     adjoint,
     adjoint_algebra_defect,
     adjoint_identity_defect,
-    apply_op,
     b_opnorm_estimate,
     finite_difference_operator,
     from_h_matrix,
@@ -30,7 +30,6 @@ from almosthilbert.operators import (
     lax_khat,
     minmax_eigenvalue,
     polar_decompose,
-    rayleigh_compare,
     self_conjugacy_check,
     spectral_decompose,
 )
@@ -376,38 +375,6 @@ class TestMinMax:
             assert len(calls) <= 5 * trials, (k, len(calls))
 
 
-class TestRayleigh:
-    def test_identity(self):
-        space = make_space()
-        rng = np.random.default_rng(16)
-        psi = random_poly(space, rng)
-        b_ratio, h_ratio, gap = rayleigh_compare(identity_operator(space), psi)
-        assert b_ratio == pytest.approx(1.0, abs=1e-10)
-        assert h_ratio == pytest.approx(1.0, abs=1e-10)
-        assert gap <= 1e-10
-
-    def test_eigenvector_of_selfadjoint(self):
-        rng = np.random.default_rng(17)
-        space = make_space(N=6, p=3, resolution=128)
-        A = rand_selfadjoint(space, rng)
-        mh = h_matrix(A)
-        eig = numerics.hermitian_eigen((mh + mh.conj().T) / 2)
-        sw = np.sqrt(space.weights)
-        coeffs = eig.vectors[:, 0] / sw
-        psi = reconstruct(coeffs, space.basis)
-        lam = eig.values[0]
-        b_ratio, h_ratio, gap = rayleigh_compare(A, psi)
-        assert b_ratio == pytest.approx(lam, rel=1e-8)
-        assert h_ratio == pytest.approx(lam, rel=1e-8)
-        assert gap <= 1e-8 * max(1.0, abs(lam))
-
-    def test_rejects_zero(self):
-        space = make_space()
-        zero = 0.0 * space.basis.member(0)
-        with pytest.raises(ValueError, match="psi != 0"):
-            rayleigh_compare(identity_operator(space), zero)
-
-
 def reference_algebra_defect(A, B, a):
     """The *-algebra defect of one operator pair, one identity at a time."""
     def rel(lhs, rhs):
@@ -542,14 +509,8 @@ class TestStacks:
         rng = np.random.default_rng(62)
         space = make_space(N=4)
         A = rand_selfadjoint(space, rng)
-        stack = self._stack([A, A])
-        psi = random_poly(space, rng)
-        calls = [lambda: apply_op(stack, psi),
-                 lambda: spectral_decompose(stack),
-                 lambda: rayleigh_compare(stack, psi)]
-        for call in calls:
-            with pytest.raises(ValueError, match="not a stack"):
-                call()
+        with pytest.raises(ValueError, match="not a stack"):
+            spectral_decompose(self._stack([A, A]))
 
 
 class TestFiniteDifference:
