@@ -23,6 +23,15 @@ from almosthilbert.suites import (
 
 FAST = SuiteParams(trials=5)
 
+# the measured entries (no tolerance) each suite holds; each belongs to one
+MEASURED_BY_SUITE = {
+    "adjoint": {"bnorm-adjoint-ratio", "lax-constant-khat"},
+    "embedding": {"embedding-middle-ratio"},
+    "integral": {"hilbert-cp-constant"},
+    "ks2": set(),
+    "schatten": set(),
+}
+
 # frozen registry: the union of every module's invariant entries
 ALL_CHECKS = (
     "adjoint-algebra",
@@ -120,6 +129,11 @@ class TestRegistry:
         assert set().union(*members) == set(ALL_CHECKS)
         assert sum(map(len, members)) == len(ALL_CHECKS)  # pairwise disjoint
         assert {check.suite for check in _REGISTRY.values()} <= set(parts)
+
+    @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
+    def test_measured_entries_in_every_suite(self, suite):
+        measured = {name for name in list_checks(suite) if _REGISTRY[name].tol is None}
+        assert measured == MEASURED_BY_SUITE[suite]
 
     def test_names_sorted_and_unique(self):
         names = list_checks("all")
