@@ -15,8 +15,6 @@ Besides suite runs there are two small data emitters for external tooling
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 
@@ -29,9 +27,9 @@ from .integrals import (
     signal_from_callable,
 )
 from .ks2 import cube_rows
-from .report import render
+from .report import csv_text, render
 from .spaces import GridFunction, midpoints
-from .suites import SUITE_NAMES, SuiteParams, list_checks, run_suite
+from .suites import _MAX_CUBES, _MAX_GRID, SUITE_NAMES, SuiteParams, list_checks, run_suite
 
 DEMO_OPS = ("hilbert", "hilbert-pv", "riesz")
 COMMANDS = ("ks2", "integral")
@@ -72,17 +70,17 @@ def _build_parser(commands: bool = True) -> argparse.ArgumentParser:
     ks2_parser.add_argument("action", choices=("dump-cubes",))
     ks2_parser.add_argument("--n", type=int, default=1, help="dimension (1 or 2)")
     ks2_parser.add_argument("--count", type=int, default=16,
-                            help="number of cubes to emit")
-    ks2_parser.add_argument("--out", default=None)
+                            help=f"number of cubes to emit, 1..{_MAX_CUBES}")
+    ks2_parser.add_argument("--out", default=argparse.SUPPRESS)
 
     integral_parser = sub.add_parser("integral", help="integral-operator demos")
     integral_parser.add_argument("action", choices=("demo",))
     integral_parser.add_argument("--op", choices=DEMO_OPS, default="hilbert")
     integral_parser.add_argument("--m", type=int, default=1024,
-                                 help="sample count (power of two >= 4)")
-    integral_parser.add_argument("--alpha", type=float, default=0.5,
+                                 help=f"sample count (power of two in 4..{_MAX_GRID})")
+    integral_parser.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
                                  help="order for the riesz demo")
-    integral_parser.add_argument("--out", default=None)
+    integral_parser.add_argument("--out", default=argparse.SUPPRESS)
 
     return parser
 
@@ -124,14 +122,6 @@ def _write_text(text: str, path) -> None:
             fh.write(text)
 
 
-def _rows_to_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _cmd_suite(args) -> int:
     if args.list:
         names = list_checks(args.suite)
@@ -145,8 +135,10 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_dump_cubes(args) -> int:
+    if not 1 <= args.count <= _MAX_CUBES:
+        raise ValueError(f"--count must lie in 1..{_MAX_CUBES}, got {args.count}")
     header, rows = cube_rows(args.n, args.count)
-    _write_text(_rows_to_csv(header, rows), args.out)
+    _write_text(csv_text(header, rows), args.out)
     return 0
 
 
@@ -156,8 +148,8 @@ def _demo_signal(m: int) -> GridFunction:
 
 
 def _cmd_demo(args) -> int:
-    if args.m < 4 or args.m & (args.m - 1):
-        raise ValueError(f"--m must be a power of two >= 4, got {args.m}")
+    if not 4 <= args.m <= _MAX_GRID or args.m & (args.m - 1):
+        raise ValueError(f"--m must be a power of two in 4..{_MAX_GRID}, got {args.m}")
     if args.op == "riesz":
         x = midpoints(args.m)
         f = GridFunction(np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0).astype(complex))
@@ -173,7 +165,7 @@ def _cmd_demo(args) -> int:
         pairs = zip(t, f.values, out.values)
     rows = [[repr(float(t)), repr(float(a.real)), repr(float(a.imag)),
              repr(float(b.real)), repr(float(b.imag))] for t, a, b in pairs]
-    _write_text(_rows_to_csv(["t", "in_re", "in_im", "out_re", "out_im"], rows),
+    _write_text(csv_text(["t", "in_re", "in_im", "out_re", "out_im"], rows),
                 args.out)
     return 0
 

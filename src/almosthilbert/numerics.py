@@ -66,6 +66,13 @@ def frobenius_norm(x) -> np.ndarray:
         return np.sqrt(sum((y @ y.swapaxes(-1, -2))[..., 0, 0] for y in parts))
 
 
+def modulus(z) -> np.ndarray:
+    """|z| elementwise, as the hypotenuse of the real and imaginary parts:
+    that rounds as ``abs()`` of a Python complex does, while ``np.abs`` of a
+    complex array can round otherwise on extreme values."""
+    return np.hypot(z.real, z.imag)
+
+
 def _ct(x: np.ndarray) -> np.ndarray:
     # The conjugate transpose of each slice.
     return x.conj().swapaxes(-1, -2)

@@ -42,7 +42,12 @@ class BOperator:
         object.__setattr__(self, "matrix", m)
 
     def _require_same_space(self, other: "BOperator"):
-        if other.space is not self.space and other.space.dim != self.space.dim:
+        """Refuse ``other`` unless its space is this one's, or has equal
+        weights and a basis of the same p on the same grid."""
+        a, b = self.space, other.space
+        if a is not b and not (a.basis.p == b.basis.p
+                               and a.basis.synthesis.shape == b.basis.synthesis.shape
+                               and np.array_equal(a.weights, b.weights)):
             raise ValueError("operators live on different spaces")
 
     def __add__(self, other: "BOperator") -> "BOperator":
@@ -148,7 +153,7 @@ def adjoint_identity_defect(A: BOperator, cu, cv):
     c_u, c_v = round_trip(np.asarray(cu)), round_trip(np.asarray(cv))
     lhs = coefficient_h_inner(act(A.matrix, c_u), c_v, space)
     rhs = coefficient_h_inner(c_u, act(adjoint(A).matrix, c_v), space)
-    modulus = lambda z: np.hypot(z.real, z.imag)  # rounds as abs() of a complex does
+    modulus = numerics.modulus
     return modulus(lhs - rhs) / np.maximum(np.maximum(1.0, modulus(lhs)), modulus(rhs))
 
 

@@ -11,6 +11,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -84,17 +85,20 @@ def to_json(report: VerificationReport) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def to_csv(report: VerificationReport) -> str:
-    import csv as _csv
-
+def csv_text(header, rows) -> str:
+    """A header row and then ``rows`` as CSV text."""
     buf = io.StringIO()
-    w = _csv.writer(buf)
-    w.writerow(["suite", "check", "status", "worst_violation", "samples", "params"])
-    for c in report.sorted_checks():
-        packed = ";".join(f"{k}={_clean_param(v)}" for k, v in sorted(c.params.items()))
-        w.writerow([report.suite, c.name, c.status, repr(float(c.worst_violation)),
-                    c.samples, packed])
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def to_csv(report: VerificationReport) -> str:
+    rows = [[report.suite, c.name, c.status, repr(float(c.worst_violation)), c.samples,
+             ";".join(f"{k}={_clean_param(v)}" for k, v in sorted(c.params.items()))]
+            for c in report.sorted_checks()]
+    return csv_text(["suite", "check", "status", "worst_violation", "samples", "params"], rows)
 
 
 def _rank(c: CheckResult) -> tuple[bool, float]:

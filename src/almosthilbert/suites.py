@@ -84,6 +84,8 @@ P_SWEEP = (1.5, 2.0, 3.0, 4.0)
 _MAX_DIM = np.finfo(float).nmant + 1
 # The largest K whose dyadic weight 2^-K is still above 0.0 in float64 (2^-1074).
 _MAX_CUBES = np.finfo(float).nmant - np.finfo(float).minexp
+# The finest grid, in cells, of the desk scale.
+_MAX_GRID = 16384
 # The p-norms sum |x|^p unscaled; by p = 200 that overflows float64 on the
 # sampled functions.  64 is the largest power of two at least 2x below that.
 _MAX_P = 64
@@ -107,8 +109,8 @@ class SuiteParams:
             raise ValueError(f"dim must lie in 1..{_MAX_DIM}: past that the dyadic weight "
                              f"sum 1 - 2^-dim rounds to 1.0 in float64, got {self.dim}")
         g = self.grid
-        if g < 16 or g > 16384 or (g & (g - 1)) != 0:
-            raise ValueError(f"grid must be a power of two in 16..16384, got {g}")
+        if g < 16 or g > _MAX_GRID or (g & (g - 1)) != 0:
+            raise ValueError(f"grid must be a power of two in 16..{_MAX_GRID}, got {g}")
         if not 1.0 < self.p <= _MAX_P:
             raise ValueError(f"p must lie in (1, {_MAX_P}]: past that |x|^p overflows float64 "
                              f"in the unscaled p-norms, got {self.p}")
@@ -210,52 +212,34 @@ def _count(params: SuiteParams, nominal: int) -> int:
     return max(1, (nominal * params.trials) // 100)
 
 
-class _Spaces:
-    """The embedding spaces the checks of one ``run_suite`` call work in.
-
-    The run's own space (``params.dim``, ``params.p``), which most checks
-    use, is built on first use and then shared: its basis is deterministic
-    and no check writes to it.  A space at another p or N is built afresh
-    for each check that asks (``_Run.space``) and freed with it, because
-    keeping those too would raise the run's peak memory.
-    """
-
-    def __init__(self, params: SuiteParams):
-        self.params = params
-        self._own: EmbeddingSpace | None = None
-
-    def get(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
-        n = self.params.dim if dim is None else dim
-        p = self.params.p if p is None else p
-        if (n, p) != (self.params.dim, self.params.p):
-            return self._build(n, p)
-        if self._own is None:
-            self._own = self._build(n, p)
-        return self._own
-
-    def _build(self, n: int, p: float) -> EmbeddingSpace:
-        return embedding_space(fourier_sbasis(n, p, _resolution(self.params, n)))
-
-
 class _Run:
     """One check's part of a ``run_suite`` call: the params, the check's
-    random stream, the spaces it works in (each built at most once for the
-    check), and the report params and tail bounds its
-    ``measure`` records.  The random draws below are for ``draw`` alone."""
+    random stream, the spaces it works in, and the report params and tail
+    bounds its ``measure`` records.  The random draws below are for
+    ``draw`` alone."""
 
-    def __init__(self, params: SuiteParams, rng, spaces: _Spaces, block_size: int):
+    def __init__(self, params: SuiteParams, rng, shared: dict, block_size: int):
         self.params = params
         self.rng = rng
         self.block_size = block_size
         self.extra: dict = {}
         self.tails: dict = {}
-        self._spaces = spaces
-        self._built: dict = {}
+        self._shared = shared
+        self._own: dict = {}
 
     def space(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
-        if (p, dim) not in self._built:
-            self._built[p, dim] = self._spaces.get(p=p, dim=dim)
-        return self._built[p, dim]
+        """The space of ``dim`` basis members at exponent ``p`` (the run's by
+        default), built on first use.  The run's own space, which most checks
+        use, goes in ``shared``, the one dict of the ``run_suite`` call: its
+        basis is deterministic and no check writes to it.  A space at another
+        p or N is the check's own and is freed with it, because keeping those
+        too would raise the run's peak memory."""
+        key = (self.params.dim if dim is None else dim, self.params.p if p is None else p)
+        spaces = self._shared if key == (self.params.dim, self.params.p) else self._own
+        if key not in spaces:
+            n, p = key
+            spaces[key] = embedding_space(fourier_sbasis(n, p, _resolution(self.params, n)))
+        return spaces[key]
 
     def low(self, name: str, value):
         """Record the smallest entry of ``value`` (a number or an array) so
@@ -658,8 +642,7 @@ def _chk_horn(run, xs):
 @_check("lidskii-trace", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
 def _chk_lidskii(run, mats):
     eigen_sum, trace = schatten.lidskii_sums(run.stacked(mats))
-    modulus = lambda z: np.hypot(z.real, z.imag)  # rounds as abs() of a complex does
-    return _bound_excess(modulus(eigen_sum - trace), modulus(trace))
+    return _bound_excess(numerics.modulus(eigen_sum - trace), numerics.modulus(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -834,11 +817,11 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
         params = SuiteParams()
     start = time.perf_counter()
     report = VerificationReport(suite=name, seed=int(seed))
-    spaces = _Spaces(params)
+    shared: dict = {}
     for cname in list_checks(name):
         check = _REGISTRY[cname]
         block_size = 1 if check.count is None else _count(params, check.count)
-        run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), spaces,
+        run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), shared,
                    block_size)
         total = check.blocks * block_size
         chunk = check.chunk(params)

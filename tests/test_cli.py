@@ -213,6 +213,14 @@ class TestDumpCubes:
         code, _, _ = run_cli(["ks2", "dump-cubes", "--count", "0"], capsys)
         assert code == 2
 
+    def test_count_bounded_by_the_cubes_range(self, capsys):
+        code, out, _ = run_cli(["ks2", "dump-cubes", "--n", "2", "--count", "1074"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1075
+        for count in ("1075", "100000000000000"):
+            code, out, err = run_cli(["ks2", "dump-cubes", "--count", count], capsys)
+            assert code == 2 and out == ""
+            assert "--count must lie in 1..1074" in err
+
 
 class TestIntegralDemo:
     @pytest.mark.parametrize("op", ["hilbert", "hilbert-pv", "riesz"])
@@ -236,10 +244,11 @@ class TestIntegralDemo:
 
     @pytest.mark.parametrize("op", ["hilbert", "hilbert-pv", "riesz"])
     def test_non_power_of_two_rejected(self, op, capsys):
-        for m in ("100", "1"):
-            code, _, err = run_cli(["integral", "demo", "--op", op, "--m", m], capsys)
-            assert code == 2
-            assert "power of two" in err
+        # past the largest --grid, refused before anything is allocated
+        for m in ("100", "1", "32768", "1125899906842624"):
+            code, out, err = run_cli(["integral", "demo", "--op", op, "--m", m], capsys)
+            assert code == 2 and out == ""
+            assert "power of two in 4..16384" in err
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "demo.csv"
@@ -248,6 +257,26 @@ class TestIntegralDemo:
              "--alpha", "0.25", "--out", str(out_path)], capsys)
         assert code == 0
         assert out_path.read_text().startswith("t,in_re")
+
+
+class TestOptionPlacement:
+    # --out and --alpha are options of the top level and of the subcommands;
+    # a value given on either side of the subcommand is the one used
+
+    def test_out_on_either_side_of_the_subcommand(self, capsys, tmp_path):
+        command = ["ks2", "dump-cubes", "--count", "2"]
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        for argv in (["--out", str(before), *command], [*command, "--out", str(after)]):
+            code, stdout, _ = run_cli(argv, capsys)
+            assert code == 0 and stdout == ""
+        assert before.read_text() == after.read_text()
+        assert before.read_text().startswith("k,l,i,center0,side")
+
+    def test_alpha_on_either_side_of_the_subcommand(self, capsys):
+        command, alpha = ["integral", "demo", "--op", "riesz", "--m", "8"], ["--alpha", "0.25"]
+        outputs = [run_cli(argv, capsys)[1] for argv in (
+            command, command + ["--alpha", "0.5"], alpha + command, command + alpha)]
+        assert outputs[0] == outputs[1] != outputs[2] == outputs[3]
 
 
 class TestImports:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import random_poly
+
 from almosthilbert.embedding import (
     dyadic_weights,
     embedding_space,
@@ -11,16 +13,11 @@ from almosthilbert.embedding import (
     h_norm,
     jb_apply,
 )
-from almosthilbert.spaces import GridFunction, coefficients, fourier_sbasis, lp_norm, reconstruct
+from almosthilbert.spaces import GridFunction, coefficients, fourier_sbasis, lp_norm
 
 
 def make_space(N=4, p=2, resolution=128):
     return embedding_space(fourier_sbasis(N, p, resolution))
-
-
-def random_poly(space, rng):
-    c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    return reconstruct(c, space.basis)
 
 
 class TestWeights:

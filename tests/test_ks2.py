@@ -379,14 +379,6 @@ class TestInnerProduct:
             big = ks2_inner(f, f, 48).real
             assert big - small <= tail_bound(f, 24) + 1e-15
 
-    def test_fundamentality_witness(self):
-        rng = np.random.default_rng(47)
-        for _ in range(200):
-            f = random_step(rng)
-            if np.max(np.abs(f.values)) == 0.0:
-                continue
-            assert np.max(np.abs(functional_values(f, 256))) > 0.0
-
     def test_grid_mismatch(self):
         f = GridFunction(np.ones(64))
         with pytest.raises(ValueError, match="grid mismatch"):

@@ -3,11 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import rand_complex
+
 from almosthilbert import numerics
-
-
-def rand_complex(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_diagonal_pairs(count, size, seed):

@@ -15,7 +15,7 @@ from almosthilbert.suites import (
     SUITE_NAMES,
     SuiteParams,
     _Check,
-    _Spaces,
+    _Run,
     check_seed,
     list_checks,
     run_suite,
@@ -31,49 +31,6 @@ MEASURED_BY_SUITE = {
     "ks2": set(),
     "schatten": set(),
 }
-
-# frozen registry: the union of every module's invariant entries
-ALL_CHECKS = (
-    "adjoint-algebra",
-    "adjoint-defining-identity",
-    "adjoint-positive-product",
-    "bnorm-adjoint-ratio",
-    "coefficient-projection",
-    "duality-homogeneity",
-    "duality-identity",
-    "embedding-gram-diagonal",
-    "embedding-gram-schmidt",
-    "embedding-hnorm-below-bnorm",
-    "embedding-hnorm-below-sup",
-    "embedding-jb-linear",
-    "embedding-middle-ratio",
-    "hilbert-cp-constant",
-    "hilbert-isometry",
-    "hilbert-pv-convergence",
-    "hilbert-skew-adjoint",
-    "hilbert-square-identity",
-    "horn-inequality",
-    "ks2-embedding-bound",
-    "ks2-functional-contraction",
-    "ks2-fundamentality",
-    "ks2-gram-psd",
-    "ks2-truncation-monotone",
-    "ks2-weak-strong-decay",
-    "lax-constant-khat",
-    "lax-norm-identity",
-    "lax-spectrum-invariance",
-    "lidskii-trace",
-    "minmax-matches-direct",
-    "polar-reconstruction",
-    "riesz-positivity",
-    "riesz-symmetry",
-    "schatten-two-path",
-    "schatten-unitary-invariance",
-    "self-conjugacy-equivalence",
-    "singular-value-paths",
-    "spectral-reconstruction",
-    "weyl-inequality",
-)
 
 # samples per check at trials=1: scaled counts floor at one instance per block
 SAMPLES_AT_ONE_TRIAL = {
@@ -117,6 +74,9 @@ SAMPLES_AT_ONE_TRIAL = {
     "spectral-reconstruction": 1,
     "weyl-inequality": 5,
 }
+
+# the frozen registry: every check name, each written once, as a key above
+ALL_CHECKS = tuple(sorted(SAMPLES_AT_ONE_TRIAL))
 
 
 class TestRegistry:
@@ -435,13 +395,17 @@ class TestSharedSpace:
         assert built.count(own) == 2
 
     def test_only_own_space_is_shared(self):
-        spaces = _Spaces(FAST)
-        assert spaces.get() is spaces.get() is spaces.get(p=FAST.p, dim=FAST.dim)
-        assert spaces.get(p=2.0) is not spaces.get(p=2.0)
-        assert spaces.get() is not _Spaces(FAST).get()
+        shared = {}
+        first, second = (_Run(FAST, None, shared, 1) for _ in range(2))
+        assert first.space() is second.space() is first.space(p=FAST.p, dim=FAST.dim)
+        # a space at another p is built once per check and shared with no other
+        assert first.space(p=2.0) is first.space(p=2.0)
+        assert first.space(p=2.0) is not second.space(p=2.0)
+        assert first.space(p=2.0) not in shared.values()
+        assert first.space() is not _Run(FAST, None, {}, 1).space()
 
     def test_shared_space_is_read_only(self):
-        space = _Spaces(FAST).get()
+        space = _Run(FAST, None, {}, 1).space()
         with pytest.raises(ValueError):
             space.basis.synthesis[0, 0] = 0.0
         with pytest.raises(ValueError):
