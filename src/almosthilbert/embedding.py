@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .spaces import GridFunction, SchauderBasis, analyze, coefficients, lp_norm
 
 
@@ -60,9 +61,14 @@ def coefficient_h_inner(cu: np.ndarray, cv: np.ndarray, space: EmbeddingSpace) -
     return np.sum(space.weights * cu * np.conj(cv), axis=-1)
 
 
+def coefficient_h_norm(c: np.ndarray, space: EmbeddingSpace) -> np.ndarray:
+    """sqrt(sum_n t_n |c_n|^2) over the last axis: the H norm of the
+    function with coefficients c, one per row of a stack."""
+    return np.sqrt(np.sum(space.weights * np.abs(c) ** 2, axis=-1))
+
+
 def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:
-    cu = coefficients(u, space.basis)
-    return float(np.sqrt(np.sum(space.weights * np.abs(cu) ** 2)))
+    return float(coefficient_h_norm(coefficients(u, space.basis), space))
 
 
 def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
@@ -91,6 +97,36 @@ def evaluate(F: DualFunctional, v: GridFunction) -> complex:
     return h_inner(v, F.representer, F.space)
 
 
+def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
+    """H-orthogonalize the grid functions along axis -2 of ``values``
+    (..., k, M), normalize them in B, and build their biorthonormal duals'
+    representers; every stack entry on its own, bit for bit as one entry
+    alone.  Returns (psi, representers), both (..., k, M).  Linearly
+    dependent input (in the truncated H metric) raises with the offending
+    index."""
+    basis = space.basis
+
+    def inner(u, v):
+        return coefficient_h_inner(analyze(u, basis), analyze(v, basis), space)
+
+    def norm(u):
+        return coefficient_h_norm(analyze(u, basis), space)
+
+    phis = []
+    for i in range(values.shape[-2]):
+        v = values[..., i, :]
+        phi = v
+        for prev in phis:
+            # the quotient rounds as the complex division of one entry does
+            phi = phi - prev * numerics.quotient(inner(phi, prev), inner(prev, prev))[..., None]
+        if np.any(norm(phi) <= 1e-6 * np.maximum(norm(v), 1e-300)):
+            raise ValueError(f"rank deficiency at index {i}: vector is H-dependent on its predecessors")
+        phis.append(phi)
+    phis = np.stack(phis, axis=-2)
+    bn = lp_norm(phis, basis.p)
+    return phis * (1.0 / bn)[..., None], phis * (bn / inner(phis, phis).real)[..., None]
+
+
 def gram_schmidt_biorthonormal(
     vectors, space: EmbeddingSpace
 ) -> tuple[tuple[GridFunction, ...], tuple[DualFunctional, ...]]:
@@ -103,20 +139,8 @@ def gram_schmidt_biorthonormal(
     vectors = list(vectors)
     if not vectors:
         raise ValueError("need at least one vector")
-    phis: list[GridFunction] = []
-    for i, v in enumerate(vectors):
-        phi = v
-        for prev in phis:
-            coef = h_inner(phi, prev, space) / h_inner(prev, prev, space)
-            phi = phi - coef * prev
-        if h_norm(phi, space) <= 1e-6 * max(h_norm(v, space), 1e-300):
-            raise ValueError(f"rank deficiency at index {i}: vector is H-dependent on its predecessors")
-        phis.append(phi)
-    psis = []
-    duals = []
-    for phi in phis:
-        bn = lp_norm(phi, space.basis.p)
-        hn2 = np.real(h_inner(phi, phi, space))
-        psis.append((1.0 / bn) * phi)
-        duals.append(DualFunctional(representer=(bn / hn2) * phi, space=space))
-    return tuple(psis), tuple(duals)
+    for v in vectors:
+        v._require_same_grid(space.basis.grid)
+    psis, representers = biorthonormalize(np.stack([v.values for v in vectors]), space)
+    return (tuple(GridFunction(psi) for psi in psis),
+            tuple(DualFunctional(GridFunction(r), space) for r in representers))

@@ -14,20 +14,21 @@ the diagonal and makes the kernel matrix exactly symmetric.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .spaces import GridFunction
+from .spaces import GridFunction, _samples
 
 
-def _signal_size(f: GridFunction) -> int:
-    """Sample count M of a periodic signal: a GridFunction with M a power
-    of two >= 4 and finite samples."""
-    m = f.resolution
+def _signal_size(v: np.ndarray) -> int:
+    """Sample count M of periodic signals ``v``, the samples on the last
+    axis: M a power of two >= 4, every sample finite."""
+    m = v.shape[-1]
     if m < 4 or m & (m - 1) != 0:
         raise ValueError(f"sample count must be a power of two >= 4, got {m}")
-    if not np.all(np.isfinite(f.values.view(np.float64))):
+    if not np.all(np.isfinite(v.view(np.float64))):
         raise ValueError("samples must be finite")
     return m
 
@@ -43,38 +44,50 @@ def signal_from_callable(fn, m: int) -> GridFunction:
     return GridFunction(np.asarray(fn(t), dtype=np.complex128))
 
 
-def random_bandlimited(rng, m: int) -> GridFunction:
+def random_bandlimited(rng, m: int, shape: tuple[int, ...] | None = None):
     """Random mean-zero signal of length m >= 4 with spectrum in modes
     1..kmax (both signs), kmax = max(1, m // 8); the zero and Nyquist modes
-    stay empty."""
+    stay empty.
+
+    With ``shape``, an array of that many signals (the samples on a last
+    axis), drawn in one Generator call: signal j is bit for bit the j-th
+    of as many lone calls in C order."""
     kmax = max(1, m // 8)
     if not 1 <= kmax < m // 2:
         raise ValueError(f"signal length must be >= 4, got {m}")
-    spec = np.zeros(m, dtype=np.complex128)
+    lead = () if shape is None else tuple(shape)
+    # each signal's real then imaginary parts of modes +k, then of modes -k
+    x = rng.standard_normal((*lead, 4, kmax))
+    spec = np.zeros((*lead, m), dtype=np.complex128)
     ks = np.arange(1, kmax + 1)
-    spec[ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-    spec[m - ks] = rng.standard_normal(kmax) + 1j * rng.standard_normal(kmax)
-    return GridFunction(np.fft.ifft(spec))
+    spec[..., ks] = x[..., 0, :] + 1j * x[..., 1, :]
+    spec[..., m - ks] = x[..., 2, :] + 1j * x[..., 3, :]
+    signals = np.fft.ifft(spec)
+    return GridFunction(signals) if shape is None else signals
 
 
-def hilbert_multiplier(f: GridFunction) -> GridFunction:
+def hilbert_multiplier(f):
     """Frequency-side transform: multiply mode k by -i sgn(k).
 
     The zero mode is annihilated and so is the Nyquist mode, where the
     sign has no meaning; on the remaining modes this is a unitary map,
-    hence an exact isometry on mean-zero Nyquist-free signals.
+    hence an exact isometry on mean-zero Nyquist-free signals.  A
+    GridFunction gives a GridFunction; a stack of signals, one per row,
+    gives the transform of each, bit for bit as the row alone.
     """
-    m = _signal_size(f)
+    v = _samples(f)
+    m = _signal_size(v)
     mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
                            np.full(m // 2 - 1, 1j)])
-    return GridFunction(np.fft.ifft(mult * np.fft.fft(f.values)))
+    out = np.fft.ifft(mult * np.fft.fft(v))
+    return GridFunction(out) if isinstance(f, GridFunction) else out
 
 
 def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
     """Principal-value form of the transform: quadrature against the
     periodized kernel cot(pi(x - y)), written sgn(x - y) |cot(pi(x - y))|,
     over the sample points y with periodic distance |x - y| >= eps."""
-    m = _signal_size(f)
+    m = _signal_size(f.values)
     if eps < 1.0 / m:
         raise ValueError(f"truncation eps={eps} lies below the grid spacing {1.0 / m}")
     u = np.arange(m) / m
@@ -98,22 +111,36 @@ def _power_antiderivative(u: np.ndarray, alpha: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** alpha / alpha
 
 
-def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
-    """Fractional integral of order alpha on a grid of the unit interval.
-
-    Every cell's contribution integrates |x - y|^(alpha-1) in closed form
-    (the singular cell included), so the kernel weights are a symmetric
-    Toeplitz family and the whole map is one linear convolution.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must lie in (0, 1), got {alpha}")
-    res = f.resolution
+@functools.lru_cache(maxsize=16)
+def _riesz_kernel(res: int, alpha: float) -> np.ndarray:
+    """The length-n FFT of the (2 res - 1)-point kernel of order alpha on
+    ``res`` cells, n the power of two past the 3 res - 2 entries of the
+    full linear convolution.  It depends on (res, alpha) alone, so it is
+    built once per pair and is read-only."""
     h = 1.0 / res
     d = np.arange(-(res - 1), res)
     kern = (_power_antiderivative((d + 0.5) * h, alpha)
             - _power_antiderivative((d - 0.5) * h, alpha))
+    spectrum = np.fft.fft(kern.astype(np.complex128), 1 << (3 * res - 3).bit_length())
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def riesz_potential(f, alpha: float):
+    """Fractional integral of order alpha on a grid of the unit interval.
+
+    Every cell's contribution integrates |x - y|^(alpha-1) in closed form
+    (the singular cell included), so the kernel weights are a symmetric
+    Toeplitz family and the whole map is one linear convolution.  A
+    GridFunction gives a GridFunction; a stack of functions, one per row,
+    gives the potential of each, bit for bit as the row alone.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    v = _samples(f)
+    res = v.shape[-1]
+    kernel = _riesz_kernel(res, float(alpha))
     # the full linear convolution has 3 res - 2 entries; keep the middle res
-    n = 1 << (3 * res - 3).bit_length()
-    full = np.fft.ifft(np.fft.fft(f.values, n) * np.fft.fft(kern.astype(np.complex128), n))
-    out = full[res - 1: 2 * res - 1]
-    return GridFunction(out / riesz_gamma(alpha))
+    full = np.fft.ifft(np.fft.fft(v, len(kernel)) * kernel)
+    out = full[..., res - 1: 2 * res - 1] / riesz_gamma(alpha)
+    return GridFunction(out) if isinstance(f, GridFunction) else out

@@ -5,8 +5,9 @@ declared tolerance (status pass/fail) or recorded as a measurement
 (status measured, where worst_violation carries the measured value).
 The JSON rendering is canonical: the schema is versioned, field ordering
 is fixed by sort_keys, checks are sorted by name, and the wall-clock
-duration is excluded so identical (suite, seed, params) runs produce
-identical bytes.
+durations (the report's and each check's) are excluded so identical
+(suite, seed, params) runs produce identical bytes; the text rendering
+prints them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class CheckResult:
     worst_violation: float
     samples: int
     params: dict
+    duration: float = 0.0  # seconds; like the report's, outside the canonical bytes
 
     def __post_init__(self):
         if self.status not in (PASS, FAIL, MEASURED):
@@ -115,11 +117,12 @@ def to_text(report: VerificationReport) -> str:
     for c in report.sorted_checks():
         tol = c.params.get("tol", math.nan)
         if c.status == MEASURED:
-            lines.append(f"  MEAS {c.name:<42} value={c.worst_violation:.6g}  n={c.samples}")
+            lines.append(f"  MEAS {c.name:<42} value={c.worst_violation:.6g}  n={c.samples}"
+                         f"  {c.duration:.3f}s")
         else:
             lines.append(
                 f"  {c.status.upper():<4} {c.name:<42} worst={c.worst_violation:.3g}"
-                f"  tol={tol:.3g}  n={c.samples}"
+                f"  tol={tol:.3g}  n={c.samples}  {c.duration:.3f}s"
             )
     for k, v in sorted(report.tail_bounds.items()):
         lines.append(f"  tail {k} <= {v:.3g}")

@@ -3,14 +3,18 @@
 Every "invariant" of the individual modules is packaged here as a named
 check.  A check is declared, not written as a loop: its registration gives
 its suite, its tolerance, a nominal instance count, a ``draw`` that takes
-one instance's randomness from the check's own stream, and a ``measure``
-that returns that instance's value or values.  ``run_suite`` is the one
-place that loops over instances: it scales the count by ``trials``, draws
-a bounded chunk of instances in index order and measures the chunk, reduces
-the values, compares the result with the tolerance and builds the check
-result; the library modules and the check bodies only return numbers.  A
-stacked check measures its whole chunk at once, as one (T, N, N) stack of
-operators; any other has chunks of one instance.  Checks are grouped into
+a chunk of instances' randomness from the check's own stream, and a
+``measure`` that returns each instance's value or values.  ``run_suite`` is
+the one place that loops over chunks: it scales the count by ``trials``,
+draws a bounded chunk of instances in index order and measures the chunk,
+reduces the values, compares the result with the tolerance and builds the
+check result; the library modules and the check bodies only return
+numbers.  A chunk is drawn in one Generator call where its instances'
+layouts allow, bit for bit as one instance at a time, and measured as one
+(T, N, N) stack of operators or (T, M) stack of grid functions; the
+measures that resolve a spectrum, orthogonalize or truncate per function
+(spectral-reconstruction and three ks2 checks)
+loop over the chunk's instances.  Checks are grouped into
 suites (embedding, adjoint, schatten, ks2, integral); each check belongs to
 exactly one of them, and "all" is their union.  The three quantities the
 underlying theory leaves unquantified are measured-only entries of the
@@ -30,6 +34,7 @@ regardless because rendering sorts by check name.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -39,13 +44,11 @@ import numpy as np
 from . import integrals, ks2, numerics, schatten
 from .embedding import (
     EmbeddingSpace,
+    biorthonormalize,
+    coefficient_h_inner,
+    coefficient_h_norm,
     embedding_space,
-    evaluate,
     gram_matrix,
-    gram_schmidt_biorthonormal,
-    h_inner,
-    h_norm,
-    jb_apply,
 )
 from .operators import (
     BOperator,
@@ -66,14 +69,15 @@ from .operators import (
     spectral_decompose,
 )
 from .report import FAIL, MEASURED, PASS, CheckResult, VerificationReport
-from .spaces import (
+from .spaces import (  # noqa: F401 (coefficients: the binding perfbench's tracer test patches)
     GridFunction,
+    analyze,
     coefficients,
     duality_map,
     fourier_sbasis,
     lp_norm,
     pairing,
-    reconstruct,
+    synthesize,
 )
 
 SUITE_NAMES = ("embedding", "adjoint", "schatten", "ks2", "integral", "all")
@@ -129,18 +133,23 @@ def check_seed(master: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# The bytes of complex128 values one chunk of a stacked check may hold,
-# counting one operator per instance (see _check): of N x N operators alone,
-# 32 at N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.  All 500
-# instances of a check at once raised the nominal peak RSS by 17 %, past the
-# benchmark's 5 % bound; a chunk of 32 adds about 0.25 MB.
+# The bytes of complex128 values one chunk of a check may hold, bounded
+# twice over (see _check).  Of N x N operators, one per instance: 32 at
+# N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.  All 500 instances of a
+# check at once raised the nominal peak RSS by 17 %, past the benchmark's 5 %
+# bound; a chunk of 32 adds about 0.25 MB.  Of grid functions, the most a
+# measure holds at once: 32 on the default grid of 256 cells, one from 8192
+# cells.  Operator stacks pass through LAPACK and its workspaces, grid stacks
+# through elementwise kernels and FFTs, so the grid bound is the looser:
+# at 2^15 grid bytes too, most grid checks ran one or two instances at a time.
 _CHUNK_BYTES = 2**15
+_GRID_BYTES = 2**17
 
 
 def _chunk(dim: int, grid: int = 0) -> int:
-    """Instances per chunk of a stacked check whose instances each hold a
-    dim x dim operator and ``grid`` further values (grid samples)."""
-    return max(1, _CHUNK_BYTES // (16 * (dim * dim + grid)))
+    """Instances per chunk of a check whose instances each hold a dim x dim
+    operator and ``grid`` further values (grid samples)."""
+    return max(1, min(_CHUNK_BYTES // (16 * dim * dim), _GRID_BYTES // (16 * max(grid, 1))))
 
 
 def _resolution(params: SuiteParams, dim: int) -> int:
@@ -155,52 +164,48 @@ class _Check:
     count: int | None  # nominal instances per block at trials = 100; None: one instance
     blocks: int
     samples: int | None
-    draw: Callable
+    draw: Callable  # draw(run, first, stop): instances first..stop-1, as one chunk
     measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
-    stacked: bool = False  # chunks of _chunk(dim, ...) instances; otherwise of one
-    grid_values: int = 0  # grid functions one stacked instance's measure holds at once
+    grid_values: int = 0  # grid functions one instance's measure holds at once
     dim: int = 0  # the largest N its instances draw; 0: --dim
 
     def chunk(self, params: SuiteParams) -> int:
-        if not self.stacked:
-            return 1
-        return _chunk(self.dim or params.dim,
-                      self.grid_values * _resolution(params, params.dim))
+        return _chunk(self.dim or params.dim, self.grid_values * _resolution(params, params.dim))
 
 
 _REGISTRY: dict[str, _Check] = {}
 
 
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
-           blocks: int = 1, samples: int | None = None, draw: Callable = lambda run, i: None,
-           stacked: bool = False, grid_values: int = 0, dim: int = 0):
+           blocks: int = 1, samples: int | None = None,
+           draw: Callable = lambda run, first, stop: range(first, stop),
+           grid_values: int = 0, dim: int = 0):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
     ``run_suite`` runs ``blocks * _count(params, count)`` instances (taking
-    a count of one when ``count`` is None).  It draws them in index order,
-    ``draw(run, i)``, a chunk at a time, and measures each chunk before it
-    draws the next.  ``draw`` takes all of an instance's randomness from
-    ``run.rng``.  ``measure(run, x)`` returns one instance's samples: a
-    number for one sample, a sequence for several, and a sequence of rows
-    where one sample has several quantities; ``_check`` lifts it to a chunk.
-    With ``stacked=True``, ``measure(run, xs)`` takes the chunk's list of
-    instances itself and returns those values with one leading entry per
-    instance; its chunk is bounded by the bytes of one N x N operator per
-    instance, at N = ``dim`` (the largest N its instances draw) or else at
-    ``--dim``, plus ``grid_values`` grid functions of the run's basis, the
-    most its measure holds at once.  The bound counts one operator per
-    instance: a measure that draws two, repeats one per trial or builds
-    intermediates holds a small multiple of it.  A check at tolerance 0 counts its failing (true)
-    samples; any other reports its largest quantity, starting from 0.0, and
-    fails on a NaN.  ``samples`` fixes the count of a check whose one value sums up
+    a count of one when ``count`` is None) in chunks, each inside one
+    block, and measures each chunk before it draws the next.
+    ``draw(run, first, stop)`` returns instances first..stop-1 as one
+    chunk, taking all their randomness from ``run.rng`` in index order, as
+    one instance at a time would.  ``measure(run, xs)`` returns the chunk's
+    samples with one leading entry per instance: per instance a number for
+    one sample, a sequence for several, and a sequence of rows where one
+    sample has several quantities.  A chunk is bounded by the bytes of one
+    N x N operator per instance, at N = ``dim`` (the largest N its
+    instances draw) or else at ``--dim``, and apart from that by the bytes
+    of ``grid_values`` grid functions of the run's basis per instance, the
+    most its measure holds at once.  The operator bound counts one operator
+    per instance: a measure that draws two, repeats one per trial or builds
+    intermediates holds a small multiple of it.  A check at tolerance 0 counts its failing (true) samples; any
+    other reports its largest quantity, starting from 0.0, and fails on a
+    NaN.  ``samples`` fixes the count of a check whose one value sums up
     that many evaluations.  ``measure`` may record report params in
     ``run.extra`` and tail bounds in ``run.tails``."""
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
-        chunk_measure = measure if stacked else lambda run, xs: [measure(run, x) for x in xs]
-        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, chunk_measure, stacked,
+        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, measure,
                                  grid_values, dim)
         return measure
 
@@ -216,7 +221,8 @@ class _Run:
     """One check's part of a ``run_suite`` call: the params, the check's
     random stream, the spaces it works in, and the report params and tail
     bounds its ``measure`` records.  The random draws below are for
-    ``draw`` alone."""
+    ``draw`` alone; each chunk form draws ``count`` instances in one
+    Generator call, bit for bit as many calls one instance at a time."""
 
     def __init__(self, params: SuiteParams, rng, shared: dict, block_size: int):
         self.params = params
@@ -260,48 +266,68 @@ class _Run:
         self.extra["K_eff"] = max(self.extra.get("K_eff", 1), k_eff)
         return v, k_eff
 
-    def coeffs(self, *shape) -> np.ndarray:
-        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+    def normals(self, count: int, *shapes) -> list[np.ndarray]:
+        """Complex standard normals for ``count`` instances, each drawing
+        one array of each shape in turn, its real and then its imaginary
+        part: one array per shape, with a leading axis of ``count``."""
+        sizes = [math.prod(shape) for shape in shapes]
+        x = self.rng.standard_normal((count, 2 * sum(sizes)))
+        parts, at = [], 0
+        for shape, size in zip(shapes, sizes):
+            part = x[:, at:at + size] + 1j * x[:, at + size:at + 2 * size]
+            parts.append(part.reshape(count, *shape))
+            at += 2 * size
+        return parts
 
-    def poly(self, p: float | None = None) -> GridFunction:
-        space = self.space(p=p)
-        return reconstruct(self.coeffs(space.dim), space.basis)
+    def polys(self, count: int, space: EmbeddingSpace | None = None) -> np.ndarray:
+        """The grid values of ``count`` random polynomials, one per row."""
+        space = space or self.space()
+        return synthesize(self.normals(count, (space.dim,))[0], space.basis)
+
+    def matrices(self, count: int, dim: int | None = None) -> np.ndarray:
+        """Random operators' coordinate matrices, entries of variance 2/N."""
+        n = self.space(dim=dim).dim
+        return self.normals(count, (n, n))[0] / np.sqrt(n)
 
     def matrix(self, dim: int | None = None) -> np.ndarray:
-        """A random operator's coordinate matrix, entries of variance 2/N."""
-        n = self.space(dim=dim).dim
-        return self.coeffs(n, n) / np.sqrt(n)
+        return self.matrices(1, dim)[0]
+
+    def hermitians(self, count: int) -> np.ndarray:
+        """The H-metric transports of random naturally self-adjoint operators."""
+        n = self.space().dim
+        a = self.normals(count, (n, n))[0]
+        return a + a.conj().swapaxes(-1, -2)
 
     def hermitian(self) -> np.ndarray:
-        """The H-metric transport of a random naturally self-adjoint operator."""
-        a = self.coeffs(self.space().dim, self.space().dim)
-        return a + a.conj().T
+        return self.hermitians(1)[0]
 
-    def selfadjoint(self) -> BOperator:
-        return from_h_matrix(self.hermitian(), self.space())
+    def selfadjoints(self, count: int) -> np.ndarray:
+        """Coordinate matrices of random naturally self-adjoint operators."""
+        return from_h_matrix(self.hermitians(count), self.space()).matrix
 
     def stacked(self, matrices) -> BOperator:
         """Operators on the run's own space, given by their coordinate
         matrices, as one stacked operator."""
-        return BOperator(np.stack(matrices), self.space())
+        return BOperator(np.asarray(matrices), self.space())
 
-    def step(self) -> GridFunction:
-        return GridFunction(np.repeat(self.coeffs(8), self.params.grid // 8))
+    def steps(self, count: int) -> np.ndarray:
+        """Random step functions of 8 steps on the run's grid, one per row."""
+        return np.repeat(self.normals(count, (8,))[0], self.params.grid // 8, axis=-1)
 
     def seed(self) -> int:
         return int(self.rng.integers(0, 2**62))
 
 
-def _draw_matrix(run, i):
-    return run.matrix()
+def _draw_matrices(run, first, stop):
+    return run.matrices(stop - first)
 
 
-def _draw_step(run, i):
-    return run.step()
+def _draw_steps(run, first, stop):
+    return run.steps(stop - first)
 
 
-def _draw_bandlimited(run, i):
-    return integrals.random_bandlimited(run.rng, run.params.grid)
+def _draw_bandlimited(run, first, stop):
+    return integrals.random_bandlimited(run.rng, run.params.grid, (stop - first,))
 
 
 # ---------------------------------------------------------------------------
@@ -309,49 +335,58 @@ def _draw_bandlimited(run, i):
 # ---------------------------------------------------------------------------
 
 
-def _draw_sweep_poly(run, i):
-    """A random polynomial at the p of block i of the P_SWEEP."""
-    p = P_SWEEP[i // run.block_size]
-    return run.space(p=p), run.poly(p)
+def _draw_sweep_polys(run, first, stop):
+    """Random polynomials at the p of the P_SWEEP block of the chunk."""
+    space = run.space(p=P_SWEEP[first // run.block_size])
+    return space, run.polys(stop - first, space)
 
 
 @_check("duality-identity", "embedding", tol=1e-6, count=200, blocks=len(P_SWEEP),
-        draw=_draw_sweep_poly)
+        grid_values=4, draw=_draw_sweep_polys)
 def _chk_duality_identity(run, x):
     space, u = x
     p = space.basis.p
     ju = duality_map(u, p)
-    np2 = lp_norm(u, p) ** 2
-    a = abs(pairing(u, ju) - np2)
-    b = abs(lp_norm(ju, p / (p - 1.0)) ** 2 - np2)
-    return max(a, b) / max(np2, 1e-300)
+    np2 = np.float_power(lp_norm(u, p), 2.0)
+    a = numerics.modulus(pairing(u, ju) - np2)
+    b = np.abs(np.float_power(lp_norm(ju, p / (p - 1.0)), 2.0) - np2)
+    return np.maximum(a, b) / np.maximum(np2, 1e-300)
 
 
-def _draw_homogeneity(run, i):
-    p = P_SWEEP[i % len(P_SWEEP)]
-    return p, run.poly(p), complex(run.coeffs())
+def _draw_homogeneity(run, first, stop):
+    # instance i draws a polynomial at the p of i in the P_SWEEP cycle and a scalar
+    coeffs, scalars = run.normals(stop - first, (run.space().dim,), ())
+    return np.arange(first, stop) % len(P_SWEEP), coeffs, scalars
 
 
-@_check("duality-homogeneity", "embedding", tol=1e-8, count=100, draw=_draw_homogeneity)
+@_check("duality-homogeneity", "embedding", tol=1e-8, count=100, grid_values=6,
+        draw=_draw_homogeneity)
 def _chk_duality_homogeneity(run, x):
-    p, u, c = x
-    q = p / (p - 1.0)
-    lhs = duality_map(c * u, p)
-    rhs = c * duality_map(u, p)
-    return lp_norm(lhs - rhs, q) / max(lp_norm(rhs, q), 1e-300)
+    # one stack per p, its values scattered back in index order
+    cycle, coeffs, scalars = x
+    out = np.empty(len(cycle))
+    for j, p in enumerate(P_SWEEP):
+        at = cycle == j
+        if at.any():
+            q = p / (p - 1.0)
+            u = synthesize(coeffs[at], run.space(p=p).basis)
+            c = scalars[at, None]
+            rhs = duality_map(u, p) * c
+            out[at] = lp_norm(duality_map(u * c, p) - rhs, q) / np.maximum(lp_norm(rhs, q), 1e-300)
+    return out
 
 
-def _draw_grid_values(run, i):
-    basis = run.space().basis
-    return GridFunction(run.coeffs(basis.synthesis.shape[1]))
+def _draw_grid_values(run, first, stop):
+    return run.normals(stop - first, (run.space().basis.synthesis.shape[1],))[0]
 
 
-@_check("coefficient-projection", "embedding", tol=1e-10, count=100, draw=_draw_grid_values)
+@_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=3,
+        draw=_draw_grid_values)
 def _chk_coeff_projection(run, u):
     basis = run.space().basis
-    once = reconstruct(coefficients(u, basis), basis)
-    twice = reconstruct(coefficients(once, basis), basis)
-    return lp_norm(twice - once, basis.p) / max(lp_norm(once, basis.p), 1e-300)
+    once = synthesize(analyze(u, basis), basis)
+    twice = synthesize(analyze(once, basis), basis)
+    return lp_norm(twice - once, basis.p) / np.maximum(lp_norm(once, basis.p), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -360,68 +395,93 @@ def _chk_coeff_projection(run, u):
 
 
 @_check("embedding-hnorm-below-sup", "embedding", tol=1e-12, count=125, blocks=len(P_SWEEP),
-        draw=_draw_sweep_poly)
+        grid_values=1, draw=_draw_sweep_polys)
 def _chk_hnorm_sup(run, x):
     space, u = x
-    sup = float(np.max(np.abs(coefficients(u, space.basis))))
-    return (h_norm(u, space) - sup) / max(sup, 1e-300)
+    c = analyze(u, space.basis)
+    sup = np.max(np.abs(c), axis=-1)
+    return (coefficient_h_norm(c, space) - sup) / np.maximum(sup, 1e-300)
 
 
 @_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7, count=125, blocks=len(P_SWEEP),
-        draw=_draw_sweep_poly)
+        grid_values=2, draw=_draw_sweep_polys)
 def _chk_hnorm_bnorm(run, x):
     space, u = x
     bn = lp_norm(u, space.basis.p)
-    return (h_norm(u, space) - bn) / max(bn, 1e-300)
+    return (coefficient_h_norm(analyze(u, space.basis), space) - bn) / np.maximum(bn, 1e-300)
 
 
-@_check("embedding-middle-ratio", "embedding", count=50, blocks=len(P_SWEEP),
-        draw=_draw_sweep_poly)
+@_check("embedding-middle-ratio", "embedding", count=50, blocks=len(P_SWEEP), grid_values=2,
+        draw=_draw_sweep_polys)
 def _chk_middle_ratio(run, x):
     # sup_n |<E_n*, u>| <= ||u||_B requires unit dual norms, which our
     # normalization only guarantees empirically -- so record the worst ratio.
     space, u = x
-    sup = float(np.max(np.abs(coefficients(u, space.basis))))
-    return sup / max(lp_norm(u, space.basis.p), 1e-300)
+    sup = np.max(np.abs(analyze(u, space.basis)), axis=-1)
+    return sup / np.maximum(lp_norm(u, space.basis.p), 1e-300)
 
 
 @_check("embedding-gram-diagonal", "embedding", tol=1e-8)
-def _chk_gram_diag(run, x):
+def _chk_gram_diag(run, xs):
     g = gram_matrix(run.space())
-    return np.abs(g - np.diag(np.diag(g))).ravel()
+    return [np.abs(g - np.diag(np.diag(g))).ravel()]
 
 
-@_check("embedding-jb-linear", "embedding", tol=1e-12, count=100,
-        draw=lambda run, i: ([run.poly() for _ in range(3)], complex(run.coeffs())))
+def _draw_jb_linear(run, first, stop):
+    # each instance draws three polynomials and a scalar
+    n = run.space().dim
+    *coeffs, scalars = run.normals(stop - first, (n,), (n,), (n,), ())
+    return [synthesize(c, run.space().basis) for c in coeffs], scalars
+
+
+@_check("embedding-jb-linear", "embedding", tol=1e-12, count=100, grid_values=5,
+        draw=_draw_jb_linear)
 def _chk_jb_linear(run, x):
+    # <w, J_B(u)> = (w, u)_H, additive and conjugate-homogeneous in u
     (u, v, w), a = x
     space = run.space()
-    add = abs(evaluate(jb_apply(u + v, space), w)
-              - evaluate(jb_apply(u, space), w)
-              - evaluate(jb_apply(v, space), w))
-    hom = abs(evaluate(jb_apply(a * u, space), w)
-              - np.conj(a) * evaluate(jb_apply(u, space), w))
-    scale = max(1.0, abs(evaluate(jb_apply(u, space), w)))
-    return [(add / scale, hom / scale)]
+    cw = analyze(w, space.basis)
+
+    def at_w(f):
+        return coefficient_h_inner(cw, analyze(f, space.basis), space)
+
+    modulus = numerics.modulus
+    on_u = at_w(u)
+    add = modulus(at_w(u + v) - on_u - at_w(v))
+    hom = modulus(at_w(u * a[:, None]) - numerics.product(np.conj(a), on_u))
+    scale = np.maximum(1.0, modulus(on_u))
+    return np.stack([add / scale, hom / scale], axis=-1)[:, None, :]
 
 
-@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20,
-        draw=lambda run, i: [run.poly() for _ in range(min(4, run.space().dim))])
+def _draw_gram_schmidt(run, first, stop):
+    # each instance draws min(4, N) polynomials, one after another
+    k = min(4, run.space().dim)
+    return run.polys((stop - first) * k).reshape(stop - first, k, -1)
+
+
+@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=12,
+        draw=_draw_gram_schmidt)
 def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
     # products with the others and its dual pairings
     space = run.space()
-    psis, duals = gram_schmidt_biorthonormal(vecs, space)
+    basis = space.basis
+    modulus = numerics.modulus
+    psis, representers = biorthonormalize(vecs, space)
+    c, c_dual = analyze(psis, basis), analyze(representers, basis)
+    h = coefficient_h_norm(c, space)
+    k = vecs.shape[-2]
     rows = []
-    for i, psi in enumerate(psis):
-        row = [abs(lp_norm(psi, space.basis.p) - 1.0)]
-        for j in range(len(psis)):
+    for i in range(k):
+        row = [np.abs(lp_norm(psis[:, i], basis.p) - 1.0)]
+        for j in range(k):
             if i != j:
-                denom = h_norm(psis[i], space) * h_norm(psis[j], space)
-                row.append(abs(h_inner(psis[i], psis[j], space)) / max(denom, 1e-300))
-            row.append(abs(evaluate(duals[j], psi) - (1.0 if i == j else 0.0)))
-        rows.append(row)
-    return rows
+                denom = np.maximum(h[:, i] * h[:, j], 1e-300)
+                row.append(modulus(coefficient_h_inner(c[:, i], c[:, j], space)) / denom)
+            pairing_ij = coefficient_h_inner(c[:, i], c_dual[:, j], space)
+            row.append(modulus(pairing_ij - (1.0 if i == j else 0.0)))
+        rows.append(np.stack(row, axis=-1))
+    return np.stack(rows, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +491,18 @@ def _chk_gram_schmidt(run, vecs):
 _ADJOINT_DIMS = (4, 8, 16)
 
 
-def _draw_algebra(run, i):
-    dim = _ADJOINT_DIMS[i % len(_ADJOINT_DIMS)]
-    return run.matrix(dim), run.matrix(dim), complex(run.coeffs())
+def _draw_algebra(run, first, stop):
+    # the dimension cycles with the index, so each instance is one call
+    out = []
+    for i in range(first, stop):
+        dim = _ADJOINT_DIMS[i % len(_ADJOINT_DIMS)]
+        a, b, scalar = run.normals(1, (dim, dim), (dim, dim), ())
+        out.append((a[0] / np.sqrt(dim), b[0] / np.sqrt(dim), complex(scalar[0])))
+    return out
 
 
-@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, stacked=True,
-        dim=max(_ADJOINT_DIMS), draw=_draw_algebra)
+@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, dim=max(_ADJOINT_DIMS),
+        draw=_draw_algebra)
 def _chk_adjoint_algebra(run, xs):
     # one stack per dimension, its defects scattered back in index order
     defects = np.empty(len(xs))
@@ -451,21 +516,21 @@ def _chk_adjoint_algebra(run, xs):
     return defects
 
 
-def _draw_identity(run, i):
-    # the coefficients of u and v, drawn as run.poly() draws them
+def _draw_identity(run, first, stop):
+    # a matrix and the coefficients of u and v, drawn as run.polys() draws them
     n = run.space().dim
-    return run.matrix(), run.coeffs(n), run.coeffs(n)
+    mats, cus, cvs = run.normals(stop - first, (n, n), (n,), (n,))
+    return mats / np.sqrt(n), cus, cvs
 
 
-@_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000, stacked=True,
-        grid_values=1, draw=_draw_identity)
-def _chk_defining_identity(run, xs):
-    mats, cus, cvs = zip(*xs)
-    return adjoint_identity_defect(run.stacked(mats), np.array(cus), np.array(cvs))
+@_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000, grid_values=1,
+        draw=_draw_identity)
+def _chk_defining_identity(run, x):
+    mats, cus, cvs = x
+    return adjoint_identity_defect(run.stacked(mats), cus, cvs)
 
 
-@_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, stacked=True,
-        draw=_draw_matrix)
+@_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, draw=_draw_matrices)
 def _chk_positive_product(run, mats):
     a_op = run.stacked(mats)
     lam = numerics.general_eigenvalues((adjoint(a_op) @ a_op).matrix)
@@ -474,24 +539,32 @@ def _chk_positive_product(run, mats):
                      -np.min(lam.real, axis=-1) / scale], axis=-1)[:, None, :]
 
 
-def _draw_selfadjoint(run, i):
-    return run.selfadjoint().matrix
+def _draw_self_conjugacy(run, first, stop):
+    # even instances are naturally self-adjoint, odd ones general; both draw one N x N
+    n = run.space().dim
+    a = run.normals(stop - first, (n, n))[0]
+    even = np.arange(first, stop) % 2 == 0
+    mats = a / np.sqrt(n)
+    mats[even] = from_h_matrix(a[even] + a[even].conj().swapaxes(-1, -2), run.space()).matrix
+    return mats
 
 
-@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=400, stacked=True,
-        draw=lambda run, i: _draw_selfadjoint(run, i) if i % 2 == 0 else run.matrix())
+@_check("self-conjugacy-equivalence", "adjoint", tol=0.0, count=400, draw=_draw_self_conjugacy)
 def _chk_self_conjugacy(run, mats):
     a_op = run.stacked(mats)
     return self_conjugacy_check(a_op, (0.25, 0.75)) != is_naturally_selfadjoint(a_op, tol=1e-8)
 
 
-@_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200, stacked=True,
-        draw=_draw_selfadjoint)
+def _draw_selfadjoints(run, first, stop):
+    return run.selfadjoints(stop - first)
+
+
+@_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200, draw=_draw_selfadjoints)
 def _chk_lax_spectrum(run, mats):
     return lax_check(run.stacked(mats))
 
 
-@_check("lax-norm-identity", "adjoint", tol=1e-8, count=100, stacked=True, draw=_draw_matrix)
+@_check("lax-norm-identity", "adjoint", tol=1e-8, count=100, draw=_draw_matrices)
 def _chk_lax_norm(run, mats):
     a_op = run.stacked(mats)
     na = h_opnorm(a_op)
@@ -499,7 +572,7 @@ def _chk_lax_norm(run, mats):
     return np.abs(nprod - na**2) / np.maximum(1.0, na**2)
 
 
-@_check("polar-reconstruction", "adjoint", tol=1e-9, count=50, stacked=True, draw=_draw_matrix)
+@_check("polar-reconstruction", "adjoint", tol=1e-9, count=50, draw=_draw_matrices)
 def _chk_polar(run, mats):
     fro = numerics.frobenius_norm
     a_op = run.stacked(mats)
@@ -515,30 +588,41 @@ def _chk_polar(run, mats):
                      fro(uh_t @ uh - np.eye(a_op.space.dim))], axis=-1)[:, None, :]
 
 
-@_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50,
-        draw=lambda run, i: run.selfadjoint())
-def _chk_spectral(run, a_op):
-    dec = spectral_decompose(a_op)
-    projs = dec.projections
-    recon = sum(x * p_op.matrix for x, p_op in zip(dec.eigenvalues, projs))
-    scale = max(float(np.linalg.norm(a_op.matrix)), 1e-300)
-    total = sum(p_op.matrix for p_op in projs)
-    row = [float(np.linalg.norm(recon - a_op.matrix)) / scale,
-           float(np.linalg.norm(total - np.eye(a_op.space.dim)))]
-    for i, p_op in enumerate(projs):
-        row.append(float(np.linalg.norm((p_op @ p_op).matrix - p_op.matrix)))
-        row.append(float(np.linalg.norm(adjoint(p_op).matrix - p_op.matrix)))
-        row.extend(float(np.linalg.norm((p_op @ other).matrix)) for other in projs[i + 1:])
-    return [row]
+@_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50, draw=_draw_selfadjoints)
+def _chk_spectral(run, mats):
+    # per operator, one Frobenius norm call over the operator and every
+    # residual: reconstruction and completeness, then for each projection P
+    # its idempotence and self-adjointness and its products with the
+    # projections after it; the operator's one sample is the largest
+    space = run.space()
+    worst = []
+    for mat in mats:
+        dec = spectral_decompose(BOperator(mat, space))
+        p = np.stack([p_op.matrix for p_op in dec.projections])
+        firsts, seconds = np.triu_indices(len(p), 1)
+        products = p[firsts] @ p[seconds]
+        stack = [mat, sum(x * p_k for x, p_k in zip(dec.eigenvalues, p)) - mat,
+                 sum(p) - np.eye(space.dim)]
+        for i, p_i in enumerate(p):
+            stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, space)).matrix - p_i,
+                      *products[firsts == i]]
+        norms = numerics.frobenius_norm(np.stack(stack))
+        norms[1] /= max(norms[0], 1e-300)
+        worst.append(np.max(norms[1:]))
+    return worst
 
 
-def _draw_minmax(run, i):
-    hermitian = run.hermitian()
-    dim = len(hermitian)
-    return hermitian, [(k, run.seed()) for k in sorted({1, max(1, dim // 2), dim})]
+def _draw_minmax(run, first, stop):
+    # a matrix, then a seed per k: each instance is one call
+    out = []
+    for _ in range(first, stop):
+        hermitian = run.hermitian()
+        dim = len(hermitian)
+        out.append((hermitian, [(k, run.seed()) for k in sorted({1, max(1, dim // 2), dim})]))
+    return out
 
 
-@_check("minmax-matches-direct", "adjoint", tol=1e-6, count=10, stacked=True, draw=_draw_minmax)
+@_check("minmax-matches-direct", "adjoint", tol=1e-6, count=10, draw=_draw_minmax)
 def _chk_minmax(run, xs):
     # the instances share N, hence their k; one min-max stack per k
     hermitians, seeded_ks = zip(*xs)
@@ -553,16 +637,17 @@ def _chk_minmax(run, xs):
     return np.stack(columns, axis=-1)
 
 
-@_check("lax-constant-khat", "adjoint", count=20, stacked=True,
-        draw=lambda run, i: (run.hermitian(), run.seed()))
+@_check("lax-constant-khat", "adjoint", count=20,
+        draw=lambda run, first, stop: [(run.hermitian(), run.seed()) for _ in range(first, stop)])
 def _meas_khat(run, xs):
     hs, seeds = zip(*xs)
     p = run.extra["p"] = run.params.p
     return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.space()), p, seed=seeds))
 
 
-@_check("bnorm-adjoint-ratio", "adjoint", count=20, stacked=True,
-        draw=lambda run, i: (run.matrix(), run.seed(), run.seed()))
+@_check("bnorm-adjoint-ratio", "adjoint", count=20,
+        draw=lambda run, first, stop: [(run.matrix(), run.seed(), run.seed())
+                                       for _ in range(first, stop)])
 def _meas_bnorm_ratio(run, xs):
     mats, seeds, adjoint_seeds = zip(*xs)
     a_op = run.stacked(mats)
@@ -579,35 +664,37 @@ def _meas_bnorm_ratio(run, xs):
 _SCHATTEN_PS = (1.0, 2.0, 4.0)
 
 
-@_check("schatten-two-path", "schatten", tol=1e-9, count=500, stacked=True,
-        draw=lambda run, i: (run.matrix(), i % len(_SCHATTEN_PS)))
-def _chk_two_path(run, xs):
+@_check("schatten-two-path", "schatten", tol=1e-9, count=500,
+        draw=lambda run, first, stop: (run.matrices(stop - first),
+                                       np.arange(first, stop) % len(_SCHATTEN_PS)))
+def _chk_two_path(run, x):
     # every order of every instance, then each instance's own order
-    mats, orders = zip(*xs)
+    mats, orders = x
     paths = np.array(schatten.schatten_norm_paths(run.stacked(mats), _SCHATTEN_PS))
-    bracket, mu = paths[list(orders), :, np.arange(len(xs))].T
+    bracket, mu = paths[orders, :, np.arange(len(mats))].T
     return np.abs(bracket - mu) / np.maximum(mu, 1e-300)
 
 
-@_check("singular-value-paths", "schatten", tol=1e-10, count=200, stacked=True,
-        draw=_draw_matrix)
+@_check("singular-value-paths", "schatten", tol=1e-10, count=200, draw=_draw_matrices)
 def _chk_sv_paths(run, mats):
     _, gap, scale = schatten.singular_value_gap(run.stacked(mats))
     return gap / scale
 
 
-def _draw_unitary_invariance(run, i):
+def _draw_unitary_invariance(run, first, stop):
+    # a matrix and two generators of unitaries
     n = run.space().dim
-    return run.matrix(), [run.coeffs(n, n) for _ in range(2)]
+    mats, *gens = run.normals(stop - first, (n, n), (n, n), (n, n))
+    return mats / np.sqrt(n), gens
 
 
-@_check("schatten-unitary-invariance", "schatten", tol=1e-9, count=50, stacked=True,
+@_check("schatten-unitary-invariance", "schatten", tol=1e-9, count=50,
         draw=_draw_unitary_invariance)
-def _chk_unitary_invariance(run, xs):
-    mats, gens = zip(*xs)
+def _chk_unitary_invariance(run, x):
+    mats, gens = x
     a_op = run.stacked(mats)
     u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().swapaxes(-1, -2)), a_op.space)
-                  for g in np.stack(gens, axis=1))
+                  for g in gens)
     bases = schatten.schatten_norm(a_op, _SCHATTEN_PS)
     moved = schatten.schatten_norm(u_op @ a_op @ v_op, _SCHATTEN_PS)
     return np.stack([np.abs(after - base) / np.maximum(base, 1e-300)
@@ -627,19 +714,23 @@ def _excesses(pairs) -> np.ndarray:
     return _bound_excess(pairs[..., 0] - pairs[..., 1], pairs[..., 1])
 
 
-@_check("weyl-inequality", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
+@_check("weyl-inequality", "schatten", tol=1e-9, count=500, draw=_draw_matrices)
 def _chk_weyl(run, mats):
     return _excesses(schatten.weyl_sums(run.stacked(mats)))[:, None, :]
 
 
-@_check("horn-inequality", "schatten", tol=1e-9, count=500, stacked=True,
-        draw=lambda run, i: (run.matrix(), run.matrix()))
-def _chk_horn(run, xs):
-    firsts, seconds = zip(*xs)
+def _draw_horn(run, first, stop):
+    n = run.space().dim
+    return [m / np.sqrt(n) for m in run.normals(stop - first, (n, n), (n, n))]
+
+
+@_check("horn-inequality", "schatten", tol=1e-9, count=500, draw=_draw_horn)
+def _chk_horn(run, x):
+    firsts, seconds = x
     return _excesses(schatten.horn_sums(run.stacked(firsts), run.stacked(seconds)))[:, None, :]
 
 
-@_check("lidskii-trace", "schatten", tol=1e-9, count=500, stacked=True, draw=_draw_matrix)
+@_check("lidskii-trace", "schatten", tol=1e-9, count=500, draw=_draw_matrices)
 def _chk_lidskii(run, mats):
     eigen_sum, trace = schatten.lidskii_sums(run.stacked(mats))
     return _bound_excess(numerics.modulus(eigen_sum - trace), numerics.modulus(trace))
@@ -650,59 +741,75 @@ def _chk_lidskii(run, mats):
 # ---------------------------------------------------------------------------
 
 
-@_check("ks2-gram-psd", "ks2", tol=1e-10, count=20,
-        draw=lambda run, i: [run.step() for _ in range(6)])
-def _chk_gram_psd(run, fs):
-    vs = [run.converged(f)[0] for f in fs]
-    g = np.array([[ks2.values_inner(a, b) for b in vs] for a in vs])
-    scale = max(1.0, float(np.max(np.abs(g))))
-    lam = numerics.hermitian_eigen((g + g.conj().T) / 2.0).values
-    return [(float(np.linalg.norm(g - g.conj().T)) / scale, -float(lam[-1]) / scale)]
+@_check("ks2-gram-psd", "ks2", tol=1e-10, count=20, grid_values=7,
+        draw=lambda run, first, stop: run.steps(6 * (stop - first)).reshape(stop - first, 6, -1))
+def _chk_gram_psd(run, stacks):
+    rows = []
+    for fs in stacks:
+        vs = [run.converged(GridFunction(f))[0] for f in fs]
+        g = np.array([[ks2.values_inner(a, b) for b in vs] for a in vs])
+        scale = max(1.0, float(np.max(np.abs(g))))
+        lam = numerics.hermitian_eigen((g + g.conj().T) / 2.0).values
+        rows.append([(float(np.linalg.norm(g - g.conj().T)) / scale, -float(lam[-1]) / scale)])
+    return rows
 
 
-@_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, draw=_draw_step)
-def _chk_truncation(run, f):
+@_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, grid_values=2, draw=_draw_steps)
+def _chk_truncation(run, fs):
     ks = sorted({8, 16, 32, run.params.cubes})
-    v, k_eff = run.converged(f, ks[-1])
-    norms = [ks2.values_norm(v[:k]) for k in ks]
     run.extra["K"] = ks[-1]
-    # Everything past K_eff is dropped, so the tail in effect is the one past it.
-    run.tail("ks2-truncation-tail", ks2.tail_bound(f, k_eff))
-    scale = max(norms[-1], 1e-300)
-    return [[(lo - hi) / scale for lo, hi in zip(norms, norms[1:])]]
+    rows = []
+    for values in fs:
+        f = GridFunction(values)
+        v, k_eff = run.converged(f, ks[-1])
+        norms = [ks2.values_norm(v[:k]) for k in ks]
+        # Everything past K_eff is dropped, so the tail in effect is the one past it.
+        run.tail("ks2-truncation-tail", ks2.tail_bound(f, k_eff))
+        scale = max(norms[-1], 1e-300)
+        rows.append([[(lo - hi) / scale for lo, hi in zip(norms, norms[1:])]])
+    return rows
 
 
-@_check("ks2-functional-contraction", "ks2", tol=1e-12, count=500, draw=_draw_step)
+@_check("ks2-functional-contraction", "ks2", tol=1e-12, count=500, grid_values=3,
+        draw=_draw_steps)
 def _chk_contraction(run, f):
-    l1 = float(np.mean(np.abs(f.values)))
-    return [(abs(ks2.functional_Fk(f, k)) - l1) / max(l1, 1.0)
-            for k in (1, 2, 7, 19, run.params.cubes)]
+    # |F_k(f)| <= ||f||_1 at a few k, each F_k as a lone functional_Fk call rounds it
+    l1 = np.mean(np.abs(f), axis=-1)[:, None]
+    values = ks2._integrals(f, (1, 2, 7, 19, run.params.cubes))
+    return (numerics.modulus(values) - l1) / np.maximum(l1, 1.0)
 
 
-@_check("ks2-fundamentality", "ks2", tol=0.0, count=200, draw=_draw_step)
+@_check("ks2-fundamentality", "ks2", tol=0.0, count=200, grid_values=2, draw=_draw_steps)
 def _chk_fundamentality(run, f):
     # A nonzero value among the first eight settles it; only an all-zero
     # prefix needs the rest.
     k_max = run.extra["K"] = 256
-    return all(float(np.max(np.abs(ks2.functional_values(f, k)))) == 0.0
-               for k in (8, k_max))
+    zero = np.max(np.abs(ks2._integrals(f, tuple(range(1, 9)))), axis=-1) == 0.0
+    if zero.any():
+        rest = ks2._integrals(f[zero], tuple(range(1, k_max + 1)))
+        zero[zero] = np.max(np.abs(rest), axis=-1) == 0.0
+    return zero
 
 
-@_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, draw=_draw_step)
-def _chk_ks2_embedding(run, f):
+@_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, grid_values=2, draw=_draw_steps)
+def _chk_ks2_embedding(run, fs):
     # ||f||_1 <= ||f||_q on the unit interval for every q >= 1, so the q = 1 bound
     # already implies every finite q.
     qs = (1.0, 2.0, np.inf)
     run.extra["q_list"] = ",".join(f"{q:g}" for q in qs)
-    norm = ks2.values_norm(run.converged(f)[0])
-    return _excesses([(norm, b) for b in ks2.embedding_bounds(f, qs)])
+    rows = []
+    for values in fs:
+        f = GridFunction(values)
+        norm = ks2.values_norm(run.converged(f)[0])
+        rows.append(_excesses([(norm, b) for b in ks2.embedding_bounds(f, qs)]))
+    return rows
 
 
 _WEAK_M_MAX = 64
 
 
 @_check("ks2-weak-strong-decay", "ks2", tol=0.2, samples=_WEAK_M_MAX)
-def _chk_weak_strong(run, x):
+def _chk_weak_strong(run, xs):
     # sin(2 pi m x) goes weakly to zero in L^2 without going strongly; under
     # the square-sum norm it decays outright.  The threshold 0.2 on the ratio
     # of the last norm to the first was fixed from a reference run at
@@ -711,7 +818,7 @@ def _chk_weak_strong(run, x):
     norms, k_eff = ks2.weak_strong_norms(_WEAK_M_MAX, max(run.params.cubes, 256),
                                          resolution=resolution)
     run.extra.update(m_max=_WEAK_M_MAX, resolution=resolution, K_eff=k_eff)
-    return norms[-1] / max(norms[0], 1e-300)
+    return [norms[-1] / max(norms[0], 1e-300)]
 
 
 # ---------------------------------------------------------------------------
@@ -719,25 +826,29 @@ def _chk_weak_strong(run, x):
 # ---------------------------------------------------------------------------
 
 
-@_check("hilbert-square-identity", "integral", tol=1e-12, count=100, draw=_draw_bandlimited)
+@_check("hilbert-square-identity", "integral", tol=1e-12, count=100, grid_values=4,
+        draw=_draw_bandlimited)
 def _chk_hilbert_square(run, f):
     twice = integrals.hilbert_multiplier(integrals.hilbert_multiplier(f))
-    scale = max(1.0, float(np.max(np.abs(f.values))))
-    return float(np.max(np.abs(twice.values + f.values))) / scale
+    scale = np.maximum(1.0, np.max(np.abs(f), axis=-1))
+    return np.max(np.abs(twice + f), axis=-1) / scale
 
 
-@_check("hilbert-isometry", "integral", tol=1e-12, count=100, draw=_draw_bandlimited)
+@_check("hilbert-isometry", "integral", tol=1e-12, count=100, grid_values=3,
+        draw=_draw_bandlimited)
 def _chk_hilbert_isometry(run, f):
-    return abs(lp_norm(integrals.hilbert_multiplier(f), 2) / lp_norm(f, 2) - 1.0)
+    return np.abs(lp_norm(integrals.hilbert_multiplier(f), 2) / lp_norm(f, 2) - 1.0)
 
 
-@_check("hilbert-skew-adjoint", "integral", tol=1e-10, count=200,
-        draw=lambda run, i: (_draw_bandlimited(run, i), _draw_bandlimited(run, i)))
-def _chk_hilbert_skew(run, x):
-    f, g = x
-    lhs = pairing(integrals.hilbert_multiplier(f), g)
-    rhs = pairing(f, integrals.hilbert_multiplier(g))
-    return abs(lhs + rhs) / max(lp_norm(f, 2) * lp_norm(g, 2), 1e-300)
+@_check("hilbert-skew-adjoint", "integral", tol=1e-10, count=200, grid_values=6,
+        draw=lambda run, first, stop: integrals.random_bandlimited(run.rng, run.params.grid,
+                                                                   (stop - first, 2)))
+def _chk_hilbert_skew(run, fg):
+    # each instance's pair (f, g), transformed in one call
+    hf, hg = np.moveaxis(integrals.hilbert_multiplier(fg), 1, 0)
+    f, g = np.moveaxis(fg, 1, 0)
+    return (numerics.modulus(pairing(hf, g) + pairing(f, hg))
+            / np.maximum(lp_norm(f, 2) * lp_norm(g, 2), 1e-300))
 
 
 def _pv_gap(mode: int, m: int, eps: float) -> float:
@@ -753,7 +864,7 @@ _PV_FIXED_C = (64.0, 32.0, 16.0, 8.0)
 
 @_check("hilbert-pv-convergence", "integral", tol=1e-2,
         samples=len(_PV_JOINT_M) + len(_PV_FIXED_C))
-def _chk_pv_convergence(run, x):
+def _chk_pv_convergence(run, xs):
     # Two-part claim.  (a) Joint refinement (eps and 1/M halving together)
     # drives the truncated-kernel path onto the multiplier path.  (b) The
     # convergence order in eps is at least one; it is measured on a fixed
@@ -766,32 +877,36 @@ def _chk_pv_convergence(run, x):
     fixed = [_pv_gap(mode, m_fixed, c / m_fixed) for c in _PV_FIXED_C]
     orders = [np.log2(a / b) for a, b in zip(fixed, fixed[1:])]
     run.extra.update(mode=mode, order_min=float(min(orders)))
-    return max(0.0, growth - 1.0, 1.0 - min(orders))
+    return [max(0.0, growth - 1.0, 1.0 - min(orders))]
 
 
-@_check("riesz-symmetry", "integral", tol=1e-8, count=50,
-        draw=lambda run, i: [GridFunction(run.coeffs(run.params.grid))
-                             for _ in range(2)])
-def _chk_riesz_symmetry(run, x):
-    f, g = x
+@_check("riesz-symmetry", "integral", tol=1e-8, count=50, grid_values=20,
+        draw=lambda run, first, stop: np.stack(run.normals(stop - first, (run.params.grid,),
+                                                           (run.params.grid,))))
+def _chk_riesz_symmetry(run, fg):
+    # the pairs (f, g) as a (2, T, M) stack, both potentials in one call
     alpha = run.extra["alpha"] = run.params.alpha
-    lhs = pairing(integrals.riesz_potential(f, alpha), g)
-    rhs = pairing(f, integrals.riesz_potential(g, alpha))
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    rf, rg = integrals.riesz_potential(fg, alpha)
+    f, g = fg
+    lhs = pairing(rf, g)
+    modulus = numerics.modulus
+    return modulus(lhs - pairing(f, rg)) / np.maximum(1.0, modulus(lhs))
 
 
-@_check("riesz-positivity", "integral", tol=1e-8, count=100,
-        draw=lambda run, i: GridFunction(run.rng.standard_normal(run.params.grid) + 0.0j))
+@_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=10,
+        draw=lambda run, first, stop: run.rng.standard_normal((stop - first, run.params.grid))
+        + 0.0j)
 def _chk_riesz_positivity(run, f):
     alpha = run.extra["alpha"] = run.params.alpha
-    return -float(pairing(integrals.riesz_potential(f, alpha), f).real)
+    return -pairing(integrals.riesz_potential(f, alpha), f).real
 
 
-@_check("hilbert-cp-constant", "integral", count=40,
-        draw=lambda run, i: integrals.random_bandlimited(run.rng, min(run.params.grid, 512)))
+@_check("hilbert-cp-constant", "integral", count=40, grid_values=3,
+        draw=lambda run, first, stop: integrals.random_bandlimited(
+            run.rng, min(run.params.grid, 512), (stop - first,)))
 def _meas_cp(run, f):
     p = run.extra["p"] = run.params.p
-    return lp_norm(integrals.hilbert_multiplier(f), p) / max(lp_norm(f, p), 1e-300)
+    return lp_norm(integrals.hilbert_multiplier(f), p) / np.maximum(lp_norm(f, p), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -809,34 +924,37 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
 
 def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> VerificationReport:
     """Run every check of a suite with per-check seeded randomness: draw each
-    check's instances in index order a chunk at a time (one instance, or
-    ``check.chunk(params)`` for a stacked check), measure each chunk before drawing
-    the next, reduce the values and compare the result with the check's
-    tolerance."""
+    check's instances in index order a chunk at a time (at most
+    ``check.chunk(params)`` instances, inside one block), measure each chunk
+    before drawing the next, reduce the values and compare the result with
+    the check's tolerance.  Each check's seconds go in its result's
+    ``duration``, outside the canonical report."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
     report = VerificationReport(suite=name, seed=int(seed))
     shared: dict = {}
     for cname in list_checks(name):
+        check_start = time.perf_counter()
         check = _REGISTRY[cname]
         block_size = 1 if check.count is None else _count(params, check.count)
         run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), shared,
                    block_size)
-        total = check.blocks * block_size
         chunk = check.chunk(params)
         worst, samples = 0.0, 0
-        for first in range(0, total, chunk):
-            stop = min(first + chunk, total)
-            xs = [check.draw(run, i) for i in range(first, stop)]
-            values = np.asarray(check.measure(run, xs), dtype=float)
-            del xs  # the chunk's instances go before the next chunk is drawn
-            samples += (stop - first) * (values.shape[1] if values.ndim > 1 else 1)
-            if check.tol == 0.0:
-                worst += values.sum()
-            else:
-                top = values.max(initial=0.0)
-                worst = top if np.isnan(top) else max(worst, top)
+        # a chunk ends at its block's end, so its instances share the block
+        for block in range(0, check.blocks * block_size, block_size):
+            for first in range(block, block + block_size, chunk):
+                stop = min(first + chunk, block + block_size)
+                xs = check.draw(run, first, stop)
+                values = np.asarray(check.measure(run, xs), dtype=float)
+                del xs  # the chunk's instances go before the next chunk is drawn
+                samples += (stop - first) * (values.shape[1] if values.ndim > 1 else 1)
+                if check.tol == 0.0:
+                    worst += values.sum()
+                else:
+                    top = values.max(initial=0.0)
+                    worst = top if np.isnan(top) else max(worst, top)
         extra = run.extra if check.tol is None else {**run.extra, "tol": check.tol}
         if np.isnan(worst):
             status = FAIL
@@ -844,7 +962,8 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
             status = MEASURED
         else:
             status = PASS if worst <= check.tol else FAIL
-        report.add(CheckResult(cname, status, float(worst), check.samples or samples, extra))
+        report.add(CheckResult(cname, status, float(worst), check.samples or samples, extra,
+                               time.perf_counter() - check_start))
         report.tail_bounds.update(run.tails)
     report.duration = time.perf_counter() - start
     return report

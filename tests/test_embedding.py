@@ -4,6 +4,9 @@ import pytest
 from helpers import random_poly
 
 from almosthilbert.embedding import (
+    biorthonormalize,
+    coefficient_h_inner,
+    coefficient_h_norm,
     dyadic_weights,
     embedding_space,
     evaluate,
@@ -13,7 +16,7 @@ from almosthilbert.embedding import (
     h_norm,
     jb_apply,
 )
-from almosthilbert.spaces import GridFunction, coefficients, fourier_sbasis, lp_norm
+from almosthilbert.spaces import GridFunction, analyze, coefficients, fourier_sbasis, lp_norm
 
 
 def make_space(N=4, p=2, resolution=128):
@@ -86,6 +89,42 @@ class TestHNorm:
         for _ in range(30):
             u = random_poly(space, rng)
             assert h_norm(u, space) <= lp_norm(u, p) + 5e-7
+
+
+class TestRowsBitwise:
+    @pytest.mark.parametrize("N, M", [(4, 128), (53, 424)])
+    def test_biorthonormalize_a_stack(self, N, M):
+        # each stack entry is gram_schmidt_biorthonormal of its vectors alone
+        space = make_space(N=N, p=3, resolution=M)
+        rng = np.random.default_rng(N)
+        stack = np.stack([[random_poly(space, rng).values for _ in range(4)] for _ in range(3)])
+        psis, representers = biorthonormalize(stack, space)
+        for t in range(3):
+            alone, duals = gram_schmidt_biorthonormal([GridFunction(v) for v in stack[t]], space)
+            assert psis[t].tobytes() == np.stack([psi.values for psi in alone]).tobytes()
+            assert representers[t].tobytes() == np.stack(
+                [F.representer.values for F in duals]).tobytes()
+
+    def test_biorthonormalize_names_the_dependent_index(self):
+        space = make_space()
+        e1 = space.basis.member(0).values
+        stack = np.stack([[e1, e1 * 1j], [e1, 2.0 * e1]])
+        with pytest.raises(ValueError, match="index 1"):
+            biorthonormalize(stack, space)
+
+    @pytest.mark.parametrize("N, M", [(2, 16), (8, 256), (53, 424)])
+    def test_h_norm_and_inner_of_a_stack(self, N, M):
+        # the coefficient-space forms over the analysed rows are h_norm and
+        # h_inner of each row alone, bit for bit
+        space = make_space(N=N, p=3, resolution=M)
+        rng = np.random.default_rng(M)
+        u, v = (rng.standard_normal((5, M)) + 1j * rng.standard_normal((5, M)) for _ in range(2))
+        cu, cv = analyze(u, space.basis), analyze(v, space.basis)
+        norms, inners = coefficient_h_norm(cu, space), coefficient_h_inner(cu, cv, space)
+        for k in range(5):
+            uk, vk = GridFunction(u[k]), GridFunction(v[k])
+            assert norms[k].tobytes() == np.float64(h_norm(uk, space)).tobytes()
+            assert inners[k].tobytes() == np.complex128(h_inner(uk, vk, space)).tobytes()
 
 
 class TestGram:

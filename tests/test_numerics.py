@@ -13,6 +13,39 @@ def random_diagonal_pairs(count, size, seed):
     return [(rand_complex(rng, size), rand_complex(rng, size)) for _ in range(count)]
 
 
+class TestPythonRounding:
+    """product and quotient round as Python's complex * and / do, the
+    arithmetic of a per-instance check body, which numpy's vectorised
+    complex kernels do not always match."""
+
+    @staticmethod
+    def operands():
+        rng = np.random.default_rng(12)
+        a = rand_complex(rng, 400) * 10.0 ** rng.uniform(-6, 6, 400)
+        b = rand_complex(rng, 400) * 10.0 ** rng.uniform(-6, 6, 400)
+        b[:50] = b[:50].real  # real divisors, as an H norm square is
+        b[50:100] = 1j * b[50:100].imag
+        b[100:110] = 1.0 + 1.0j
+        return a, b
+
+    def test_product(self):
+        a, b = self.operands()
+        got = numerics.product(a, b)
+        assert [x.tobytes() for x in got] == [
+            np.complex128(complex(x) * complex(y)).tobytes() for x, y in zip(a, b)]
+
+    def test_quotient(self):
+        a, b = self.operands()
+        got = numerics.quotient(a, b)
+        assert [x.tobytes() for x in got] == [
+            np.complex128(complex(x) / complex(y)).tobytes() for x, y in zip(a, b)]
+
+    def test_quotient_by_zero_is_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerics.quotient(np.array([1.0 + 2.0j]), np.array([0.0j]))[0] == 0.0
+
+
 class TestHermitianEigen:
     def test_identity(self):
         res = numerics.hermitian_eigen(np.eye(3))

@@ -275,6 +275,51 @@ class TestMatrixBitwise:
             np.testing.assert_array_equal(synthesized[k], reconstruct(coeffs[k], basis).values)
 
 
+class TestRowsBitwise:
+    """A stack of grid functions, one per row, against each row alone, bit
+    for bit: the suites measure chunks of instances as such stacks."""
+
+    @staticmethod
+    def rows(M):
+        rng = np.random.default_rng(M)
+        scales = 10.0 ** rng.uniform(-3, 3, (6, 1))
+        values = scales * (rng.standard_normal((6, M)) + 1j * rng.standard_normal((6, M)))
+        values[2] = 0.0  # J(0) = 0
+        values[4, ::3] = 0.0  # zeros inside a row
+        return values
+
+    @pytest.mark.parametrize("M", [16, 256, 424])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 4.0, 64.0, np.inf])
+    def test_lp_norm(self, M, p):
+        values = self.rows(M)
+        norms = lp_norm(values, p)
+        assert norms.shape == (6,)
+        for k in range(6):
+            assert norms[k].tobytes() == np.float64(lp_norm(GridFunction(values[k]), p)).tobytes()
+
+    @pytest.mark.parametrize("M", [16, 256, 424])
+    def test_pairing(self, M):
+        f, g = self.rows(M), self.rows(M)[::-1].copy()
+        brackets = pairing(f, g)
+        for k in range(6):
+            alone = pairing(GridFunction(f[k]), GridFunction(g[k]))
+            assert brackets[k].tobytes() == np.complex128(alone).tobytes()
+
+    @pytest.mark.parametrize("M", [16, 256, 424])
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 64.0])
+    def test_duality_map(self, M, p):
+        values = self.rows(M)
+        with np.errstate(all="raise"):
+            mapped = duality_map(values, p)
+        for k in range(6):
+            assert mapped[k].tobytes() == duality_map(GridFunction(values[k]), p).values.tobytes()
+        assert not np.any(mapped[2])
+
+    def test_stacks_of_other_shapes_refused(self):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            pairing(np.ones((2, 16)), np.ones((3, 16)))
+
+
 class TestCoefficients:
     def test_basis_member_round_trip(self):
         basis = fourier_sbasis(4, 3, 64)

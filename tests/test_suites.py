@@ -6,10 +6,10 @@ import pytest
 
 from helpers import run_check
 
-from almosthilbert.report import FAIL, MEASURED, PASS, to_json
+from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
 from almosthilbert import integrals, operators, schatten, suites
 from almosthilbert.operators import BOperator
-from almosthilbert.spaces import GridFunction
+from almosthilbert.spaces import reconstruct
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
@@ -250,15 +250,18 @@ class TestRunSuite:
         assert {c.name: c.samples for c in rep.checks} == SAMPLES_AT_ONE_TRIAL
 
     def test_nan_sample_fails_its_check(self, monkeypatch):
-        # the third multiplier call is the first hilbert-isometry sample
-        # (hilbert-cp-constant sorts before it and draws two at trials=5)
+        # the second multiplier call is hilbert-isometry's one chunk
+        # (hilbert-cp-constant sorts before it and draws one chunk at
+        # trials=5); one NaN sample in it fails that check alone
         real = integrals.hilbert_multiplier
         calls = []
 
         def planted(f):
             calls.append(1)
             out = real(f)
-            return GridFunction(out.values * np.nan) if len(calls) == 3 else out
+            if len(calls) == 2:
+                out[0] *= np.nan
+            return out
 
         monkeypatch.setattr(integrals, "hilbert_multiplier", planted)
         rep = run_suite("integral", seed=0, params=FAST)
@@ -269,10 +272,12 @@ class TestRunSuite:
         assert entry["worst_violation"] is None
         assert entry["params"]["tol"] == 1e-12
 
-    @pytest.mark.parametrize("stack, chunk", [(False, 1), (True, suites._chunk(FAST.dim))])
-    def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, stack, chunk):
+    @pytest.mark.parametrize("dim, chunk, blocks", [(53, 1, 1), (8, 32, 1), (8, 32, 2)])
+    def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, dim, chunk,
+                                                            blocks):
         # holding every instance of a check at once would hold, e.g., all
-        # 2,000 grid functions of adjoint-defining-identity
+        # 2,000 grid functions of adjoint-defining-identity; a chunk ends
+        # at its block's end
         log, alive, peak = [], [0], [0]
 
         class Instance:
@@ -284,43 +289,72 @@ class TestRunSuite:
             def __del__(self):
                 alive[0] -= 1
 
-        def draw(run, i):
-            log.append(("draw", i))
-            return Instance(i)
+        def draw(run, first, stop):
+            log.append(("draw", first, stop))
+            return [Instance(i) for i in range(first, stop)]
 
         def measure(run, xs):
             log.append(("measure", [x.i for x in xs]))
             return np.zeros(len(xs))
 
-        trials = 3 * chunk + 1  # count 100: three full chunks and one instance
-        fake = _Check(suite="integral", tol=1.0, count=100, blocks=1, samples=None, draw=draw,
-                      measure=measure, stacked=stack)
+        trials = 3 * chunk + 1  # count 100: three full chunks and one instance per block
+        fake = _Check(suite="integral", tol=1.0, count=100, blocks=blocks, samples=None,
+                      draw=draw, measure=measure, dim=dim)
         monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
         rep = run_suite("integral", seed=0, params=replace(FAST, trials=trials))
         expected = []
-        for first in range(0, trials, chunk):
-            indices = list(range(first, min(first + chunk, trials)))
-            expected += [("draw", i) for i in indices] + [("measure", indices)]
+        for block in range(0, blocks * trials, trials):
+            for first in range(block, block + trials, chunk):
+                stop = min(first + chunk, block + trials)
+                expected += [("draw", first, stop), ("measure", list(range(first, stop)))]
         assert log == expected
         assert peak[0] == chunk and alive[0] == 0
-        assert [(c.name, c.status, c.samples) for c in rep.checks] == [("fake", PASS, trials)]
+        assert [(c.name, c.status, c.samples) for c in rep.checks] == [
+            ("fake", PASS, blocks * trials)]
 
     def test_chunk_is_sized_by_operator_bytes(self):
         assert [suites._chunk(n) for n in (1, 8, 16, 32, 33, 53)] == [2048, 32, 8, 2, 1, 1]
 
     def test_chunk_counts_the_grid_values_a_measure_holds(self):
-        # adjoint-defining-identity holds one grid function per instance
+        # adjoint-defining-identity holds one grid function per instance:
+        # at 256 cells the operator bound sets its chunk, at 8192 the grid's
         check = suites._REGISTRY["adjoint-defining-identity"]
         sizes = [check.chunk(SuiteParams(dim=n, grid=g))
                  for n, g in ((8, 256), (16, 256), (8, 8192), (53, 256))]
-        assert sizes == [6, 4, 1, 1]
+        assert sizes == [32, 8, 1, 1]
+        # duality-identity holds four: 8 at the defaults, one at desk scale
+        duality = suites._REGISTRY["duality-identity"]
+        assert [duality.chunk(SuiteParams(grid=g)) for g in (256, 2048, 8192)] == [8, 1, 1]
         # adjoint-algebra draws N up to 16 whatever --dim is
         algebra = suites._REGISTRY["adjoint-algebra"]
         assert [algebra.chunk(SuiteParams(dim=n)) for n in (1, 8, 53)] == [8, 8, 8]
 
+    def test_chunk_draws_are_the_instance_draws(self):
+        # one Generator call per chunk consumes the stream as one call per
+        # part of each instance (real part, then imaginary part) would
+        shapes = ((3, 3), (3,), ())
+        chunk = _Run(FAST, np.random.default_rng(5), {}, 1).normals(7, *shapes)
+        rng = np.random.default_rng(5)
+        for i in range(7):
+            for part, shape in zip(chunk, shapes):
+                alone = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                assert part[i].tobytes() == np.asarray(alone).tobytes()
+        run, alone = (_Run(FAST, np.random.default_rng(6), {}, 1) for _ in range(2))
+        space = run.space()
+        forms = [(run.polys(4), [reconstruct(alone.normals(1, (8,))[0][0], space.basis).values
+                                 for _ in range(4)]),
+                 (run.matrices(4), [alone.matrix() for _ in range(4)]),
+                 (run.hermitians(4), [alone.hermitian() for _ in range(4)]),
+                 (run.steps(4), [np.repeat(alone.normals(1, (8,))[0][0], FAST.grid // 8)
+                                 for _ in range(4)])]
+        for stack, rows in forms:
+            assert [row.tobytes() for row in stack] == [row.tobytes() for row in rows]
+
     @pytest.mark.parametrize("params, counts", [
         # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
-        # 70 of adjoint-defining-identity in chunks of 6 (grid values count)
+        # 70 of adjoint-defining-identity in chunks of 32 (N = 8 bounds
+        # them); 14 per P_SWEEP block of duality-identity in chunks of 8, the
+        # second cut at the block's end
         (SuiteParams(trials=7), {
             "adjoint-algebra": 35, "adjoint-defining-identity": 70,
             "adjoint-positive-product": 7, "self-conjugacy-equivalence": 28,
@@ -328,9 +362,19 @@ class TestRunSuite:
             "spectral-reconstruction": 3, "minmax-matches-direct": 3,
             "schatten-two-path": 35, "singular-value-paths": 14,
             "schatten-unitary-invariance": 9, "weyl-inequality": 35, "horn-inequality": 35,
-            "lidskii-trace": 35, "lax-constant-khat": 1, "bnorm-adjoint-ratio": 1}),
-        # chunks of 8 at N = 16 (4 of adjoint-defining-identity): the
-        # measured entries cross one too
+            "lidskii-trace": 35, "lax-constant-khat": 1, "bnorm-adjoint-ratio": 1,
+            "duality-identity": 56, "duality-homogeneity": 7, "coefficient-projection": 7,
+            "embedding-hnorm-below-sup": 32, "embedding-hnorm-below-bnorm": 32,
+            "embedding-middle-ratio": 12, "embedding-gram-diagonal": 64,
+            "embedding-jb-linear": 7, "embedding-gram-schmidt": 4,
+            "hilbert-square-identity": 7, "hilbert-isometry": 7, "hilbert-skew-adjoint": 14,
+            "hilbert-pv-convergence": 8, "riesz-symmetry": 3, "riesz-positivity": 7,
+            "hilbert-cp-constant": 2, "ks2-gram-psd": 1, "ks2-truncation-monotone": 3,
+            "ks2-functional-contraction": 175, "ks2-fundamentality": 14,
+            "ks2-embedding-bound": 9, "ks2-weak-strong-decay": 64}),
+        # chunks of 8 at N = 16 (also of adjoint-defining-identity): the
+        # measured entries cross one too; 100 per P_SWEEP block of
+        # duality-identity in chunks of 8, cut at each block's end
         (SuiteParams(dim=16, trials=50), {
             "adjoint-algebra": 250, "adjoint-defining-identity": 500,
             "adjoint-positive-product": 50, "self-conjugacy-equivalence": 200,
@@ -340,11 +384,20 @@ class TestRunSuite:
             "schatten-two-path": 250, "singular-value-paths": 100,
             "schatten-unitary-invariance": 75,
             "weyl-inequality": 250, "horn-inequality": 250,
-            "lidskii-trace": 250, "lax-constant-khat": 10, "bnorm-adjoint-ratio": 10}),
+            "lidskii-trace": 250, "lax-constant-khat": 10, "bnorm-adjoint-ratio": 10,
+            "duality-identity": 400, "duality-homogeneity": 50, "coefficient-projection": 50,
+            "embedding-hnorm-below-sup": 248, "embedding-hnorm-below-bnorm": 248,
+            "embedding-middle-ratio": 100, "embedding-gram-diagonal": 256,
+            "embedding-jb-linear": 50, "embedding-gram-schmidt": 40,
+            "hilbert-square-identity": 50, "hilbert-isometry": 50, "hilbert-skew-adjoint": 100,
+            "hilbert-pv-convergence": 8, "riesz-symmetry": 25, "riesz-positivity": 50,
+            "hilbert-cp-constant": 20, "ks2-gram-psd": 10, "ks2-truncation-monotone": 25,
+            "ks2-functional-contraction": 1250, "ks2-fundamentality": 100,
+            "ks2-embedding-bound": 75, "ks2-weak-strong-decay": 64}),
     ], ids=["dim8-trials7", "dim16-trials50"])
     def test_sample_counts_across_chunk_boundaries(self, params, counts):
         seen = {}
-        for suite in ("adjoint", "schatten"):
+        for suite in ("adjoint", "schatten", "embedding", "integral", "ks2"):
             rep = run_suite(suite, seed=0, params=params)
             assert rep.passed
             seen.update({c.name: c.samples for c in rep.checks})
@@ -373,7 +426,15 @@ class TestRunSuite:
     def test_duration_positive_but_not_serialized(self):
         rep = run_suite("integral", seed=0, params=FAST)
         assert rep.duration > 0.0
+        assert all(c.duration > 0.0 for c in rep.checks)
+        assert sum(c.duration for c in rep.checks) <= rep.duration
         assert "duration" not in to_json(rep)
+        assert to_csv(rep) == to_csv(replace(rep, checks=[replace(c, duration=0.0)
+                                                          for c in rep.checks]))
+        lines = to_text(rep).splitlines()
+        for c in rep.sorted_checks():
+            (line,) = [x for x in lines if f" {c.name} " in x]
+            assert line.endswith(f"  {c.duration:.3f}s")
 
 
 class TestSharedSpace:
