@@ -120,7 +120,8 @@ def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndar
             # the quotient rounds as the complex division of one entry does
             phi = phi - prev * numerics.quotient(inner(phi, prev), inner(prev, prev))[..., None]
         if np.any(norm(phi) <= 1e-6 * np.maximum(norm(v), 1e-300)):
-            raise ValueError(f"rank deficiency at index {i}: vector is H-dependent on its predecessors")
+            raise ValueError(f"rank deficiency at index {i}: "
+                             "vector is H-dependent on its predecessors")
         phis.append(phi)
     phis = np.stack(phis, axis=-2)
     bn = lp_norm(phis, basis.p)

@@ -197,11 +197,12 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     of ``grid_values`` grid functions of the run's basis per instance, the
     most its measure holds at once.  The operator bound counts one operator
     per instance: a measure that draws two, repeats one per trial or builds
-    intermediates holds a small multiple of it.  A check at tolerance 0 counts its failing (true) samples; any
-    other reports its largest quantity, starting from 0.0, and fails on a
-    NaN.  ``samples`` fixes the count of a check whose one value sums up
-    that many evaluations.  ``measure`` may record report params in
-    ``run.extra`` and tail bounds in ``run.tails``."""
+    intermediates holds a small multiple of it.  A check at tolerance 0
+    counts its failing (true) samples; any other reports its largest
+    quantity, starting from 0.0, and fails on a NaN.  ``samples`` fixes the
+    count of a check whose one value sums up that many evaluations.
+    ``measure`` may record report params in ``run.extra`` and tail bounds in
+    ``run.tails``."""
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
@@ -300,10 +301,6 @@ class _Run:
 
     def hermitian(self) -> np.ndarray:
         return self.hermitians(1)[0]
-
-    def selfadjoints(self, count: int) -> np.ndarray:
-        """Coordinate matrices of random naturally self-adjoint operators."""
-        return from_h_matrix(self.hermitians(count), self.space()).matrix
 
     def stacked(self, matrices) -> BOperator:
         """Operators on the run's own space, given by their coordinate
@@ -556,7 +553,8 @@ def _chk_self_conjugacy(run, mats):
 
 
 def _draw_selfadjoints(run, first, stop):
-    return run.selfadjoints(stop - first)
+    # coordinate matrices of naturally self-adjoint operators
+    return from_h_matrix(run.hermitians(stop - first), run.space()).matrix
 
 
 @_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200, draw=_draw_selfadjoints)

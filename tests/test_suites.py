@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import run_check
+from helpers import rand_complex, run_check
 
 from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
 from almosthilbert import integrals, operators, schatten, suites
@@ -337,18 +337,20 @@ class TestRunSuite:
         rng = np.random.default_rng(5)
         for i in range(7):
             for part, shape in zip(chunk, shapes):
-                alone = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                assert part[i].tobytes() == np.asarray(alone).tobytes()
-        run, alone = (_Run(FAST, np.random.default_rng(6), {}, 1) for _ in range(2))
-        space = run.space()
-        forms = [(run.polys(4), [reconstruct(alone.normals(1, (8,))[0][0], space.basis).values
-                                 for _ in range(4)]),
-                 (run.matrices(4), [alone.matrix() for _ in range(4)]),
-                 (run.hermitians(4), [alone.hermitian() for _ in range(4)]),
-                 (run.steps(4), [np.repeat(alone.normals(1, (8,))[0][0], FAST.grid // 8)
-                                 for _ in range(4)])]
-        for stack, rows in forms:
-            assert [row.tobytes() for row in stack] == [row.tobytes() for row in rows]
+                assert part[i].tobytes() == np.asarray(rand_complex(rng, *shape)).tobytes()
+        run, rng = _Run(FAST, np.random.default_rng(6), {}, 1), np.random.default_rng(6)
+        basis = run.space().basis
+
+        def hermitian():
+            a = rand_complex(rng, 8, 8)
+            return a + a.conj().T
+
+        forms = [(run.polys(4), lambda: reconstruct(rand_complex(rng, 8), basis).values),
+                 (run.matrices(4), lambda: rand_complex(rng, 8, 8) / np.sqrt(8)),
+                 (run.hermitians(4), hermitian),
+                 (run.steps(4), lambda: np.repeat(rand_complex(rng, 8), FAST.grid // 8))]
+        for stack, alone in forms:
+            assert [row.tobytes() for row in stack] == [alone().tobytes() for _ in range(4)]
 
     @pytest.mark.parametrize("params, counts", [
         # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
