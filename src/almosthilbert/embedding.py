@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .spaces import GridFunction, SchauderBasis, analyze, coefficients, lp_norm
+from .spaces import GridFunction, SchauderBasis, analyze, coefficients, lp_norm_rows
 
 
 def dyadic_weights(N: int) -> np.ndarray:
@@ -124,7 +124,7 @@ def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndar
                              "vector is H-dependent on its predecessors")
         phis.append(phi)
     phis = np.stack(phis, axis=-2)
-    bn = lp_norm(phis, basis.p)
+    bn = lp_norm_rows(phis, basis.p)
     return phis * (1.0 / bn)[..., None], phis * (bn / inner(phis, phis).real)[..., None]
 
 

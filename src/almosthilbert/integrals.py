@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .spaces import GridFunction, _samples
+from .spaces import GridFunction
 
 
 def _signal_size(v: np.ndarray) -> int:
@@ -44,43 +44,46 @@ def signal_from_callable(fn, m: int) -> GridFunction:
     return GridFunction(np.asarray(fn(t), dtype=np.complex128))
 
 
-def random_bandlimited(rng, m: int, shape: tuple[int, ...] | None = None):
-    """Random mean-zero signal of length m >= 4 with spectrum in modes
-    1..kmax (both signs), kmax = max(1, m // 8); the zero and Nyquist modes
-    stay empty.
-
-    With ``shape``, an array of that many signals (the samples on a last
-    axis), drawn in one Generator call: signal j is bit for bit the j-th
-    of as many lone calls in C order."""
+def random_bandlimited_rows(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """An array of ``shape`` random signals of ``random_bandlimited``, the
+    samples on a last axis of length m, drawn in one Generator call: signal
+    j is bit for bit the j-th of as many lone draws in C order."""
     kmax = max(1, m // 8)
     if not 1 <= kmax < m // 2:
         raise ValueError(f"signal length must be >= 4, got {m}")
-    lead = () if shape is None else tuple(shape)
     # each signal's real then imaginary parts of modes +k, then of modes -k
-    x = rng.standard_normal((*lead, 4, kmax))
-    spec = np.zeros((*lead, m), dtype=np.complex128)
+    x = rng.standard_normal((*shape, 4, kmax))
+    spec = np.zeros((*shape, m), dtype=np.complex128)
     ks = np.arange(1, kmax + 1)
     spec[..., ks] = x[..., 0, :] + 1j * x[..., 1, :]
     spec[..., m - ks] = x[..., 2, :] + 1j * x[..., 3, :]
-    signals = np.fft.ifft(spec)
-    return GridFunction(signals) if shape is None else signals
+    return np.fft.ifft(spec)
 
 
-def hilbert_multiplier(f):
+def random_bandlimited(rng, m: int) -> GridFunction:
+    """Random mean-zero signal of length m >= 4 with spectrum in modes
+    1..kmax (both signs), kmax = max(1, m // 8); the zero and Nyquist modes
+    stay empty."""
+    return GridFunction(random_bandlimited_rows(rng, m))
+
+
+def hilbert_multiplier_rows(values: np.ndarray) -> np.ndarray:
+    """``hilbert_multiplier`` of each row of signal samples, the samples on
+    the last axis, bit for bit as the row alone."""
+    m = _signal_size(values)
+    mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
+                           np.full(m // 2 - 1, 1j)])
+    return np.fft.ifft(mult * np.fft.fft(values))
+
+
+def hilbert_multiplier(f: GridFunction) -> GridFunction:
     """Frequency-side transform: multiply mode k by -i sgn(k).
 
     The zero mode is annihilated and so is the Nyquist mode, where the
     sign has no meaning; on the remaining modes this is a unitary map,
-    hence an exact isometry on mean-zero Nyquist-free signals.  A
-    GridFunction gives a GridFunction; a stack of signals, one per row,
-    gives the transform of each, bit for bit as the row alone.
+    hence an exact isometry on mean-zero Nyquist-free signals.
     """
-    v = _samples(f)
-    m = _signal_size(v)
-    mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
-                           np.full(m // 2 - 1, 1j)])
-    out = np.fft.ifft(mult * np.fft.fft(v))
-    return GridFunction(out) if isinstance(f, GridFunction) else out
+    return GridFunction(hilbert_multiplier_rows(f.values))
 
 
 def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
@@ -126,21 +129,23 @@ def _riesz_kernel(res: int, alpha: float) -> np.ndarray:
     return spectrum
 
 
-def riesz_potential(f, alpha: float):
+def riesz_potential_rows(values: np.ndarray, alpha: float) -> np.ndarray:
+    """``riesz_potential`` of each row of grid values, the grid on the last
+    axis, bit for bit as the row alone."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"order must lie in (0, 1), got {alpha}")
+    res = values.shape[-1]
+    kernel = _riesz_kernel(res, float(alpha))
+    # the full linear convolution has 3 res - 2 entries; keep the middle res
+    full = np.fft.ifft(np.fft.fft(values, len(kernel)) * kernel)
+    return full[..., res - 1: 2 * res - 1] / riesz_gamma(alpha)
+
+
+def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
     """Fractional integral of order alpha on a grid of the unit interval.
 
     Every cell's contribution integrates |x - y|^(alpha-1) in closed form
     (the singular cell included), so the kernel weights are a symmetric
-    Toeplitz family and the whole map is one linear convolution.  A
-    GridFunction gives a GridFunction; a stack of functions, one per row,
-    gives the potential of each, bit for bit as the row alone.
+    Toeplitz family and the whole map is one linear convolution.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"order must lie in (0, 1), got {alpha}")
-    v = _samples(f)
-    res = v.shape[-1]
-    kernel = _riesz_kernel(res, float(alpha))
-    # the full linear convolution has 3 res - 2 entries; keep the middle res
-    full = np.fft.ifft(np.fft.fft(v, len(kernel)) * kernel)
-    out = full[..., res - 1: 2 * res - 1] / riesz_gamma(alpha)
-    return GridFunction(out) if isinstance(f, GridFunction) else out
+    return GridFunction(riesz_potential_rows(f.values, alpha))

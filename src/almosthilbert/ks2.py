@@ -203,30 +203,27 @@ def _cell_layout(resolution: int, ks: tuple[int, ...]) -> _CellLayout:
     return layout
 
 
-def _integrals(values: np.ndarray, ks: tuple[int, ...]) -> np.ndarray:
-    """F_k of the grid values (the grid on the last axis, one function per
-    row) for each cube index k in ``ks``: each cube's interior cells summed
-    as one slice of values * widths, plus its two end cells.  Row j of a
-    stack's result is bit for bit the result of row j alone."""
-    lead, resolution = values.shape[:-1], values.shape[-1]
-    lay = _cell_layout(resolution, ks)
-    g = np.empty((*lead, resolution + 1), dtype=np.complex128)
-    np.multiply(values, lay.widths, out=g[..., :-1])
-    g[..., -1] = 0.0
+def _integrals(f: GridFunction, ks: tuple[int, ...]) -> np.ndarray:
+    """F_k(f) for each cube index k in ``ks``: each cube's interior cells
+    summed as one slice of f * widths, plus its two end cells."""
+    lay = _cell_layout(f.resolution, ks)
+    g = np.empty(f.resolution + 1, dtype=np.complex128)
+    np.multiply(f.values, lay.widths, out=g[:-1])
+    g[-1] = 0.0
     # Sorted starts keep the sums reduceat takes between slices to one
     # pass over the grid in all.
-    out = np.empty((*lead, len(ks)), dtype=np.complex128)
-    out[..., lay.order] = np.add.reduceat(g, lay.bounds, axis=-1)[..., ::2]
-    tips = values[..., lay.ends] * lay.end_w
-    out += tips[..., 0, :]
-    out += tips[..., 1, :]
+    out = np.empty(len(ks), dtype=np.complex128)
+    out[lay.order] = np.add.reduceat(g, lay.bounds)[::2]
+    tips = f.values[lay.ends] * lay.end_w
+    out += tips[0]
+    out += tips[1]
     return out
 
 
 def functional_Fk(f: GridFunction, k: int) -> complex:
     """Integral of f over the part of the k-th cube inside the unit
     interval: bit for bit entry k - 1 of ``functional_values``."""
-    return complex(_integrals(f.values, (_positive_int("cube index", k),))[0])
+    return complex(_integrals(f, (_positive_int("cube index", k),))[0])
 
 
 def functional_values(f: GridFunction, K: int) -> np.ndarray:
@@ -236,7 +233,7 @@ def functional_values(f: GridFunction, K: int) -> np.ndarray:
     lone ``functional_Fk`` call (see the module docstring).
     """
     K = _positive_int("truncation", K)
-    return _integrals(f.values, tuple(range(1, K + 1)))
+    return _integrals(f, tuple(range(1, K + 1)))
 
 
 # The first prefix of functionals ``converged_values`` evaluates; each

@@ -78,59 +78,59 @@ def from_callable(fn, resolution: int) -> GridFunction:
     return GridFunction(np.broadcast_to(vals, (resolution,)).copy())
 
 
-def _samples(f) -> np.ndarray:
-    """The samples of ``f``: a GridFunction's values, or an array of grid
-    functions, one per row, the grid on the last axis."""
-    return f.values if isinstance(f, GridFunction) else np.asarray(f)
-
-
-def lp_norm(f, p: float):
-    """Composite-midpoint quadrature of (integral |f|^p)^(1/p); sup of samples for p = inf.
-
-    A GridFunction gives a float; a stack of rows gives one norm per row,
-    and the norm of row k is bit for bit the norm of row k alone.  The root
-    is ``np.float_power``, which rounds as the scalar power does; numpy's
-    vectorised ``**`` on an array can round otherwise."""
-    v = _samples(f)
-    a = np.abs(v)
+def lp_norm_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """The p-norm of each row of grid values, the grid on the last axis:
+    composite-midpoint quadrature of (integral |f|^p)^(1/p), the sup of the
+    samples for p = inf.  The norm of a row is bit for bit the norm of that
+    row alone.  The root is ``np.float_power``, which rounds as the scalar
+    power does; numpy's vectorised ``**`` on an array can round otherwise."""
+    a = np.abs(values)
     if p == np.inf:
-        norm = a.max(axis=-1)
-    elif p < 1:
+        return a.max(axis=-1)
+    if p < 1:
         raise ValueError("p must be >= 1 or inf")
-    else:
-        norm = np.float_power(np.sum(a**p, axis=-1) * (1.0 / v.shape[-1]), 1.0 / p)
-    return float(norm) if isinstance(f, GridFunction) else norm
+    return np.float_power(np.sum(a**p, axis=-1) * (1.0 / values.shape[-1]), 1.0 / p)
 
 
-def pairing(f, g):
-    """Duality bracket <f, g> = integral of f * conj(g): a complex for two
-    GridFunctions, one per row for two stacks of one shape."""
-    fv, gv = _samples(f), _samples(g)
-    if fv.shape != gv.shape:
-        raise ValueError(f"grid mismatch: {fv.shape} samples against {gv.shape}")
-    out = np.sum(fv * np.conj(gv), axis=-1) * (1.0 / fv.shape[-1])
-    return complex(out) if isinstance(f, GridFunction) else out
+def lp_norm(f: GridFunction, p: float) -> float:
+    """Composite-midpoint quadrature of (integral |f|^p)^(1/p); sup of samples for p = inf."""
+    return float(lp_norm_rows(f.values, p))
 
 
-def duality_map(u, p: float):
+def pairing_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The duality bracket of each row of f with the same row of g, two
+    stacks of grid values of one shape, the grid on the last axis."""
+    if f.shape != g.shape:
+        raise ValueError(f"grid mismatch: {f.shape} samples against {g.shape}")
+    return np.sum(f * np.conj(g), axis=-1) * (1.0 / f.shape[-1])
+
+
+def pairing(f: GridFunction, g: GridFunction) -> complex:
+    """Duality bracket <f, g> = integral of f * conj(g)."""
+    return complex(pairing_rows(f.values, g.values))
+
+
+def duality_map_rows(values: np.ndarray, p: float) -> np.ndarray:
+    """The L^p duality map of each row of grid values, the grid on the last
+    axis, bit for bit as the row alone (see ``duality_map``)."""
+    if not 1.0 < p < np.inf:
+        raise ValueError("duality map requires 1 < p < inf")
+    norm = lp_norm_rows(values, p)[..., None]
+    zero = norm == 0.0
+    a = np.abs(values)
+    # |u|^(p-2) u written as |u|^(p-1) sgn(u) to stay finite at zeros for p < 2
+    sgn = np.where(a > 0, values / np.where(a > 0, a, 1.0), 0.0)
+    ju = np.float_power(np.where(zero, 1.0, norm), 2.0 - p) * a ** (p - 1.0) * sgn
+    return np.where(zero, 0.0, ju)
+
+
+def duality_map(u: GridFunction, p: float) -> GridFunction:
     """The L^p duality map J(u) = ||u||_p^(2-p) |u|^(p-2) u.
 
     Satisfies <u, J(u)> = ||u||_p^2 = ||J(u)||_q^2 with q = p/(p-1).
-    J(0) := 0, the continuous extension of the formula.  A GridFunction
-    gives a GridFunction; a stack of rows gives J of each row, bit for bit
-    as the row alone.
+    J(0) := 0, the continuous extension of the formula.
     """
-    if not 1.0 < p < np.inf:
-        raise ValueError("duality map requires 1 < p < inf")
-    v = _samples(u)
-    norm = lp_norm(v, p)[..., None]
-    zero = norm == 0.0
-    a = np.abs(v)
-    # |u|^(p-2) u written as |u|^(p-1) sgn(u) to stay finite at zeros for p < 2
-    sgn = np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
-    ju = np.float_power(np.where(zero, 1.0, norm), 2.0 - p) * a ** (p - 1.0) * sgn
-    ju = np.where(zero, 0.0, ju)
-    return GridFunction(ju) if isinstance(u, GridFunction) else ju
+    return GridFunction(duality_map_rows(u.values, p))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,10 @@ check result; the library modules and the check bodies only return
 numbers.  A chunk is drawn in one Generator call where its instances'
 layouts allow, bit for bit as one instance at a time, and measured as one
 (T, N, N) stack of operators or (T, M) stack of grid functions; the
-measures that resolve a spectrum, orthogonalize or truncate per function
-(spectral-reconstruction and three ks2 checks)
+measures that resolve a spectrum or truncate per function
+(spectral-reconstruction, ks2-gram-psd, ks2-truncation-monotone and
+ks2-embedding-bound) and those that check the one-function public path
+(coefficient-projection, ks2-functional-contraction and ks2-fundamentality)
 loop over the chunk's instances.  Checks are grouped into
 suites (embedding, adjoint, schatten, ks2, integral); each check belongs to
 exactly one of them, and "all" is their union.  The three quantities the
@@ -69,14 +71,16 @@ from .operators import (
     spectral_decompose,
 )
 from .report import FAIL, MEASURED, PASS, CheckResult, VerificationReport
-from .spaces import (  # noqa: F401 (coefficients: the binding perfbench's tracer test patches)
+from .spaces import (
     GridFunction,
     analyze,
     coefficients,
-    duality_map,
+    duality_map_rows,
     fourier_sbasis,
     lp_norm,
-    pairing,
+    lp_norm_rows,
+    pairing_rows,
+    reconstruct,
     synthesize,
 )
 
@@ -138,8 +142,8 @@ def check_seed(master: int, name: str) -> int:
 # N = 8, 8 at N = 16, 2 at N = 32, one from N = 33.  All 500 instances of a
 # check at once raised the nominal peak RSS by 17 %, past the benchmark's 5 %
 # bound; a chunk of 32 adds about 0.25 MB.  Of grid functions, the most a
-# measure holds at once: 32 on the default grid of 256 cells, one from 8192
-# cells.  Operator stacks pass through LAPACK and its workspaces, grid stacks
+# chunk's draw and measure hold at once: 32 on the default grid of 256
+# cells, one from 8192 cells.  Operator stacks pass through LAPACK and its workspaces, grid stacks
 # through elementwise kernels and FFTs, so the grid bound is the looser:
 # at 2^15 grid bytes too, most grid checks ran one or two instances at a time.
 _CHUNK_BYTES = 2**15
@@ -166,7 +170,10 @@ class _Check:
     samples: int | None
     draw: Callable  # draw(run, first, stop): instances first..stop-1, as one chunk
     measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
-    grid_values: int = 0  # grid functions one instance's measure holds at once
+    # grid functions of the run's grid per instance that the chunk's draw and
+    # measure hold at once: the growth per instance, rounded, of the bytes numpy
+    # allocates for a chunk on the default grid (test_grid_values_bound_a_chunk)
+    grid_values: int = 0
     dim: int = 0  # the largest N its instances draw; 0: --dim
 
     def chunk(self, params: SuiteParams) -> int:
@@ -195,7 +202,7 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     N x N operator per instance, at N = ``dim`` (the largest N its
     instances draw) or else at ``--dim``, and apart from that by the bytes
     of ``grid_values`` grid functions of the run's basis per instance, the
-    most its measure holds at once.  The operator bound counts one operator
+    most its draw and measure hold at once.  The operator bound counts one operator
     per instance: a measure that draws two, repeats one per trial or builds
     intermediates holds a small multiple of it.  A check at tolerance 0
     counts its failing (true) samples; any other reports its largest
@@ -324,7 +331,7 @@ def _draw_steps(run, first, stop):
 
 
 def _draw_bandlimited(run, first, stop):
-    return integrals.random_bandlimited(run.rng, run.params.grid, (stop - first,))
+    return integrals.random_bandlimited_rows(run.rng, run.params.grid, (stop - first,))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +346,14 @@ def _draw_sweep_polys(run, first, stop):
 
 
 @_check("duality-identity", "embedding", tol=1e-6, count=200, blocks=len(P_SWEEP),
-        grid_values=4, draw=_draw_sweep_polys)
+        grid_values=5, draw=_draw_sweep_polys)
 def _chk_duality_identity(run, x):
     space, u = x
     p = space.basis.p
-    ju = duality_map(u, p)
-    np2 = np.float_power(lp_norm(u, p), 2.0)
-    a = numerics.modulus(pairing(u, ju) - np2)
-    b = np.abs(np.float_power(lp_norm(ju, p / (p - 1.0)), 2.0) - np2)
+    ju = duality_map_rows(u, p)
+    np2 = np.float_power(lp_norm_rows(u, p), 2.0)
+    a = numerics.modulus(pairing_rows(u, ju) - np2)
+    b = np.abs(np.float_power(lp_norm_rows(ju, p / (p - 1.0)), 2.0) - np2)
     return np.maximum(a, b) / np.maximum(np2, 1e-300)
 
 
@@ -356,7 +363,7 @@ def _draw_homogeneity(run, first, stop):
     return np.arange(first, stop) % len(P_SWEEP), coeffs, scalars
 
 
-@_check("duality-homogeneity", "embedding", tol=1e-8, count=100, grid_values=6,
+@_check("duality-homogeneity", "embedding", tol=1e-8, count=100, grid_values=2,
         draw=_draw_homogeneity)
 def _chk_duality_homogeneity(run, x):
     # one stack per p, its values scattered back in index order
@@ -368,8 +375,9 @@ def _chk_duality_homogeneity(run, x):
             q = p / (p - 1.0)
             u = synthesize(coeffs[at], run.space(p=p).basis)
             c = scalars[at, None]
-            rhs = duality_map(u, p) * c
-            out[at] = lp_norm(duality_map(u * c, p) - rhs, q) / np.maximum(lp_norm(rhs, q), 1e-300)
+            rhs = duality_map_rows(u, p) * c
+            out[at] = (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
+                       / np.maximum(lp_norm_rows(rhs, q), 1e-300))
     return out
 
 
@@ -377,13 +385,17 @@ def _draw_grid_values(run, first, stop):
     return run.normals(stop - first, (run.space().basis.synthesis.shape[1],))[0]
 
 
-@_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=3,
+@_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=4,
         draw=_draw_grid_values)
-def _chk_coeff_projection(run, u):
+def _chk_coeff_projection(run, rows):
+    # the public one-function round trip, coefficients then reconstruct, per instance
     basis = run.space().basis
-    once = synthesize(analyze(u, basis), basis)
-    twice = synthesize(analyze(once, basis), basis)
-    return lp_norm(twice - once, basis.p) / np.maximum(lp_norm(once, basis.p), 1e-300)
+    out = []
+    for values in rows:
+        once = reconstruct(coefficients(GridFunction(values), basis), basis)
+        twice = reconstruct(coefficients(once, basis), basis)
+        out.append(lp_norm(twice - once, basis.p) / max(lp_norm(once, basis.p), 1e-300))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +416,7 @@ def _chk_hnorm_sup(run, x):
         grid_values=2, draw=_draw_sweep_polys)
 def _chk_hnorm_bnorm(run, x):
     space, u = x
-    bn = lp_norm(u, space.basis.p)
+    bn = lp_norm_rows(u, space.basis.p)
     return (coefficient_h_norm(analyze(u, space.basis), space) - bn) / np.maximum(bn, 1e-300)
 
 
@@ -415,7 +427,7 @@ def _chk_middle_ratio(run, x):
     # normalization only guarantees empirically -- so record the worst ratio.
     space, u = x
     sup = np.max(np.abs(analyze(u, space.basis)), axis=-1)
-    return sup / np.maximum(lp_norm(u, space.basis.p), 1e-300)
+    return sup / np.maximum(lp_norm_rows(u, space.basis.p), 1e-300)
 
 
 @_check("embedding-gram-diagonal", "embedding", tol=1e-8)
@@ -456,7 +468,7 @@ def _draw_gram_schmidt(run, first, stop):
     return run.polys((stop - first) * k).reshape(stop - first, k, -1)
 
 
-@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=12,
+@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=22,
         draw=_draw_gram_schmidt)
 def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
@@ -470,7 +482,7 @@ def _chk_gram_schmidt(run, vecs):
     k = vecs.shape[-2]
     rows = []
     for i in range(k):
-        row = [np.abs(lp_norm(psis[:, i], basis.p) - 1.0)]
+        row = [np.abs(lp_norm_rows(psis[:, i], basis.p) - 1.0)]
         for j in range(k):
             if i != j:
                 denom = np.maximum(h[:, i] * h[:, j], 1e-300)
@@ -520,6 +532,7 @@ def _draw_identity(run, first, stop):
     return mats / np.sqrt(n), cus, cvs
 
 
+# grid_values counts the grid functions alone; the operator bound counts the operators
 @_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000, grid_values=1,
         draw=_draw_identity)
 def _chk_defining_identity(run, x):
@@ -739,7 +752,7 @@ def _chk_lidskii(run, mats):
 # ---------------------------------------------------------------------------
 
 
-@_check("ks2-gram-psd", "ks2", tol=1e-10, count=20, grid_values=7,
+@_check("ks2-gram-psd", "ks2", tol=1e-10, count=20, grid_values=6,
         draw=lambda run, first, stop: run.steps(6 * (stop - first)).reshape(stop - first, 6, -1))
 def _chk_gram_psd(run, stacks):
     rows = []
@@ -752,7 +765,7 @@ def _chk_gram_psd(run, stacks):
     return rows
 
 
-@_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, grid_values=2, draw=_draw_steps)
+@_check("ks2-truncation-monotone", "ks2", tol=1e-12, count=50, grid_values=1, draw=_draw_steps)
 def _chk_truncation(run, fs):
     ks = sorted({8, 16, 32, run.params.cubes})
     run.extra["K"] = ks[-1]
@@ -768,28 +781,30 @@ def _chk_truncation(run, fs):
     return rows
 
 
-@_check("ks2-functional-contraction", "ks2", tol=1e-12, count=500, grid_values=3,
+@_check("ks2-functional-contraction", "ks2", tol=1e-12, count=500, grid_values=1,
         draw=_draw_steps)
-def _chk_contraction(run, f):
-    # |F_k(f)| <= ||f||_1 at a few k, each F_k as a lone functional_Fk call rounds it
-    l1 = np.mean(np.abs(f), axis=-1)[:, None]
-    values = ks2._integrals(f, (1, 2, 7, 19, run.params.cubes))
-    return (numerics.modulus(values) - l1) / np.maximum(l1, 1.0)
+def _chk_contraction(run, fs):
+    # |F_k(f)| <= ||f||_1 at a few k, each F_k a lone functional_Fk call
+    rows = []
+    for values in fs:
+        f = GridFunction(values)
+        l1 = float(np.mean(np.abs(values)))
+        rows.append([(abs(ks2.functional_Fk(f, k)) - l1) / max(l1, 1.0)
+                     for k in (1, 2, 7, 19, run.params.cubes)])
+    return rows
 
 
-@_check("ks2-fundamentality", "ks2", tol=0.0, count=200, grid_values=2, draw=_draw_steps)
-def _chk_fundamentality(run, f):
+@_check("ks2-fundamentality", "ks2", tol=0.0, count=200, grid_values=1, draw=_draw_steps)
+def _chk_fundamentality(run, fs):
     # A nonzero value among the first eight settles it; only an all-zero
     # prefix needs the rest.
     k_max = run.extra["K"] = 256
-    zero = np.max(np.abs(ks2._integrals(f, tuple(range(1, 9)))), axis=-1) == 0.0
-    if zero.any():
-        rest = ks2._integrals(f[zero], tuple(range(1, k_max + 1)))
-        zero[zero] = np.max(np.abs(rest), axis=-1) == 0.0
-    return zero
+    return [all(float(np.max(np.abs(ks2.functional_values(GridFunction(values), k)))) == 0.0
+                for k in (8, k_max))
+            for values in fs]
 
 
-@_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, grid_values=2, draw=_draw_steps)
+@_check("ks2-embedding-bound", "ks2", tol=1e-9, count=50, grid_values=1, draw=_draw_steps)
 def _chk_ks2_embedding(run, fs):
     # ||f||_1 <= ||f||_q on the unit interval for every q >= 1, so the q = 1 bound
     # already implies every finite q.
@@ -824,29 +839,30 @@ def _chk_weak_strong(run, xs):
 # ---------------------------------------------------------------------------
 
 
-@_check("hilbert-square-identity", "integral", tol=1e-12, count=100, grid_values=4,
+@_check("hilbert-square-identity", "integral", tol=1e-12, count=100, grid_values=5,
         draw=_draw_bandlimited)
 def _chk_hilbert_square(run, f):
-    twice = integrals.hilbert_multiplier(integrals.hilbert_multiplier(f))
+    twice = integrals.hilbert_multiplier_rows(integrals.hilbert_multiplier_rows(f))
     scale = np.maximum(1.0, np.max(np.abs(f), axis=-1))
     return np.max(np.abs(twice + f), axis=-1) / scale
 
 
-@_check("hilbert-isometry", "integral", tol=1e-12, count=100, grid_values=3,
+@_check("hilbert-isometry", "integral", tol=1e-12, count=100, grid_values=4,
         draw=_draw_bandlimited)
 def _chk_hilbert_isometry(run, f):
-    return np.abs(lp_norm(integrals.hilbert_multiplier(f), 2) / lp_norm(f, 2) - 1.0)
+    hf = integrals.hilbert_multiplier_rows(f)
+    return np.abs(lp_norm_rows(hf, 2) / lp_norm_rows(f, 2) - 1.0)
 
 
-@_check("hilbert-skew-adjoint", "integral", tol=1e-10, count=200, grid_values=6,
-        draw=lambda run, first, stop: integrals.random_bandlimited(run.rng, run.params.grid,
-                                                                   (stop - first, 2)))
+@_check("hilbert-skew-adjoint", "integral", tol=1e-10, count=200, grid_values=8,
+        draw=lambda run, first, stop: integrals.random_bandlimited_rows(
+            run.rng, run.params.grid, (stop - first, 2)))
 def _chk_hilbert_skew(run, fg):
     # each instance's pair (f, g), transformed in one call
-    hf, hg = np.moveaxis(integrals.hilbert_multiplier(fg), 1, 0)
+    hf, hg = np.moveaxis(integrals.hilbert_multiplier_rows(fg), 1, 0)
     f, g = np.moveaxis(fg, 1, 0)
-    return (numerics.modulus(pairing(hf, g) + pairing(f, hg))
-            / np.maximum(lp_norm(f, 2) * lp_norm(g, 2), 1e-300))
+    return (numerics.modulus(pairing_rows(hf, g) + pairing_rows(f, hg))
+            / np.maximum(lp_norm_rows(f, 2) * lp_norm_rows(g, 2), 1e-300))
 
 
 def _pv_gap(mode: int, m: int, eps: float) -> float:
@@ -878,33 +894,37 @@ def _chk_pv_convergence(run, xs):
     return [max(0.0, growth - 1.0, 1.0 - min(orders))]
 
 
-@_check("riesz-symmetry", "integral", tol=1e-8, count=50, grid_values=20,
+# its transforms run at 4M points, so the default grid already takes one instance a chunk
+@_check("riesz-symmetry", "integral", tol=1e-8, count=50, grid_values=18,
         draw=lambda run, first, stop: np.stack(run.normals(stop - first, (run.params.grid,),
                                                            (run.params.grid,))))
 def _chk_riesz_symmetry(run, fg):
     # the pairs (f, g) as a (2, T, M) stack, both potentials in one call
     alpha = run.extra["alpha"] = run.params.alpha
-    rf, rg = integrals.riesz_potential(fg, alpha)
+    rf, rg = integrals.riesz_potential_rows(fg, alpha)
     f, g = fg
-    lhs = pairing(rf, g)
+    lhs = pairing_rows(rf, g)
     modulus = numerics.modulus
-    return modulus(lhs - pairing(f, rg)) / np.maximum(1.0, modulus(lhs))
+    return modulus(lhs - pairing_rows(f, rg)) / np.maximum(1.0, modulus(lhs))
 
 
-@_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=10,
+@_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=13,
         draw=lambda run, first, stop: run.rng.standard_normal((stop - first, run.params.grid))
         + 0.0j)
 def _chk_riesz_positivity(run, f):
     alpha = run.extra["alpha"] = run.params.alpha
-    return -pairing(integrals.riesz_potential(f, alpha), f).real
+    return -pairing_rows(integrals.riesz_potential_rows(f, alpha), f).real
 
 
-@_check("hilbert-cp-constant", "integral", count=40, grid_values=3,
-        draw=lambda run, first, stop: integrals.random_bandlimited(
+# counted at the run's grid, though it draws at min(grid, 512): at desk scale
+# (grid 8192) it too takes one instance a chunk
+@_check("hilbert-cp-constant", "integral", count=40, grid_values=4,
+        draw=lambda run, first, stop: integrals.random_bandlimited_rows(
             run.rng, min(run.params.grid, 512), (stop - first,)))
 def _meas_cp(run, f):
     p = run.extra["p"] = run.params.p
-    return lp_norm(integrals.hilbert_multiplier(f), p) / np.maximum(lp_norm(f, p), 1e-300)
+    hf = integrals.hilbert_multiplier_rows(f)
+    return lp_norm_rows(hf, p) / np.maximum(lp_norm_rows(f, p), 1e-300)
 
 
 # ---------------------------------------------------------------------------

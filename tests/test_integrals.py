@@ -39,22 +39,22 @@ class TestRowsBitwise:
 
     @pytest.mark.parametrize("m", [16, 256])
     def test_hilbert_multiplier(self, m):
-        rows = random_bandlimited(np.random.default_rng(m), m, (3, 2))
-        out = hilbert_multiplier(rows)
+        rows = integrals.random_bandlimited_rows(np.random.default_rng(m), m, (3, 2))
+        out = integrals.hilbert_multiplier_rows(rows)
         assert out.shape == (3, 2, m)
         for j in np.ndindex(3, 2):
             assert out[j].tobytes() == hilbert_multiplier(GridFunction(rows[j])).values.tobytes()
 
     def test_hilbert_multiplier_refuses_a_grid_not_a_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            hilbert_multiplier(np.ones((2, 424)))
+            integrals.hilbert_multiplier_rows(np.ones((2, 424)))
 
     @pytest.mark.parametrize("m", [16, 256, 424])
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     def test_riesz_potential(self, m, alpha):
         rng = np.random.default_rng(m)
         rows = rng.standard_normal((4, m)) + 1j * rng.standard_normal((4, m))
-        out = riesz_potential(rows, alpha)
+        out = integrals.riesz_potential_rows(rows, alpha)
         for k in range(4):
             alone = riesz_potential(GridFunction(rows[k]), alpha)
             assert out[k].tobytes() == alone.values.tobytes()
@@ -62,14 +62,14 @@ class TestRowsBitwise:
     def test_riesz_kernel_built_once_and_read_only(self):
         riesz_potential(GridFunction(np.ones(64)), 0.375)
         before = integrals._riesz_kernel.cache_info()
-        riesz_potential(np.ones((3, 64)), 0.375)
+        integrals.riesz_potential_rows(np.ones((3, 64)), 0.375)
         after = integrals._riesz_kernel.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert not integrals._riesz_kernel(64, 0.375).flags.writeable
 
     @pytest.mark.parametrize("m", [4, 256])
     def test_random_bandlimited_stack_is_the_lone_calls(self, m):
-        stack = random_bandlimited(np.random.default_rng(7), m, (2, 3))
+        stack = integrals.random_bandlimited_rows(np.random.default_rng(7), m, (2, 3))
         rng = np.random.default_rng(7)
         for j in np.ndindex(2, 3):
             assert stack[j].tobytes() == random_bandlimited(rng, m).values.tobytes()

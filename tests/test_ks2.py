@@ -321,23 +321,6 @@ class TestKernelBitwise:
             assert np.complex128(functional_Fk(f, k)).tobytes() == vals[k - 1].tobytes()
 
 
-class TestRowsBitwise:
-    @pytest.mark.parametrize("M", [16, 256, 424])
-    @pytest.mark.parametrize("ks", [(1, 2, 7, 19, 64), tuple(range(1, 301))])
-    def test_integrals_of_a_stack(self, M, ks):
-        # the suites integrate a chunk of functions in one call; each row
-        # is bit for bit the row alone, and each entry a lone functional_Fk
-        rows = np.stack([kernel_input(kind, M).values for kind in ("step", "sine", "step")])
-        rows[2] *= 1j
-        out = ks2._integrals(rows, ks)
-        assert out.shape == (3, len(ks))
-        for j, row in enumerate(rows):
-            assert out[j].tobytes() == ks2._integrals(row, ks).tobytes()
-            for i in (0, 4):
-                alone = functional_Fk(GridFunction(row), ks[i])
-                assert out[j, i].tobytes() == np.complex128(alone).tobytes()
-
-
 class TestInnerProduct:
     def test_zero_argument(self):
         one = constant_one()

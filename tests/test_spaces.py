@@ -9,10 +9,13 @@ from almosthilbert.spaces import (
     analyze,
     coefficients,
     duality_map,
+    duality_map_rows,
     fourier_sbasis,
     from_callable,
     lp_norm,
+    lp_norm_rows,
     pairing,
+    pairing_rows,
     reconstruct,
     synthesize,
 )
@@ -292,7 +295,7 @@ class TestRowsBitwise:
     @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 4.0, 64.0, np.inf])
     def test_lp_norm(self, M, p):
         values = self.rows(M)
-        norms = lp_norm(values, p)
+        norms = lp_norm_rows(values, p)
         assert norms.shape == (6,)
         for k in range(6):
             assert norms[k].tobytes() == np.float64(lp_norm(GridFunction(values[k]), p)).tobytes()
@@ -300,7 +303,7 @@ class TestRowsBitwise:
     @pytest.mark.parametrize("M", [16, 256, 424])
     def test_pairing(self, M):
         f, g = self.rows(M), self.rows(M)[::-1].copy()
-        brackets = pairing(f, g)
+        brackets = pairing_rows(f, g)
         for k in range(6):
             alone = pairing(GridFunction(f[k]), GridFunction(g[k]))
             assert brackets[k].tobytes() == np.complex128(alone).tobytes()
@@ -310,14 +313,14 @@ class TestRowsBitwise:
     def test_duality_map(self, M, p):
         values = self.rows(M)
         with np.errstate(all="raise"):
-            mapped = duality_map(values, p)
+            mapped = duality_map_rows(values, p)
         for k in range(6):
             assert mapped[k].tobytes() == duality_map(GridFunction(values[k]), p).values.tobytes()
         assert not np.any(mapped[2])
 
     def test_stacks_of_other_shapes_refused(self):
         with pytest.raises(ValueError, match="grid mismatch"):
-            pairing(np.ones((2, 16)), np.ones((3, 16)))
+            pairing_rows(np.ones((2, 16)), np.ones((3, 16)))
 
 
 class TestCoefficients:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestRunSuite:
         # the second multiplier call is hilbert-isometry's one chunk
         # (hilbert-cp-constant sorts before it and draws one chunk at
         # trials=5); one NaN sample in it fails that check alone
-        real = integrals.hilbert_multiplier
+        real = integrals.hilbert_multiplier_rows
         calls = []
 
         def planted(f):
@@ -263,7 +264,7 @@ class TestRunSuite:
                 out[0] *= np.nan
             return out
 
-        monkeypatch.setattr(integrals, "hilbert_multiplier", planted)
+        monkeypatch.setattr(integrals, "hilbert_multiplier_rows", planted)
         rep = run_suite("integral", seed=0, params=FAST)
         assert [c.name for c in rep.checks if c.status == FAIL] == ["hilbert-isometry"]
         text = to_json(rep)
@@ -322,12 +323,33 @@ class TestRunSuite:
         sizes = [check.chunk(SuiteParams(dim=n, grid=g))
                  for n, g in ((8, 256), (16, 256), (8, 8192), (53, 256))]
         assert sizes == [32, 8, 1, 1]
-        # duality-identity holds four: 8 at the defaults, one at desk scale
+        # duality-identity holds five: 6 at the defaults, one at desk scale
         duality = suites._REGISTRY["duality-identity"]
-        assert [duality.chunk(SuiteParams(grid=g)) for g in (256, 2048, 8192)] == [8, 1, 1]
+        assert [duality.chunk(SuiteParams(grid=g)) for g in (256, 2048, 8192)] == [6, 1, 1]
         # adjoint-algebra draws N up to 16 whatever --dim is
         algebra = suites._REGISTRY["adjoint-algebra"]
         assert [algebra.chunk(SuiteParams(dim=n)) for n in (1, 8, 53)] == [8, 8, 8]
+
+    @pytest.mark.parametrize("name", sorted(n for n, c in _REGISTRY.items() if c.grid_values))
+    def test_grid_values_bound_a_chunk(self, name):
+        # the bytes numpy allocates while a chunk is drawn and measured on
+        # the default grid grow by at most grid_values grid functions per
+        # instance; the one of slack covers the operators the operator bound
+        # counts and the allocator's rounding
+        check, params = _REGISTRY[name], SuiteParams()
+
+        def peak(count):
+            run = _Run(params, np.random.default_rng(0), {}, 10**6)
+            check.measure(run, check.draw(run, 0, count))  # spaces and caches first
+            tracemalloc.start()
+            try:
+                check.measure(run, check.draw(run, 0, count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        per_instance = (peak(8) - peak(4)) / 4 / (16 * suites._resolution(params, params.dim))
+        assert per_instance <= check.grid_values + 1.0
 
     def test_chunk_draws_are_the_instance_draws(self):
         # one Generator call per chunk consumes the stream as one call per
