@@ -377,8 +377,8 @@ class TestRunSuite:
     @pytest.mark.parametrize("params, counts", [
         # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
         # 70 of adjoint-defining-identity in chunks of 32 (N = 8 bounds
-        # them); 14 per P_SWEEP block of duality-identity in chunks of 8, the
-        # second cut at the block's end
+        # them); 14 per P_SWEEP block of duality-identity in chunks of 6, the
+        # third cut at the block's end
         (SuiteParams(trials=7), {
             "adjoint-algebra": 35, "adjoint-defining-identity": 70,
             "adjoint-positive-product": 7, "self-conjugacy-equivalence": 28,
@@ -398,7 +398,7 @@ class TestRunSuite:
             "ks2-embedding-bound": 9, "ks2-weak-strong-decay": 64}),
         # chunks of 8 at N = 16 (also of adjoint-defining-identity): the
         # measured entries cross one too; 100 per P_SWEEP block of
-        # duality-identity in chunks of 8, cut at each block's end
+        # duality-identity in chunks of 6, cut at each block's end
         (SuiteParams(dim=16, trials=50), {
             "adjoint-algebra": 250, "adjoint-defining-identity": 500,
             "adjoint-positive-product": 50, "self-conjugacy-equivalence": 200,
