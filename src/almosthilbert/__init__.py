@@ -21,7 +21,6 @@ from .spaces import (  # noqa: F401
     GridFunction,
     SchauderBasis,
     coefficients,
-    duality_map,
     fourier_sbasis,
     from_callable,
     lp_norm,
@@ -29,15 +28,11 @@ from .spaces import (  # noqa: F401
     reconstruct,
 )
 from .embedding import (  # noqa: F401
-    DualFunctional,
     EmbeddingSpace,
     dyadic_weights,
     embedding_space,
     gram_matrix,
-    gram_schmidt_biorthonormal,
     h_inner,
-    h_norm,
-    jb_apply,
 )
 from .operators import (  # noqa: F401
     BOperator,
@@ -45,7 +40,6 @@ from .operators import (  # noqa: F401
     adjoint,
     adjoint_algebra_defect,
     b_opnorm_estimate,
-    finite_difference_operator,
     from_h_matrix,
     h_eigen,
     h_matrix,
@@ -76,7 +70,6 @@ from .ks2 import (  # noqa: F401
     functional_Fk,
     functional_values,
     ks2_inner,
-    ks2_norm,
     pairing_order,
     rational_center,
     tail_bound,
@@ -87,7 +80,6 @@ from .ks2 import (  # noqa: F401
 from .integrals import (  # noqa: F401
     hilbert_multiplier,
     hilbert_pv,
-    random_bandlimited,
     riesz_potential,
     signal_from_callable,
 )

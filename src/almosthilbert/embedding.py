@@ -4,7 +4,8 @@ Given basis coefficients c_n(u) = <E_n*, u> and weights t_n = 2^{-n}, the
 inner product is (u, v)_H = sum_n t_n c_n(u) conj(c_n(v)).  At truncation N
 the geometry of H is entirely the diagonal Gram matrix diag(t_1..t_N) on
 coefficient space; the completion is never materialized.  The linear dual
-representation J_B sends u to the functional v -> (v, u)_H.
+representation J_B sends u to the functional v -> (v, u)_H, which
+``coefficient_h_inner`` evaluates on coefficient vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def embedding_space(basis: SchauderBasis, weights=None) -> EmbeddingSpace:
     return EmbeddingSpace(basis=basis, weights=weights)
 
 
+# no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name
 def h_inner(u: GridFunction, v: GridFunction, space: EmbeddingSpace) -> complex:
     """(u, v)_H = sum_n t_n <E_n*, u> conj(<E_n*, v>)."""
     return complex(coefficient_h_inner(coefficients(u, space.basis),
@@ -67,34 +69,10 @@ def coefficient_h_norm(c: np.ndarray, space: EmbeddingSpace) -> np.ndarray:
     return np.sqrt(np.sum(space.weights * np.abs(c) ** 2, axis=-1))
 
 
-def h_norm(u: GridFunction, space: EmbeddingSpace) -> float:
-    return float(coefficient_h_norm(coefficients(u, space.basis), space))
-
-
 def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
     """G_mk = h_inner(E_m, E_k) from c[n, m] = <E_n*, E_m>; diag(t_n) up to quadrature error."""
     c = analyze(space.basis.synthesis, space.basis).T
     return c.T @ (space.weights[:, None] * np.conj(c))
-
-
-@dataclass(frozen=True, eq=False)
-class DualFunctional:
-    """The functional v -> (v, representer)_H; additive and conjugate-
-    homogeneous in the representer."""
-
-    representer: GridFunction
-    space: EmbeddingSpace
-
-
-def jb_apply(u: GridFunction, space: EmbeddingSpace) -> DualFunctional:
-    """J_B(u): the Hilbert-space representation of a dual element."""
-    u._require_same_grid(space.basis.grid)
-    return DualFunctional(representer=u, space=space)
-
-
-def evaluate(F: DualFunctional, v: GridFunction) -> complex:
-    """Apply a dual functional: <v, J_B(u)> = (v, u)_H."""
-    return h_inner(v, F.representer, F.space)
 
 
 def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -126,22 +104,3 @@ def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndar
     phis = np.stack(phis, axis=-2)
     bn = lp_norm_rows(phis, basis.p)
     return phis * (1.0 / bn)[..., None], phis * (bn / inner(phis, phis).real)[..., None]
-
-
-def gram_schmidt_biorthonormal(
-    vectors, space: EmbeddingSpace
-) -> tuple[tuple[GridFunction, ...], tuple[DualFunctional, ...]]:
-    """H-orthogonalize, normalize in B, and build biorthonormal duals.
-
-    Returns (psi, psi*) with psi_i of unit B-norm and the pairing
-    evaluate(psi*_j, psi_i) = delta_ij.  Linearly dependent input (in the
-    truncated H metric) raises with the offending index.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("need at least one vector")
-    for v in vectors:
-        v._require_same_grid(space.basis.grid)
-    psis, representers = biorthonormalize(np.stack([v.values for v in vectors]), space)
-    return (tuple(GridFunction(psi) for psi in psis),
-            tuple(DualFunctional(GridFunction(r), space) for r in representers))

@@ -45,9 +45,11 @@ def signal_from_callable(fn, m: int) -> GridFunction:
 
 
 def random_bandlimited_rows(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """An array of ``shape`` random signals of ``random_bandlimited``, the
-    samples on a last axis of length m, drawn in one Generator call: signal
-    j is bit for bit the j-th of as many lone draws in C order."""
+    """An array of ``shape`` random mean-zero signals, the samples on a last
+    axis of length m >= 4, each with spectrum in modes 1..kmax (both signs),
+    kmax = max(1, m // 8); the zero and Nyquist modes stay empty.  One
+    Generator call draws them all: signal j is bit for bit the j-th of as
+    many draws of shape () in C order."""
     kmax = max(1, m // 8)
     if not 1 <= kmax < m // 2:
         raise ValueError(f"signal length must be >= 4, got {m}")
@@ -58,13 +60,6 @@ def random_bandlimited_rows(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndar
     spec[..., ks] = x[..., 0, :] + 1j * x[..., 1, :]
     spec[..., m - ks] = x[..., 2, :] + 1j * x[..., 3, :]
     return np.fft.ifft(spec)
-
-
-def random_bandlimited(rng, m: int) -> GridFunction:
-    """Random mean-zero signal of length m >= 4 with spectrum in modes
-    1..kmax (both signs), kmax = max(1, m // 8); the zero and Nyquist modes
-    stay empty."""
-    return GridFunction(random_bandlimited_rows(rng, m))
 
 
 def hilbert_multiplier_rows(values: np.ndarray) -> np.ndarray:

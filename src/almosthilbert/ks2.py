@@ -140,10 +140,6 @@ class Cube(NamedTuple):
     side: float
     l: int
 
-    @property
-    def diagonal(self) -> float:
-        return self.side * math.sqrt(len(self.center))
-
 
 @functools.lru_cache(maxsize=None, typed=True)
 def cube(k: int, n: int) -> Cube:
@@ -284,14 +280,12 @@ def values_norm(v: np.ndarray) -> float:
     return math.sqrt(max(values_inner(v, v).real, 0.0))
 
 
+# no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name
 def ks2_inner(f: GridFunction, g: GridFunction, K: int) -> complex:
     """Weighted square-sum pairing sum_k 2^{-k} F_k(f) conj(F_k(g))."""
-    f._require_same_grid(g)
+    if f.values.shape != g.values.shape:
+        raise ValueError(f"grid mismatch: {f.values.shape} samples against {g.values.shape}")
     return values_inner(converged_values(f, K)[0], converged_values(g, K)[0])
-
-
-def ks2_norm(f: GridFunction, K: int) -> float:
-    return values_norm(converged_values(f, K)[0])
 
 
 def tail_bound(f: GridFunction, K: int) -> float:

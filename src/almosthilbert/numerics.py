@@ -239,6 +239,7 @@ def _pnorms(x: np.ndarray, p: float) -> np.ndarray:
     return np.add.reduce(np.power(ax, p, out=ax), axis=-2) ** (1.0 / p) * scale
 
 
+# no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name
 def vector_pnorm(x: np.ndarray, p: float) -> float:
     """The l^p norm of a vector, p in [1, inf]."""
     if p < 1:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics
 from .embedding import EmbeddingSpace, coefficient_h_inner
-from .spaces import GridFunction, analyze, synthesize
+from .spaces import analyze, synthesize
 
 _RESTARTS = 4          # random starts of the coefficient p-norm power method
 _ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
@@ -54,18 +54,9 @@ class BOperator:
         self._require_same_space(other)
         return BOperator(self.matrix + other.matrix, self.space)
 
-    def __sub__(self, other: "BOperator") -> "BOperator":
-        self._require_same_space(other)
-        return BOperator(self.matrix - other.matrix, self.space)
-
     def __matmul__(self, other: "BOperator") -> "BOperator":
         self._require_same_space(other)
         return BOperator(self.matrix @ other.matrix, self.space)
-
-    def __mul__(self, scalar) -> "BOperator":
-        return BOperator(complex(scalar) * self.matrix, self.space)
-
-    __rmul__ = __mul__
 
 
 def h_matrix(A: BOperator) -> np.ndarray:
@@ -332,21 +323,3 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
     low = numerics.hermitian_eigen(_sym(xh @ sym @ x)).values[..., -1]
     best = np.max(low.reshape(stack + (trials,)), axis=-1)
     return float(best) if best.ndim == 0 else best
-
-
-def finite_difference_operator(a: GridFunction, b: GridFunction,
-                               space: EmbeddingSpace) -> BOperator:
-    """Projection onto the basis of the periodic central-difference model of
-    a(x) u'' + x b(x) u'.  Requires Re a >= some epsilon > 0 (ellipticity)."""
-    grid = space.basis.grid
-    a._require_same_grid(grid)
-    b._require_same_grid(grid)
-    if float(np.min(a.values.real)) <= 0.0:
-        raise ValueError("ellipticity violated: a(x) must be bounded below by a positive constant")
-    h = grid.cell_volume
-    x = grid.midpoints()
-    u = space.basis.synthesis  # row m is the member E_m
-    d2 = (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / h**2
-    d1 = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * h)
-    au = a.values * d2 + x * b.values * d1
-    return BOperator(space.basis.analysis @ au.T * grid.cell_volume, space)

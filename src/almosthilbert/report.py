@@ -7,7 +7,7 @@ The JSON rendering is canonical: the schema is versioned, field ordering
 is fixed by sort_keys, checks are sorted by name, and the wall-clock
 durations (the report's and each check's) are excluded so identical
 (suite, seed, params) runs produce identical bytes; the text rendering
-prints them.
+prints them.  A number that is inf or NaN is written as null.
 """
 
 from __future__ import annotations
@@ -58,12 +58,15 @@ class VerificationReport:
 
 
 def _clean_param(v):
-    if isinstance(v, (bool, int, float, str)) or v is None:
+    """A report value as a JSON scalar: a number that is inf or NaN becomes
+    None, JSON's null, as RFC 8259 JSON has no spelling for either."""
+    if isinstance(v, (bool, int, str)) or v is None:
         return v
     try:
-        return float(v)
+        v = float(v)
     except (TypeError, ValueError):
         return str(v)
+    return v if math.isfinite(v) else None
 
 
 def to_json(report: VerificationReport) -> str:
@@ -71,20 +74,19 @@ def to_json(report: VerificationReport) -> str:
         "schema": 1,
         "suite": report.suite,
         "seed": int(report.seed),
-        "tail_bounds": {k: float(v) for k, v in sorted(report.tail_bounds.items())},
+        "tail_bounds": {k: _clean_param(float(v)) for k, v in sorted(report.tail_bounds.items())},
         "checks": [
             {
                 "name": c.name,
                 "status": c.status,
-                "worst_violation": (float(c.worst_violation)
-                                    if math.isfinite(c.worst_violation) else None),
+                "worst_violation": _clean_param(float(c.worst_violation)),
                 "samples": int(c.samples),
                 "params": {k: _clean_param(v) for k, v in sorted(c.params.items())},
             }
             for c in report.sorted_checks()
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def csv_text(header, rows) -> str:

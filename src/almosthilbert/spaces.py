@@ -27,7 +27,8 @@ def midpoints(resolution: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples at the cell midpoints of a uniform grid over the unit
-    interval: a nonempty 1-D array."""
+    interval: a nonempty 1-D array.  A container with no arithmetic; compute
+    on ``values``."""
 
     values: np.ndarray
 
@@ -40,36 +41,6 @@ class GridFunction:
     @property
     def resolution(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def cell_volume(self) -> float:
-        """The width 1/M of each of the M cells."""
-        return 1.0 / self.resolution
-
-    def midpoints(self) -> np.ndarray:
-        """The cell midpoints of the grid."""
-        return midpoints(self.resolution)
-
-    def _require_same_grid(self, other: "GridFunction"):
-        if self.values.shape != other.values.shape:
-            raise ValueError(f"grid mismatch: {self.values.shape} samples "
-                             f"against {other.values.shape}")
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._require_same_grid(other)
-        return GridFunction(self.values - other.values)
-
-    def __mul__(self, scalar) -> "GridFunction":
-        return GridFunction(self.values * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(-self.values)
 
 
 def from_callable(fn, resolution: int) -> GridFunction:
@@ -111,8 +82,12 @@ def pairing(f: GridFunction, g: GridFunction) -> complex:
 
 
 def duality_map_rows(values: np.ndarray, p: float) -> np.ndarray:
-    """The L^p duality map of each row of grid values, the grid on the last
-    axis, bit for bit as the row alone (see ``duality_map``)."""
+    """The L^p duality map J(u) = ||u||_p^(2-p) |u|^(p-2) u of each row of
+    grid values, the grid on the last axis, bit for bit as the row alone.
+
+    Satisfies <u, J(u)> = ||u||_p^2 = ||J(u)||_q^2 with q = p/(p-1).
+    J(0) := 0, the continuous extension of the formula.
+    """
     if not 1.0 < p < np.inf:
         raise ValueError("duality map requires 1 < p < inf")
     norm = lp_norm_rows(values, p)[..., None]
@@ -124,21 +99,12 @@ def duality_map_rows(values: np.ndarray, p: float) -> np.ndarray:
     return np.where(zero, 0.0, ju)
 
 
-def duality_map(u: GridFunction, p: float) -> GridFunction:
-    """The L^p duality map J(u) = ||u||_p^(2-p) |u|^(p-2) u.
-
-    Satisfies <u, J(u)> = ||u||_p^2 = ||J(u)||_q^2 with q = p/(p-1).
-    J(0) := 0, the continuous extension of the formula.
-    """
-    return GridFunction(duality_map_rows(u.values, p))
-
-
 @dataclass(frozen=True, eq=False)
 class SchauderBasis:
     """N members on M cells of the unit interval as two C-contiguous complex
     (N, M) matrices: row n of ``synthesis`` is E_n, row n of ``analysis`` is the
-    conjugated representer of E_n*, and analysis @ synthesis.T * cell_volume
-    = I at the working resolution."""
+    conjugated representer of E_n*, and analysis @ synthesis.T / M = I at the
+    working resolution.  A container: it validates and holds the arrays."""
 
     synthesis: np.ndarray
     analysis: np.ndarray
@@ -154,14 +120,6 @@ class SchauderBasis:
 
     def __len__(self) -> int:
         return self.synthesis.shape[0]
-
-    def member(self, n: int) -> GridFunction:
-        """E_n, over a view of its synthesis row."""
-        return GridFunction(self.synthesis[n])
-
-    @property
-    def grid(self) -> GridFunction:
-        return self.member(0)
 
 
 def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
@@ -190,10 +148,10 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
         else:
             g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
         raw = GridFunction(g)
-        member = (1.0 / lp_norm(raw, p)) * raw
+        member = GridFunction(g * complex(1.0 / lp_norm(raw, p)))
         scale = 1.0 / np.real(pairing(member, raw))
         synthesis[n] = member.values
-        np.conj((scale * raw).values, out=analysis[n])
+        np.conj(g * complex(scale), out=analysis[n])
     # read-only, so one basis can be shared by every caller
     synthesis.flags.writeable = analysis.flags.writeable = False
     return SchauderBasis(synthesis=synthesis, analysis=analysis, p=p)

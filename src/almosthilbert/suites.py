@@ -394,7 +394,8 @@ def _chk_coeff_projection(run, rows):
     for values in rows:
         once = reconstruct(coefficients(GridFunction(values), basis), basis)
         twice = reconstruct(coefficients(once, basis), basis)
-        out.append(lp_norm(twice - once, basis.p) / max(lp_norm(once, basis.p), 1e-300))
+        out.append(lp_norm(GridFunction(twice.values - once.values), basis.p)
+                   / max(lp_norm(once, basis.p), 1e-300))
     return out
 
 

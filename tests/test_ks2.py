@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -15,7 +16,6 @@ from almosthilbert.ks2 import (
     functional_Fk,
     functional_values,
     ks2_inner,
-    ks2_norm,
     pairing_order,
     rational_center,
     tail_bound,
@@ -179,13 +179,13 @@ class TestCubes:
         assert c.center == (0.0,)
         assert c.side == 0.5
         assert c.l == 1
-        assert c.diagonal == pytest.approx(0.5)
+        assert c.side * math.sqrt(len(c.center)) == pytest.approx(0.5)
 
     def test_diagonal_two_dim(self):
         for k in (1, 5, 12):
             c = cube(k, 2)
             l, _ = pairing_order(k)
-            assert c.diagonal == pytest.approx(2.0**-l, rel=1e-12)
+            assert c.side * math.sqrt(len(c.center)) == pytest.approx(2.0**-l, rel=1e-12)
 
     def test_rejects_higher_dim(self):
         with pytest.raises(ValueError, match="dimensions 1 and 2"):
@@ -361,7 +361,7 @@ class TestInnerProduct:
     def test_norm_monotone_in_truncation(self):
         rng = np.random.default_rng(44)
         f = random_step(rng)
-        norms = [ks2_norm(f, K) for K in range(1, 65)]
+        norms = [values_norm(converged_values(f, K)[0]) for K in range(1, 65)]
         assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
     def test_sup_bound(self):
@@ -369,7 +369,7 @@ class TestInnerProduct:
         for _ in range(200):
             f = random_step(rng)
             vals = functional_values(f, 48)
-            assert ks2_norm(f, 48) <= float(np.max(np.abs(vals))) + 1e-12
+            assert values_norm(converged_values(f, 48)[0]) <= float(np.max(np.abs(vals))) + 1e-12
 
     def test_tail_bound_dominates_extension(self):
         rng = np.random.default_rng(46)
@@ -404,7 +404,7 @@ class TestVectorOnce:
             f = random_step(rng)
             v = functional_values(f, 64)
             for k in (1, 8, 16, 32, 63, 64):
-                assert np.float64(ks2_norm(f, k)).tobytes() == \
+                assert np.float64(values_norm(converged_values(f, k)[0])).tobytes() == \
                     np.float64(values_norm(v[:k])).tobytes()
 
     def test_gram_from_shared_vectors(self):
@@ -478,7 +478,7 @@ class TestEffectiveTruncation:
         rng = np.random.default_rng(54)
         for _ in range(10):
             f = random_step(rng, resolution=1024)
-            assert ks2_norm(f, 512) ** 2 == pytest.approx(
+            assert values_norm(converged_values(f, 512)[0]) ** 2 == pytest.approx(
                 ks2_inner(f, f, 512).real, rel=4 * EPS)
 
     def test_suite_evaluates_one_short_prefix_per_function(self, monkeypatch):
@@ -500,7 +500,7 @@ class TestEffectiveTruncation:
 
 def bound_holds(f, q, K=64):
     """The suites' containment test: norm <= bound within 1e-9 * (1 + bound)."""
-    norm = ks2_norm(f, K)
+    norm = values_norm(converged_values(f, K)[0])
     return all(norm - b <= 1e-9 * (1.0 + b) for b in embedding_bounds(f, q))
 
 
@@ -508,14 +508,14 @@ class TestEmbeddingBound:
     def test_zero(self):
         z = GridFunction(np.zeros(128))
         assert embedding_bounds(z, [1.0, 2.0, np.inf]) == [0.0, 0.0, 0.0]
-        assert ks2_norm(z, 64) == 0.0
+        assert values_norm(converged_values(z, 64)[0]) == 0.0
         assert tail_bound(z, 64) == 0.0
 
     def test_constant_q2(self):
         f = constant_one()
         assert bound_holds(f, 2.0)
         assert embedding_bounds(f, 2.0) == [pytest.approx(1.0, abs=1e-12)]
-        assert ks2_norm(f, 64) <= 1.0
+        assert values_norm(converged_values(f, 64)[0]) <= 1.0
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
     def test_random_finite_q(self, q):
@@ -530,7 +530,7 @@ class TestEmbeddingBound:
             assert bound_holds(f, np.inf)
             sup = float(np.max(np.abs(f.values)))
             assert embedding_bounds(f, np.inf) == [0.5 * sup]
-            assert ks2_norm(f, 64) <= 0.5 * sup + 1e-9
+            assert values_norm(converged_values(f, 64)[0]) <= 0.5 * sup + 1e-9
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError, match="q must lie"):
@@ -540,7 +540,7 @@ class TestEmbeddingBound:
 class TestWeakStrong:
     def test_zero_frequency_norm(self):
         z = GridFunction(np.zeros(512))
-        assert ks2_norm(z, 64) == 0.0
+        assert values_norm(converged_values(z, 64)[0]) == 0.0
 
     def test_per_functional_envelope(self):
         for m in (1, 2, 4, 8, 16, 32, 64):
@@ -554,7 +554,7 @@ class TestWeakStrong:
         assert 1 <= k_eff < 256
         assert norms[-1] / norms[0] <= 0.2
         f = from_callable(lambda t: np.sin(2.0 * np.pi * t), 1024)
-        assert norms[0] == ks2_norm(f, 256)
+        assert norms[0] == values_norm(converged_values(f, 256)[0])
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError, match="m_max"):

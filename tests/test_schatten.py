@@ -85,7 +85,7 @@ class TestSingularValues:
 class TestSchattenNorm:
     def test_zero(self):
         space = make_space(N=4)
-        Z = 0.0 * identity_operator(space)
+        Z = BOperator(np.zeros((space.dim, space.dim)), space)
         for p in (1.0, 2.0, 4.0):
             assert schatten_norm(Z, (p,)) == [0.0]
 
@@ -206,7 +206,8 @@ class TestEigenvalueInequalities:
     def test_horn_zero_factor(self):
         rng = np.random.default_rng(28)
         space = make_space(N=4)
-        for lhs, rhs in horn_sums(rand_operator(space, rng), 0.0 * identity_operator(space)):
+        zero = BOperator(np.zeros((space.dim, space.dim)), space)
+        for lhs, rhs in horn_sums(rand_operator(space, rng), zero):
             assert lhs == 0.0
             assert rhs == 0.0
 

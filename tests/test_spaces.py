@@ -8,12 +8,12 @@ from almosthilbert.spaces import (
     SchauderBasis,
     analyze,
     coefficients,
-    duality_map,
     duality_map_rows,
     fourier_sbasis,
     from_callable,
     lp_norm,
     lp_norm_rows,
+    midpoints,
     pairing,
     pairing_rows,
     reconstruct,
@@ -39,14 +39,14 @@ def reference_sbasis(N, p, resolution):
         else:
             g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
         raw = GridFunction(g)
-        member = (1.0 / lp_norm(raw, p)) * raw
+        member = GridFunction(g * complex(1.0 / lp_norm(raw, p)))
         members.append(member)
-        duals.append((1.0 / np.real(pairing(member, raw))) * raw)
+        duals.append(GridFunction(g * complex(1.0 / np.real(pairing(member, raw)))))
     return tuple(members), tuple(duals)
 
 
 def reference_coefficients(u, duals):
-    return np.stack([d.values for d in duals]).conj() @ u.values * u.cell_volume
+    return np.stack([d.values for d in duals]).conj() @ u.values * (1.0 / u.resolution)
 
 
 def reference_gram(members, duals, weights):
@@ -61,24 +61,18 @@ class TestGridFunction:
                 GridFunction(np.zeros(shape))
 
     def test_midpoints(self):
-        f = GridFunction(np.zeros(4))
-        np.testing.assert_allclose(f.midpoints(), [0.125, 0.375, 0.625, 0.875])
+        np.testing.assert_allclose(midpoints(4), [0.125, 0.375, 0.625, 0.875])
 
     def test_unit_interval_formulas_at_basis_resolution(self):
         # M = 424 is the basis grid at N = 53, where 1/M is inexact: the
         # midpoints are (k + 1/2)/M, the points the basis members are
-        # sampled at, and the cell volume is 1/M as written.
+        # sampled at.
         m = 424
         expected = (np.arange(m) + 0.5) / m
         f = from_callable(lambda t: t, m)
-        assert f.midpoints().tobytes() == expected.tobytes()
+        assert midpoints(m).tobytes() == expected.tobytes()
         assert f.values.real.tobytes() == expected.tobytes()
-        assert f.cell_volume == 1.0 / m
-
-    def test_arithmetic(self):
-        f = from_callable(lambda t: t, 16)
-        g = 2.0 * f - f
-        np.testing.assert_allclose(g.values, f.values)
+        assert f.resolution == m
 
 
 class TestLpNorm:
@@ -114,7 +108,7 @@ class TestPairing:
 
     def test_conjugates_second_argument(self):
         f = from_callable(lambda t: np.ones_like(t), 16)
-        g = 1j * f
+        g = GridFunction(1j * f.values)
         assert pairing(f, g) == pytest.approx(-1j)
         assert pairing(g, f) == pytest.approx(1j)
 
@@ -126,23 +120,23 @@ class TestPairing:
 class TestDualityMap:
     def test_constant_p3(self):
         u = from_callable(lambda t: np.ones_like(t), 64)
-        ustar = duality_map(u, 3)
-        np.testing.assert_allclose(ustar.values, 1.0, atol=1e-12)
-        assert pairing(u, ustar) == pytest.approx(1.0)
+        ustar = duality_map_rows(u.values, 3)
+        np.testing.assert_allclose(ustar, 1.0, atol=1e-12)
+        assert pairing(u, GridFunction(ustar)) == pytest.approx(1.0)
 
     def test_p2_is_identity(self):
         rng = np.random.default_rng(5)
         basis = fourier_sbasis(6, 2, 128)
         u = random_trig_poly(basis, rng)
-        np.testing.assert_allclose(duality_map(u, 2).values, u.values, atol=1e-12)
+        np.testing.assert_allclose(duality_map_rows(u.values, 2), u.values, atol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        z = duality_map(GridFunction(np.zeros(16)), 1.5)
-        np.testing.assert_array_equal(z.values, 0)
+        z = duality_map_rows(np.zeros(16, dtype=np.complex128), 1.5)
+        np.testing.assert_array_equal(z, 0)
 
     def test_sine_identity_p4(self):
         u = from_callable(lambda t: np.sin(2 * np.pi * t), 4096)
-        ustar = duality_map(u, 4)
+        ustar = GridFunction(duality_map_rows(u.values, 4))
         n2 = lp_norm(u, 4) ** 2
         assert pairing(u, ustar) == pytest.approx(n2, rel=1e-6)
         assert lp_norm(ustar, 4 / 3) ** 2 == pytest.approx(n2, rel=1e-6)
@@ -157,36 +151,36 @@ class TestDualityMap:
         c = complex(re, im)
         if abs(c) < 1e-3:
             return
-        u = from_callable(lambda t: np.sin(2 * np.pi * t) + 0.3, 64)
-        lhs = duality_map(c * u, p)
-        rhs = c * duality_map(u, p)
-        assert lp_norm(lhs - rhs, 2) <= 1e-8 * max(1.0, lp_norm(rhs, 2))
+        u = from_callable(lambda t: np.sin(2 * np.pi * t) + 0.3, 64).values
+        lhs = duality_map_rows(c * u, p)
+        rhs = c * duality_map_rows(u, p)
+        assert lp_norm_rows(lhs - rhs, 2) <= 1e-8 * max(1.0, lp_norm_rows(rhs, 2))
 
     def test_positive_homogeneity_tight(self):
-        u = from_callable(lambda t: np.cos(2 * np.pi * t) - 0.2, 128)
+        u = from_callable(lambda t: np.cos(2 * np.pi * t) - 0.2, 128).values
         for c in (0.5, 2.0, 7.5):
-            lhs = duality_map(c * u, 3)
-            rhs = c * duality_map(u, 3)
-            assert lp_norm(lhs - rhs, np.inf) <= 1e-10 * lp_norm(rhs, np.inf)
+            lhs = duality_map_rows(c * u, 3)
+            rhs = c * duality_map_rows(u, 3)
+            assert lp_norm_rows(lhs - rhs, np.inf) <= 1e-10 * lp_norm_rows(rhs, np.inf)
 
     def test_rejects_bad_p(self):
         u = from_callable(lambda t: t, 16)
         for p in (1.0, np.inf, 0.5):
             with pytest.raises(ValueError):
-                duality_map(u, p)
+                duality_map_rows(u.values, p)
 
 
 class TestFourierBasis:
     def test_single_member_is_constant(self):
         basis = fourier_sbasis(1, 2, 16)
-        np.testing.assert_allclose(basis.member(0).values, 1.0, atol=1e-14)
+        np.testing.assert_allclose(basis.synthesis[0], 1.0, atol=1e-14)
         one = from_callable(lambda t: np.ones_like(t), 16)
         assert coefficients(one, basis)[0] == pytest.approx(1.0)
 
     def test_biorthonormality_matrix(self):
         basis = fourier_sbasis(3, 2, 64)
         g = np.array(
-            [coefficients(basis.member(m), basis) for m in range(len(basis))]
+            [coefficients(GridFunction(e), basis) for e in basis.synthesis]
         )
         np.testing.assert_allclose(g, np.eye(3), atol=1e-8)
 
@@ -194,11 +188,11 @@ class TestFourierBasis:
     def test_unit_p_norms(self, p):
         basis = fourier_sbasis(5, p, 128)
         for n in range(len(basis)):
-            assert lp_norm(basis.member(n), p) == pytest.approx(1.0, abs=1e-8)
+            assert lp_norm(GridFunction(basis.synthesis[n]), p) == pytest.approx(1.0, abs=1e-8)
 
     def test_member_ordering(self):
         basis = fourier_sbasis(5, 2, 256)
-        t = basis.grid.midpoints()
+        t = midpoints(256)
         # order: 1, cos 2*pi*t, sin 2*pi*t, cos 4*pi*t, sin 4*pi*t
         raw = [
             np.ones_like(t),
@@ -238,8 +232,8 @@ class TestSchauderBasis:
         for a in (basis.synthesis, basis.analysis):
             assert a.dtype == np.complex128 and a.flags.c_contiguous and a.shape == (4, 64)
         assert len(basis) == 4
-        assert np.shares_memory(basis.member(2).values, basis.synthesis)
-        assert np.shares_memory(basis.grid.values, basis.synthesis)
+        # a GridFunction over a synthesis row holds a view, not a copy
+        assert np.shares_memory(GridFunction(basis.synthesis[2]).values, basis.synthesis)
 
 
 class TestMatrixBitwise:
@@ -315,7 +309,7 @@ class TestRowsBitwise:
         with np.errstate(all="raise"):
             mapped = duality_map_rows(values, p)
         for k in range(6):
-            assert mapped[k].tobytes() == duality_map(GridFunction(values[k]), p).values.tobytes()
+            assert mapped[k].tobytes() == duality_map_rows(values[k], p).tobytes()
         assert not np.any(mapped[2])
 
     def test_stacks_of_other_shapes_refused(self):
@@ -326,7 +320,7 @@ class TestRowsBitwise:
 class TestCoefficients:
     def test_basis_member_round_trip(self):
         basis = fourier_sbasis(4, 3, 64)
-        c = coefficients(basis.member(1), basis)
+        c = coefficients(GridFunction(basis.synthesis[1]), basis)
         np.testing.assert_allclose(c, [0, 1, 0, 0], atol=1e-12)
 
     def test_zero(self):
@@ -335,11 +329,11 @@ class TestCoefficients:
 
     def test_combination_round_trip(self):
         basis = fourier_sbasis(4, 2, 64)
-        u = 2.0 * basis.member(0) + 3.0 * basis.member(2)
+        u = GridFunction(2.0 * basis.synthesis[0] + 3.0 * basis.synthesis[2])
         c = coefficients(u, basis)
         np.testing.assert_allclose(c, [2, 0, 3, 0], atol=1e-10)
         v = reconstruct(c, basis)
-        assert lp_norm(u - v, np.inf) <= 1e-8
+        assert lp_norm_rows(u.values - v.values, np.inf) <= 1e-8
 
     def test_projection_idempotent(self):
         basis = fourier_sbasis(4, 2.5, 128)
@@ -347,7 +341,7 @@ class TestCoefficients:
         u = from_callable(lambda t: np.cos(14 * np.pi * t) + t, 128)
         once = reconstruct(coefficients(u, basis), basis)
         twice = reconstruct(coefficients(once, basis), basis)
-        assert lp_norm(once - twice, np.inf) <= 1e-10
+        assert lp_norm_rows(once.values - twice.values, np.inf) <= 1e-10
 
     def test_rejects_other_grid(self):
         basis = fourier_sbasis(4, 2, 64)

@@ -273,6 +273,23 @@ class TestRunSuite:
         assert entry["worst_violation"] is None
         assert entry["params"]["tol"] == 1e-12
 
+    def test_non_finite_params_and_tail_bounds_are_json_null(self, monkeypatch):
+        # an all-NaN lax_khat leaves khat_min at its initial inf; RFC 8259
+        # JSON spells neither inf nor NaN, so both are written as null
+        def planted(T, p, seed=0):
+            return np.full(len(seed), np.nan)
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        monkeypatch.setattr(suites, "lax_khat", planted)
+        rep = run_suite("adjoint", seed=0, params=FAST)
+        rep.tail_bounds["planted"] = np.inf
+        doc = json.loads(to_json(rep), parse_constant=refuse)
+        (entry,) = [c for c in doc["checks"] if c["name"] == "lax-constant-khat"]
+        assert entry["params"]["khat_min"] is None and entry["worst_violation"] is None
+        assert doc["tail_bounds"] == {"planted": None}
+
     @pytest.mark.parametrize("dim, chunk, blocks", [(53, 1, 1), (8, 32, 1), (8, 32, 2)])
     def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, dim, chunk,
                                                             blocks):
