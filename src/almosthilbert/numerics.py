@@ -225,18 +225,20 @@ def matrix_exp(m) -> np.ndarray:
 _TINY = np.finfo(float).tiny
 
 
-def _pnorms(x: np.ndarray, p: float) -> np.ndarray:
+def _pnorms(x: np.ndarray, p: float, ax: np.ndarray | None = None) -> np.ndarray:
     # The l^p norms of the columns of x (the last axis but one), p in
     # [1, inf]: the one p-norm definition of this module.  Each column is
     # divided by its largest modulus before the power, so no power exceeds
     # 1 and a large p (the dual exponent 101 of p = 1.01) cannot overflow.
     # A zero column is divided by the smallest normal float instead.
-    ax = np.abs(x)
+    # ``ax`` is |x| where the caller has it already; it is not written to.
+    if ax is None:
+        ax = np.abs(x)
     if p == np.inf:
         return np.maximum.reduce(ax, axis=-2, initial=0.0)
     scale = np.maximum.reduce(ax, axis=-2, initial=_TINY)
-    ax /= scale[..., None, :]
-    return np.add.reduce(np.power(ax, p, out=ax), axis=-2) ** (1.0 / p) * scale
+    scaled = ax / scale[..., None, :]
+    return np.add.reduce(np.power(scaled, p, out=scaled), axis=-2) ** (1.0 / p) * scale
 
 
 # no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name
@@ -247,12 +249,12 @@ def vector_pnorm(x: np.ndarray, p: float) -> float:
     return float(_pnorms(np.ravel(x)[:, None], p)[0])
 
 
-def _dual_columns(y: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
+def _dual_columns(y: np.ndarray, ay: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
     # Column j is the unit-q-norm vector z with <z, y_j> = ||y_j||_p (the
-    # Hoelder equality case), given norms[j] = ||y_j||_p; a zero column
-    # stays zero.
-    ay = np.abs(y)
-    sign = np.where(ay > 0, y / np.where(ay > 0, ay, 1.0), 0.0)
+    # Hoelder equality case), given ay = |y| and norms[j] = ||y_j||_p; a
+    # zero column stays zero.
+    nonzero = ay > 0
+    sign = np.where(nonzero, y / np.where(nonzero, ay, 1.0), 0.0)
     return (ay / np.where(norms > 0, norms, 1.0)[..., None, :]) ** (p - 1.0) * sign
 
 
@@ -297,16 +299,18 @@ def opnorm_p_estimate(m, p: float, restarts: int = 4, seed=0):
     live = np.ones(stack + (restarts,), dtype=bool)
     for _ in range(5000):
         y = a @ x
-        ny = _pnorms(y, p)
+        ay = np.abs(y)  # |y| and |z| are taken once a step
+        ny = _pnorms(y, p, ay)
         est = np.where(live, ny, est)
         live &= ny > 0.0
         if not live.any():
             break
-        z = ah @ _dual_columns(y, ny, p)
+        z = ah @ _dual_columns(y, ay, ny, p)
         # Stationarity test: ||z||_q <= Re<x, z> signals a fixed point.
-        nz = _pnorms(z, q)
+        az = np.abs(z)
+        nz = _pnorms(z, q, az)
         live &= nz > np.real(np.sum(x.conj() * z, axis=-2)) + 1e-13 * np.maximum(ny, 1.0)
         if not live.any():
             break
-        x = np.where(live[..., None, :], _dual_columns(z, nz, q), x)
+        x = np.where(live[..., None, :], _dual_columns(z, az, nz, q), x)
     return np.max(est, axis=-1)

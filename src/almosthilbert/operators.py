@@ -3,9 +3,9 @@
 A BOperator is an N x N matrix acting on basis coefficients, or a stack
 of them with shape (..., N, N) on one space.  The algebra, transports,
 adjoint, norms, *-algebra and defining-identity defects, self-adjointness
-and self-conjugacy tests, Lax checks, polar factors and the min-max
-estimate act slice by slice, each slice as it would alone;
-``spectral_decompose`` refuses a stack.  With Gram matrix W = diag(t_n),
+and self-conjugacy tests, Lax checks, polar factors, spectral resolutions
+and the min-max estimate act slice by slice, each slice as it would alone.
+With Gram matrix W = diag(t_n),
 the adjoint determined by h_inner(Au, v) = h_inner(u, A*v) is the closed
 form A* = W^{-1} A^H W.  The similarity M -> W^{1/2} M W^{-1/2} transports
 a coordinate matrix to the H metric, where self-adjointness becomes
@@ -50,10 +50,6 @@ class BOperator:
                                and np.array_equal(a.weights, b.weights)):
             raise ValueError("operators live on different spaces")
 
-    def __add__(self, other: "BOperator") -> "BOperator":
-        self._require_same_space(other)
-        return BOperator(self.matrix + other.matrix, self.space)
-
     def __matmul__(self, other: "BOperator") -> "BOperator":
         self._require_same_space(other)
         return BOperator(self.matrix @ other.matrix, self.space)
@@ -82,10 +78,14 @@ def from_h_matrix(mh: np.ndarray, space: EmbeddingSpace) -> BOperator:
     return BOperator(np.asarray(mh) * (sw[None, :] / sw[:, None]), space)
 
 
+def _star(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """W^{-1} M^H W of each slice of a coordinate matrix M."""
+    return m.conj().swapaxes(-1, -2) * (weights[None, :] / weights[:, None])
+
+
 def adjoint(A: BOperator) -> BOperator:
     """A* = W^{-1} A^H W, the weighted conjugate transpose."""
-    w = A.space.weights
-    return BOperator(A.matrix.conj().swapaxes(-1, -2) * (w[None, :] / w[:, None]), A.space)
+    return BOperator(_star(A.matrix, A.space.weights), A.space)
 
 
 def h_opnorm(A: BOperator):
@@ -101,27 +101,30 @@ def b_opnorm_estimate(A: BOperator, p: float, seed=0):
     return numerics.opnorm_p_estimate(A.matrix, p, restarts=_RESTARTS, seed=seed)
 
 
-def _scaled(a, A: BOperator) -> BOperator:
-    """a * A with one scalar per slice of A."""
-    return BOperator(np.asarray(a, dtype=np.complex128)[..., None, None] * A.matrix, A.space)
-
-
 def adjoint_algebra_defect(A: BOperator, B: BOperator, a):
     """Worst relative defect of the *-algebra identities: conjugate
     homogeneity, involution, additivity, anti-multiplicativity, and
     self-adjointness of A*A; one per slice of A and B, with the scalar
     ``a`` one, or one per slice.  The defect of an identity lhs = rhs is
-    ||lhs - rhs||_F / max(||lhs||_F, ||rhs||_F, 1)."""
+    ||lhs - rhs||_F / max(||lhs||_F, ||rhs||_F, 1).  The sides are taken
+    from the coordinate matrices of A and B, validated once as operators;
+    a slice whose sides overflow gets a NaN defect."""
     A._require_same_space(B)
-    astar, bstar = adjoint(A), adjoint(B)
-    sides = [(adjoint(_scaled(a, A)), _scaled(np.conj(a), astar)),
-             (adjoint(astar), A),
-             (adjoint(A + B), astar + bstar),
-             (adjoint(A @ B), bstar @ astar),
-             (adjoint(astar @ A), astar @ A)]
-    lhs, rhs = (np.stack([pair[j].matrix for pair in sides]) for j in (0, 1))
+    w = A.space.weights
+    m, n = A.matrix, B.matrix
+    a = np.asarray(a, dtype=np.complex128)[..., None, None]
     fro = numerics.frobenius_norm
-    defects = fro(lhs - rhs) / np.maximum(np.maximum(fro(lhs), fro(rhs)), 1.0)
+    # an overflowing side makes its defect NaN, which no tolerance passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        mstar, nstar = _star(m, w), _star(n, w)
+        mstar_m = mstar @ m
+        sides = [(_star(a * m, w), np.conj(a) * mstar),
+                 (_star(mstar, w), m),
+                 (_star(m + n, w), mstar + nstar),
+                 (_star(m @ n, w), nstar @ mstar),
+                 (_star(mstar_m, w), mstar_m)]
+        lhs, rhs = (np.stack([pair[j] for pair in sides]) for j in (0, 1))
+        defects = fro(lhs - rhs) / np.maximum(np.maximum(fro(lhs), fro(rhs)), 1.0)
     return np.max(defects, axis=0)
 
 
@@ -234,20 +237,14 @@ def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    eigenvalues: np.ndarray            # distinct cluster values, descending
-    projections: tuple[BOperator, ...]  # H-orthogonal projections, one per cluster
+    eigenvalues: np.ndarray  # distinct cluster values, descending within each slice
+    projections: BOperator   # H-orthogonal projections, one slice per cluster
+    offsets: np.ndarray      # the clusters of slice i of A are offsets[i]:offsets[i + 1]
 
 
-def spectral_decompose(A: BOperator) -> SpectralDecomposition:
-    """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
-    operator.  Eigenvalues within relative gap 1e-8 are merged into one
-    cluster so each projection is well defined under floating point."""
-    if A.matrix.ndim > 2:
-        raise ValueError("spectral_decompose takes one operator, "
-                         f"not a stack of shape {A.matrix.shape}")
-    if not is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL):
-        raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
-    vals, vecs = h_eigen(h_matrix(A))
+def _clusters(vals: np.ndarray) -> list[list[int]]:
+    """The indices of descending eigenvalues ``vals``, grouped where they lie
+    within relative gap 1e-8 of their cluster's first."""
     scale = max(1.0, float(np.max(np.abs(vals))))
     clusters: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
@@ -255,14 +252,38 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
             clusters[-1].append(i)
         else:
             clusters.append([i])
-    eigenvalues = []
-    projections = []
-    for idx in clusters:
-        v = vecs[:, idx]
-        p_h = v @ v.conj().T
-        projections.append(from_h_matrix(p_h, A.space))
-        eigenvalues.append(float(np.mean(vals[idx])))
-    return SpectralDecomposition(np.array(eigenvalues), tuple(projections))
+    return clusters
+
+
+def spectral_decompose(A: BOperator) -> SpectralDecomposition:
+    """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
+    operator.  Eigenvalues within relative gap 1e-8 are merged into one
+    cluster so each projection is well defined under floating point.
+
+    A stack is tested and resolved in one call each, then each slice is
+    clustered on its own; its clusters follow the previous slice's, and
+    each slice gets what a call on it alone gets."""
+    if not np.all(is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL)):
+        raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
+    n = A.space.dim
+    vals, vecs = h_eigen(h_matrix(A))
+    vals, rows = vals.reshape(-1, n), vecs.swapaxes(-1, -2).reshape(-1, n, n)
+    owners, members, offsets = [], [], [0]
+    for i, lam in enumerate(vals):
+        clusters = _clusters(lam)
+        owners += [i] * len(clusters)
+        members += clusters
+        offsets.append(len(members))
+    eigenvalues = np.array([float(np.mean(vals[i, idx])) for i, idx in zip(owners, members)])
+    # P_H = V V^H of the cluster's eigenvectors V, one stack per cluster size;
+    # V keeps each eigenvector contiguous, as vecs[:, idx] of one matrix does
+    owners, sizes = np.array(owners), np.array([len(idx) for idx in members])
+    p_h = np.empty((len(members), n, n), dtype=np.complex128)
+    for k in np.unique(sizes):
+        at = np.flatnonzero(sizes == k)
+        v = rows[owners[at, None], np.array([members[j] for j in at])].swapaxes(-1, -2)
+        p_h[at] = v @ v.conj().swapaxes(-1, -2)
+    return SpectralDecomposition(eigenvalues, from_h_matrix(p_h, A.space), np.array(offsets))
 
 
 def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):

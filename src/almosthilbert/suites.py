@@ -11,12 +11,12 @@ reduces the values, compares the result with the tolerance and builds the
 check result; the library modules and the check bodies only return
 numbers.  A chunk is drawn in one Generator call where its instances'
 layouts allow, bit for bit as one instance at a time, and measured as one
-(T, N, N) stack of operators or (T, M) stack of grid functions; the
-measures that resolve a spectrum or truncate per function
-(spectral-reconstruction, ks2-gram-psd, ks2-truncation-monotone and
-ks2-embedding-bound) and those that check the one-function public path
-(coefficient-projection, ks2-functional-contraction and ks2-fundamentality)
-loop over the chunk's instances.  Checks are grouped into
+(T, N, N) stack of operators (one per N where the instances' N differ) or
+(T, M) stack of grid functions; the measures that truncate per function
+(ks2-gram-psd, ks2-truncation-monotone and ks2-embedding-bound) and those
+that check the one-function public path (coefficient-projection,
+ks2-functional-contraction and ks2-fundamentality) loop over the chunk's
+instances.  Checks are grouped into
 suites (embedding, adjoint, schatten, ks2, integral); each check belongs to
 exactly one of them, and "all" is their union.  The three quantities the
 underlying theory leaves unquantified are measured-only entries of the
@@ -150,10 +150,14 @@ _CHUNK_BYTES = 2**15
 _GRID_BYTES = 2**17
 
 
-def _chunk(dim: int, grid: int = 0) -> int:
-    """Instances per chunk of a check whose instances each hold a dim x dim
-    operator and ``grid`` further values (grid samples)."""
-    return max(1, min(_CHUNK_BYTES // (16 * dim * dim), _GRID_BYTES // (16 * max(grid, 1))))
+def _chunk(dims, grid: int = 0) -> int:
+    """Instances per chunk of a check whose instances each hold an N x N
+    operator, N = ``dims``, or, where they cycle through the N of a tuple
+    ``dims``, the mean of their N x N entries; and ``grid`` further values
+    (grid samples)."""
+    dims = np.atleast_1d(dims)
+    entries = int(np.sum(dims * dims)) // len(dims)
+    return max(1, min(_CHUNK_BYTES // (16 * entries), _GRID_BYTES // (16 * max(grid, 1))))
 
 
 def _resolution(params: SuiteParams, dim: int) -> int:
@@ -174,10 +178,10 @@ class _Check:
     # measure hold at once: the growth per instance, rounded, of the bytes numpy
     # allocates for a chunk on the default grid (test_grid_values_bound_a_chunk)
     grid_values: int = 0
-    dim: int = 0  # the largest N its instances draw; 0: --dim
+    dims: tuple[int, ...] = ()  # the N its instances cycle through; (): --dim
 
     def chunk(self, params: SuiteParams) -> int:
-        return _chunk(self.dim or params.dim, self.grid_values * _resolution(params, params.dim))
+        return _chunk(self.dims or params.dim, self.grid_values * _resolution(params, params.dim))
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -186,7 +190,7 @@ _REGISTRY: dict[str, _Check] = {}
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
            blocks: int = 1, samples: int | None = None,
            draw: Callable = lambda run, first, stop: range(first, stop),
-           grid_values: int = 0, dim: int = 0):
+           grid_values: int = 0, dims: tuple[int, ...] = ()):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
@@ -199,12 +203,14 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     samples with one leading entry per instance: per instance a number for
     one sample, a sequence for several, and a sequence of rows where one
     sample has several quantities.  A chunk is bounded by the bytes of one
-    N x N operator per instance, at N = ``dim`` (the largest N its
-    instances draw) or else at ``--dim``, and apart from that by the bytes
-    of ``grid_values`` grid functions of the run's basis per instance, the
-    most its draw and measure hold at once.  The operator bound counts one operator
-    per instance: a measure that draws two, repeats one per trial or builds
-    intermediates holds a small multiple of it.  A check at tolerance 0
+    N x N operator per instance at N = ``--dim`` (for instances that cycle
+    through the N of ``dims``, by their mean N x N entries), and apart from
+    that by the bytes of ``grid_values`` grid functions of the run's basis
+    per instance, the most its draw and measure hold at once.  The operator
+    bound counts one operator per instance: a measure that draws two,
+    repeats one per trial or builds intermediates holds a multiple of it
+    (spectral-reconstruction holds a projection per eigenvalue, N per
+    instance, and its products in batches as large).  A check at tolerance 0
     counts its failing (true) samples; any other reports its largest
     quantity, starting from 0.0, and fails on a NaN.  ``samples`` fixes the
     count of a check whose one value sums up that many evaluations.
@@ -214,7 +220,7 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
         _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, measure,
-                                 grid_values, dim)
+                                 grid_values, dims)
         return measure
 
     return deco
@@ -223,6 +229,19 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
 def _count(params: SuiteParams, nominal: int) -> int:
     """Scale a nominal sample count by the trials knob (100 = nominal)."""
     return max(1, (nominal * params.trials) // 100)
+
+
+def _complex_parts(x: np.ndarray, shapes) -> list[np.ndarray]:
+    """Rows x of standard normals cut, row by row, into one complex array of
+    each shape in turn, its real and then its imaginary part: one array per
+    shape, with a leading axis of len(x)."""
+    parts, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        part = x[:, at:at + size] + 1j * x[:, at + size:at + 2 * size]
+        parts.append(part.reshape(len(x), *shape))
+        at += 2 * size
+    return parts
 
 
 class _Run:
@@ -278,14 +297,8 @@ class _Run:
         """Complex standard normals for ``count`` instances, each drawing
         one array of each shape in turn, its real and then its imaginary
         part: one array per shape, with a leading axis of ``count``."""
-        sizes = [math.prod(shape) for shape in shapes]
-        x = self.rng.standard_normal((count, 2 * sum(sizes)))
-        parts, at = [], 0
-        for shape, size in zip(shapes, sizes):
-            part = x[:, at:at + size] + 1j * x[:, at + size:at + 2 * size]
-            parts.append(part.reshape(count, *shape))
-            at += 2 * size
-        return parts
+        size = sum(2 * math.prod(shape) for shape in shapes)
+        return _complex_parts(self.rng.standard_normal((count, size)), shapes)
 
     def polys(self, count: int, space: EmbeddingSpace | None = None) -> np.ndarray:
         """The grid values of ``count`` random polynomials, one per row."""
@@ -502,27 +515,31 @@ _ADJOINT_DIMS = (4, 8, 16)
 
 
 def _draw_algebra(run, first, stop):
-    # the dimension cycles with the index, so each instance is one call
-    out = []
-    for i in range(first, stop):
-        dim = _ADJOINT_DIMS[i % len(_ADJOINT_DIMS)]
-        a, b, scalar = run.normals(1, (dim, dim), (dim, dim), ())
-        out.append((a[0] / np.sqrt(dim), b[0] / np.sqrt(dim), complex(scalar[0])))
-    return out
+    # instance i draws two operators and a scalar at N = _ADJOINT_DIMS[i % 3];
+    # the chunk's one draw is cut into one stack per N by index arrays
+    cycle = np.arange(first, stop) % len(_ADJOINT_DIMS)
+    sizes = np.array([2 * (2 * n * n + 1) for n in _ADJOINT_DIMS])[cycle]
+    x = run.rng.standard_normal(sizes.sum())
+    ends = np.cumsum(sizes)
+    stacks = []
+    for j, n in enumerate(_ADJOINT_DIMS):
+        at = np.flatnonzero(cycle == j)
+        rows = x[(ends[at] - sizes[at])[:, None] + np.arange(2 * (2 * n * n + 1))]
+        a, b, scalars = _complex_parts(rows, ((n, n), (n, n), ()))
+        stacks.append((at, a / np.sqrt(n), b / np.sqrt(n), scalars))
+    return stacks
 
 
-@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, dim=max(_ADJOINT_DIMS),
+@_check("adjoint-algebra", "adjoint", tol=1e-10, count=500, dims=_ADJOINT_DIMS,
         draw=_draw_algebra)
-def _chk_adjoint_algebra(run, xs):
-    # one stack per dimension, its defects scattered back in index order
-    defects = np.empty(len(xs))
-    for dim in _ADJOINT_DIMS:
-        at = [j for j, x in enumerate(xs) if x[0].shape[-1] == dim]
-        if at:
-            firsts, seconds, scalars = zip(*(xs[j] for j in at))
-            space = run.space(dim=dim)
-            defects[at] = adjoint_algebra_defect(BOperator(np.stack(firsts), space),
-                                                 BOperator(np.stack(seconds), space), scalars)
+def _chk_adjoint_algebra(run, stacks):
+    # one stack per N, its defects scattered back in index order
+    defects = np.empty(sum(len(at) for at, *_ in stacks))
+    for n, (at, a, b, scalars) in zip(_ADJOINT_DIMS, stacks):
+        if len(at):
+            space = run.space(dim=n)
+            defects[at] = adjoint_algebra_defect(BOperator(a, space), BOperator(b, space),
+                                                 scalars)
     return defects
 
 
@@ -602,25 +619,35 @@ def _chk_polar(run, mats):
 
 @_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50, draw=_draw_selfadjoints)
 def _chk_spectral(run, mats):
-    # per operator, one Frobenius norm call over the operator and every
-    # residual: reconstruction and completeness, then for each projection P
-    # its idempotence and self-adjointness and its products with the
-    # projections after it; the operator's one sample is the largest
-    space = run.space()
-    worst = []
-    for mat in mats:
-        dec = spectral_decompose(BOperator(mat, space))
-        p = np.stack([p_op.matrix for p_op in dec.projections])
-        firsts, seconds = np.triu_indices(len(p), 1)
-        products = p[firsts] @ p[seconds]
-        stack = [mat, sum(x * p_k for x, p_k in zip(dec.eigenvalues, p)) - mat,
-                 sum(p) - np.eye(space.dim)]
-        for i, p_i in enumerate(p):
-            stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, space)).matrix - p_i,
-                      *products[firsts == i]]
-        norms = numerics.frobenius_norm(np.stack(stack))
-        norms[1] /= max(norms[0], 1e-300)
-        worst.append(np.max(norms[1:]))
+    # one resolution of the chunk; an operator's one sample is the largest
+    # Frobenius norm of its residuals: reconstruction (relative to the
+    # operator's norm) and completeness, then for each projection P its
+    # idempotence and self-adjointness and its products with the projections
+    # after it.  Each residual is read in row order, as one operator's are.
+    dec = spectral_decompose(run.stacked(mats))
+    p, starts, counts = dec.projections.matrix, dec.offsets[:-1], np.diff(dec.offsets)
+    owners = np.repeat(np.arange(len(mats)), counts)
+
+    def fro(x):
+        return numerics.frobenius_norm(np.ascontiguousarray(x))
+
+    def sums(x):  # each operator's terms added one after another, as sum() adds them
+        out = x[starts]
+        for k in range(1, counts.max()):
+            at = np.flatnonzero(counts > k)
+            out[at] += x[starts[at] + k]
+        return out
+
+    recon = sums(dec.eigenvalues[:, None, None] * p) - mats
+    worst = np.maximum(fro(recon) / np.maximum(fro(mats), 1e-300),
+                       fro(sums(p) - np.eye(run.space().dim)))
+    np.maximum.at(worst, owners, np.maximum(fro(p @ p - p),
+                                            fro(adjoint(dec.projections).matrix - p)))
+    # the pairs of one operator's projections, in batches of len(p) products
+    firsts, seconds = np.nonzero(np.triu(owners[:, None] == owners[None, :], 1))
+    for lo in range(0, len(firsts), len(p)):
+        f, g = firsts[lo:lo + len(p)], seconds[lo:lo + len(p)]
+        np.maximum.at(worst, owners[f], fro(p[f] @ p[g]))
     return worst
 
 

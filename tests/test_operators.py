@@ -97,7 +97,7 @@ class TestAdjointAlgebra:
     def test_operators_on_different_spaces_refused(self, p, resolution, weights):
         A = BOperator(np.eye(4), embedding_space(fourier_sbasis(4, 3, 64)))
         B = BOperator(2 * np.eye(4), embedding_space(fourier_sbasis(4, p, resolution), weights))
-        for combine in (A.__add__, A.__matmul__,
+        for combine in (A.__matmul__,
                         lambda B: adjoint_algebra_defect(A, B, 1.0)):
             with pytest.raises(ValueError, match="different spaces"):
                 combine(B)
@@ -225,7 +225,7 @@ class TestPolar:
         rng = np.random.default_rng(11)
         space = make_space(N=5)
         A = rand_selfadjoint(space, rng)
-        pos = adjoint(A) @ A + BOperator(0.1 * np.eye(space.dim), space)
+        pos = BOperator((adjoint(A) @ A).matrix + 0.1 * np.eye(space.dim), space)
         U, T = polar_decompose(pos)
         np.testing.assert_allclose(U.matrix, np.eye(5), atol=1e-8)
         np.testing.assert_allclose(T.matrix, pos.matrix, atol=1e-8 * np.linalg.norm(pos.matrix))
@@ -271,15 +271,16 @@ class TestSpectral:
     def test_identity(self):
         space = make_space()
         dec = spectral_decompose(identity_operator(space))
-        assert len(dec.projections) == 1
+        assert dec.projections.matrix.shape == (1, space.dim, space.dim)
+        assert dec.offsets.tolist() == [0, 1]
         assert dec.eigenvalues[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(dec.projections[0].matrix, np.eye(space.dim), atol=1e-10)
+        np.testing.assert_allclose(dec.projections.matrix[0], np.eye(space.dim), atol=1e-10)
 
     def test_degenerate_diagonal(self):
         space = make_space(N=3)
         dec = spectral_decompose(BOperator(np.diag([1.0, 1.0, 2.0]), space))
         np.testing.assert_allclose(sorted(dec.eigenvalues), [1.0, 2.0], atol=1e-10)
-        ranks = sorted(round(np.trace(P.matrix).real) for P in dec.projections)
+        ranks = sorted(round(np.trace(P).real) for P in dec.projections.matrix)
         assert ranks == [1, 2]
 
     def test_random_axioms_and_reconstruction(self):
@@ -288,14 +289,15 @@ class TestSpectral:
         A = rand_selfadjoint(space, rng)
         dec = spectral_decompose(A)
         scale = max(1.0, np.linalg.norm(A.matrix))
-        recon = sum(x * P.matrix for x, P in zip(dec.eigenvalues, dec.projections))
+        projections = [BOperator(P, space) for P in dec.projections.matrix]
+        recon = sum(x * P.matrix for x, P in zip(dec.eigenvalues, projections))
         assert np.linalg.norm(recon - A.matrix) <= 1e-8 * scale
-        total = sum(P.matrix for P in dec.projections)
+        total = sum(P.matrix for P in projections)
         np.testing.assert_allclose(total, np.eye(10), atol=1e-8)
-        for j, P in enumerate(dec.projections):
+        for j, P in enumerate(projections):
             assert np.linalg.norm((P @ P).matrix - P.matrix) <= 1e-8 * scale
             assert np.linalg.norm(P.matrix - adjoint(P).matrix) <= 1e-8 * scale
-            for kk, Q in enumerate(dec.projections):
+            for kk, Q in enumerate(projections):
                 if j != kk:
                     assert np.linalg.norm((P @ Q).matrix) <= 1e-8 * scale
 
@@ -398,9 +400,28 @@ def reference_algebra_defect(A, B, a):
     return max(rel(adjoint(BOperator(complex(a) * A.matrix, A.space)).matrix,
                    complex(np.conj(a)) * astar.matrix),
                rel(adjoint(astar).matrix, A.matrix),
-               rel(adjoint(A + B).matrix, (astar + bstar).matrix),
+               rel(adjoint(BOperator(A.matrix + B.matrix, A.space)).matrix,
+                   astar.matrix + bstar.matrix),
                rel(adjoint(A @ B).matrix, (bstar @ astar).matrix),
                rel(adjoint(astar @ A).matrix, (astar @ A).matrix))
+
+
+def reference_spectral(A):
+    """The spectral resolution of one operator, one cluster at a time:
+    cluster values and the stack of their projections' coordinate matrices."""
+    vals, vecs = h_eigen(h_matrix(A))
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    clusters = [[0]]
+    for i in range(1, len(vals)):
+        if abs(vals[i] - vals[clusters[-1][0]]) <= 1e-8 * scale:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    projections = []
+    for idx in clusters:
+        v = vecs[:, idx]
+        projections.append(from_h_matrix(v @ v.conj().T, A.space).matrix)
+    return (np.array([float(np.mean(vals[idx])) for idx in clusters]), np.array(projections))
 
 
 def reference_minmax(A, k, trials, seed):
@@ -476,6 +497,8 @@ class TestStacks:
         np.testing.assert_array_equal(
             stacked, [reference_algebra_defect(A, B, complex(a))
                       for A, B, a in zip(firsts, seconds, scalars)])
+        alone = [adjoint_algebra_defect(A, B, a) for A, B, a in zip(firsts, seconds, scalars)]
+        assert [x.tobytes() for x in stacked] == [x.tobytes() for x in alone]
 
     def test_identity_defect_per_slice_is_the_grid_path(self):
         # each slice rounds as apply_op and h_inner do on grid functions
@@ -519,12 +542,53 @@ class TestStacks:
         np.testing.assert_array_equal(self_conjugacy_check(self._stack(ops), (0.25, 0.75)),
                                       alone)
 
-    def test_one_operator_functions_refuse_a_stack(self):
+    def test_spectral_decompose_per_slice(self):
+        # a slice with two eigenvalues 1e-10 apart (one two-member cluster)
+        # between generic slices: each slice's clusters, values and
+        # projections are the bytes a call on it alone gives, and those of
+        # the one-cluster-at-a-time reference
         rng = np.random.default_rng(62)
+        space = make_space(N=8)
+        unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
+        spectrum = [3.0, 1.0, 1.0 + 1e-10, 0.5, -0.5, -1.0, -2.0, -4.0]
+        repeated = from_h_matrix((unitary * spectrum) @ unitary.conj().T, space)
+        ops = [rand_selfadjoint(space, rng), repeated, rand_selfadjoint(space, rng),
+               rand_selfadjoint(space, rng)]
+        stacked = spectral_decompose(self._stack(ops))
+        alone = [spectral_decompose(A) for A in ops]
+        assert [len(dec.eigenvalues) for dec in alone] == [8, 7, 8, 8]
+        assert np.diff(stacked.offsets).tolist() == [8, 7, 8, 8]
+        for i, (A, dec) in enumerate(zip(ops, alone)):
+            at = slice(stacked.offsets[i], stacked.offsets[i + 1])
+            values, projections = reference_spectral(A)
+            assert dec.eigenvalues.tobytes() == values.tobytes()
+            assert dec.projections.matrix.tobytes() == projections.tobytes()
+            assert stacked.eigenvalues[at].tobytes() == values.tobytes()
+            assert stacked.projections.matrix[at].tobytes() == projections.tobytes()
+        ranks = np.round(np.trace(alone[1].projections.matrix, axis1=-2, axis2=-1).real)
+        assert ranks.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        # one slice that is not naturally self-adjoint refuses the stack
+        with pytest.raises(ValueError, match="self-adjoint"):
+            spectral_decompose(self._stack(ops + [rand_operator(space, rng)]))
+
+    def test_algebra_defect_of_an_overflowing_slice_is_nan(self):
+        # entries near 1e200 overflow the products A B and A*A; that slice's
+        # defect is NaN, which fails any tolerance, and the others keep the
+        # bytes they get alone
+        rng = np.random.default_rng(65)
         space = make_space(N=4)
-        A = rand_selfadjoint(space, rng)
-        with pytest.raises(ValueError, match="not a stack"):
-            spectral_decompose(self._stack([A, A]))
+        firsts = [rand_operator(space, rng), rand_operator(space, rng, scale=1e200),
+                  rand_operator(space, rng)]
+        seconds = [rand_operator(space, rng, scale=1e200 if i == 1 else 1.0) for i in range(3)]
+        scalars = rand_complex(rng, 3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite"):
+            firsts[1] @ seconds[1]  # an operator refuses the product
+        stacked = adjoint_algebra_defect(self._stack(firsts), self._stack(seconds), scalars)
+        assert np.isnan(stacked[1])
+        for i in (0, 2):
+            alone = adjoint_algebra_defect(firsts[i], seconds[i], scalars[i])
+            assert stacked[i].tobytes() == alone.tobytes() and alone <= 1e-10
 
 
 class TestBOperatorBasics:

@@ -8,8 +8,8 @@ import pytest
 from helpers import rand_complex, run_check
 
 from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
-from almosthilbert import integrals, operators, schatten, suites
-from almosthilbert.operators import BOperator
+from almosthilbert import integrals, numerics, operators, schatten, suites
+from almosthilbert.operators import BOperator, adjoint, from_h_matrix, spectral_decompose
 from almosthilbert.spaces import reconstruct
 from almosthilbert.suites import (
     _REGISTRY,
@@ -273,6 +273,24 @@ class TestRunSuite:
         assert entry["worst_violation"] is None
         assert entry["params"]["tol"] == 1e-12
 
+    def test_overflowing_algebra_instance_fails(self, monkeypatch):
+        # adjoint-algebra's sides are not operators, so nothing refuses an
+        # overflowing product; the instance's NaN defect fails the check
+        real = suites._draw_algebra
+
+        def planted(run, first, stop):
+            stacks = real(run, first, stop)
+            if first == 0:
+                at, a, b, _ = stacks[0]  # instance 0, at N = 4
+                a[at == 0] *= 1e200
+                b[at == 0] *= 1e200
+            return stacks
+
+        monkeypatch.setitem(_REGISTRY, "adjoint-algebra",
+                            replace(_REGISTRY["adjoint-algebra"], draw=planted))
+        check = run_check(monkeypatch, "adjoint-algebra", FAST)
+        assert check.status == FAIL and np.isnan(check.worst_violation)
+
     def test_non_finite_params_and_tail_bounds_are_json_null(self, monkeypatch):
         # an all-NaN lax_khat leaves khat_min at its initial inf; RFC 8259
         # JSON spells neither inf nor NaN, so both are written as null
@@ -317,7 +335,7 @@ class TestRunSuite:
 
         trials = 3 * chunk + 1  # count 100: three full chunks and one instance per block
         fake = _Check(suite="integral", tol=1.0, count=100, blocks=blocks, samples=None,
-                      draw=draw, measure=measure, dim=dim)
+                      draw=draw, measure=measure, dims=(dim,))
         monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
         rep = run_suite("integral", seed=0, params=replace(FAST, trials=trials))
         expected = []
@@ -343,9 +361,10 @@ class TestRunSuite:
         # duality-identity holds five: 6 at the defaults, one at desk scale
         duality = suites._REGISTRY["duality-identity"]
         assert [duality.chunk(SuiteParams(grid=g)) for g in (256, 2048, 8192)] == [6, 1, 1]
-        # adjoint-algebra draws N up to 16 whatever --dim is
+        # adjoint-algebra's instances cycle through N = 4, 8, 16 whatever
+        # --dim is, 112 entries an instance on average: 18 a chunk
         algebra = suites._REGISTRY["adjoint-algebra"]
-        assert [algebra.chunk(SuiteParams(dim=n)) for n in (1, 8, 53)] == [8, 8, 8]
+        assert [algebra.chunk(SuiteParams(dim=n)) for n in (1, 8, 53)] == [18, 18, 18]
 
     @pytest.mark.parametrize("name", sorted(n for n, c in _REGISTRY.items() if c.grid_values))
     def test_grid_values_bound_a_chunk(self, name):
@@ -367,6 +386,34 @@ class TestRunSuite:
 
         per_instance = (peak(8) - peak(4)) / 4 / (16 * suites._resolution(params, params.dim))
         assert per_instance <= check.grid_values + 1.0
+
+    def test_spectral_reconstruction_is_the_per_operator_loop(self):
+        # the chunk's stacked residuals give each operator the bytes of one
+        # operator's loop; the third operator has a two-member cluster whose
+        # 1e-10 gap makes reconstruction its largest residual
+        rng = np.random.default_rng(8)
+        run = _Run(FAST, rng, {}, 100)
+        space = run.space()
+        mats = suites._draw_selfadjoints(run, 0, 32)
+        unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
+        spectrum = [3.0, 1.0, 1.0 + 1e-10, 0.5, -0.5, -1.0, -2.0, -4.0]
+        mats[2] = from_h_matrix((unitary * spectrum) @ unitary.conj().T, space).matrix
+        expected = []
+        for mat in mats:
+            dec = spectral_decompose(BOperator(mat, space))
+            p = dec.projections.matrix
+            firsts, seconds = np.triu_indices(len(p), 1)
+            products = p[firsts] @ p[seconds]
+            stack = [mat, sum(x * p_k for x, p_k in zip(dec.eigenvalues, p)) - mat,
+                     sum(p) - np.eye(space.dim)]
+            for i, p_i in enumerate(p):
+                stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, space)).matrix - p_i,
+                          *products[firsts == i]]
+            norms = numerics.frobenius_norm(np.stack(stack))
+            norms[1] /= max(norms[0], 1e-300)
+            expected.append(np.max(norms[1:]))
+        assert len(spectral_decompose(BOperator(mats[2], space)).eigenvalues) == 7
+        assert suites._chk_spectral(run, mats).tobytes() == np.array(expected).tobytes()
 
     def test_chunk_draws_are_the_instance_draws(self):
         # one Generator call per chunk consumes the stream as one call per
@@ -390,6 +437,19 @@ class TestRunSuite:
                  (run.steps(4), lambda: np.repeat(rand_complex(rng, 8), FAST.grid // 8))]
         for stack, alone in forms:
             assert [row.tobytes() for row in stack] == [alone().tobytes() for _ in range(4)]
+        # adjoint-algebra's chunk, cut into one stack per N, from each phase
+        # of the N = 4, 8, 16 cycle: instance i is one normals() call
+        for first in (3, 4, 5):
+            run, lone = (_Run(FAST, np.random.default_rng(7), {}, 1) for _ in range(2))
+            stacks = suites._draw_algebra(run, first, first + 8)
+            for i in range(first, first + 8):
+                n, j = suites._ADJOINT_DIMS[i % 3], i - first
+                a, b, scalar = lone.normals(1, (n, n), (n, n), ())
+                at, a_stack, b_stack, scalars = stacks[i % 3]
+                (k,) = np.flatnonzero(at == j)
+                assert a_stack[k].tobytes() == (a[0] / np.sqrt(n)).tobytes()
+                assert b_stack[k].tobytes() == (b[0] / np.sqrt(n)).tobytes()
+                assert scalars[k].tobytes() == scalar[0].tobytes()
 
     @pytest.mark.parametrize("params, counts", [
         # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
