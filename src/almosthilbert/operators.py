@@ -274,14 +274,17 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
         owners += [i] * len(clusters)
         members += clusters
         offsets.append(len(members))
-    eigenvalues = np.array([float(np.mean(vals[i, idx])) for i, idx in zip(owners, members)])
-    # P_H = V V^H of the cluster's eigenvectors V, one stack per cluster size;
-    # V keeps each eigenvector contiguous, as vecs[:, idx] of one matrix does
+    # per cluster size, the clusters' mean values and P_H = V V^H of their
+    # eigenvectors V, each eigenvector kept contiguous, as vecs[:, idx] of
+    # one matrix keeps it
     owners, sizes = np.array(owners), np.array([len(idx) for idx in members])
+    eigenvalues = np.empty(len(members))
     p_h = np.empty((len(members), n, n), dtype=np.complex128)
-    for k in np.unique(sizes):
+    for k in set(sizes.tolist()):
         at = np.flatnonzero(sizes == k)
-        v = rows[owners[at, None], np.array([members[j] for j in at])].swapaxes(-1, -2)
+        idx = owners[at, None], np.array([members[j] for j in at])
+        eigenvalues[at] = np.mean(vals[idx], axis=-1)
+        v = rows[idx].swapaxes(-1, -2)
         p_h[at] = v @ v.conj().swapaxes(-1, -2)
     return SpectralDecomposition(eigenvalues, from_h_matrix(p_h, A.space), np.array(offsets))
 

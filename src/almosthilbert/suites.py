@@ -150,13 +150,13 @@ _CHUNK_BYTES = 2**15
 _GRID_BYTES = 2**17
 
 
-def _chunk(dims, grid: int = 0) -> int:
+def _chunk(dims, grid: int = 0, per_eigenvalue: bool = False) -> int:
     """Instances per chunk of a check whose instances each hold an N x N
-    operator, N = ``dims``, or, where they cycle through the N of a tuple
-    ``dims``, the mean of their N x N entries; and ``grid`` further values
-    (grid samples)."""
+    operator (one per eigenvalue, N of them, where ``per_eigenvalue``),
+    N = ``dims``, or, where they cycle through the N of a tuple ``dims``,
+    the mean of their entries; and ``grid`` further values (grid samples)."""
     dims = np.atleast_1d(dims)
-    entries = int(np.sum(dims * dims)) // len(dims)
+    entries = int(np.sum(dims ** (3 if per_eigenvalue else 2))) // len(dims)
     return max(1, min(_CHUNK_BYTES // (16 * entries), _GRID_BYTES // (16 * max(grid, 1))))
 
 
@@ -179,9 +179,11 @@ class _Check:
     # allocates for a chunk on the default grid (test_grid_values_bound_a_chunk)
     grid_values: int = 0
     dims: tuple[int, ...] = ()  # the N its instances cycle through; (): --dim
+    per_eigenvalue: bool = False  # its instances hold an operator per eigenvalue
 
     def chunk(self, params: SuiteParams) -> int:
-        return _chunk(self.dims or params.dim, self.grid_values * _resolution(params, params.dim))
+        return _chunk(self.dims or params.dim, self.grid_values * _resolution(params, params.dim),
+                      self.per_eigenvalue)
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -190,7 +192,7 @@ _REGISTRY: dict[str, _Check] = {}
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
            blocks: int = 1, samples: int | None = None,
            draw: Callable = lambda run, first, stop: range(first, stop),
-           grid_values: int = 0, dims: tuple[int, ...] = ()):
+           grid_values: int = 0, dims: tuple[int, ...] = (), per_eigenvalue: bool = False):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
@@ -204,23 +206,23 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     one sample, a sequence for several, and a sequence of rows where one
     sample has several quantities.  A chunk is bounded by the bytes of one
     N x N operator per instance at N = ``--dim`` (for instances that cycle
-    through the N of ``dims``, by their mean N x N entries), and apart from
-    that by the bytes of ``grid_values`` grid functions of the run's basis
-    per instance, the most its draw and measure hold at once.  The operator
-    bound counts one operator per instance: a measure that draws two,
-    repeats one per trial or builds intermediates holds a multiple of it
-    (spectral-reconstruction holds a projection per eigenvalue, N per
-    instance, and its products in batches as large).  A check at tolerance 0
-    counts its failing (true) samples; any other reports its largest
-    quantity, starting from 0.0, and fails on a NaN.  ``samples`` fixes the
-    count of a check whose one value sums up that many evaluations.
+    through the N of ``dims``, by their mean N x N entries; with
+    ``per_eigenvalue``, of N of them), and apart from that by the bytes of
+    ``grid_values`` grid functions of the run's basis per instance, the
+    most its draw and measure hold at once.  The operator bound counts one
+    operator per instance: a measure that draws two, repeats one per trial
+    or builds intermediates holds a small multiple of it.  A check at
+    tolerance 0 counts its failing (true) samples; any other reports its
+    largest quantity, starting from 0.0, and fails on a NaN.  ``samples``
+    fixes the count of a check whose one value sums up that many
+    evaluations.
     ``measure`` may record report params in ``run.extra`` and tail bounds in
     ``run.tails``."""
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
         _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, measure,
-                                 grid_values, dims)
+                                 grid_values, dims, per_eigenvalue)
         return measure
 
     return deco
@@ -617,37 +619,36 @@ def _chk_polar(run, mats):
                      fro(uh_t @ uh - np.eye(a_op.space.dim))], axis=-1)[:, None, :]
 
 
-@_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50, draw=_draw_selfadjoints)
+# a resolution holds a projection per eigenvalue, and its products as many
+@_check("spectral-reconstruction", "adjoint", tol=1e-8, count=50, draw=_draw_selfadjoints,
+        per_eigenvalue=True)
 def _chk_spectral(run, mats):
     # one resolution of the chunk; an operator's one sample is the largest
     # Frobenius norm of its residuals: reconstruction (relative to the
     # operator's norm) and completeness, then for each projection P its
     # idempotence and self-adjointness and its products with the projections
     # after it.  Each residual is read in row order, as one operator's are.
-    dec = spectral_decompose(run.stacked(mats))
-    p, starts, counts = dec.projections.matrix, dec.offsets[:-1], np.diff(dec.offsets)
-    owners = np.repeat(np.arange(len(mats)), counts)
-
     def fro(x):
         return numerics.frobenius_norm(np.ascontiguousarray(x))
 
-    def sums(x):  # each operator's terms added one after another, as sum() adds them
-        out = x[starts]
-        for k in range(1, counts.max()):
-            at = np.flatnonzero(counts > k)
-            out[at] += x[starts[at] + k]
-        return out
-
-    recon = sums(dec.eigenvalues[:, None, None] * p) - mats
-    worst = np.maximum(fro(recon) / np.maximum(fro(mats), 1e-300),
-                       fro(sums(p) - np.eye(run.space().dim)))
-    np.maximum.at(worst, owners, np.maximum(fro(p @ p - p),
-                                            fro(adjoint(dec.projections).matrix - p)))
-    # the pairs of one operator's projections, in batches of len(p) products
-    firsts, seconds = np.nonzero(np.triu(owners[:, None] == owners[None, :], 1))
-    for lo in range(0, len(firsts), len(p)):
-        f, g = firsts[lo:lo + len(p)], seconds[lo:lo + len(p)]
-        np.maximum.at(worst, owners[f], fro(p[f] @ p[g]))
+    # each operator's projections and values in cluster order, zero-padded;
+    # a sum over that axis, which is not the innermost, adds the N x N terms
+    # one after another, as sum() adds them, and a padding zero adds nothing
+    dec = spectral_decompose(run.stacked(mats))
+    counts = np.diff(dec.offsets)
+    owners = np.repeat(np.arange(len(mats)), counts)
+    at = owners, np.arange(len(owners)) - dec.offsets[owners]
+    p = np.zeros((len(mats), counts.max()) + mats.shape[1:], dtype=np.complex128)
+    p[at] = dec.projections.matrix
+    values = np.zeros(p.shape[:2])
+    values[at] = dec.eigenvalues
+    worst = np.maximum(fro(np.sum(values[..., None, None] * p, axis=1) - mats)
+                       / np.maximum(fro(mats), 1e-300),
+                       fro(np.sum(p, axis=1) - np.eye(run.space().dim)))
+    worst = np.maximum(worst, np.max(fro(p @ p - p), axis=1))
+    worst = np.maximum(worst, np.max(fro(adjoint(run.stacked(p)).matrix - p), axis=1))
+    for i in range(p.shape[1] - 1):
+        worst = np.maximum(worst, np.max(fro(p[:, i, None] @ p[:, i + 1:]), axis=1))
     return worst
 
 

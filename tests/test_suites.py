@@ -365,6 +365,9 @@ class TestRunSuite:
         # --dim is, 112 entries an instance on average: 18 a chunk
         algebra = suites._REGISTRY["adjoint-algebra"]
         assert [algebra.chunk(SuiteParams(dim=n)) for n in (1, 8, 53)] == [18, 18, 18]
+        # spectral-reconstruction holds a projection per eigenvalue: N operators
+        spectral = suites._REGISTRY["spectral-reconstruction"]
+        assert [spectral.chunk(SuiteParams(dim=n)) for n in (4, 8, 16)] == [32, 4, 1]
 
     @pytest.mark.parametrize("name", sorted(n for n, c in _REGISTRY.items() if c.grid_values))
     def test_grid_values_bound_a_chunk(self, name):
