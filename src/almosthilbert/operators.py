@@ -263,10 +263,11 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     A stack is tested and resolved in one call each, then each slice is
     clustered on its own; its clusters follow the previous slice's, and
     each slice gets what a call on it alone gets."""
-    if not np.all(is_naturally_selfadjoint(A, tol=_SPECTRAL_TOL)):
+    mh = h_matrix(A)
+    if not np.all(_h_asymmetry(mh) <= _SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
     n = A.space.dim
-    vals, vecs = h_eigen(h_matrix(A))
+    vals, vecs = h_eigen(mh)
     vals, rows = vals.reshape(-1, n), vecs.swapaxes(-1, -2).reshape(-1, n, n)
     owners, members, offsets = [], [], [0]
     for i, lam in enumerate(vals):

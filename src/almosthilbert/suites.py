@@ -27,10 +27,14 @@ constant in integral.
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
 randomness of the others and a (suite, seed, params) triple always produces
-the identical report.  Checks share no mutable state (the run's embedding
-space, the one object they share, is never written to and its basis arrays
-are read-only), so they could run concurrently; the report is order-stable
-regardless because rendering sorts by check name.
+the identical report.  Checks share no mutable state (the embedding spaces
+at the run's N, the one objects they share, are never written to and their
+basis arrays are read-only), so the order in which their blocks run does
+not change a byte.  ``run_suite`` runs the P_SWEEP checks p by p across the
+checks, one pass per p, and frees the pass's space unless it is the run's
+own, so the run holds at most one basis at another p; the other checks run
+after, one after another.  The report is order-stable regardless because
+rendering sorts by check name.
 """
 
 from __future__ import annotations
@@ -259,18 +263,22 @@ class _Run:
         self.block_size = block_size
         self.extra: dict = {}
         self.tails: dict = {}
+        # the reduction of the blocks run so far, and their seconds
+        self.worst, self.samples, self.seconds = 0.0, 0, 0.0
         self._shared = shared
         self._own: dict = {}
 
     def space(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
         """The space of ``dim`` basis members at exponent ``p`` (the run's by
-        default), built on first use.  The run's own space, which most checks
-        use, goes in ``shared``, the one dict of the ``run_suite`` call: its
-        basis is deterministic and no check writes to it.  A space at another
-        p or N is the check's own and is freed with it, because keeping those
-        too would raise the run's peak memory."""
+        default), built on first use.  A space at the run's N, whatever its
+        p, goes in ``shared``, the one dict of the ``run_suite`` call: its
+        basis is deterministic and no check writes to it, so each P_SWEEP
+        pass builds its p once for all its checks, and ``run_suite`` drops
+        it after the pass unless it is the run's own.  A space at another N
+        is the check's own and is freed with it, because keeping those too
+        would raise the run's peak memory."""
         key = (self.params.dim if dim is None else dim, self.params.p if p is None else p)
-        spaces = self._shared if key == (self.params.dim, self.params.p) else self._own
+        spaces = self._shared if key[0] == self.params.dim else self._own
         if key not in spaces:
             n, p = key
             spaces[key] = embedding_space(fourier_sbasis(n, p, _resolution(self.params, n)))
@@ -373,27 +381,21 @@ def _chk_duality_identity(run, x):
 
 
 def _draw_homogeneity(run, first, stop):
-    # instance i draws a polynomial at the p of i in the P_SWEEP cycle and a scalar
-    coeffs, scalars = run.normals(stop - first, (run.space().dim,), ())
-    return np.arange(first, stop) % len(P_SWEEP), coeffs, scalars
+    # each instance draws a polynomial at the p of its P_SWEEP block and a scalar
+    space = run.space(p=P_SWEEP[first // run.block_size])
+    coeffs, scalars = run.normals(stop - first, (space.dim,), ())
+    return space, synthesize(coeffs, space.basis), scalars[:, None]
 
 
-@_check("duality-homogeneity", "embedding", tol=1e-8, count=100, grid_values=2,
-        draw=_draw_homogeneity)
+@_check("duality-homogeneity", "embedding", tol=1e-8, count=25, blocks=len(P_SWEEP),
+        grid_values=7, draw=_draw_homogeneity)
 def _chk_duality_homogeneity(run, x):
-    # one stack per p, its values scattered back in index order
-    cycle, coeffs, scalars = x
-    out = np.empty(len(cycle))
-    for j, p in enumerate(P_SWEEP):
-        at = cycle == j
-        if at.any():
-            q = p / (p - 1.0)
-            u = synthesize(coeffs[at], run.space(p=p).basis)
-            c = scalars[at, None]
-            rhs = duality_map_rows(u, p) * c
-            out[at] = (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
-                       / np.maximum(lp_norm_rows(rhs, q), 1e-300))
-    return out
+    space, u, c = x
+    p = space.basis.p
+    q = p / (p - 1.0)
+    rhs = duality_map_rows(u, p) * c
+    return (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
+            / np.maximum(lp_norm_rows(rhs, q), 1e-300))
 
 
 def _draw_grid_values(run, first, stop):
@@ -972,48 +974,83 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
+def _run_block(check: _Check, run: _Run, block: int) -> None:
+    """Draw and measure block ``block`` of ``check`` a chunk at a time,
+    folding its values into ``run``'s worst value and sample count."""
+    started = time.perf_counter()
+    chunk = check.chunk(run.params)
+    begin, end = block * run.block_size, (block + 1) * run.block_size
+    # a chunk ends at its block's end, so its instances share the block
+    for first in range(begin, end, chunk):
+        stop = min(first + chunk, end)
+        xs = check.draw(run, first, stop)
+        values = np.asarray(check.measure(run, xs), dtype=float)
+        del xs  # the chunk's instances go before the next chunk is drawn
+        run.samples += (stop - first) * (values.shape[1] if values.ndim > 1 else 1)
+        if check.tol == 0.0:
+            run.worst += values.sum()
+        else:
+            top = values.max(initial=0.0)
+            run.worst = top if np.isnan(top) else max(run.worst, top)
+    run.seconds += time.perf_counter() - started
+
+
+def _result(name: str, check: _Check, run: _Run) -> CheckResult:
+    """Judge a check's reduced values against its tolerance."""
+    worst = run.worst
+    extra = run.extra if check.tol is None else {**run.extra, "tol": check.tol}
+    if np.isnan(worst):
+        status = FAIL
+    elif check.tol is None:
+        status = MEASURED
+    else:
+        status = PASS if worst <= check.tol else FAIL
+    return CheckResult(name, status, float(worst), check.samples or run.samples, extra,
+                       run.seconds)
+
+
 def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> VerificationReport:
     """Run every check of a suite with per-check seeded randomness: draw each
     check's instances in index order a chunk at a time (at most
     ``check.chunk(params)`` instances, inside one block), measure each chunk
     before drawing the next, reduce the values and compare the result with
-    the check's tolerance.  Each check's seconds go in its result's
-    ``duration``, outside the canonical report."""
+    the check's tolerance.  The P_SWEEP checks run first, p by p: pass j
+    runs block j of each of them, and the pass's space is dropped after it
+    unless it is the run's own, so at most one basis at another p is alive.
+    The other checks follow, one after another.  A check's run is released
+    after its last block.  Each check's seconds, the sum of its blocks', go
+    in its result's ``duration``, outside the canonical report; the results
+    are listed in name order."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
     report = VerificationReport(suite=name, seed=int(seed))
     shared: dict = {}
-    for cname in list_checks(name):
-        check_start = time.perf_counter()
+    runs: dict[str, _Run] = {}
+
+    def block(cname: str, j: int) -> None:
         check = _REGISTRY[cname]
-        block_size = 1 if check.count is None else _count(params, check.count)
-        run = _Run(params, np.random.default_rng(check_seed(int(seed), cname)), shared,
-                   block_size)
-        chunk = check.chunk(params)
-        worst, samples = 0.0, 0
-        # a chunk ends at its block's end, so its instances share the block
-        for block in range(0, check.blocks * block_size, block_size):
-            for first in range(block, block + block_size, chunk):
-                stop = min(first + chunk, block + block_size)
-                xs = check.draw(run, first, stop)
-                values = np.asarray(check.measure(run, xs), dtype=float)
-                del xs  # the chunk's instances go before the next chunk is drawn
-                samples += (stop - first) * (values.shape[1] if values.ndim > 1 else 1)
-                if check.tol == 0.0:
-                    worst += values.sum()
-                else:
-                    top = values.max(initial=0.0)
-                    worst = top if np.isnan(top) else max(worst, top)
-        extra = run.extra if check.tol is None else {**run.extra, "tol": check.tol}
-        if np.isnan(worst):
-            status = FAIL
-        elif check.tol is None:
-            status = MEASURED
-        else:
-            status = PASS if worst <= check.tol else FAIL
-        report.add(CheckResult(cname, status, float(worst), check.samples or samples, extra,
-                               time.perf_counter() - check_start))
-        report.tail_bounds.update(run.tails)
+        if j == 0:
+            block_size = 1 if check.count is None else _count(params, check.count)
+            runs[cname] = _Run(params, np.random.default_rng(check_seed(int(seed), cname)),
+                               shared, block_size)
+        _run_block(check, runs[cname], j)
+        if j == check.blocks - 1:
+            run = runs.pop(cname)
+            report.add(_result(cname, check, run))
+            report.tail_bounds.update(run.tails)
+
+    names = list_checks(name)
+    sweep = [cname for cname in names if _REGISTRY[cname].blocks == len(P_SWEEP)]
+    for j, p in enumerate(P_SWEEP):
+        for cname in sweep:
+            block(cname, j)
+        if p != params.p:
+            shared.pop((params.dim, p), None)
+    for cname in names:
+        if cname not in sweep:
+            for j in range(_REGISTRY[cname].blocks):
+                block(cname, j)
+    report.checks.sort(key=lambda c: c.name)
     report.duration = time.perf_counter() - start
     return report

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ SAMPLES_AT_ONE_TRIAL = {
     "adjoint-positive-product": 1,
     "bnorm-adjoint-ratio": 1,
     "coefficient-projection": 1,
-    "duality-homogeneity": 1,
+    "duality-homogeneity": 4,
     "duality-identity": 8,
     "embedding-gram-diagonal": 64,
     "embedding-gram-schmidt": 4,
@@ -454,6 +455,19 @@ class TestRunSuite:
                 assert b_stack[k].tobytes() == (b[0] / np.sqrt(n)).tobytes()
                 assert scalars[k].tobytes() == scalar[0].tobytes()
 
+    @pytest.mark.parametrize("block", range(len(suites.P_SWEEP)))
+    def test_homogeneity_block_is_its_instances(self, block):
+        # a P_SWEEP block of duality-homogeneity drawn and measured as one
+        # chunk gives each instance the bytes it gets drawn and measured
+        # alone, at the block's p
+        check = _REGISTRY["duality-homogeneity"]
+        first, stop = 6 * block, 6 * block + 6
+        run, lone = (_Run(FAST, np.random.default_rng(4), {}, 6) for _ in range(2))
+        chunk = check.draw(run, first, stop)
+        assert chunk[0].basis.p == suites.P_SWEEP[block]
+        alone = [check.measure(lone, check.draw(lone, i, i + 1)) for i in range(first, stop)]
+        assert check.measure(run, chunk).tobytes() == np.concatenate(alone).tobytes()
+
     @pytest.mark.parametrize("params, counts", [
         # 35 instances of the 500-count checks: a chunk of 32 and one of 3;
         # 70 of adjoint-defining-identity in chunks of 32 (N = 8 bounds
@@ -467,7 +481,7 @@ class TestRunSuite:
             "schatten-two-path": 35, "singular-value-paths": 14,
             "schatten-unitary-invariance": 9, "weyl-inequality": 35, "horn-inequality": 35,
             "lidskii-trace": 35, "lax-constant-khat": 1, "bnorm-adjoint-ratio": 1,
-            "duality-identity": 56, "duality-homogeneity": 7, "coefficient-projection": 7,
+            "duality-identity": 56, "duality-homogeneity": 4, "coefficient-projection": 7,
             "embedding-hnorm-below-sup": 32, "embedding-hnorm-below-bnorm": 32,
             "embedding-middle-ratio": 12, "embedding-gram-diagonal": 64,
             "embedding-jb-linear": 7, "embedding-gram-schmidt": 4,
@@ -489,7 +503,7 @@ class TestRunSuite:
             "schatten-unitary-invariance": 75,
             "weyl-inequality": 250, "horn-inequality": 250,
             "lidskii-trace": 250, "lax-constant-khat": 10, "bnorm-adjoint-ratio": 10,
-            "duality-identity": 400, "duality-homogeneity": 50, "coefficient-projection": 50,
+            "duality-identity": 400, "duality-homogeneity": 48, "coefficient-projection": 50,
             "embedding-hnorm-below-sup": 248, "embedding-hnorm-below-bnorm": 248,
             "embedding-middle-ratio": 100, "embedding-gram-diagonal": 256,
             "embedding-jb-linear": 50, "embedding-gram-schmidt": 40,
@@ -559,15 +573,42 @@ class TestSharedSpace:
         run_suite("adjoint", seed=0, params=FAST)
         assert built.count(own) == 2
 
-    def test_only_own_space_is_shared(self):
+    def test_spaces_at_the_run_dim_are_shared(self):
         shared = {}
         first, second = (_Run(FAST, None, shared, 1) for _ in range(2))
         assert first.space() is second.space() is first.space(p=FAST.p, dim=FAST.dim)
-        # a space at another p is built once per check and shared with no other
-        assert first.space(p=2.0) is first.space(p=2.0)
-        assert first.space(p=2.0) is not second.space(p=2.0)
-        assert first.space(p=2.0) not in shared.values()
+        # a space at the run's N is shared at every p
+        assert first.space(p=2.0) is second.space(p=2.0)
+        assert set(shared) == {(FAST.dim, FAST.p), (FAST.dim, 2.0)}
+        # a space at another N is built once per check and shared with no other
+        assert first.space(dim=4) is first.space(dim=4)
+        assert first.space(dim=4) is not second.space(dim=4)
+        assert first.space(dim=4) not in shared.values()
         assert first.space() is not _Run(FAST, None, {}, 1).space()
+
+    @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
+    def test_sweep_bases_built_once_and_one_at_a_time(self, monkeypatch, p):
+        # the embedding suite builds each (N, p, grid) once; besides the
+        # run's own, at most one basis at the run's N is alive at any time,
+        # and none outlives the run
+        params = replace(FAST, p=p)
+        built, refs, most_alive = [], [], [0]
+
+        def tracking(n, q, resolution):
+            basis = fourier_sbasis(n, q, resolution)
+            built.append((n, q, resolution))
+            refs.append((n, q, weakref.ref(basis)))
+            alive = [ref for m, s, ref in refs if m == params.dim and s != p and ref() is not None]
+            most_alive[0] = max(most_alive[0], len(alive))
+            return basis
+
+        fourier_sbasis = suites.fourier_sbasis
+        monkeypatch.setattr(suites, "fourier_sbasis", tracking)
+        run_suite("embedding", seed=0, params=params)
+        assert sorted(built) == sorted({(params.dim, q, params.grid)
+                                        for q in (*suites.P_SWEEP, p)})
+        assert most_alive[0] == 1
+        assert all(r() is None for _, _, r in refs)
 
     def test_shared_space_is_read_only(self):
         space = _Run(FAST, None, {}, 1).space()
