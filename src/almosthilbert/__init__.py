@@ -30,7 +30,6 @@ from .spaces import (  # noqa: F401
 from .embedding import (  # noqa: F401
     EmbeddingSpace,
     dyadic_weights,
-    embedding_space,
     gram_matrix,
     h_inner,
 )

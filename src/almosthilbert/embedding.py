@@ -10,7 +10,9 @@ representation J_B sends u to the functional v -> (v, u)_H, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -25,29 +27,36 @@ def dyadic_weights(N: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingSpace:
-    basis: SchauderBasis
+    """H at truncation N = len(weights) over a basis at exponent ``p`` on
+    ``resolution`` cells.  Its geometry is diag(weights) alone, so only what
+    crosses to the grid reads the basis arrays: ``build()`` makes them the
+    first time ``basis`` is read, and the space keeps them from then on."""
+
     weights: np.ndarray
+    p: float
+    resolution: int
+    build: Callable[[], SchauderBasis] = field(repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.basis),):
-            raise ValueError("weights must match the basis length")
+        if w.ndim != 1 or not w.size:
+            raise ValueError("weights must form a nonempty 1-D array")
         if not np.all(w > 0):
             raise ValueError("weights must be positive")
         if not w.sum() < 1.0:
             raise ValueError("partial weight sum must stay below 1")
         object.__setattr__(self, "weights", w)
 
+    @cached_property
+    def basis(self) -> SchauderBasis:
+        basis = self.build()
+        if (len(basis), basis.p, basis.synthesis.shape[1]) != (self.dim, self.p, self.resolution):
+            raise ValueError("the built basis does not match the space")
+        return basis
+
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-
-def embedding_space(basis: SchauderBasis, weights=None) -> EmbeddingSpace:
-    """Wrap a basis with weights (default: the dyadic schedule 2^{-n})."""
-    if weights is None:
-        weights = dyadic_weights(len(basis))
-    return EmbeddingSpace(basis=basis, weights=weights)
+        return len(self.weights)
 
 
 # no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name

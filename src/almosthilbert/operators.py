@@ -43,10 +43,9 @@ class BOperator:
 
     def _require_same_space(self, other: "BOperator"):
         """Refuse ``other`` unless its space is this one's, or has equal
-        weights and a basis of the same p on the same grid."""
+        weights (hence N) and the same p and grid; neither basis is built."""
         a, b = self.space, other.space
-        if a is not b and not (a.basis.p == b.basis.p
-                               and a.basis.synthesis.shape == b.basis.synthesis.shape
+        if a is not b and not (a.p == b.p and a.resolution == b.resolution
                                and np.array_equal(a.weights, b.weights)):
             raise ValueError("operators live on different spaces")
 

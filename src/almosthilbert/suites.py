@@ -30,11 +30,13 @@ randomness of the others and a (suite, seed, params) triple always produces
 the identical report.  Checks share no mutable state (the embedding spaces
 at the run's N, the one objects they share, are never written to and their
 basis arrays are read-only), so the order in which their blocks run does
-not change a byte.  ``run_suite`` runs the P_SWEEP checks p by p across the
-checks, one pass per p, and frees the pass's space unless it is the run's
-own, so the run holds at most one basis at another p; the other checks run
-after, one after another.  The report is order-stable regardless because
-rendering sorts by check name.
+not change a byte.  A space builds its basis arrays only when a check
+reads them.  ``run_suite`` runs the P_SWEEP checks p by p across the
+checks, one pass per p, and frees the pass's space after it, the run's own
+p's too; the other checks run after, one after another, and a space at the
+run's N is freed after the first of them that does not ask for it.  The run
+therefore holds at most one basis at its N.  The report is order-stable
+regardless because rendering sorts by check name.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .embedding import (
     biorthonormalize,
     coefficient_h_inner,
     coefficient_h_norm,
-    embedding_space,
+    dyadic_weights,
     gram_matrix,
 )
 from .operators import (
@@ -267,21 +269,27 @@ class _Run:
         self.worst, self.samples, self.seconds = 0.0, 0, 0.0
         self._shared = shared
         self._own: dict = {}
+        self.asked: set = set()  # the (N, p) of every space it asked for
 
     def space(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
         """The space of ``dim`` basis members at exponent ``p`` (the run's by
-        default), built on first use.  A space at the run's N, whatever its
-        p, goes in ``shared``, the one dict of the ``run_suite`` call: its
-        basis is deterministic and no check writes to it, so each P_SWEEP
-        pass builds its p once for all its checks, and ``run_suite`` drops
-        it after the pass unless it is the run's own.  A space at another N
-        is the check's own and is freed with it, because keeping those too
-        would raise the run's peak memory."""
+        default), made on first use; its basis arrays are built by
+        ``fourier_sbasis`` the first time a check reads ``basis``, and an
+        operator check reads only the weights.  A space at the run's N,
+        whatever its p, goes in ``shared``, the one dict of the ``run_suite``
+        call: its basis is deterministic and no check writes to it, so each
+        P_SWEEP pass builds its p at most once for all its checks.
+        ``run_suite`` drops a pass's space after the pass, and any other
+        space after the first single-block check whose ``asked`` lacks it.
+        A space at another N is the check's own and is freed with it."""
         key = (self.params.dim if dim is None else dim, self.params.p if p is None else p)
+        self.asked.add(key)
         spaces = self._shared if key[0] == self.params.dim else self._own
         if key not in spaces:
             n, p = key
-            spaces[key] = embedding_space(fourier_sbasis(n, p, _resolution(self.params, n)))
+            resolution = _resolution(self.params, n)
+            spaces[key] = EmbeddingSpace(dyadic_weights(n), p, resolution,
+                                         lambda: fourier_sbasis(n, p, resolution))
         return spaces[key]
 
     def low(self, name: str, value):
@@ -399,7 +407,7 @@ def _chk_duality_homogeneity(run, x):
 
 
 def _draw_grid_values(run, first, stop):
-    return run.normals(stop - first, (run.space().basis.synthesis.shape[1],))[0]
+    return run.normals(stop - first, (run.space().resolution,))[0]
 
 
 @_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=4,
@@ -1015,12 +1023,15 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     ``check.chunk(params)`` instances, inside one block), measure each chunk
     before drawing the next, reduce the values and compare the result with
     the check's tolerance.  The P_SWEEP checks run first, p by p: pass j
-    runs block j of each of them, and the pass's space is dropped after it
-    unless it is the run's own, so at most one basis at another p is alive.
-    The other checks follow, one after another.  A check's run is released
-    after its last block.  Each check's seconds, the sum of its blocks', go
-    in its result's ``duration``, outside the canonical report; the results
-    are listed in name order."""
+    runs block j of each of them, and the pass's space is dropped after it,
+    the run's own p's too.  The other checks follow, one after another, and
+    after each of them every space at the run's N that it did not ask for
+    is dropped, so at most one basis at the run's N is alive, and none while
+    a check that does not ask for one runs.  A check's run is released after
+    its last block.  Each check's seconds, the sum of its blocks', go in its
+    result's ``duration``, outside the canonical report, so a basis's build
+    is charged to the first check that reads it; the results are listed in
+    name order."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
@@ -1028,29 +1039,32 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     shared: dict = {}
     runs: dict[str, _Run] = {}
 
-    def block(cname: str, j: int) -> None:
+    def block(cname: str, j: int) -> _Run:
         check = _REGISTRY[cname]
         if j == 0:
             block_size = 1 if check.count is None else _count(params, check.count)
             runs[cname] = _Run(params, np.random.default_rng(check_seed(int(seed), cname)),
                                shared, block_size)
-        _run_block(check, runs[cname], j)
+        run = runs[cname]
+        _run_block(check, run, j)
         if j == check.blocks - 1:
-            run = runs.pop(cname)
+            del runs[cname]
             report.add(_result(cname, check, run))
             report.tail_bounds.update(run.tails)
+        return run
 
     names = list_checks(name)
     sweep = [cname for cname in names if _REGISTRY[cname].blocks == len(P_SWEEP)]
-    for j, p in enumerate(P_SWEEP):
+    for j in range(len(P_SWEEP)):
         for cname in sweep:
             block(cname, j)
-        if p != params.p:
-            shared.pop((params.dim, p), None)
+        shared.clear()
     for cname in names:
         if cname not in sweep:
             for j in range(_REGISTRY[cname].blocks):
-                block(cname, j)
+                asked = block(cname, j).asked
+            for key in shared.keys() - asked:
+                del shared[key]
     report.checks.sort(key=lambda c: c.name)
     report.duration = time.perf_counter() - start
     return report

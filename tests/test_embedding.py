@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_poly
+from helpers import embedding_space, random_poly
 
 from almosthilbert.embedding import (
+    EmbeddingSpace,
     biorthonormalize,
     coefficient_h_inner,
     coefficient_h_norm,
     dyadic_weights,
-    embedding_space,
     gram_matrix,
     h_inner,
 )
@@ -54,6 +54,16 @@ class TestWeights:
             embedding_space(basis, weights=[0.5, -0.1])
         with pytest.raises(ValueError):
             embedding_space(basis, weights=[0.9, 0.2])
+
+
+class TestLazyBasis:
+    @pytest.mark.parametrize("N, p, resolution", [(5, 3.0, 64), (4, 2.0, 64), (4, 3.0, 128)],
+                             ids=["dim", "p", "grid"])
+    def test_a_basis_unlike_the_space_is_refused(self, N, p, resolution):
+        space = EmbeddingSpace(dyadic_weights(4), 3.0, 64,
+                               lambda: fourier_sbasis(N, p, resolution))
+        with pytest.raises(ValueError, match="does not match"):
+            space.basis
 
 
 class TestHInner:

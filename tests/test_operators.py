@@ -13,7 +13,7 @@ from helpers import (
 )
 
 from almosthilbert import numerics
-from almosthilbert.embedding import coefficient_h_norm, embedding_space, h_inner
+from almosthilbert.embedding import EmbeddingSpace, coefficient_h_norm, dyadic_weights, h_inner
 from almosthilbert.operators import (
     BOperator,
     adjoint,
@@ -35,7 +35,6 @@ from almosthilbert.operators import (
 from almosthilbert.spaces import (
     GridFunction,
     coefficients,
-    fourier_sbasis,
     lp_norm_rows,
     reconstruct,
 )
@@ -95,15 +94,23 @@ class TestAdjointAlgebra:
         (2, 128, None), (2, 64, None), (3, 128, None), (3, 64, [0.5, 0.25, 0.125, 0.1]),
     ], ids=["p-and-grid", "p", "grid", "weights"])
     def test_operators_on_different_spaces_refused(self, p, resolution, weights):
-        A = BOperator(np.eye(4), embedding_space(fourier_sbasis(4, 3, 64)))
-        B = BOperator(2 * np.eye(4), embedding_space(fourier_sbasis(4, p, resolution), weights))
+        # spaces are compared by p, grid and weights, without building a basis
+        def unbuilt(p, resolution, weights=None):
+            def build():
+                raise AssertionError("a basis was built")
+            weights = dyadic_weights(4) if weights is None else weights
+            return EmbeddingSpace(weights, p, resolution, build)
+
+        A = BOperator(np.eye(4), unbuilt(3.0, 64))
+        B = BOperator(2 * np.eye(4), unbuilt(p, resolution, weights))
         for combine in (A.__matmul__,
                         lambda B: adjoint_algebra_defect(A, B, 1.0)):
             with pytest.raises(ValueError, match="different spaces"):
                 combine(B)
-        # a space built afresh from the same basis and weights is the same space
-        same = BOperator(2 * np.eye(4), embedding_space(fourier_sbasis(4, 3, 64)))
+        # a space made afresh with the same p, grid and weights is the same space
+        same = BOperator(2 * np.eye(4), unbuilt(3.0, 64))
         np.testing.assert_array_equal((A @ same).matrix, 2 * np.eye(4))
+        assert adjoint_algebra_defect(A, same, 1.0) == 0.0
 
     @pytest.mark.parametrize("N", [4, 8, 16])
     def test_random_pairs(self, N):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import identity_operator, make_space, rand_complex, rand_operator, rand_selfadjoint
+from helpers import (
+    embedding_space,
+    identity_operator,
+    make_space,
+    rand_complex,
+    rand_operator,
+    rand_selfadjoint,
+)
 
 from almosthilbert import numerics
-from almosthilbert.embedding import embedding_space
 from almosthilbert.operators import (
     BOperator,
     adjoint,

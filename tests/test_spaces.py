@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from almosthilbert.embedding import embedding_space, gram_matrix
+from helpers import embedding_space
+
+from almosthilbert.embedding import gram_matrix
 from almosthilbert.spaces import (
     GridFunction,
     SchauderBasis,

@@ -555,23 +555,32 @@ class TestRunSuite:
             assert line.endswith(f"  {c.duration:.3f}s")
 
 
+def _check_name(check):
+    (name,) = [n for n, c in _REGISTRY.items() if c is check]
+    return name
+
+
 class TestSharedSpace:
     def test_own_space_built_once_per_run(self, monkeypatch):
-        built = []
+        # an operator check reads a space's weights alone, so only a check
+        # that crosses to the grid builds its basis
+        built, running = [], [None]
 
         def counting(n, p, resolution):
-            built.append((n, p, resolution))
+            built.append((running[0], n, p, resolution))
             return fourier_sbasis(n, p, resolution)
 
-        fourier_sbasis = suites.fourier_sbasis
+        def named(check, run, block):
+            running[0] = _check_name(check)
+            run_block(check, run, block)
+
+        fourier_sbasis, run_block = suites.fourier_sbasis, suites._run_block
         monkeypatch.setattr(suites, "fourier_sbasis", counting)
+        monkeypatch.setattr(suites, "_run_block", named)
+        run_suite("schatten", seed=0, params=FAST)
+        assert built == []
         run_suite("adjoint", seed=0, params=FAST)
-        own = (FAST.dim, FAST.p, FAST.grid)
-        assert built.count(own) == 1
-        # the other adjoint-algebra dimensions are built for their check alone
-        assert sorted(set(built)) == [(4, 3.0, 256), own, (16, 3.0, 256)]
-        run_suite("adjoint", seed=0, params=FAST)
-        assert built.count(own) == 2
+        assert built == [("adjoint-defining-identity", FAST.dim, FAST.p, FAST.grid)]
 
     def test_spaces_at_the_run_dim_are_shared(self):
         shared = {}
@@ -585,33 +594,76 @@ class TestSharedSpace:
         assert first.space(dim=4) is not second.space(dim=4)
         assert first.space(dim=4) not in shared.values()
         assert first.space() is not _Run(FAST, None, {}, 1).space()
+        assert first.asked == {(FAST.dim, FAST.p), (FAST.dim, 2.0), (4, FAST.p)}
 
     @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
     def test_sweep_bases_built_once_and_one_at_a_time(self, monkeypatch, p):
-        # the embedding suite builds each (N, p, grid) once; besides the
-        # run's own, at most one basis at the run's N is alive at any time,
-        # and none outlives the run
+        # the embedding suite builds each P_SWEEP basis once, in its pass,
+        # and the run's own once after the sweep, even where its p is in
+        # the sweep; at most one basis at the run's N is alive at any time,
+        # whatever its p, and none outlives the run
         params = replace(FAST, p=p)
         built, refs, most_alive = [], [], [0]
 
         def tracking(n, q, resolution):
             basis = fourier_sbasis(n, q, resolution)
             built.append((n, q, resolution))
-            refs.append((n, q, weakref.ref(basis)))
-            alive = [ref for m, s, ref in refs if m == params.dim and s != p and ref() is not None]
+            refs.append((n, weakref.ref(basis)))
+            alive = [ref for m, ref in refs if m == params.dim and ref() is not None]
             most_alive[0] = max(most_alive[0], len(alive))
             return basis
 
         fourier_sbasis = suites.fourier_sbasis
         monkeypatch.setattr(suites, "fourier_sbasis", tracking)
         run_suite("embedding", seed=0, params=params)
-        assert sorted(built) == sorted({(params.dim, q, params.grid)
-                                        for q in (*suites.P_SWEEP, p)})
+        assert built == [(params.dim, q, params.grid) for q in (*suites.P_SWEEP, p)]
         assert most_alive[0] == 1
-        assert all(r() is None for _, _, r in refs)
+        assert all(r() is None for _, r in refs)
 
-    def test_shared_space_is_read_only(self):
+    def test_no_basis_alive_while_checks_that_ask_for_none_run(self, monkeypatch):
+        # a space at the run's N is dropped after the first check that does
+        # not ask for it, so no basis at the run's N is alive while these
+        # checks run, and none is built
+        probed = {"riesz-symmetry", "horn-inequality", *list_checks("ks2")}
+        refs, seen = [], []
+
+        def tracking(n, p, resolution):
+            basis = fourier_sbasis(n, p, resolution)
+            refs.append((n, weakref.ref(basis)))
+            return basis
+
+        def probe(check, run, block):
+            name = _check_name(check)
+            if name in probed:
+                alive = [ref for n, ref in refs if n == FAST.dim and ref() is not None]
+                seen.append((name, len(alive), len(refs)))
+            run_block(check, run, block)
+            if name in probed:
+                assert len(refs) == seen[-1][2], f"{name} built a basis"
+
+        fourier_sbasis, run_block = suites.fourier_sbasis, suites._run_block
+        monkeypatch.setattr(suites, "fourier_sbasis", tracking)
+        monkeypatch.setattr(suites, "_run_block", probe)
+        run_suite("all", seed=0, params=FAST)
+        assert sorted(name for name, _, _ in seen) == sorted(probed)
+        assert [(name, alive) for name, alive, _ in seen if alive] == []
+        # the P_SWEEP passes built four bases, the single-block checks one
+        assert len(refs) == len(suites.P_SWEEP) + 1
+
+    def test_shared_space_is_read_only(self, monkeypatch):
+        # the basis is built on its first read, once, and read-only
+        built = []
+
+        def counting(n, p, resolution):
+            built.append((n, p, resolution))
+            return fourier_sbasis(n, p, resolution)
+
+        fourier_sbasis = suites.fourier_sbasis
+        monkeypatch.setattr(suites, "fourier_sbasis", counting)
         space = _Run(FAST, None, {}, 1).space()
+        assert built == []
+        assert space.basis is space.basis
+        assert built == [(FAST.dim, FAST.p, FAST.grid)]
         with pytest.raises(ValueError):
             space.basis.synthesis[0, 0] = 0.0
         with pytest.raises(ValueError):
