@@ -10,14 +10,20 @@ representation J_B sends u to the functional v -> (v, u)_H, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from . import numerics
-from .spaces import GridFunction, SchauderBasis, analyze, coefficients, lp_norm_rows
+from .spaces import (
+    GridFunction,
+    SchauderBasis,
+    analyze,
+    coefficients,
+    fourier_sbasis,
+    lp_norm_rows,
+)
 
 
 def dyadic_weights(N: int) -> np.ndarray:
@@ -29,13 +35,13 @@ def dyadic_weights(N: int) -> np.ndarray:
 class EmbeddingSpace:
     """H at truncation N = len(weights) over a basis at exponent ``p`` on
     ``resolution`` cells.  Its geometry is diag(weights) alone, so only what
-    crosses to the grid reads the basis arrays: ``build()`` makes them the
-    first time ``basis`` is read, and the space keeps them from then on."""
+    crosses to the grid reads the basis arrays: ``fourier_sbasis`` builds
+    them the first time ``basis`` is read, and the space keeps them from
+    then on."""
 
     weights: np.ndarray
     p: float
     resolution: int
-    build: Callable[[], SchauderBasis] = field(repr=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -49,10 +55,7 @@ class EmbeddingSpace:
 
     @cached_property
     def basis(self) -> SchauderBasis:
-        basis = self.build()
-        if (len(basis), basis.p, basis.synthesis.shape[1]) != (self.dim, self.p, self.resolution):
-            raise ValueError("the built basis does not match the space")
-        return basis
+        return fourier_sbasis(self.dim, self.p, self.resolution)
 
     @property
     def dim(self) -> int:

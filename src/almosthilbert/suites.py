@@ -34,7 +34,8 @@ not change a byte.  A space builds its basis arrays only when a check
 reads them.  ``run_suite`` runs the P_SWEEP checks p by p across the
 checks, one pass per p, and frees the pass's space after it, the run's own
 p's too; the other checks run after, one after another, and a space at the
-run's N is freed after the first of them that does not ask for it.  The run
+run's N is freed after the first of them that does not ask for it, which
+may come well after the last check that reads its basis.  The run
 therefore holds at most one basis at its N.  The report is order-stable
 regardless because rendering sorts by check name.
 """
@@ -82,7 +83,6 @@ from .spaces import (
     analyze,
     coefficients,
     duality_map_rows,
-    fourier_sbasis,
     lp_norm,
     lp_norm_rows,
     pairing_rows,
@@ -280,16 +280,16 @@ class _Run:
         call: its basis is deterministic and no check writes to it, so each
         P_SWEEP pass builds its p at most once for all its checks.
         ``run_suite`` drops a pass's space after the pass, and any other
-        space after the first single-block check whose ``asked`` lacks it.
-        A space at another N is the check's own and is freed with it."""
+        space after the first single-block check whose ``asked`` lacks it;
+        an operator check asks for the weights too, so a built basis lives
+        until a check asks for no space, not until its last reader.  A
+        space at another N is the check's own and is freed with it."""
         key = (self.params.dim if dim is None else dim, self.params.p if p is None else p)
         self.asked.add(key)
         spaces = self._shared if key[0] == self.params.dim else self._own
         if key not in spaces:
             n, p = key
-            resolution = _resolution(self.params, n)
-            spaces[key] = EmbeddingSpace(dyadic_weights(n), p, resolution,
-                                         lambda: fourier_sbasis(n, p, resolution))
+            spaces[key] = EmbeddingSpace(dyadic_weights(n), p, _resolution(self.params, n))
         return spaces[key]
 
     def low(self, name: str, value):
@@ -1027,11 +1027,13 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     the run's own p's too.  The other checks follow, one after another, and
     after each of them every space at the run's N that it did not ask for
     is dropped, so at most one basis at the run's N is alive, and none while
-    a check that does not ask for one runs.  A check's run is released after
-    its last block.  Each check's seconds, the sum of its blocks', go in its
-    result's ``duration``, outside the canonical report, so a basis's build
-    is charged to the first check that reads it; the results are listed in
-    name order."""
+    a check that does not ask for one runs.  Asking is not reading: an
+    operator check asks for the weights, so a built basis outlives its last
+    reader until the first check that asks for no space, or the end of the
+    run.  A check's run is released after its last block.  Each check's
+    seconds, the sum of its blocks', go in its result's ``duration``,
+    outside the canonical report, so a basis's build is charged to the
+    first check that reads it; the results are listed in name order."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()

@@ -5,20 +5,13 @@ import numpy as np
 from almosthilbert import suites
 from almosthilbert.embedding import EmbeddingSpace, dyadic_weights
 from almosthilbert.operators import BOperator, from_h_matrix
-from almosthilbert.spaces import coefficients, fourier_sbasis, reconstruct
-
-
-def embedding_space(basis, weights=None):
-    """The space over a built basis, with the dyadic weights by default."""
-    if weights is None:
-        weights = dyadic_weights(len(basis))
-    return EmbeddingSpace(weights, basis.p, basis.synthesis.shape[1], lambda: basis)
+from almosthilbert.spaces import coefficients, reconstruct
 
 
 def make_space(N=4, p=2, resolution=None):
     if resolution is None:
         resolution = max(64, 8 * N)
-    return embedding_space(fourier_sbasis(N, p, resolution))
+    return EmbeddingSpace(dyadic_weights(N), p, resolution)
 
 
 def identity_operator(space):

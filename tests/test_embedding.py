@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import embedding_space, random_poly
+from helpers import random_poly
 
 from almosthilbert.embedding import (
     EmbeddingSpace,
@@ -16,14 +16,13 @@ from almosthilbert.spaces import (
     GridFunction,
     analyze,
     coefficients,
-    fourier_sbasis,
     lp_norm,
     lp_norm_rows,
 )
 
 
 def make_space(N=4, p=2, resolution=128):
-    return embedding_space(fourier_sbasis(N, p, resolution))
+    return EmbeddingSpace(dyadic_weights(N), p, resolution)
 
 
 def h_norm(u, space):
@@ -49,21 +48,10 @@ class TestWeights:
             assert dyadic_weights(n).sum() < 1.0
 
     def test_rejects_bad_weights(self):
-        basis = fourier_sbasis(2, 2, 64)
         with pytest.raises(ValueError):
-            embedding_space(basis, weights=[0.5, -0.1])
+            EmbeddingSpace([0.5, -0.1], 2, 64)
         with pytest.raises(ValueError):
-            embedding_space(basis, weights=[0.9, 0.2])
-
-
-class TestLazyBasis:
-    @pytest.mark.parametrize("N, p, resolution", [(5, 3.0, 64), (4, 2.0, 64), (4, 3.0, 128)],
-                             ids=["dim", "p", "grid"])
-    def test_a_basis_unlike_the_space_is_refused(self, N, p, resolution):
-        space = EmbeddingSpace(dyadic_weights(4), 3.0, 64,
-                               lambda: fourier_sbasis(N, p, resolution))
-        with pytest.raises(ValueError, match="does not match"):
-            space.basis
+            EmbeddingSpace([0.9, 0.2], 2, 64)
 
 
 class TestHInner:
@@ -162,7 +150,7 @@ class TestGram:
         np.testing.assert_allclose(g, [[0.5]], atol=1e-12)
 
     def test_off_diagonal_reference_resolution(self):
-        g = gram_matrix(embedding_space(fourier_sbasis(8, 3, 4096)))
+        g = gram_matrix(EmbeddingSpace(dyadic_weights(8), 3, 4096))
         off = g - np.diag(np.diag(g))
         assert np.max(np.abs(off)) <= 1e-8
 

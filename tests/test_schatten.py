@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import (
-    embedding_space,
-    identity_operator,
-    make_space,
-    rand_complex,
-    rand_operator,
-    rand_selfadjoint,
-)
+from helpers import identity_operator, make_space, rand_complex, rand_operator, rand_selfadjoint
 
 from almosthilbert import numerics
+from almosthilbert.embedding import EmbeddingSpace
 from almosthilbert.operators import (
     BOperator,
     adjoint,
@@ -28,13 +22,11 @@ from almosthilbert.schatten import (
     singular_values,
     weyl_sums,
 )
-from almosthilbert.spaces import fourier_sbasis
 
 
 def uniform_space(N=2, resolution=64):
     """Space whose weights are all equal, so the metric transport is trivial."""
-    return embedding_space(fourier_sbasis(N, 2, resolution),
-                           weights=np.full(N, 1.0 / (2 * N)))
+    return EmbeddingSpace(np.full(N, 1.0 / (2 * N)), 2, resolution)
 
 
 class TestSingularValues:

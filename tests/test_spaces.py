@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import embedding_space
-
-from almosthilbert.embedding import gram_matrix
+from almosthilbert.embedding import EmbeddingSpace, dyadic_weights, gram_matrix
 from almosthilbert.spaces import (
     GridFunction,
     SchauderBasis,
@@ -257,7 +255,7 @@ class TestMatrixBitwise:
             c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             stacked = c @ np.stack([m.values for m in members])
             assert reconstruct(c, basis).values.tobytes() == stacked.tobytes()
-        space = embedding_space(basis)
+        space = EmbeddingSpace(dyadic_weights(N), p, M)
         expected = reference_gram(members, duals, space.weights)
         assert gram_matrix(space).tobytes() == expected.tobytes()
 

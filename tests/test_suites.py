@@ -9,7 +9,7 @@ import pytest
 from helpers import rand_complex, run_check
 
 from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
-from almosthilbert import integrals, numerics, operators, schatten, suites
+from almosthilbert import embedding, integrals, numerics, operators, schatten, suites
 from almosthilbert.operators import BOperator, adjoint, from_h_matrix, spectral_decompose
 from almosthilbert.spaces import reconstruct
 from almosthilbert.suites import (
@@ -574,8 +574,8 @@ class TestSharedSpace:
             running[0] = _check_name(check)
             run_block(check, run, block)
 
-        fourier_sbasis, run_block = suites.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(suites, "fourier_sbasis", counting)
+        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
+        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
         monkeypatch.setattr(suites, "_run_block", named)
         run_suite("schatten", seed=0, params=FAST)
         assert built == []
@@ -613,8 +613,8 @@ class TestSharedSpace:
             most_alive[0] = max(most_alive[0], len(alive))
             return basis
 
-        fourier_sbasis = suites.fourier_sbasis
-        monkeypatch.setattr(suites, "fourier_sbasis", tracking)
+        fourier_sbasis = embedding.fourier_sbasis
+        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
         run_suite("embedding", seed=0, params=params)
         assert built == [(params.dim, q, params.grid) for q in (*suites.P_SWEEP, p)]
         assert most_alive[0] == 1
@@ -641,8 +641,8 @@ class TestSharedSpace:
             if name in probed:
                 assert len(refs) == seen[-1][2], f"{name} built a basis"
 
-        fourier_sbasis, run_block = suites.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(suites, "fourier_sbasis", tracking)
+        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
+        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
         monkeypatch.setattr(suites, "_run_block", probe)
         run_suite("all", seed=0, params=FAST)
         assert sorted(name for name, _, _ in seen) == sorted(probed)
@@ -658,8 +658,8 @@ class TestSharedSpace:
             built.append((n, p, resolution))
             return fourier_sbasis(n, p, resolution)
 
-        fourier_sbasis = suites.fourier_sbasis
-        monkeypatch.setattr(suites, "fourier_sbasis", counting)
+        fourier_sbasis = embedding.fourier_sbasis
+        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
         space = _Run(FAST, None, {}, 1).space()
         assert built == []
         assert space.basis is space.basis
