@@ -27,17 +27,16 @@ constant in integral.
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
 randomness of the others and a (suite, seed, params) triple always produces
-the identical report.  Checks share no mutable state (the embedding spaces
-at the run's N, the one objects they share, are never written to and their
-basis arrays are read-only), so the order in which their blocks run does
-not change a byte.  A space builds its basis arrays only when a check
-reads them.  ``run_suite`` runs the P_SWEEP checks p by p across the
-checks, one pass per p, and frees the pass's space after it, the run's own
-p's too; the other checks run after, one after another, and a space at the
-run's N is freed after the first of them that does not ask for it, which
-may come well after the last check that reads its basis.  The run
-therefore holds at most one basis at its N.  The report is order-stable
-regardless because rendering sorts by check name.
+the identical report.  Checks share no mutable state (a pass's embedding
+space, the one object they share, is never written to and its basis arrays
+are read-only), so the order in which their blocks run does not change a
+byte.  Each check declares the basis it reads: one per P_SWEEP p, the run's
+own p, or none.  ``run_suite`` makes one pass per exponent, each with one
+space at the run's N that builds its basis arrays when a check first reads
+them and is dropped when the pass ends; a last pass runs the checks that
+read no basis.  A basis lives for its pass, so the run holds at most one
+basis at its N, and none while a check that reads none runs.  The report is
+order-stable regardless because rendering sorts by check name.
 """
 
 from __future__ import annotations
@@ -176,7 +175,6 @@ class _Check:
     suite: str  # the one suite it belongs to
     tol: float | None  # None: a measured entry
     count: int | None  # nominal instances per block at trials = 100; None: one instance
-    blocks: int
     samples: int | None
     draw: Callable  # draw(run, first, stop): instances first..stop-1, as one chunk
     measure: Callable  # measure(run, xs): the samples of each instance of the chunk xs
@@ -186,25 +184,36 @@ class _Check:
     grid_values: int = 0
     dims: tuple[int, ...] = ()  # the N its instances cycle through; (): --dim
     per_eigenvalue: bool = False  # its instances hold an operator per eigenvalue
+    basis: str | None = None  # "sweep": a block per P_SWEEP p; "own": the run's p; None: none
 
     def chunk(self, params: SuiteParams) -> int:
         return _chunk(self.dims or params.dim, self.grid_values * _resolution(params, params.dim),
                       self.per_eigenvalue)
+
+    def passes(self, params: SuiteParams) -> tuple:
+        """The exponent of the pass that runs each of its blocks, in block
+        order; None for the pass of no basis."""
+        return {"sweep": P_SWEEP, "own": (params.p,), None: (None,)}[self.basis]
 
 
 _REGISTRY: dict[str, _Check] = {}
 
 
 def _check(name: str, suite: str, tol: float | None = None, *, count: int | None = None,
-           blocks: int = 1, samples: int | None = None,
+           samples: int | None = None,
            draw: Callable = lambda run, first, stop: range(first, stop),
-           grid_values: int = 0, dims: tuple[int, ...] = (), per_eigenvalue: bool = False):
+           grid_values: int = 0, dims: tuple[int, ...] = (), per_eigenvalue: bool = False,
+           basis: str | None = None):
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
-    ``run_suite`` runs ``blocks * _count(params, count)`` instances (taking
-    a count of one when ``count`` is None) in chunks, each inside one
-    block, and measures each chunk before it draws the next.
+    ``basis`` declares the basis a check reads through ``run.space()``:
+    "sweep", one block per P_SWEEP p, each at its p; "own", the run's p;
+    None, none, for a check that reads the weights alone (a check that
+    reads ``basis`` without declaring it fails tests/test_suites.py).
+    ``run_suite`` runs ``_count(params, count)`` instances per block
+    (taking a count of one when ``count`` is None) in chunks, each inside
+    one block, and measures each chunk before it draws the next.
     ``draw(run, first, stop)`` returns instances first..stop-1 as one
     chunk, taking all their randomness from ``run.rng`` in index order, as
     one instance at a time would.  ``measure(run, xs)`` returns the chunk's
@@ -227,8 +236,8 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     def deco(measure):
         if name in _REGISTRY:
             raise RuntimeError(f"duplicate check name {name!r}")
-        _REGISTRY[name] = _Check(suite, tol, count, blocks, samples, draw, measure,
-                                 grid_values, dims, per_eigenvalue)
+        _REGISTRY[name] = _Check(suite, tol, count, samples, draw, measure,
+                                 grid_values, dims, per_eigenvalue, basis)
         return measure
 
     return deco
@@ -259,38 +268,31 @@ class _Run:
     ``draw`` alone; each chunk form draws ``count`` instances in one
     Generator call, bit for bit as many calls one instance at a time."""
 
-    def __init__(self, params: SuiteParams, rng, shared: dict, block_size: int):
+    def __init__(self, params: SuiteParams, rng):
         self.params = params
         self.rng = rng
-        self.block_size = block_size
         self.extra: dict = {}
         self.tails: dict = {}
         # the reduction of the blocks run so far, and their seconds
         self.worst, self.samples, self.seconds = 0.0, 0, 0.0
-        self._shared = shared
+        # the space of the pass the current block runs in, set while it runs
+        self.pass_space: EmbeddingSpace | None = None
         self._own: dict = {}
-        self.asked: set = set()  # the (N, p) of every space it asked for
 
-    def space(self, p: float | None = None, dim: int | None = None) -> EmbeddingSpace:
-        """The space of ``dim`` basis members at exponent ``p`` (the run's by
-        default), made on first use; its basis arrays are built by
-        ``fourier_sbasis`` the first time a check reads ``basis``, and an
-        operator check reads only the weights.  A space at the run's N,
-        whatever its p, goes in ``shared``, the one dict of the ``run_suite``
-        call: its basis is deterministic and no check writes to it, so each
-        P_SWEEP pass builds its p at most once for all its checks.
-        ``run_suite`` drops a pass's space after the pass, and any other
-        space after the first single-block check whose ``asked`` lacks it;
-        an operator check asks for the weights too, so a built basis lives
-        until a check asks for no space, not until its last reader.  A
-        space at another N is the check's own and is freed with it."""
-        key = (self.params.dim if dim is None else dim, self.params.p if p is None else p)
-        self.asked.add(key)
-        spaces = self._shared if key[0] == self.params.dim else self._own
-        if key not in spaces:
-            n, p = key
-            spaces[key] = EmbeddingSpace(dyadic_weights(n), p, _resolution(self.params, n))
-        return spaces[key]
+    def space(self, dim: int | None = None) -> EmbeddingSpace:
+        """The pass's space while a block of a check that declares a basis
+        runs; otherwise the check's own space of ``dim`` basis members (the
+        run's N by default) at the run's p, made on first use and freed
+        with the check.  A space's basis arrays are built by
+        ``fourier_sbasis`` the first time a check reads ``basis``; an
+        operator check reads only the weights."""
+        if dim is None and self.pass_space is not None:
+            return self.pass_space
+        n = self.params.dim if dim is None else dim
+        if n not in self._own:
+            self._own[n] = EmbeddingSpace(dyadic_weights(n), self.params.p,
+                                          _resolution(self.params, n))
+        return self._own[n]
 
     def low(self, name: str, value):
         """Record the smallest entry of ``value`` (a number or an array) so
@@ -318,9 +320,9 @@ class _Run:
         size = sum(2 * math.prod(shape) for shape in shapes)
         return _complex_parts(self.rng.standard_normal((count, size)), shapes)
 
-    def polys(self, count: int, space: EmbeddingSpace | None = None) -> np.ndarray:
+    def polys(self, count: int) -> np.ndarray:
         """The grid values of ``count`` random polynomials, one per row."""
-        space = space or self.space()
+        space = self.space()
         return synthesize(self.normals(count, (space.dim,))[0], space.basis)
 
     def matrices(self, count: int, dim: int | None = None) -> np.ndarray:
@@ -370,17 +372,14 @@ def _draw_bandlimited(run, first, stop):
 # ---------------------------------------------------------------------------
 
 
-def _draw_sweep_polys(run, first, stop):
-    """Random polynomials at the p of the P_SWEEP block of the chunk."""
-    space = run.space(p=P_SWEEP[first // run.block_size])
-    return space, run.polys(stop - first, space)
+def _draw_polys(run, first, stop):
+    return run.polys(stop - first)
 
 
-@_check("duality-identity", "embedding", tol=1e-6, count=200, blocks=len(P_SWEEP),
-        grid_values=5, draw=_draw_sweep_polys)
-def _chk_duality_identity(run, x):
-    space, u = x
-    p = space.basis.p
+@_check("duality-identity", "embedding", tol=1e-6, count=200, grid_values=5, draw=_draw_polys,
+        basis="sweep")
+def _chk_duality_identity(run, u):
+    p = run.space().basis.p
     ju = duality_map_rows(u, p)
     np2 = np.float_power(lp_norm_rows(u, p), 2.0)
     a = numerics.modulus(pairing_rows(u, ju) - np2)
@@ -389,17 +388,17 @@ def _chk_duality_identity(run, x):
 
 
 def _draw_homogeneity(run, first, stop):
-    # each instance draws a polynomial at the p of its P_SWEEP block and a scalar
-    space = run.space(p=P_SWEEP[first // run.block_size])
+    # each instance draws a polynomial and a scalar
+    space = run.space()
     coeffs, scalars = run.normals(stop - first, (space.dim,), ())
-    return space, synthesize(coeffs, space.basis), scalars[:, None]
+    return synthesize(coeffs, space.basis), scalars[:, None]
 
 
-@_check("duality-homogeneity", "embedding", tol=1e-8, count=25, blocks=len(P_SWEEP),
-        grid_values=7, draw=_draw_homogeneity)
+@_check("duality-homogeneity", "embedding", tol=1e-8, count=25, grid_values=7,
+        draw=_draw_homogeneity, basis="sweep")
 def _chk_duality_homogeneity(run, x):
-    space, u, c = x
-    p = space.basis.p
+    u, c = x
+    p = run.space().basis.p
     q = p / (p - 1.0)
     rhs = duality_map_rows(u, p) * c
     return (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
@@ -411,7 +410,7 @@ def _draw_grid_values(run, first, stop):
 
 
 @_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=4,
-        draw=_draw_grid_values)
+        draw=_draw_grid_values, basis="own")
 def _chk_coeff_projection(run, rows):
     # the public one-function round trip, coefficients then reconstruct, per instance
     basis = run.space().basis
@@ -429,34 +428,34 @@ def _chk_coeff_projection(run, rows):
 # ---------------------------------------------------------------------------
 
 
-@_check("embedding-hnorm-below-sup", "embedding", tol=1e-12, count=125, blocks=len(P_SWEEP),
-        grid_values=1, draw=_draw_sweep_polys)
-def _chk_hnorm_sup(run, x):
-    space, u = x
+@_check("embedding-hnorm-below-sup", "embedding", tol=1e-12, count=125, grid_values=1,
+        draw=_draw_polys, basis="sweep")
+def _chk_hnorm_sup(run, u):
+    space = run.space()
     c = analyze(u, space.basis)
     sup = np.max(np.abs(c), axis=-1)
     return (coefficient_h_norm(c, space) - sup) / np.maximum(sup, 1e-300)
 
 
-@_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7, count=125, blocks=len(P_SWEEP),
-        grid_values=2, draw=_draw_sweep_polys)
-def _chk_hnorm_bnorm(run, x):
-    space, u = x
+@_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7, count=125, grid_values=2,
+        draw=_draw_polys, basis="sweep")
+def _chk_hnorm_bnorm(run, u):
+    space = run.space()
     bn = lp_norm_rows(u, space.basis.p)
     return (coefficient_h_norm(analyze(u, space.basis), space) - bn) / np.maximum(bn, 1e-300)
 
 
-@_check("embedding-middle-ratio", "embedding", count=50, blocks=len(P_SWEEP), grid_values=2,
-        draw=_draw_sweep_polys)
-def _chk_middle_ratio(run, x):
+@_check("embedding-middle-ratio", "embedding", count=50, grid_values=2, draw=_draw_polys,
+        basis="sweep")
+def _chk_middle_ratio(run, u):
     # sup_n |<E_n*, u>| <= ||u||_B requires unit dual norms, which our
     # normalization only guarantees empirically -- so record the worst ratio.
-    space, u = x
+    space = run.space()
     sup = np.max(np.abs(analyze(u, space.basis)), axis=-1)
     return sup / np.maximum(lp_norm_rows(u, space.basis.p), 1e-300)
 
 
-@_check("embedding-gram-diagonal", "embedding", tol=1e-8)
+@_check("embedding-gram-diagonal", "embedding", tol=1e-8, basis="own")
 def _chk_gram_diag(run, xs):
     g = gram_matrix(run.space())
     return [np.abs(g - np.diag(np.diag(g))).ravel()]
@@ -470,7 +469,7 @@ def _draw_jb_linear(run, first, stop):
 
 
 @_check("embedding-jb-linear", "embedding", tol=1e-12, count=100, grid_values=5,
-        draw=_draw_jb_linear)
+        draw=_draw_jb_linear, basis="own")
 def _chk_jb_linear(run, x):
     # <w, J_B(u)> = (w, u)_H, additive and conjugate-homogeneous in u
     (u, v, w), a = x
@@ -495,7 +494,7 @@ def _draw_gram_schmidt(run, first, stop):
 
 
 @_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=22,
-        draw=_draw_gram_schmidt)
+        draw=_draw_gram_schmidt, basis="own")
 def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
     # products with the others and its dual pairings
@@ -564,7 +563,7 @@ def _draw_identity(run, first, stop):
 
 # grid_values counts the grid functions alone; the operator bound counts the operators
 @_check("adjoint-defining-identity", "adjoint", tol=1e-10, count=1000, grid_values=1,
-        draw=_draw_identity)
+        draw=_draw_identity, basis="own")
 def _chk_defining_identity(run, x):
     mats, cus, cvs = x
     return adjoint_identity_defect(run.stacked(mats), cus, cvs)
@@ -982,12 +981,15 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _run_block(check: _Check, run: _Run, block: int) -> None:
-    """Draw and measure block ``block`` of ``check`` a chunk at a time,
-    folding its values into ``run``'s worst value and sample count."""
+def _run_block(check: _Check, run: _Run, block: int, space: EmbeddingSpace | None) -> None:
+    """Draw and measure block ``block`` of ``check`` a chunk at a time in
+    its pass's ``space`` (None in the pass of no basis), folding its values
+    into ``run``'s worst value and sample count."""
     started = time.perf_counter()
+    run.pass_space = space
     chunk = check.chunk(run.params)
-    begin, end = block * run.block_size, (block + 1) * run.block_size
+    size = 1 if check.count is None else _count(run.params, check.count)
+    begin, end = block * size, (block + 1) * size
     # a chunk ends at its block's end, so its instances share the block
     for first in range(begin, end, chunk):
         stop = min(first + chunk, end)
@@ -1000,6 +1002,7 @@ def _run_block(check: _Check, run: _Run, block: int) -> None:
         else:
             top = values.max(initial=0.0)
             run.worst = top if np.isnan(top) else max(run.worst, top)
+    run.pass_space = None  # so the pass's space ends with its pass
     run.seconds += time.perf_counter() - started
 
 
@@ -1022,51 +1025,39 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     check's instances in index order a chunk at a time (at most
     ``check.chunk(params)`` instances, inside one block), measure each chunk
     before drawing the next, reduce the values and compare the result with
-    the check's tolerance.  The P_SWEEP checks run first, p by p: pass j
-    runs block j of each of them, and the pass's space is dropped after it,
-    the run's own p's too.  The other checks follow, one after another, and
-    after each of them every space at the run's N that it did not ask for
-    is dropped, so at most one basis at the run's N is alive, and none while
-    a check that does not ask for one runs.  Asking is not reading: an
-    operator check asks for the weights, so a built basis outlives its last
-    reader until the first check that asks for no space, or the end of the
-    run.  A check's run is released after its last block.  Each check's
-    seconds, the sum of its blocks', go in its result's ``duration``,
-    outside the canonical report, so a basis's build is charged to the
-    first check that reads it; the results are listed in name order."""
+    the check's tolerance.  One pass per exponent, P_SWEEP's in order and
+    then the run's own where it is not among them, runs the blocks that
+    read a basis at that p: block j of each "sweep" check in the pass of
+    P_SWEEP[j], and each "own" check in the pass of the run's p.  Each pass
+    makes one space at the run's N, whose basis is built by the pass's
+    first reader and dropped when the pass ends; a last pass runs the
+    checks that read no basis.  A check's run is released after its last
+    block.  Each check's seconds, the sum of its blocks', go in its
+    result's ``duration``, outside the canonical report, so a pass's build
+    is charged to its first reader; the results are listed in name order."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
     report = VerificationReport(suite=name, seed=int(seed))
-    shared: dict = {}
-    runs: dict[str, _Run] = {}
-
-    def block(cname: str, j: int) -> _Run:
-        check = _REGISTRY[cname]
-        if j == 0:
-            block_size = 1 if check.count is None else _count(params, check.count)
-            runs[cname] = _Run(params, np.random.default_rng(check_seed(int(seed), cname)),
-                               shared, block_size)
-        run = runs[cname]
-        _run_block(check, run, j)
-        if j == check.blocks - 1:
-            del runs[cname]
-            report.add(_result(cname, check, run))
-            report.tail_bounds.update(run.tails)
-        return run
-
     names = list_checks(name)
-    sweep = [cname for cname in names if _REGISTRY[cname].blocks == len(P_SWEEP)]
-    for j in range(len(P_SWEEP)):
-        for cname in sweep:
-            block(cname, j)
-        shared.clear()
-    for cname in names:
-        if cname not in sweep:
-            for j in range(_REGISTRY[cname].blocks):
-                asked = block(cname, j).asked
-            for key in shared.keys() - asked:
-                del shared[key]
+    runs: dict[str, _Run] = {}
+    for p in (*dict.fromkeys((*P_SWEEP, params.p)), None):
+        space = None if p is None else EmbeddingSpace(
+            dyadic_weights(params.dim), p, _resolution(params, params.dim))
+        for cname in names:
+            check = _REGISTRY[cname]
+            passes = check.passes(params)
+            if p not in passes:
+                continue
+            block = passes.index(p)
+            if block == 0:
+                runs[cname] = _Run(params, np.random.default_rng(check_seed(int(seed), cname)))
+            run = runs[cname]
+            _run_block(check, run, block, space)
+            if block == len(passes) - 1:
+                del runs[cname]
+                report.add(_result(cname, check, run))
+                report.tail_bounds.update(run.tails)
     report.checks.sort(key=lambda c: c.name)
     report.duration = time.perf_counter() - start
     return report

@@ -81,6 +81,12 @@ SAMPLES_AT_ONE_TRIAL = {
 ALL_CHECKS = tuple(sorted(SAMPLES_AT_ONE_TRIAL))
 
 
+def _pass_space(params, p):
+    """The space run_suite makes for the pass at exponent p."""
+    return embedding.EmbeddingSpace(embedding.dyadic_weights(params.dim), p,
+                                    suites._resolution(params, params.dim))
+
+
 class TestRegistry:
     def test_all_names_frozen(self):
         assert list_checks("all") == ALL_CHECKS
@@ -309,7 +315,8 @@ class TestRunSuite:
         assert entry["params"]["khat_min"] is None and entry["worst_violation"] is None
         assert doc["tail_bounds"] == {"planted": None}
 
-    @pytest.mark.parametrize("dim, chunk, blocks", [(53, 1, 1), (8, 32, 1), (8, 32, 2)])
+    @pytest.mark.parametrize("dim, chunk, blocks", [(53, 1, 1), (8, 32, 1),
+                                                    (8, 32, len(suites.P_SWEEP))])
     def test_draws_in_index_order_one_chunk_alive_at_a_time(self, monkeypatch, dim, chunk,
                                                             blocks):
         # holding every instance of a check at once would hold, e.g., all
@@ -335,8 +342,8 @@ class TestRunSuite:
             return np.zeros(len(xs))
 
         trials = 3 * chunk + 1  # count 100: three full chunks and one instance per block
-        fake = _Check(suite="integral", tol=1.0, count=100, blocks=blocks, samples=None,
-                      draw=draw, measure=measure, dims=(dim,))
+        fake = _Check(suite="integral", tol=1.0, count=100, samples=None, draw=draw,
+                      measure=measure, dims=(dim,), basis="sweep" if blocks > 1 else None)
         monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
         rep = run_suite("integral", seed=0, params=replace(FAST, trials=trials))
         expected = []
@@ -377,9 +384,11 @@ class TestRunSuite:
         # instance; the one of slack covers the operators the operator bound
         # counts and the allocator's rounding
         check, params = _REGISTRY[name], SuiteParams()
+        space = _pass_space(params, params.p) if check.basis else None
 
         def peak(count):
-            run = _Run(params, np.random.default_rng(0), {}, 10**6)
+            run = _Run(params, np.random.default_rng(0))
+            run.pass_space = space  # as run_suite gives a check that declares a basis
             check.measure(run, check.draw(run, 0, count))  # spaces and caches first
             tracemalloc.start()
             try:
@@ -396,7 +405,7 @@ class TestRunSuite:
         # operator's loop; the third operator has a two-member cluster whose
         # 1e-10 gap makes reconstruction its largest residual
         rng = np.random.default_rng(8)
-        run = _Run(FAST, rng, {}, 100)
+        run = _Run(FAST, rng)
         space = run.space()
         mats = suites._draw_selfadjoints(run, 0, 32)
         unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
@@ -423,12 +432,12 @@ class TestRunSuite:
         # one Generator call per chunk consumes the stream as one call per
         # part of each instance (real part, then imaginary part) would
         shapes = ((3, 3), (3,), ())
-        chunk = _Run(FAST, np.random.default_rng(5), {}, 1).normals(7, *shapes)
+        chunk = _Run(FAST, np.random.default_rng(5)).normals(7, *shapes)
         rng = np.random.default_rng(5)
         for i in range(7):
             for part, shape in zip(chunk, shapes):
                 assert part[i].tobytes() == np.asarray(rand_complex(rng, *shape)).tobytes()
-        run, rng = _Run(FAST, np.random.default_rng(6), {}, 1), np.random.default_rng(6)
+        run, rng = _Run(FAST, np.random.default_rng(6)), np.random.default_rng(6)
         basis = run.space().basis
 
         def hermitian():
@@ -444,7 +453,7 @@ class TestRunSuite:
         # adjoint-algebra's chunk, cut into one stack per N, from each phase
         # of the N = 4, 8, 16 cycle: instance i is one normals() call
         for first in (3, 4, 5):
-            run, lone = (_Run(FAST, np.random.default_rng(7), {}, 1) for _ in range(2))
+            run, lone = (_Run(FAST, np.random.default_rng(7)) for _ in range(2))
             stacks = suites._draw_algebra(run, first, first + 8)
             for i in range(first, first + 8):
                 n, j = suites._ADJOINT_DIMS[i % 3], i - first
@@ -462,9 +471,9 @@ class TestRunSuite:
         # alone, at the block's p
         check = _REGISTRY["duality-homogeneity"]
         first, stop = 6 * block, 6 * block + 6
-        run, lone = (_Run(FAST, np.random.default_rng(4), {}, 6) for _ in range(2))
+        run, lone = (_Run(FAST, np.random.default_rng(4)) for _ in range(2))
+        run.pass_space = lone.pass_space = _pass_space(FAST, suites.P_SWEEP[block])
         chunk = check.draw(run, first, stop)
-        assert chunk[0].basis.p == suites.P_SWEEP[block]
         alone = [check.measure(lone, check.draw(lone, i, i + 1)) for i in range(first, stop)]
         assert check.measure(run, chunk).tobytes() == np.concatenate(alone).tobytes()
 
@@ -570,9 +579,9 @@ class TestSharedSpace:
             built.append((running[0], n, p, resolution))
             return fourier_sbasis(n, p, resolution)
 
-        def named(check, run, block):
+        def named(check, run, block, space):
             running[0] = _check_name(check)
-            run_block(check, run, block)
+            run_block(check, run, block, space)
 
         fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
         monkeypatch.setattr(embedding, "fourier_sbasis", counting)
@@ -582,24 +591,25 @@ class TestSharedSpace:
         run_suite("adjoint", seed=0, params=FAST)
         assert built == [("adjoint-defining-identity", FAST.dim, FAST.p, FAST.grid)]
 
-    def test_spaces_at_the_run_dim_are_shared(self):
-        shared = {}
-        first, second = (_Run(FAST, None, shared, 1) for _ in range(2))
-        assert first.space() is second.space() is first.space(p=FAST.p, dim=FAST.dim)
-        # a space at the run's N is shared at every p
-        assert first.space(p=2.0) is second.space(p=2.0)
-        assert set(shared) == {(FAST.dim, FAST.p), (FAST.dim, 2.0)}
-        # a space at another N is built once per check and shared with no other
-        assert first.space(dim=4) is first.space(dim=4)
-        assert first.space(dim=4) is not second.space(dim=4)
-        assert first.space(dim=4) not in shared.values()
-        assert first.space() is not _Run(FAST, None, {}, 1).space()
-        assert first.asked == {(FAST.dim, FAST.p), (FAST.dim, 2.0), (4, FAST.p)}
+    def test_space_is_the_pass_space_where_one_is_set(self):
+        first, second = (_Run(FAST, None) for _ in range(2))
+        # without a pass space, a check's space is its own, one per N, at the run's p
+        assert first.space() is first.space(dim=FAST.dim)
+        assert first.space() is not second.space()
+        assert (first.space().dim, first.space().p) == (FAST.dim, FAST.p)
+        assert first.space(dim=4) is first.space(dim=4) is not second.space(dim=4)
+        # in a pass, the space at the run's N is the pass's, whatever its p
+        own = first.space()
+        first.pass_space = second.pass_space = space = _pass_space(FAST, 2.0)
+        assert first.space() is second.space() is space
+        assert first.space(dim=4).dim == 4
+        first.pass_space = None
+        assert first.space() is own
 
     @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
     def test_sweep_bases_built_once_and_one_at_a_time(self, monkeypatch, p):
         # the embedding suite builds each P_SWEEP basis once, in its pass,
-        # and the run's own once after the sweep, even where its p is in
+        # and the run's own in a pass of its own only where its p is off
         # the sweep; at most one basis at the run's N is alive at any time,
         # whatever its p, and none outlives the run
         params = replace(FAST, p=p)
@@ -616,15 +626,16 @@ class TestSharedSpace:
         fourier_sbasis = embedding.fourier_sbasis
         monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
         run_suite("embedding", seed=0, params=params)
-        assert built == [(params.dim, q, params.grid) for q in (*suites.P_SWEEP, p)]
+        passes = dict.fromkeys((*suites.P_SWEEP, p))
+        assert built == [(params.dim, q, params.grid) for q in passes]
         assert most_alive[0] == 1
         assert all(r() is None for _, r in refs)
 
     def test_no_basis_alive_while_checks_that_ask_for_none_run(self, monkeypatch):
-        # a space at the run's N is dropped after the first check that does
-        # not ask for it, so no basis at the run's N is alive while these
-        # checks run, and none is built
-        probed = {"riesz-symmetry", "horn-inequality", *list_checks("ks2")}
+        # a basis lives for its pass, and the checks that declare none run
+        # after the last pass, so no basis at the run's N is alive while
+        # they run, and none is built
+        probed = {name for name, check in _REGISTRY.items() if check.basis is None}
         refs, seen = [], []
 
         def tracking(n, p, resolution):
@@ -632,12 +643,12 @@ class TestSharedSpace:
             refs.append((n, weakref.ref(basis)))
             return basis
 
-        def probe(check, run, block):
+        def probe(check, run, block, space):
             name = _check_name(check)
             if name in probed:
                 alive = [ref for n, ref in refs if n == FAST.dim and ref() is not None]
                 seen.append((name, len(alive), len(refs)))
-            run_block(check, run, block)
+            run_block(check, run, block, space)
             if name in probed:
                 assert len(refs) == seen[-1][2], f"{name} built a basis"
 
@@ -647,8 +658,33 @@ class TestSharedSpace:
         run_suite("all", seed=0, params=FAST)
         assert sorted(name for name, _, _ in seen) == sorted(probed)
         assert [(name, alive) for name, alive, _ in seen if alive] == []
-        # the P_SWEEP passes built four bases, the single-block checks one
-        assert len(refs) == len(suites.P_SWEEP) + 1
+        # one basis per P_SWEEP pass, the run's own p among them
+        assert len(refs) == len(suites.P_SWEEP)
+
+    @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
+    def test_only_checks_that_declare_a_basis_build_one(self, monkeypatch, p):
+        # every build happens inside a block of a check that declares a
+        # basis, one per pass: a check that reads the basis without declaring
+        # it would build a basis of its own
+        params = replace(FAST, p=p)
+        built, running = [], [("no block", None)]
+
+        def counting(n, q, resolution):
+            built.append(q)
+            name, basis = running[0]
+            assert basis, f"{name} builds a basis it does not declare"
+            return fourier_sbasis(n, q, resolution)
+
+        def declared(check, run, block, space):
+            running[0] = _check_name(check), check.basis
+            run_block(check, run, block, space)
+            running[0] = "no block", None
+
+        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
+        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
+        monkeypatch.setattr(suites, "_run_block", declared)
+        run_suite("all", seed=0, params=params)
+        assert built == list(dict.fromkeys((*suites.P_SWEEP, p)))
 
     def test_shared_space_is_read_only(self, monkeypatch):
         # the basis is built on its first read, once, and read-only
@@ -660,7 +696,7 @@ class TestSharedSpace:
 
         fourier_sbasis = embedding.fourier_sbasis
         monkeypatch.setattr(embedding, "fourier_sbasis", counting)
-        space = _Run(FAST, None, {}, 1).space()
+        space = _Run(FAST, None).space()
         assert built == []
         assert space.basis is space.basis
         assert built == [(FAST.dim, FAST.p, FAST.grid)]
