@@ -66,19 +66,19 @@ class EmbeddingSpace:
 def h_inner(u: GridFunction, v: GridFunction, space: EmbeddingSpace) -> complex:
     """(u, v)_H = sum_n t_n <E_n*, u> conj(<E_n*, v>)."""
     return complex(coefficient_h_inner(coefficients(u, space.basis),
-                                       coefficients(v, space.basis), space))
+                                       coefficients(v, space.basis), space.weights))
 
 
-def coefficient_h_inner(cu: np.ndarray, cv: np.ndarray, space: EmbeddingSpace) -> np.ndarray:
+def coefficient_h_inner(cu: np.ndarray, cv: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_n t_n cu_n conj(cv_n) over the last axis: the H inner product of
     the functions with coefficients cu and cv, one per row of a stack."""
-    return np.sum(space.weights * cu * np.conj(cv), axis=-1)
+    return np.sum(weights * cu * np.conj(cv), axis=-1)
 
 
-def coefficient_h_norm(c: np.ndarray, space: EmbeddingSpace) -> np.ndarray:
+def coefficient_h_norm(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sqrt(sum_n t_n |c_n|^2) over the last axis: the H norm of the
     function with coefficients c, one per row of a stack."""
-    return np.sqrt(np.sum(space.weights * np.abs(c) ** 2, axis=-1))
+    return np.sqrt(np.sum(weights * np.abs(c) ** 2, axis=-1))
 
 
 def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
@@ -94,13 +94,13 @@ def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndar
     alone.  Returns (psi, representers), both (..., k, M).  Linearly
     dependent input (in the truncated H metric) raises with the offending
     index."""
-    basis = space.basis
+    basis, weights = space.basis, space.weights
 
     def inner(u, v):
-        return coefficient_h_inner(analyze(u, basis), analyze(v, basis), space)
+        return coefficient_h_inner(analyze(u, basis), analyze(v, basis), weights)
 
     def norm(u):
-        return coefficient_h_norm(analyze(u, basis), space)
+        return coefficient_h_norm(analyze(u, basis), weights)
 
     phis = []
     for i in range(values.shape[-2]):

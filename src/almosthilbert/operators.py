@@ -1,7 +1,9 @@
 """Truncated operators on B and their weighted-metric adjoints.
 
 A BOperator is an N x N matrix acting on basis coefficients, or a stack
-of them with shape (..., N, N) on one space.  The algebra, transports,
+of them with shape (..., N, N), with the weights t_n: all of H the algebra
+reads (only ``adjoint_identity_defect`` crosses to the grid, in the basis
+it is given).  The algebra, transports,
 adjoint, norms, *-algebra and defining-identity defects, self-adjointness
 and self-conjugacy tests, Lax checks, polar factors, spectral resolutions
 and the min-max estimate act slice by slice, each slice as it would alone.
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .embedding import EmbeddingSpace, coefficient_h_inner
-from .spaces import analyze, synthesize
+from .embedding import coefficient_h_inner
+from .spaces import SchauderBasis, analyze, synthesize
 
 _RESTARTS = 4          # random starts of the coefficient p-norm power method
 _ISOMETRY_TOL = 1e-8   # Frobenius defect allowed of exp(itA) as an H-isometry
@@ -32,31 +34,34 @@ _SPECTRAL_TOL = 1e-8   # self-adjointness required before a spectral resolution
 @dataclass(frozen=True, eq=False)
 class BOperator:
     matrix: np.ndarray
-    space: EmbeddingSpace
+    weights: np.ndarray
 
     def __post_init__(self):
         m = numerics.as_matrix(self.matrix)
-        n = self.space.dim
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim != 1 or not w.size or not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("weights must form a nonempty 1-D array of positive finite numbers")
+        n = len(w)
         if m.shape[-2:] != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match truncation {n}")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "weights", w)
 
     def _require_same_space(self, other: "BOperator"):
-        """Refuse ``other`` unless its space is this one's, or has equal
-        weights (hence N) and the same p and grid; neither basis is built."""
-        a, b = self.space, other.space
-        if a is not b and not (a.p == b.p and a.resolution == b.resolution
-                               and np.array_equal(a.weights, b.weights)):
+        """Refuse ``other`` unless its weights are this one's: p and the grid
+        never enter the operator algebra."""
+        a, b = self.weights, other.weights
+        if a is not b and not np.array_equal(a, b):
             raise ValueError("operators live on different spaces")
 
     def __matmul__(self, other: "BOperator") -> "BOperator":
         self._require_same_space(other)
-        return BOperator(self.matrix @ other.matrix, self.space)
+        return BOperator(self.matrix @ other.matrix, self.weights)
 
 
 def h_matrix(A: BOperator) -> np.ndarray:
     """Transport to the H metric: W^{1/2} M W^{-1/2}."""
-    sw = np.sqrt(A.space.weights)
+    sw = np.sqrt(A.weights)
     return A.matrix * (sw[:, None] / sw[None, :])
 
 
@@ -71,10 +76,10 @@ def h_eigen(mh: np.ndarray) -> numerics.EigenResult:
     return numerics.hermitian_eigen(_sym(mh))
 
 
-def from_h_matrix(mh: np.ndarray, space: EmbeddingSpace) -> BOperator:
+def from_h_matrix(mh: np.ndarray, weights: np.ndarray) -> BOperator:
     """Inverse transport W^{-1/2} M_H W^{1/2} back to coordinates."""
-    sw = np.sqrt(space.weights)
-    return BOperator(np.asarray(mh) * (sw[None, :] / sw[:, None]), space)
+    sw = np.sqrt(weights)
+    return BOperator(np.asarray(mh) * (sw[None, :] / sw[:, None]), weights)
 
 
 def _star(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -84,7 +89,7 @@ def _star(m: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def adjoint(A: BOperator) -> BOperator:
     """A* = W^{-1} A^H W, the weighted conjugate transpose."""
-    return BOperator(_star(A.matrix, A.space.weights), A.space)
+    return BOperator(_star(A.matrix, A.weights), A.weights)
 
 
 def h_opnorm(A: BOperator):
@@ -109,7 +114,7 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a):
     from the coordinate matrices of A and B, validated once as operators;
     a slice whose sides overflow gets a NaN defect."""
     A._require_same_space(B)
-    w = A.space.weights
+    w = A.weights
     m, n = A.matrix, B.matrix
     a = np.asarray(a, dtype=np.complex128)[..., None, None]
     fro = numerics.frobenius_norm
@@ -127,16 +132,13 @@ def adjoint_algebra_defect(A: BOperator, B: BOperator, a):
     return np.max(defects, axis=0)
 
 
-def adjoint_identity_defect(A: BOperator, cu, cv):
+def adjoint_identity_defect(A: BOperator, cu, cv, basis: SchauderBasis):
     """Relative defect |(Au, v)_H - (u, A*v)_H| / max(1, |each side|) of the
-    defining identity, for the functions u and v with coefficients cu and cv;
-    one per slice of A, with cu and cv one row per slice.  Each function is
-    synthesized on the grid and analysed back, and Au and A*v likewise: an
-    operator acts on a grid function through its coefficients, as the
-    synthesis of M c(u)."""
-    space = A.space
-    basis = space.basis
-
+    defining identity, for the functions u and v with coefficients cu and cv
+    in ``basis``; one per slice of A, with cu and cv one row per slice.  Each
+    function is synthesized on the grid and analysed back, and Au and A*v
+    likewise: an operator acts on a grid function through its coefficients,
+    as the synthesis of M c(u)."""
     def round_trip(c):
         return analyze(synthesize(c, basis), basis)
 
@@ -144,8 +146,8 @@ def adjoint_identity_defect(A: BOperator, cu, cv):
         return round_trip((m @ c[..., None])[..., 0])
 
     c_u, c_v = round_trip(np.asarray(cu)), round_trip(np.asarray(cv))
-    lhs = coefficient_h_inner(act(A.matrix, c_u), c_v, space)
-    rhs = coefficient_h_inner(c_u, act(adjoint(A).matrix, c_v), space)
+    lhs = coefficient_h_inner(act(A.matrix, c_u), c_v, A.weights)
+    rhs = coefficient_h_inner(c_u, act(adjoint(A).matrix, c_v), A.weights)
     modulus = numerics.modulus
     return modulus(lhs - rhs) / np.maximum(np.maximum(1.0, modulus(lhs)), modulus(rhs))
 
@@ -208,7 +210,7 @@ def self_conjugacy_check(A: BOperator, tgrid):
     and no later exponential is taken of it, so a slice that would overflow
     only past that point refutes rather than raises."""
     mh = h_matrix(A)
-    eye = np.eye(A.space.dim)
+    eye = np.eye(len(A.weights))
     held = np.ones(mh.shape[:-2], dtype=bool)
     for t, sign in [(t, sign) for t in tgrid for sign in (1.0, -1.0)]:
         if not held.any():
@@ -229,9 +231,7 @@ def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
     vh_t = vh.conj().swapaxes(-1, -2)
     t_h = (vh * s[..., None, :]) @ vh_t
     u_h = uh @ vh_t
-    U = from_h_matrix(u_h, A.space)
-    T = from_h_matrix(t_h, A.space)
-    return U, T
+    return from_h_matrix(u_h, A.weights), from_h_matrix(t_h, A.weights)
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
     mh = h_matrix(A)
     if not np.all(_h_asymmetry(mh) <= _SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
-    n = A.space.dim
+    n = len(A.weights)
     vals, vecs = h_eigen(mh)
     vals, rows = vals.reshape(-1, n), vecs.swapaxes(-1, -2).reshape(-1, n, n)
     owners, members, offsets = [], [], [0]
@@ -286,7 +286,7 @@ def spectral_decompose(A: BOperator) -> SpectralDecomposition:
         eigenvalues[at] = np.mean(vals[idx], axis=-1)
         v = rows[idx].swapaxes(-1, -2)
         p_h[at] = v @ v.conj().swapaxes(-1, -2)
-    return SpectralDecomposition(eigenvalues, from_h_matrix(p_h, A.space), np.array(offsets))
+    return SpectralDecomposition(eigenvalues, from_h_matrix(p_h, A.weights), np.array(offsets))
 
 
 def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
@@ -309,7 +309,7 @@ def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):
     slice of a single iteration, and a converged one is frozen (masked) while
     the others go on, so each slice gets what a call on it alone gets.
     Returns a float for one operator, an array over the slices of a stack."""
-    n = A.space.dim
+    n = len(A.weights)
     if not 1 <= k <= n:
         raise ValueError(f"eigenvalue index k={k} out of range 1..{n}")
     if trials < 1:

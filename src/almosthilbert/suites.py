@@ -34,9 +34,9 @@ byte.  Each check declares the basis it reads: one per P_SWEEP p, the run's
 own p, or none.  ``run_suite`` makes one pass per exponent, each with one
 space at the run's N that builds its basis arrays when a check first reads
 them and is dropped when the pass ends; a last pass runs the checks that
-read no basis.  A basis lives for its pass, so the run holds at most one
-basis at its N, and none while a check that reads none runs.  The report is
-order-stable regardless because rendering sorts by check name.
+read no basis.  Only a basis pass's blocks reach a space, and a basis lives
+for its pass, so the run holds at most one basis at its N, and none while a
+check that reads none runs; the report sorts by check name.
 """
 
 from __future__ import annotations
@@ -165,9 +165,9 @@ def _chunk(dims, grid: int = 0, per_eigenvalue: bool = False) -> int:
     return max(1, min(_CHUNK_BYTES // (16 * entries), _GRID_BYTES // (16 * max(grid, 1))))
 
 
-def _resolution(params: SuiteParams, dim: int) -> int:
-    """The grid size of the basis of N = dim members at these params."""
-    return max(64, 8 * dim, params.grid)
+def _resolution(params: SuiteParams) -> int:
+    """The grid size of the run's basis of N = params.dim members."""
+    return max(64, 8 * params.dim, params.grid)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class _Check:
     basis: str | None = None  # "sweep": a block per P_SWEEP p; "own": the run's p; None: none
 
     def chunk(self, params: SuiteParams) -> int:
-        return _chunk(self.dims or params.dim, self.grid_values * _resolution(params, params.dim),
+        return _chunk(self.dims or params.dim, self.grid_values * _resolution(params),
                       self.per_eigenvalue)
 
     def passes(self, params: SuiteParams) -> tuple:
@@ -209,8 +209,8 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
 
     ``basis`` declares the basis a check reads through ``run.space()``:
     "sweep", one block per P_SWEEP p, each at its p; "own", the run's p;
-    None, none, for a check that reads the weights alone (a check that
-    reads ``basis`` without declaring it fails tests/test_suites.py).
+    None, none, for a check that reads the weights alone (``run.space()``
+    raises in a check that declares none).
     ``run_suite`` runs ``_count(params, count)`` instances per block
     (taking a count of one when ``count`` is None) in chunks, each inside
     one block, and measures each chunk before it draws the next.
@@ -263,9 +263,9 @@ def _complex_parts(x: np.ndarray, shapes) -> list[np.ndarray]:
 
 class _Run:
     """One check's part of a ``run_suite`` call: the params, the check's
-    random stream, the spaces it works in, and the report params and tail
-    bounds its ``measure`` records.  The random draws below are for
-    ``draw`` alone; each chunk form draws ``count`` instances in one
+    random stream, the space of the pass its block runs in, and the report
+    params and tail bounds its ``measure`` records.  The random draws below
+    are for ``draw`` alone; each chunk form draws ``count`` instances in one
     Generator call, bit for bit as many calls one instance at a time."""
 
     def __init__(self, params: SuiteParams, rng):
@@ -277,22 +277,15 @@ class _Run:
         self.worst, self.samples, self.seconds = 0.0, 0, 0.0
         # the space of the pass the current block runs in, set while it runs
         self.pass_space: EmbeddingSpace | None = None
-        self._own: dict = {}
+        self.weights = dyadic_weights(params.dim)  # all of H an operator check reads
 
-    def space(self, dim: int | None = None) -> EmbeddingSpace:
-        """The pass's space while a block of a check that declares a basis
-        runs; otherwise the check's own space of ``dim`` basis members (the
-        run's N by default) at the run's p, made on first use and freed
-        with the check.  A space's basis arrays are built by
-        ``fourier_sbasis`` the first time a check reads ``basis``; an
-        operator check reads only the weights."""
-        if dim is None and self.pass_space is not None:
-            return self.pass_space
-        n = self.params.dim if dim is None else dim
-        if n not in self._own:
-            self._own[n] = EmbeddingSpace(dyadic_weights(n), self.params.p,
-                                          _resolution(self.params, n))
-        return self._own[n]
+    def space(self) -> EmbeddingSpace:
+        """The pass's space, while a block of a check that declares a basis
+        runs; its basis arrays are built by ``fourier_sbasis`` the first time
+        a check reads ``basis``.  Raises in a check that declares none."""
+        if self.pass_space is None:
+            raise RuntimeError("a check reads a basis it does not declare")
+        return self.pass_space
 
     def low(self, name: str, value):
         """Record the smallest entry of ``value`` (a number or an array) so
@@ -325,17 +318,17 @@ class _Run:
         space = self.space()
         return synthesize(self.normals(count, (space.dim,))[0], space.basis)
 
-    def matrices(self, count: int, dim: int | None = None) -> np.ndarray:
+    def matrices(self, count: int) -> np.ndarray:
         """Random operators' coordinate matrices, entries of variance 2/N."""
-        n = self.space(dim=dim).dim
+        n = self.params.dim
         return self.normals(count, (n, n))[0] / np.sqrt(n)
 
-    def matrix(self, dim: int | None = None) -> np.ndarray:
-        return self.matrices(1, dim)[0]
+    def matrix(self) -> np.ndarray:
+        return self.matrices(1)[0]
 
     def hermitians(self, count: int) -> np.ndarray:
         """The H-metric transports of random naturally self-adjoint operators."""
-        n = self.space().dim
+        n = self.params.dim
         a = self.normals(count, (n, n))[0]
         return a + a.conj().swapaxes(-1, -2)
 
@@ -343,9 +336,9 @@ class _Run:
         return self.hermitians(1)[0]
 
     def stacked(self, matrices) -> BOperator:
-        """Operators on the run's own space, given by their coordinate
-        matrices, as one stacked operator."""
-        return BOperator(np.asarray(matrices), self.space())
+        """Operators at the run's N, given by their coordinate matrices, as
+        one stacked operator."""
+        return BOperator(np.asarray(matrices), self.weights)
 
     def steps(self, count: int) -> np.ndarray:
         """Random step functions of 8 steps on the run's grid, one per row."""
@@ -434,7 +427,7 @@ def _chk_hnorm_sup(run, u):
     space = run.space()
     c = analyze(u, space.basis)
     sup = np.max(np.abs(c), axis=-1)
-    return (coefficient_h_norm(c, space) - sup) / np.maximum(sup, 1e-300)
+    return (coefficient_h_norm(c, space.weights) - sup) / np.maximum(sup, 1e-300)
 
 
 @_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7, count=125, grid_values=2,
@@ -442,7 +435,8 @@ def _chk_hnorm_sup(run, u):
 def _chk_hnorm_bnorm(run, u):
     space = run.space()
     bn = lp_norm_rows(u, space.basis.p)
-    return (coefficient_h_norm(analyze(u, space.basis), space) - bn) / np.maximum(bn, 1e-300)
+    c = analyze(u, space.basis)
+    return (coefficient_h_norm(c, space.weights) - bn) / np.maximum(bn, 1e-300)
 
 
 @_check("embedding-middle-ratio", "embedding", count=50, grid_values=2, draw=_draw_polys,
@@ -477,7 +471,7 @@ def _chk_jb_linear(run, x):
     cw = analyze(w, space.basis)
 
     def at_w(f):
-        return coefficient_h_inner(cw, analyze(f, space.basis), space)
+        return coefficient_h_inner(cw, analyze(f, space.basis), space.weights)
 
     modulus = numerics.modulus
     on_u = at_w(u)
@@ -499,11 +493,11 @@ def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
     # products with the others and its dual pairings
     space = run.space()
-    basis = space.basis
+    basis, weights = space.basis, space.weights
     modulus = numerics.modulus
     psis, representers = biorthonormalize(vecs, space)
     c, c_dual = analyze(psis, basis), analyze(representers, basis)
-    h = coefficient_h_norm(c, space)
+    h = coefficient_h_norm(c, weights)
     k = vecs.shape[-2]
     rows = []
     for i in range(k):
@@ -511,8 +505,8 @@ def _chk_gram_schmidt(run, vecs):
         for j in range(k):
             if i != j:
                 denom = np.maximum(h[:, i] * h[:, j], 1e-300)
-                row.append(modulus(coefficient_h_inner(c[:, i], c[:, j], space)) / denom)
-            pairing_ij = coefficient_h_inner(c[:, i], c_dual[:, j], space)
+                row.append(modulus(coefficient_h_inner(c[:, i], c[:, j], weights)) / denom)
+            pairing_ij = coefficient_h_inner(c[:, i], c_dual[:, j], weights)
             row.append(modulus(pairing_ij - (1.0 if i == j else 0.0)))
         rows.append(np.stack(row, axis=-1))
     return np.stack(rows, axis=1)
@@ -548,15 +542,14 @@ def _chk_adjoint_algebra(run, stacks):
     defects = np.empty(sum(len(at) for at, *_ in stacks))
     for n, (at, a, b, scalars) in zip(_ADJOINT_DIMS, stacks):
         if len(at):
-            space = run.space(dim=n)
-            defects[at] = adjoint_algebra_defect(BOperator(a, space), BOperator(b, space),
-                                                 scalars)
+            w = dyadic_weights(n)
+            defects[at] = adjoint_algebra_defect(BOperator(a, w), BOperator(b, w), scalars)
     return defects
 
 
 def _draw_identity(run, first, stop):
     # a matrix and the coefficients of u and v, drawn as run.polys() draws them
-    n = run.space().dim
+    n = run.params.dim
     mats, cus, cvs = run.normals(stop - first, (n, n), (n,), (n,))
     return mats / np.sqrt(n), cus, cvs
 
@@ -566,7 +559,7 @@ def _draw_identity(run, first, stop):
         draw=_draw_identity, basis="own")
 def _chk_defining_identity(run, x):
     mats, cus, cvs = x
-    return adjoint_identity_defect(run.stacked(mats), cus, cvs)
+    return adjoint_identity_defect(run.stacked(mats), cus, cvs, run.space().basis)
 
 
 @_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, draw=_draw_matrices)
@@ -580,11 +573,11 @@ def _chk_positive_product(run, mats):
 
 def _draw_self_conjugacy(run, first, stop):
     # even instances are naturally self-adjoint, odd ones general; both draw one N x N
-    n = run.space().dim
+    n = run.params.dim
     a = run.normals(stop - first, (n, n))[0]
     even = np.arange(first, stop) % 2 == 0
     mats = a / np.sqrt(n)
-    mats[even] = from_h_matrix(a[even] + a[even].conj().swapaxes(-1, -2), run.space()).matrix
+    mats[even] = from_h_matrix(a[even] + a[even].conj().swapaxes(-1, -2), run.weights).matrix
     return mats
 
 
@@ -596,7 +589,7 @@ def _chk_self_conjugacy(run, mats):
 
 def _draw_selfadjoints(run, first, stop):
     # coordinate matrices of naturally self-adjoint operators
-    return from_h_matrix(run.hermitians(stop - first), run.space()).matrix
+    return from_h_matrix(run.hermitians(stop - first), run.weights).matrix
 
 
 @_check("lax-spectrum-invariance", "adjoint", tol=1e-8, count=200, draw=_draw_selfadjoints)
@@ -625,7 +618,7 @@ def _chk_polar(run, mats):
     return np.stack([fro((u_op @ t_op).matrix - a_op.matrix) / scale,
                      fro(th - th.conj().swapaxes(-1, -2)) / tscale,
                      -h_eigen(th).values[:, -1] / tscale,
-                     fro(uh_t @ uh - np.eye(a_op.space.dim))], axis=-1)[:, None, :]
+                     fro(uh_t @ uh - np.eye(run.params.dim))], axis=-1)[:, None, :]
 
 
 # a resolution holds a projection per eigenvalue, and its products as many
@@ -653,7 +646,7 @@ def _chk_spectral(run, mats):
     values[at] = dec.eigenvalues
     worst = np.maximum(fro(np.sum(values[..., None, None] * p, axis=1) - mats)
                        / np.maximum(fro(mats), 1e-300),
-                       fro(np.sum(p, axis=1) - np.eye(run.space().dim)))
+                       fro(np.sum(p, axis=1) - np.eye(run.params.dim)))
     worst = np.maximum(worst, np.max(fro(p @ p - p), axis=1))
     worst = np.maximum(worst, np.max(fro(adjoint(run.stacked(p)).matrix - p), axis=1))
     for i in range(p.shape[1] - 1):
@@ -675,7 +668,7 @@ def _draw_minmax(run, first, stop):
 def _chk_minmax(run, xs):
     # the instances share N, hence their k; one min-max stack per k
     hermitians, seeded_ks = zip(*xs)
-    a_op = from_h_matrix(np.stack(hermitians), run.space())
+    a_op = from_h_matrix(np.stack(hermitians), run.weights)
     direct = h_eigen(h_matrix(a_op)).values
     scale = np.maximum(1.0, np.max(np.abs(direct), axis=-1))
     columns = []
@@ -691,7 +684,7 @@ def _chk_minmax(run, xs):
 def _meas_khat(run, xs):
     hs, seeds = zip(*xs)
     p = run.extra["p"] = run.params.p
-    return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.space()), p, seed=seeds))
+    return run.low("khat_min", lax_khat(from_h_matrix(np.stack(hs), run.weights), p, seed=seeds))
 
 
 @_check("bnorm-adjoint-ratio", "adjoint", count=20,
@@ -732,7 +725,7 @@ def _chk_sv_paths(run, mats):
 
 def _draw_unitary_invariance(run, first, stop):
     # a matrix and two generators of unitaries
-    n = run.space().dim
+    n = run.params.dim
     mats, *gens = run.normals(stop - first, (n, n), (n, n), (n, n))
     return mats / np.sqrt(n), gens
 
@@ -742,7 +735,7 @@ def _draw_unitary_invariance(run, first, stop):
 def _chk_unitary_invariance(run, x):
     mats, gens = x
     a_op = run.stacked(mats)
-    u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().swapaxes(-1, -2)), a_op.space)
+    u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().swapaxes(-1, -2)), a_op.weights)
                   for g in gens)
     bases = schatten.schatten_norm(a_op, _SCHATTEN_PS)
     moved = schatten.schatten_norm(u_op @ a_op @ v_op, _SCHATTEN_PS)
@@ -769,7 +762,7 @@ def _chk_weyl(run, mats):
 
 
 def _draw_horn(run, first, stop):
-    n = run.space().dim
+    n = run.params.dim
     return [m / np.sqrt(n) for m in run.normals(stop - first, (n, n), (n, n))]
 
 
@@ -1043,7 +1036,7 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     runs: dict[str, _Run] = {}
     for p in (*dict.fromkeys((*P_SWEEP, params.p)), None):
         space = None if p is None else EmbeddingSpace(
-            dyadic_weights(params.dim), p, _resolution(params, params.dim))
+            dyadic_weights(params.dim), p, _resolution(params))
         for cname in names:
             check = _REGISTRY[cname]
             passes = check.passes(params)

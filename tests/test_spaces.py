@@ -277,10 +277,10 @@ class TestRowsBitwise:
     for bit: the suites measure chunks of instances as such stacks."""
 
     @staticmethod
-    def rows(M):
+    def rows(M, T=6):
         rng = np.random.default_rng(M)
-        scales = 10.0 ** rng.uniform(-3, 3, (6, 1))
-        values = scales * (rng.standard_normal((6, M)) + 1j * rng.standard_normal((6, M)))
+        scales = 10.0 ** rng.uniform(-3, 3, (T, 1))
+        values = scales * (rng.standard_normal((T, M)) + 1j * rng.standard_normal((T, M)))
         values[2] = 0.0  # J(0) = 0
         values[4, ::3] = 0.0  # zeros inside a row
         return values
@@ -294,11 +294,13 @@ class TestRowsBitwise:
         for k in range(6):
             assert norms[k].tobytes() == np.float64(lp_norm(GridFunction(values[k]), p)).tobytes()
 
-    @pytest.mark.parametrize("M", [16, 256, 424])
-    def test_pairing(self, M):
-        f, g = self.rows(M), self.rows(M)[::-1].copy()
+    # 64 x 256 is numpy's temporary-elision threshold of 256 KiB
+    @pytest.mark.parametrize("T, M", [(6, 16), (6, 256), (6, 424), (64, 256)],
+                             ids=["16", "256", "424", "64x256"])
+    def test_pairing(self, T, M):
+        f, g = self.rows(M, T), self.rows(M, T)[::-1].copy()
         brackets = pairing_rows(f, g)
-        for k in range(6):
+        for k in range(T):
             alone = pairing(GridFunction(f[k]), GridFunction(g[k]))
             assert brackets[k].tobytes() == np.complex128(alone).tobytes()
 

@@ -84,7 +84,7 @@ ALL_CHECKS = tuple(sorted(SAMPLES_AT_ONE_TRIAL))
 def _pass_space(params, p):
     """The space run_suite makes for the pass at exponent p."""
     return embedding.EmbeddingSpace(embedding.dyadic_weights(params.dim), p,
-                                    suites._resolution(params, params.dim))
+                                    suites._resolution(params))
 
 
 class TestRegistry:
@@ -216,7 +216,7 @@ class TestRunSuite:
         # a planted defect, A* = A^H without the weights, shows as failed
         # checks of a complete report (swapaxes, not .T: A may be a stack)
         def unweighted(A):
-            return BOperator(A.matrix.conj().swapaxes(-1, -2), A.space)
+            return BOperator(A.matrix.conj().swapaxes(-1, -2), A.weights)
         for module in (operators, suites, schatten):
             monkeypatch.setattr(module, "adjoint", unweighted)
         rep = run_suite(suite, seed=0, params=FAST)
@@ -397,7 +397,7 @@ class TestRunSuite:
             finally:
                 tracemalloc.stop()
 
-        per_instance = (peak(8) - peak(4)) / 4 / (16 * suites._resolution(params, params.dim))
+        per_instance = (peak(8) - peak(4)) / 4 / (16 * suites._resolution(params))
         assert per_instance <= check.grid_values + 1.0
 
     def test_spectral_reconstruction_is_the_per_operator_loop(self):
@@ -406,26 +406,26 @@ class TestRunSuite:
         # 1e-10 gap makes reconstruction its largest residual
         rng = np.random.default_rng(8)
         run = _Run(FAST, rng)
-        space = run.space()
+        w = run.weights
         mats = suites._draw_selfadjoints(run, 0, 32)
         unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
         spectrum = [3.0, 1.0, 1.0 + 1e-10, 0.5, -0.5, -1.0, -2.0, -4.0]
-        mats[2] = from_h_matrix((unitary * spectrum) @ unitary.conj().T, space).matrix
+        mats[2] = from_h_matrix((unitary * spectrum) @ unitary.conj().T, w).matrix
         expected = []
         for mat in mats:
-            dec = spectral_decompose(BOperator(mat, space))
+            dec = spectral_decompose(BOperator(mat, w))
             p = dec.projections.matrix
             firsts, seconds = np.triu_indices(len(p), 1)
             products = p[firsts] @ p[seconds]
             stack = [mat, sum(x * p_k for x, p_k in zip(dec.eigenvalues, p)) - mat,
-                     sum(p) - np.eye(space.dim)]
+                     sum(p) - np.eye(len(w))]
             for i, p_i in enumerate(p):
-                stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, space)).matrix - p_i,
+                stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, w)).matrix - p_i,
                           *products[firsts == i]]
             norms = numerics.frobenius_norm(np.stack(stack))
             norms[1] /= max(norms[0], 1e-300)
             expected.append(np.max(norms[1:]))
-        assert len(spectral_decompose(BOperator(mats[2], space)).eigenvalues) == 7
+        assert len(spectral_decompose(BOperator(mats[2], w)).eigenvalues) == 7
         assert suites._chk_spectral(run, mats).tobytes() == np.array(expected).tobytes()
 
     def test_chunk_draws_are_the_instance_draws(self):
@@ -438,6 +438,7 @@ class TestRunSuite:
             for part, shape in zip(chunk, shapes):
                 assert part[i].tobytes() == np.asarray(rand_complex(rng, *shape)).tobytes()
         run, rng = _Run(FAST, np.random.default_rng(6)), np.random.default_rng(6)
+        run.pass_space = _pass_space(FAST, FAST.p)
         basis = run.space().basis
 
         def hermitian():
@@ -564,127 +565,51 @@ class TestRunSuite:
             assert line.endswith(f"  {c.duration:.3f}s")
 
 
-def _check_name(check):
-    (name,) = [n for n, c in _REGISTRY.items() if c is check]
-    return name
-
-
 class TestSharedSpace:
-    def test_own_space_built_once_per_run(self, monkeypatch):
-        # an operator check reads a space's weights alone, so only a check
-        # that crosses to the grid builds its basis
-        built, running = [], [None]
-
-        def counting(n, p, resolution):
-            built.append((running[0], n, p, resolution))
-            return fourier_sbasis(n, p, resolution)
-
-        def named(check, run, block, space):
-            running[0] = _check_name(check)
-            run_block(check, run, block, space)
-
-        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
-        monkeypatch.setattr(suites, "_run_block", named)
-        run_suite("schatten", seed=0, params=FAST)
-        assert built == []
-        run_suite("adjoint", seed=0, params=FAST)
-        assert built == [("adjoint-defining-identity", FAST.dim, FAST.p, FAST.grid)]
-
-    def test_space_is_the_pass_space_where_one_is_set(self):
-        first, second = (_Run(FAST, None) for _ in range(2))
-        # without a pass space, a check's space is its own, one per N, at the run's p
-        assert first.space() is first.space(dim=FAST.dim)
-        assert first.space() is not second.space()
-        assert (first.space().dim, first.space().p) == (FAST.dim, FAST.p)
-        assert first.space(dim=4) is first.space(dim=4) is not second.space(dim=4)
-        # in a pass, the space at the run's N is the pass's, whatever its p
-        own = first.space()
-        first.pass_space = second.pass_space = space = _pass_space(FAST, 2.0)
-        assert first.space() is second.space() is space
-        assert first.space(dim=4).dim == 4
-        first.pass_space = None
-        assert first.space() is own
-
-    @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
-    def test_sweep_bases_built_once_and_one_at_a_time(self, monkeypatch, p):
-        # the embedding suite builds each P_SWEEP basis once, in its pass,
-        # and the run's own in a pass of its own only where its p is off
-        # the sweep; at most one basis at the run's N is alive at any time,
-        # whatever its p, and none outlives the run
-        params = replace(FAST, p=p)
-        built, refs, most_alive = [], [], [0]
-
-        def tracking(n, q, resolution):
-            basis = fourier_sbasis(n, q, resolution)
-            built.append((n, q, resolution))
-            refs.append((n, weakref.ref(basis)))
-            alive = [ref for m, ref in refs if m == params.dim and ref() is not None]
-            most_alive[0] = max(most_alive[0], len(alive))
-            return basis
-
-        fourier_sbasis = embedding.fourier_sbasis
-        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
-        run_suite("embedding", seed=0, params=params)
-        passes = dict.fromkeys((*suites.P_SWEEP, p))
-        assert built == [(params.dim, q, params.grid) for q in passes]
-        assert most_alive[0] == 1
-        assert all(r() is None for _, r in refs)
-
-    def test_no_basis_alive_while_checks_that_ask_for_none_run(self, monkeypatch):
-        # a basis lives for its pass, and the checks that declare none run
-        # after the last pass, so no basis at the run's N is alive while
-        # they run, and none is built
-        probed = {name for name, check in _REGISTRY.items() if check.basis is None}
-        refs, seen = [], []
-
-        def tracking(n, p, resolution):
-            basis = fourier_sbasis(n, p, resolution)
-            refs.append((n, weakref.ref(basis)))
-            return basis
-
-        def probe(check, run, block, space):
-            name = _check_name(check)
-            if name in probed:
-                alive = [ref for n, ref in refs if n == FAST.dim and ref() is not None]
-                seen.append((name, len(alive), len(refs)))
-            run_block(check, run, block, space)
-            if name in probed:
-                assert len(refs) == seen[-1][2], f"{name} built a basis"
-
-        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
-        monkeypatch.setattr(suites, "_run_block", probe)
-        run_suite("all", seed=0, params=FAST)
-        assert sorted(name for name, _, _ in seen) == sorted(probed)
-        assert [(name, alive) for name, alive, _ in seen if alive] == []
-        # one basis per P_SWEEP pass, the run's own p among them
-        assert len(refs) == len(suites.P_SWEEP)
-
     @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
     def test_only_checks_that_declare_a_basis_build_one(self, monkeypatch, p):
-        # every build happens inside a block of a check that declares a
-        # basis, one per pass: a check that reads the basis without declaring
-        # it would build a basis of its own
+        # one recorder over the whole run: a basis is built once per pass, in
+        # pass order, inside a block of a check that declares one; at most one
+        # basis at the run's N is alive at a time, none while a check that
+        # declares none runs, and none outlives the run
         params = replace(FAST, p=p)
-        built, running = [], [("no block", None)]
+        built, refs, running = [], [], [None]
 
-        def counting(n, q, resolution):
-            built.append(q)
-            name, basis = running[0]
-            assert basis, f"{name} builds a basis it does not declare"
-            return fourier_sbasis(n, q, resolution)
+        def alive():
+            return sum(ref() is not None for ref in refs)
 
-        def declared(check, run, block, space):
-            running[0] = _check_name(check), check.basis
+        def tracking(n, q, resolution):
+            assert running[0] is not None and running[0].basis, "built outside a declaring block"
+            assert alive() == 0
+            basis = fourier_sbasis(n, q, resolution)
+            built.append((n, q, resolution))
+            refs.append(weakref.ref(basis))
+            return basis
+
+        def recording(check, run, block, space):
+            assert check.basis or alive() == 0
+            running[0] = check
             run_block(check, run, block, space)
-            running[0] = "no block", None
+            running[0] = None
 
         fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
-        monkeypatch.setattr(suites, "_run_block", declared)
+        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
+        monkeypatch.setattr(suites, "_run_block", recording)
         run_suite("all", seed=0, params=params)
-        assert built == list(dict.fromkeys((*suites.P_SWEEP, p)))
+        passes = dict.fromkeys((*suites.P_SWEEP, p))
+        assert built == [(params.dim, q, params.grid) for q in passes]
+        assert alive() == 0
+
+    def test_space_outside_a_basis_pass_raises(self, monkeypatch):
+        # a check that reads a basis it does not declare fails every run
+        fake = _Check(suite="integral", tol=1.0, count=None, samples=None,
+                      draw=lambda run, first, stop: run.space().basis.p,
+                      measure=lambda run, p: [0.0])
+        monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
+        with pytest.raises(RuntimeError, match="does not declare"):
+            run_suite("integral", seed=0, params=FAST)
+        monkeypatch.setitem(suites._REGISTRY, "fake", replace(fake, basis="own"))
+        assert run_suite("integral", seed=0, params=FAST).passed
 
     def test_shared_space_is_read_only(self, monkeypatch):
         # the basis is built on its first read, once, and read-only
@@ -696,7 +621,7 @@ class TestSharedSpace:
 
         fourier_sbasis = embedding.fourier_sbasis
         monkeypatch.setattr(embedding, "fourier_sbasis", counting)
-        space = _Run(FAST, None).space()
+        space = _pass_space(FAST, FAST.p)
         assert built == []
         assert space.basis is space.basis
         assert built == [(FAST.dim, FAST.p, FAST.grid)]
