@@ -3,15 +3,14 @@
 Given basis coefficients c_n(u) = <E_n*, u> and weights t_n = 2^{-n}, the
 inner product is (u, v)_H = sum_n t_n c_n(u) conj(c_n(v)).  At truncation N
 the geometry of H is entirely the diagonal Gram matrix diag(t_1..t_N) on
-coefficient space; the completion is never materialized.  The linear dual
+coefficient space, so the coefficient forms take the weights alone and what
+crosses to the grid takes the basis as well; the completion is never
+materialized.  The linear dual
 representation J_B sends u to the functional v -> (v, u)_H, which
 ``coefficient_h_inner`` evaluates on coefficient vectors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .spaces import (
     SchauderBasis,
     analyze,
     coefficients,
-    fourier_sbasis,
     lp_norm_rows,
 )
 
@@ -31,42 +29,11 @@ def dyadic_weights(N: int) -> np.ndarray:
     return 2.0 ** -np.arange(1, N + 1)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingSpace:
-    """H at truncation N = len(weights) over a basis at exponent ``p`` on
-    ``resolution`` cells.  Its geometry is diag(weights) alone, so only what
-    crosses to the grid reads the basis arrays: ``fourier_sbasis`` builds
-    them the first time ``basis`` is read, and the space keeps them from
-    then on."""
-
-    weights: np.ndarray
-    p: float
-    resolution: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or not w.size:
-            raise ValueError("weights must form a nonempty 1-D array")
-        if not np.all(w > 0):
-            raise ValueError("weights must be positive")
-        if not w.sum() < 1.0:
-            raise ValueError("partial weight sum must stay below 1")
-        object.__setattr__(self, "weights", w)
-
-    @cached_property
-    def basis(self) -> SchauderBasis:
-        return fourier_sbasis(self.dim, self.p, self.resolution)
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights)
-
-
 # no check calls it; perfbench/workloads.py NAMED_FUNCTIONS traces it by name
-def h_inner(u: GridFunction, v: GridFunction, space: EmbeddingSpace) -> complex:
+def h_inner(u: GridFunction, v: GridFunction, basis: SchauderBasis,
+            weights: np.ndarray) -> complex:
     """(u, v)_H = sum_n t_n <E_n*, u> conj(<E_n*, v>)."""
-    return complex(coefficient_h_inner(coefficients(u, space.basis),
-                                       coefficients(v, space.basis), space.weights))
+    return complex(coefficient_h_inner(coefficients(u, basis), coefficients(v, basis), weights))
 
 
 def coefficient_h_inner(cu: np.ndarray, cv: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -81,20 +48,20 @@ def coefficient_h_norm(c: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(weights * np.abs(c) ** 2, axis=-1))
 
 
-def gram_matrix(space: EmbeddingSpace) -> np.ndarray:
+def gram_matrix(basis: SchauderBasis, weights: np.ndarray) -> np.ndarray:
     """G_mk = h_inner(E_m, E_k) from c[n, m] = <E_n*, E_m>; diag(t_n) up to quadrature error."""
-    c = analyze(space.basis.synthesis, space.basis).T
-    return c.T @ (space.weights[:, None] * np.conj(c))
+    c = analyze(basis.synthesis, basis).T
+    return c.T @ (weights[:, None] * np.conj(c))
 
 
-def biorthonormalize(values: np.ndarray, space: EmbeddingSpace) -> tuple[np.ndarray, np.ndarray]:
+def biorthonormalize(values: np.ndarray, basis: SchauderBasis,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """H-orthogonalize the grid functions along axis -2 of ``values``
     (..., k, M), normalize them in B, and build their biorthonormal duals'
     representers; every stack entry on its own, bit for bit as one entry
     alone.  Returns (psi, representers), both (..., k, M).  Linearly
     dependent input (in the truncated H metric) raises with the offending
     index."""
-    basis, weights = space.basis, space.weights
 
     def inner(u, v):
         return coefficient_h_inner(analyze(u, basis), analyze(v, basis), weights)

@@ -27,16 +27,16 @@ constant in integral.
 Determinism: the master seed is split into independent per-check streams by
 hashing the check name, so adding or removing one check never perturbs the
 randomness of the others and a (suite, seed, params) triple always produces
-the identical report.  Checks share no mutable state (a pass's embedding
-space, the one object they share, is never written to and its basis arrays
-are read-only), so the order in which their blocks run does not change a
-byte.  Each check declares the basis it reads: one per P_SWEEP p, the run's
-own p, or none.  ``run_suite`` makes one pass per exponent, each with one
-space at the run's N that builds its basis arrays when a check first reads
-them and is dropped when the pass ends; a last pass runs the checks that
-read no basis.  Only a basis pass's blocks reach a space, and a basis lives
-for its pass, so the run holds at most one basis at its N, and none while a
-check that reads none runs; the report sorts by check name.
+the identical report.  Checks share no mutable state (a pass's basis, the
+one object they share, has read-only arrays), so the order in which their
+blocks run does not change a byte.  H is a basis and its weights: every
+check reads the run's weights, and each declares the basis it reads, one
+per P_SWEEP p, the run's own p, or none.  ``run_suite`` makes one pass per
+exponent, and a pass that runs a block builds its basis at the run's N when
+it starts, after the last pass's is dropped; a last pass runs the checks
+that read no basis.  Only a basis pass's blocks reach a basis, so the run
+holds at most one at its N, and none while a check that reads none runs;
+the report sorts by check name.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import numpy as np
 
 from . import integrals, ks2, numerics, schatten
 from .embedding import (
-    EmbeddingSpace,
     biorthonormalize,
     coefficient_h_inner,
     coefficient_h_norm,
@@ -79,9 +78,11 @@ from .operators import (
 from .report import FAIL, MEASURED, PASS, CheckResult, VerificationReport
 from .spaces import (
     GridFunction,
+    SchauderBasis,
     analyze,
     coefficients,
     duality_map_rows,
+    fourier_sbasis,
     lp_norm,
     lp_norm_rows,
     pairing_rows,
@@ -207,9 +208,9 @@ def _check(name: str, suite: str, tol: float | None = None, *, count: int | None
     """Register ``measure`` as check ``name``, asserted against ``tol`` (a
     measured entry when ``tol`` is None).
 
-    ``basis`` declares the basis a check reads through ``run.space()``:
+    ``basis`` declares the basis a check reads through ``run.basis()``:
     "sweep", one block per P_SWEEP p, each at its p; "own", the run's p;
-    None, none, for a check that reads the weights alone (``run.space()``
+    None, none, for a check that reads the weights alone (``run.basis()``
     raises in a check that declares none).
     ``run_suite`` runs ``_count(params, count)`` instances per block
     (taking a count of one when ``count`` is None) in chunks, each inside
@@ -263,10 +264,11 @@ def _complex_parts(x: np.ndarray, shapes) -> list[np.ndarray]:
 
 class _Run:
     """One check's part of a ``run_suite`` call: the params, the check's
-    random stream, the space of the pass its block runs in, and the report
-    params and tail bounds its ``measure`` records.  The random draws below
-    are for ``draw`` alone; each chunk form draws ``count`` instances in one
-    Generator call, bit for bit as many calls one instance at a time."""
+    random stream, the weights of H, the basis of the pass its block runs
+    in, and the report params and tail bounds its ``measure`` records.  The
+    random draws below are for ``draw`` alone; each chunk form draws
+    ``count`` instances in one Generator call, bit for bit as many calls one
+    instance at a time."""
 
     def __init__(self, params: SuiteParams, rng):
         self.params = params
@@ -275,17 +277,16 @@ class _Run:
         self.tails: dict = {}
         # the reduction of the blocks run so far, and their seconds
         self.worst, self.samples, self.seconds = 0.0, 0, 0.0
-        # the space of the pass the current block runs in, set while it runs
-        self.pass_space: EmbeddingSpace | None = None
-        self.weights = dyadic_weights(params.dim)  # all of H an operator check reads
+        # the basis of the pass the current block runs in, set while it runs
+        self.pass_basis: SchauderBasis | None = None
+        self.weights = dyadic_weights(params.dim)  # H's weights; all an operator check reads
 
-    def space(self) -> EmbeddingSpace:
-        """The pass's space, while a block of a check that declares a basis
-        runs; its basis arrays are built by ``fourier_sbasis`` the first time
-        a check reads ``basis``.  Raises in a check that declares none."""
-        if self.pass_space is None:
+    def basis(self) -> SchauderBasis:
+        """The pass's basis, while a block of a check that declares one
+        runs.  Raises in a check that declares none."""
+        if self.pass_basis is None:
             raise RuntimeError("a check reads a basis it does not declare")
-        return self.pass_space
+        return self.pass_basis
 
     def low(self, name: str, value):
         """Record the smallest entry of ``value`` (a number or an array) so
@@ -315,8 +316,7 @@ class _Run:
 
     def polys(self, count: int) -> np.ndarray:
         """The grid values of ``count`` random polynomials, one per row."""
-        space = self.space()
-        return synthesize(self.normals(count, (space.dim,))[0], space.basis)
+        return synthesize(self.normals(count, (self.params.dim,))[0], self.basis())
 
     def matrices(self, count: int) -> np.ndarray:
         """Random operators' coordinate matrices, entries of variance 2/N."""
@@ -372,7 +372,7 @@ def _draw_polys(run, first, stop):
 @_check("duality-identity", "embedding", tol=1e-6, count=200, grid_values=5, draw=_draw_polys,
         basis="sweep")
 def _chk_duality_identity(run, u):
-    p = run.space().basis.p
+    p = run.basis().p
     ju = duality_map_rows(u, p)
     np2 = np.float_power(lp_norm_rows(u, p), 2.0)
     a = numerics.modulus(pairing_rows(u, ju) - np2)
@@ -382,16 +382,15 @@ def _chk_duality_identity(run, u):
 
 def _draw_homogeneity(run, first, stop):
     # each instance draws a polynomial and a scalar
-    space = run.space()
-    coeffs, scalars = run.normals(stop - first, (space.dim,), ())
-    return synthesize(coeffs, space.basis), scalars[:, None]
+    coeffs, scalars = run.normals(stop - first, (run.params.dim,), ())
+    return synthesize(coeffs, run.basis()), scalars[:, None]
 
 
 @_check("duality-homogeneity", "embedding", tol=1e-8, count=25, grid_values=7,
         draw=_draw_homogeneity, basis="sweep")
 def _chk_duality_homogeneity(run, x):
     u, c = x
-    p = run.space().basis.p
+    p = run.basis().p
     q = p / (p - 1.0)
     rhs = duality_map_rows(u, p) * c
     return (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
@@ -399,14 +398,14 @@ def _chk_duality_homogeneity(run, x):
 
 
 def _draw_grid_values(run, first, stop):
-    return run.normals(stop - first, (run.space().resolution,))[0]
+    return run.normals(stop - first, (_resolution(run.params),))[0]
 
 
 @_check("coefficient-projection", "embedding", tol=1e-10, count=100, grid_values=4,
         draw=_draw_grid_values, basis="own")
 def _chk_coeff_projection(run, rows):
     # the public one-function round trip, coefficients then reconstruct, per instance
-    basis = run.space().basis
+    basis = run.basis()
     out = []
     for values in rows:
         once = reconstruct(coefficients(GridFunction(values), basis), basis)
@@ -424,19 +423,18 @@ def _chk_coeff_projection(run, rows):
 @_check("embedding-hnorm-below-sup", "embedding", tol=1e-12, count=125, grid_values=1,
         draw=_draw_polys, basis="sweep")
 def _chk_hnorm_sup(run, u):
-    space = run.space()
-    c = analyze(u, space.basis)
+    c = analyze(u, run.basis())
     sup = np.max(np.abs(c), axis=-1)
-    return (coefficient_h_norm(c, space.weights) - sup) / np.maximum(sup, 1e-300)
+    return (coefficient_h_norm(c, run.weights) - sup) / np.maximum(sup, 1e-300)
 
 
 @_check("embedding-hnorm-below-bnorm", "embedding", tol=5e-7, count=125, grid_values=2,
         draw=_draw_polys, basis="sweep")
 def _chk_hnorm_bnorm(run, u):
-    space = run.space()
-    bn = lp_norm_rows(u, space.basis.p)
-    c = analyze(u, space.basis)
-    return (coefficient_h_norm(c, space.weights) - bn) / np.maximum(bn, 1e-300)
+    basis = run.basis()
+    bn = lp_norm_rows(u, basis.p)
+    c = analyze(u, basis)
+    return (coefficient_h_norm(c, run.weights) - bn) / np.maximum(bn, 1e-300)
 
 
 @_check("embedding-middle-ratio", "embedding", count=50, grid_values=2, draw=_draw_polys,
@@ -444,22 +442,22 @@ def _chk_hnorm_bnorm(run, u):
 def _chk_middle_ratio(run, u):
     # sup_n |<E_n*, u>| <= ||u||_B requires unit dual norms, which our
     # normalization only guarantees empirically -- so record the worst ratio.
-    space = run.space()
-    sup = np.max(np.abs(analyze(u, space.basis)), axis=-1)
-    return sup / np.maximum(lp_norm_rows(u, space.basis.p), 1e-300)
+    basis = run.basis()
+    sup = np.max(np.abs(analyze(u, basis)), axis=-1)
+    return sup / np.maximum(lp_norm_rows(u, basis.p), 1e-300)
 
 
 @_check("embedding-gram-diagonal", "embedding", tol=1e-8, basis="own")
 def _chk_gram_diag(run, xs):
-    g = gram_matrix(run.space())
+    g = gram_matrix(run.basis(), run.weights)
     return [np.abs(g - np.diag(np.diag(g))).ravel()]
 
 
 def _draw_jb_linear(run, first, stop):
     # each instance draws three polynomials and a scalar
-    n = run.space().dim
+    n = run.params.dim
     *coeffs, scalars = run.normals(stop - first, (n,), (n,), (n,), ())
-    return [synthesize(c, run.space().basis) for c in coeffs], scalars
+    return [synthesize(c, run.basis()) for c in coeffs], scalars
 
 
 @_check("embedding-jb-linear", "embedding", tol=1e-12, count=100, grid_values=5,
@@ -467,11 +465,11 @@ def _draw_jb_linear(run, first, stop):
 def _chk_jb_linear(run, x):
     # <w, J_B(u)> = (w, u)_H, additive and conjugate-homogeneous in u
     (u, v, w), a = x
-    space = run.space()
-    cw = analyze(w, space.basis)
+    basis = run.basis()
+    cw = analyze(w, basis)
 
     def at_w(f):
-        return coefficient_h_inner(cw, analyze(f, space.basis), space.weights)
+        return coefficient_h_inner(cw, analyze(f, basis), run.weights)
 
     modulus = numerics.modulus
     on_u = at_w(u)
@@ -483,7 +481,7 @@ def _chk_jb_linear(run, x):
 
 def _draw_gram_schmidt(run, first, stop):
     # each instance draws min(4, N) polynomials, one after another
-    k = min(4, run.space().dim)
+    k = min(4, run.params.dim)
     return run.polys((stop - first) * k).reshape(stop - first, k, -1)
 
 
@@ -492,10 +490,9 @@ def _draw_gram_schmidt(run, first, stop):
 def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
     # products with the others and its dual pairings
-    space = run.space()
-    basis, weights = space.basis, space.weights
+    basis, weights = run.basis(), run.weights
     modulus = numerics.modulus
-    psis, representers = biorthonormalize(vecs, space)
+    psis, representers = biorthonormalize(vecs, basis, weights)
     c, c_dual = analyze(psis, basis), analyze(representers, basis)
     h = coefficient_h_norm(c, weights)
     k = vecs.shape[-2]
@@ -559,7 +556,7 @@ def _draw_identity(run, first, stop):
         draw=_draw_identity, basis="own")
 def _chk_defining_identity(run, x):
     mats, cus, cvs = x
-    return adjoint_identity_defect(run.stacked(mats), cus, cvs, run.space().basis)
+    return adjoint_identity_defect(run.stacked(mats), cus, cvs, run.basis())
 
 
 @_check("adjoint-positive-product", "adjoint", tol=1e-10, count=100, draw=_draw_matrices)
@@ -703,16 +700,13 @@ def _meas_bnorm_ratio(run, xs):
 # singular-value / trace-class checks (schatten suite)
 # ---------------------------------------------------------------------------
 
-_SCHATTEN_PS = (1.0, 2.0, 4.0)
-
-
 @_check("schatten-two-path", "schatten", tol=1e-9, count=500,
         draw=lambda run, first, stop: (run.matrices(stop - first),
-                                       np.arange(first, stop) % len(_SCHATTEN_PS)))
+                                       np.arange(first, stop) % len(schatten.POWER_EXPONENTS)))
 def _chk_two_path(run, x):
     # every order of every instance, then each instance's own order
     mats, orders = x
-    paths = np.array(schatten.schatten_norm_paths(run.stacked(mats), _SCHATTEN_PS))
+    paths = np.array(schatten.schatten_norm_paths(run.stacked(mats), schatten.POWER_EXPONENTS))
     bracket, mu = paths[orders, :, np.arange(len(mats))].T
     return np.abs(bracket - mu) / np.maximum(mu, 1e-300)
 
@@ -737,8 +731,8 @@ def _chk_unitary_invariance(run, x):
     a_op = run.stacked(mats)
     u_op, v_op = (from_h_matrix(numerics.matrix_exp(g - g.conj().swapaxes(-1, -2)), a_op.weights)
                   for g in gens)
-    bases = schatten.schatten_norm(a_op, _SCHATTEN_PS)
-    moved = schatten.schatten_norm(u_op @ a_op @ v_op, _SCHATTEN_PS)
+    bases = schatten.schatten_norm(a_op, schatten.POWER_EXPONENTS)
+    moved = schatten.schatten_norm(u_op @ a_op @ v_op, schatten.POWER_EXPONENTS)
     return np.stack([np.abs(after - base) / np.maximum(base, 1e-300)
                      for base, after in zip(bases, moved)], axis=-1)
 
@@ -974,12 +968,12 @@ def list_checks(suite: str = "all") -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-def _run_block(check: _Check, run: _Run, block: int, space: EmbeddingSpace | None) -> None:
-    """Draw and measure block ``block`` of ``check`` a chunk at a time in
-    its pass's ``space`` (None in the pass of no basis), folding its values
+def _run_block(check: _Check, run: _Run, block: int, basis: SchauderBasis | None) -> None:
+    """Draw and measure block ``block`` of ``check`` a chunk at a time with
+    its pass's ``basis`` (None in the pass of no basis), folding its values
     into ``run``'s worst value and sample count."""
     started = time.perf_counter()
-    run.pass_space = space
+    run.pass_basis = basis
     chunk = check.chunk(run.params)
     size = 1 if check.count is None else _count(run.params, check.count)
     begin, end = block * size, (block + 1) * size
@@ -995,7 +989,7 @@ def _run_block(check: _Check, run: _Run, block: int, space: EmbeddingSpace | Non
         else:
             top = values.max(initial=0.0)
             run.worst = top if np.isnan(top) else max(run.worst, top)
-    run.pass_space = None  # so the pass's space ends with its pass
+    run.pass_basis = None  # so the pass's basis ends with its pass
     run.seconds += time.perf_counter() - started
 
 
@@ -1021,13 +1015,14 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     the check's tolerance.  One pass per exponent, P_SWEEP's in order and
     then the run's own where it is not among them, runs the blocks that
     read a basis at that p: block j of each "sweep" check in the pass of
-    P_SWEEP[j], and each "own" check in the pass of the run's p.  Each pass
-    makes one space at the run's N, whose basis is built by the pass's
-    first reader and dropped when the pass ends; a last pass runs the
-    checks that read no basis.  A check's run is released after its last
-    block.  Each check's seconds, the sum of its blocks', go in its
-    result's ``duration``, outside the canonical report, so a pass's build
-    is charged to its first reader; the results are listed in name order."""
+    P_SWEEP[j], and each "own" check in the pass of the run's p.  A pass
+    that runs a block builds its basis at the run's N when it starts, after
+    the last pass's basis is dropped, so no two are alive at once; a last
+    pass runs the checks that read no basis.  A check's run is released
+    after its last block.  Each check's seconds, the sum of its blocks', go
+    in its result's ``duration``, outside the canonical report; a build
+    counts toward the report's ``duration`` alone.  The results are listed
+    in name order."""
     if params is None:
         params = SuiteParams()
     start = time.perf_counter()
@@ -1035,18 +1030,18 @@ def run_suite(name: str, seed: int = 0, params: SuiteParams | None = None) -> Ve
     names = list_checks(name)
     runs: dict[str, _Run] = {}
     for p in (*dict.fromkeys((*P_SWEEP, params.p)), None):
-        space = None if p is None else EmbeddingSpace(
-            dyadic_weights(params.dim), p, _resolution(params))
-        for cname in names:
+        blocks = [cname for cname in names if p in _REGISTRY[cname].passes(params)]
+        basis = None  # the last pass's basis goes before this pass's is built
+        if p is not None and blocks:
+            basis = fourier_sbasis(params.dim, p, _resolution(params))
+        for cname in blocks:
             check = _REGISTRY[cname]
             passes = check.passes(params)
-            if p not in passes:
-                continue
             block = passes.index(p)
             if block == 0:
                 runs[cname] = _Run(params, np.random.default_rng(check_seed(int(seed), cname)))
             run = runs[cname]
-            _run_block(check, run, block, space)
+            _run_block(check, run, block, basis)
             if block == len(passes) - 1:
                 del runs[cname]
                 report.add(_result(cname, check, run))

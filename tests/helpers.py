@@ -3,15 +3,14 @@
 import numpy as np
 
 from almosthilbert import suites
-from almosthilbert.embedding import EmbeddingSpace, dyadic_weights
 from almosthilbert.operators import BOperator, from_h_matrix
-from almosthilbert.spaces import coefficients, reconstruct
+from almosthilbert.spaces import coefficients, fourier_sbasis, reconstruct
 
 
-def make_space(N=4, p=2, resolution=None):
+def make_basis(N=4, p=2, resolution=None):
     if resolution is None:
         resolution = max(64, 8 * N)
-    return EmbeddingSpace(dyadic_weights(N), p, resolution)
+    return fourier_sbasis(N, p, resolution)
 
 
 def identity_operator(weights):
@@ -41,9 +40,9 @@ def rand_selfadjoint(weights, rng, scale=1.0):
     return from_h_matrix(a + a.conj().T, weights)
 
 
-def random_poly(space, rng, scale=1.0):
-    c = scale * rand_complex(rng, space.dim)
-    return reconstruct(c, space.basis)
+def random_poly(basis, rng, scale=1.0):
+    c = scale * rand_complex(rng, len(basis))
+    return reconstruct(c, basis)
 
 
 def run_check(monkeypatch, name, params, seed=0):

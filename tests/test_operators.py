@@ -4,7 +4,7 @@ import pytest
 from helpers import (
     apply_op,
     identity_operator,
-    make_space,
+    make_basis,
     rand_complex,
     rand_operator,
     rand_selfadjoint,
@@ -53,27 +53,26 @@ class TestAdjoint:
         np.testing.assert_allclose(adjoint(A).matrix, [[0.0, 0.0], [2.0, 0.0]], atol=1e-15)
 
     def test_two_by_two_defining_identity(self):
-        space = make_space(N=2)
-        A = BOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), space.weights)
+        basis, w = make_basis(N=2), dyadic_weights(2)
+        A = BOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), w)
         astar = adjoint(A)
-        e1, e2 = (GridFunction(e) for e in space.basis.synthesis[:2])
+        e1, e2 = (GridFunction(e) for e in basis.synthesis[:2])
         # h(A e2, e1) must equal h(e2, A* e1); the closed form above is the
         # unique matrix doing so.
-        lhs = h_inner(apply_op(A, e2, space.basis), e1, space)
-        rhs = h_inner(e2, apply_op(astar, e1, space.basis), space)
+        lhs = h_inner(apply_op(A, e2, basis), e1, basis, w)
+        rhs = h_inner(e2, apply_op(astar, e1, basis), basis, w)
         assert lhs == pytest.approx(0.5, abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-12)
 
     def test_defining_identity_random(self):
         rng = np.random.default_rng(1)
-        space = make_space(N=8, p=3, resolution=128)
-        basis, w = space.basis, space.weights
+        basis, w = make_basis(N=8, p=3, resolution=128), dyadic_weights(8)
         for _ in range(50):
             A = rand_operator(w, rng)
             astar = adjoint(A)
-            u, v = random_poly(space, rng), random_poly(space, rng)
-            lhs = h_inner(apply_op(A, u, basis), v, space)
-            rhs = h_inner(u, apply_op(astar, v, basis), space)
+            u, v = random_poly(basis, rng), random_poly(basis, rng)
+            lhs = h_inner(apply_op(A, u, basis), v, basis, w)
+            rhs = h_inner(u, apply_op(astar, v, basis), basis, w)
             hu, hv = (coefficient_h_norm(coefficients(f, basis), w) for f in (u, v))
             bound = 1e-10 * h_opnorm(A) * hu * hv
             assert abs(lhs - rhs) <= bound
@@ -504,15 +503,14 @@ class TestStacks:
     def test_identity_defect_per_slice_is_the_grid_path(self):
         # each slice rounds as apply_op and h_inner do on grid functions
         rng = np.random.default_rng(64)
-        space = make_space(N=8, resolution=256)
-        basis = space.basis
-        ops = [rand_operator(space.weights, rng) for _ in range(5)]
+        basis, w = make_basis(N=8, resolution=256), dyadic_weights(8)
+        ops = [rand_operator(w, rng) for _ in range(5)]
         cus, cvs = rand_complex(rng, 5, 8), rand_complex(rng, 5, 8)
         stacked = adjoint_identity_defect(self._stack(ops), cus, cvs, basis)
         for A, cu, cv, got in zip(ops, cus, cvs, stacked):
             u, v = reconstruct(cu, basis), reconstruct(cv, basis)
-            lhs = h_inner(apply_op(A, u, basis), v, space)
-            rhs = h_inner(u, apply_op(adjoint(A), v, basis), space)
+            lhs = h_inner(apply_op(A, u, basis), v, basis, w)
+            rhs = h_inner(u, apply_op(adjoint(A), v, basis), basis, w)
             assert got == abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
             np.testing.assert_array_equal(adjoint_identity_defect(A, cu, cv, basis), got)
 
@@ -607,7 +605,7 @@ class TestBOperatorBasics:
 
     def test_apply_in_span(self):
         rng = np.random.default_rng(18)
-        basis = make_space(N=4).basis
+        basis = make_basis(N=4)
         A = rand_operator(dyadic_weights(4), rng)
         c = rand_complex(rng, 4)
         out = apply_op(A, reconstruct(c, basis), basis)

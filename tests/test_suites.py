@@ -9,7 +9,7 @@ import pytest
 from helpers import rand_complex, run_check
 
 from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
-from almosthilbert import embedding, integrals, numerics, operators, schatten, suites
+from almosthilbert import integrals, numerics, operators, schatten, suites
 from almosthilbert.operators import BOperator, adjoint, from_h_matrix, spectral_decompose
 from almosthilbert.spaces import reconstruct
 from almosthilbert.suites import (
@@ -81,10 +81,9 @@ SAMPLES_AT_ONE_TRIAL = {
 ALL_CHECKS = tuple(sorted(SAMPLES_AT_ONE_TRIAL))
 
 
-def _pass_space(params, p):
-    """The space run_suite makes for the pass at exponent p."""
-    return embedding.EmbeddingSpace(embedding.dyadic_weights(params.dim), p,
-                                    suites._resolution(params))
+def _pass_basis(params, p):
+    """The basis run_suite builds for the pass at exponent p."""
+    return suites.fourier_sbasis(params.dim, p, suites._resolution(params))
 
 
 class TestRegistry:
@@ -384,11 +383,11 @@ class TestRunSuite:
         # instance; the one of slack covers the operators the operator bound
         # counts and the allocator's rounding
         check, params = _REGISTRY[name], SuiteParams()
-        space = _pass_space(params, params.p) if check.basis else None
+        basis = _pass_basis(params, params.p) if check.basis else None
 
         def peak(count):
             run = _Run(params, np.random.default_rng(0))
-            run.pass_space = space  # as run_suite gives a check that declares a basis
+            run.pass_basis = basis  # as run_suite gives a check that declares a basis
             check.measure(run, check.draw(run, 0, count))  # spaces and caches first
             tracemalloc.start()
             try:
@@ -438,8 +437,7 @@ class TestRunSuite:
             for part, shape in zip(chunk, shapes):
                 assert part[i].tobytes() == np.asarray(rand_complex(rng, *shape)).tobytes()
         run, rng = _Run(FAST, np.random.default_rng(6)), np.random.default_rng(6)
-        run.pass_space = _pass_space(FAST, FAST.p)
-        basis = run.space().basis
+        basis = run.pass_basis = _pass_basis(FAST, FAST.p)
 
         def hermitian():
             a = rand_complex(rng, 8, 8)
@@ -473,7 +471,7 @@ class TestRunSuite:
         check = _REGISTRY["duality-homogeneity"]
         first, stop = 6 * block, 6 * block + 6
         run, lone = (_Run(FAST, np.random.default_rng(4)) for _ in range(2))
-        run.pass_space = lone.pass_space = _pass_space(FAST, suites.P_SWEEP[block])
+        run.pass_basis = lone.pass_basis = _pass_basis(FAST, suites.P_SWEEP[block])
         chunk = check.draw(run, first, stop)
         alone = [check.measure(lone, check.draw(lone, i, i + 1)) for i in range(first, stop)]
         assert check.measure(run, chunk).tobytes() == np.concatenate(alone).tobytes()
@@ -565,13 +563,21 @@ class TestRunSuite:
             assert line.endswith(f"  {c.duration:.3f}s")
 
 
+# the exponents of the passes that build a basis, in pass order, per
+# suite; "p" stands for --p, whose pass follows P_SWEEP's when it is off it
+BUILDS = {"all": (*suites.P_SWEEP, "p"), "embedding": (*suites.P_SWEEP, "p"),
+          "adjoint": ("p",), "schatten": (), "ks2": (), "integral": ()}
+
+
 class TestSharedSpace:
     @pytest.mark.parametrize("p", [FAST.p, 1.7], ids=["p-in-sweep", "p-off-sweep"])
-    def test_only_checks_that_declare_a_basis_build_one(self, monkeypatch, p):
-        # one recorder over the whole run: a basis is built once per pass, in
-        # pass order, inside a block of a check that declares one; at most one
-        # basis at the run's N is alive at a time, none while a check that
-        # declares none runs, and none outlives the run
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_only_checks_that_declare_a_basis_build_one(self, monkeypatch, suite, p):
+        # one recorder over the whole run: a pass builds one basis between
+        # blocks when it holds a block, in pass order, and a pass that holds
+        # none builds none; a block gets a basis where its check declares
+        # one; at most one basis at the run's N is alive at a time, none
+        # while a check that declares none runs, and none outlives the run
         params = replace(FAST, p=p)
         built, refs, running = [], [], [None]
 
@@ -579,31 +585,32 @@ class TestSharedSpace:
             return sum(ref() is not None for ref in refs)
 
         def tracking(n, q, resolution):
-            assert running[0] is not None and running[0].basis, "built outside a declaring block"
+            assert running[0] is None, "built inside a block"
             assert alive() == 0
             basis = fourier_sbasis(n, q, resolution)
             built.append((n, q, resolution))
             refs.append(weakref.ref(basis))
             return basis
 
-        def recording(check, run, block, space):
+        def recording(check, run, block, basis):
+            assert (basis is None) == (check.basis is None)
             assert check.basis or alive() == 0
             running[0] = check
-            run_block(check, run, block, space)
+            run_block(check, run, block, basis)
             running[0] = None
 
-        fourier_sbasis, run_block = embedding.fourier_sbasis, suites._run_block
-        monkeypatch.setattr(embedding, "fourier_sbasis", tracking)
+        fourier_sbasis, run_block = suites.fourier_sbasis, suites._run_block
+        monkeypatch.setattr(suites, "fourier_sbasis", tracking)
         monkeypatch.setattr(suites, "_run_block", recording)
-        run_suite("all", seed=0, params=params)
-        passes = dict.fromkeys((*suites.P_SWEEP, p))
+        run_suite(suite, seed=0, params=params)
+        passes = dict.fromkeys(p if q == "p" else q for q in BUILDS[suite])
         assert built == [(params.dim, q, params.grid) for q in passes]
         assert alive() == 0
 
     def test_space_outside_a_basis_pass_raises(self, monkeypatch):
         # a check that reads a basis it does not declare fails every run
         fake = _Check(suite="integral", tol=1.0, count=None, samples=None,
-                      draw=lambda run, first, stop: run.space().basis.p,
+                      draw=lambda run, first, stop: run.basis().p,
                       measure=lambda run, p: [0.0])
         monkeypatch.setattr(suites, "_REGISTRY", {"fake": fake})
         with pytest.raises(RuntimeError, match="does not declare"):
@@ -611,21 +618,10 @@ class TestSharedSpace:
         monkeypatch.setitem(suites._REGISTRY, "fake", replace(fake, basis="own"))
         assert run_suite("integral", seed=0, params=FAST).passed
 
-    def test_shared_space_is_read_only(self, monkeypatch):
-        # the basis is built on its first read, once, and read-only
-        built = []
-
-        def counting(n, p, resolution):
-            built.append((n, p, resolution))
-            return fourier_sbasis(n, p, resolution)
-
-        fourier_sbasis = embedding.fourier_sbasis
-        monkeypatch.setattr(embedding, "fourier_sbasis", counting)
-        space = _pass_space(FAST, FAST.p)
-        assert built == []
-        assert space.basis is space.basis
-        assert built == [(FAST.dim, FAST.p, FAST.grid)]
+    def test_shared_space_is_read_only(self):
+        # a pass's checks share its basis, so none of them can write to it
+        basis = _pass_basis(FAST, FAST.p)
         with pytest.raises(ValueError):
-            space.basis.synthesis[0, 0] = 0.0
+            basis.synthesis[0, 0] = 0.0
         with pytest.raises(ValueError):
-            space.basis.analysis[0, 0] = 0.0
+            basis.analysis[0, 0] = 0.0
