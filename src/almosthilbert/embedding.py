@@ -82,4 +82,6 @@ def biorthonormalize(values: np.ndarray, basis: SchauderBasis,
         phis.append(phi)
     phis = np.stack(phis, axis=-2)
     bn = lp_norm_rows(phis, basis.p)
-    return phis * (1.0 / bn)[..., None], phis * (bn / inner(phis, phis).real)[..., None]
+    representers = phis * (bn / inner(phis, phis).real)[..., None]
+    phis *= (1.0 / bn)[..., None]
+    return phis, representers

@@ -111,28 +111,36 @@ def _power_antiderivative(u: np.ndarray, alpha: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _riesz_kernel(res: int, alpha: float) -> np.ndarray:
-    """The length-n FFT of the (2 res - 1)-point kernel of order alpha on
-    ``res`` cells, n the power of two past the 3 res - 2 entries of the
-    full linear convolution.  It depends on (res, alpha) alone, so it is
-    built once per pair and is read-only."""
+    """The length-2 res FFT of the (2 res - 1)-point kernel of order alpha
+    on ``res`` cells.  The full linear convolution has 3 res - 2 entries,
+    so a circular one of length 2 res wraps its tail onto its head, but
+    the middle ``res`` entries stay exact: a circular index i in
+    [res - 1, 2 res - 2] would also pick up linear index i + 2 res >=
+    3 res - 1, past the last nonzero index 3 res - 3.  It depends on
+    (res, alpha) alone, so it is built once per pair and is read-only."""
     h = 1.0 / res
     d = np.arange(-(res - 1), res)
     kern = (_power_antiderivative((d + 0.5) * h, alpha)
             - _power_antiderivative((d - 0.5) * h, alpha))
-    spectrum = np.fft.fft(kern.astype(np.complex128), 1 << (3 * res - 3).bit_length())
+    spectrum = np.fft.fft(kern.astype(np.complex128), 2 * res)
     spectrum.flags.writeable = False
     return spectrum
 
 
 def riesz_potential_rows(values: np.ndarray, alpha: float) -> np.ndarray:
     """``riesz_potential`` of each row of grid values, the grid on the last
-    axis, bit for bit as the row alone."""
+    axis, bit for bit as the row alone.  The product with the kernel
+    spectrum is taken in place, which spares each row a 2 res-point
+    temporary."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
     res = values.shape[-1]
     kernel = _riesz_kernel(res, float(alpha))
-    # the full linear convolution has 3 res - 2 entries; keep the middle res
-    full = np.fft.ifft(np.fft.fft(values, len(kernel)) * kernel)
+    # the circular convolution of length 2 res; its middle res entries are
+    # the linear convolution's (see _riesz_kernel)
+    full = np.fft.fft(values, len(kernel))
+    full *= kernel
+    full = np.fft.ifft(full)
     return full[..., res - 1: 2 * res - 1] / riesz_gamma(alpha)
 
 

@@ -485,7 +485,7 @@ def _draw_gram_schmidt(run, first, stop):
     return run.polys((stop - first) * k).reshape(stop - first, k, -1)
 
 
-@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=22,
+@_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=18,
         draw=_draw_gram_schmidt, basis="own")
 def _chk_gram_schmidt(run, vecs):
     # one sample per orthogonalized vector: its B-norm defect, its H-inner
@@ -922,8 +922,9 @@ def _chk_pv_convergence(run, xs):
     return [max(0.0, growth - 1.0, 1.0 - min(orders))]
 
 
-# its transforms run at 4M points, so the default grid already takes one instance a chunk
-@_check("riesz-symmetry", "integral", tol=1e-8, count=50, grid_values=18,
+# its transforms run at 2M points, two potentials an instance: 3 instances a
+# chunk on the default grid, one at desk scale
+@_check("riesz-symmetry", "integral", tol=1e-8, count=50, grid_values=10,
         draw=lambda run, first, stop: np.stack(run.normals(stop - first, (run.params.grid,),
                                                            (run.params.grid,))))
 def _chk_riesz_symmetry(run, fg):
@@ -936,7 +937,7 @@ def _chk_riesz_symmetry(run, fg):
     return modulus(lhs - pairing_rows(f, rg)) / np.maximum(1.0, modulus(lhs))
 
 
-@_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=13,
+@_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=5,
         draw=lambda run, first, stop: run.rng.standard_normal((stop - first, run.params.grid))
         + 0.0j)
 def _chk_riesz_positivity(run, f):

@@ -71,6 +71,7 @@ class TestRowsBitwise:
         after = integrals._riesz_kernel.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert not integrals._riesz_kernel(64, 0.375).flags.writeable
+        assert len(integrals._riesz_kernel(64, 0.375)) == 128
 
     @pytest.mark.parametrize("m", [4, 256])
     def test_random_bandlimited_stack_is_the_lone_calls(self, m):
@@ -299,7 +300,9 @@ class TestRieszPotential:
                 f = GridFunction(rng.standard_normal(256))
                 assert pairing(riesz_potential(f, alpha), f).real >= -1e-8
 
-    @pytest.mark.parametrize("res", [16, 100, 256, 4096])
+    # odd res makes the transform length 2 res no power of two; at res 1 and
+    # 2 nothing wraps, from res 3 on the tail wraps onto the head
+    @pytest.mark.parametrize("res", [1, 2, 3, 16, 100, 256, 4096])
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_matches_direct_convolution(self, res, alpha):
         rng = np.random.default_rng(res)
