@@ -5,7 +5,9 @@ inner product is (u, v)_H = sum_n t_n c_n(u) conj(c_n(v)).  At truncation N
 the geometry of H is entirely the diagonal Gram matrix diag(t_1..t_N) on
 coefficient space, so the coefficient forms take the weights alone and what
 crosses to the grid takes the basis as well; the completion is never
-materialized.  The linear dual
+materialized.  Gram-Schmidt runs in coefficient space too: it analyzes its
+input once and carries each function's coefficients beside its grid
+values.  The linear dual
 representation J_B sends u to the functional v -> (v, u)_H, which
 ``coefficient_h_inner`` evaluates on coefficient vectors.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import numerics
 from .spaces import (
     GridFunction,
     SchauderBasis,
@@ -59,29 +60,27 @@ def biorthonormalize(values: np.ndarray, basis: SchauderBasis,
     """H-orthogonalize the grid functions along axis -2 of ``values``
     (..., k, M), normalize them in B, and build their biorthonormal duals'
     representers; every stack entry on its own, bit for bit as one entry
-    alone.  Returns (psi, representers), both (..., k, M).  Linearly
-    dependent input (in the truncated H metric) raises with the offending
-    index."""
-
-    def inner(u, v):
-        return coefficient_h_inner(analyze(u, basis), analyze(v, basis), weights)
-
-    def norm(u):
-        return coefficient_h_norm(analyze(u, basis), weights)
-
-    phis = []
+    alone.  The input is analyzed once: each Gram-Schmidt step updates the
+    grid values and their coefficients together, and takes its inner
+    products on the coefficients.  Returns (psi, representers), both
+    (..., k, M).  Linearly dependent input (in the truncated H metric)
+    raises with the offending index."""
+    coeffs = analyze(values, basis)
+    norms = coefficient_h_norm(coeffs, weights)
+    phis, cs, squares = [], [], []
     for i in range(values.shape[-2]):
-        v = values[..., i, :]
-        phi = v
-        for prev in phis:
-            # the quotient rounds as the complex division of one entry does
-            phi = phi - prev * numerics.quotient(inner(phi, prev), inner(prev, prev))[..., None]
-        if np.any(norm(phi) <= 1e-6 * np.maximum(norm(v), 1e-300)):
+        phi, c = values[..., i, :], coeffs[..., i, :]
+        for prev, c_prev, square in zip(phis, cs, squares):
+            q = (coefficient_h_inner(c, c_prev, weights) / square)[..., None]
+            phi, c = phi - prev * q, c - c_prev * q
+        if np.any(coefficient_h_norm(c, weights) <= 1e-6 * np.maximum(norms[..., i], 1e-300)):
             raise ValueError(f"rank deficiency at index {i}: "
                              "vector is H-dependent on its predecessors")
         phis.append(phi)
+        cs.append(c)
+        squares.append(coefficient_h_inner(c, c, weights).real)
     phis = np.stack(phis, axis=-2)
     bn = lp_norm_rows(phis, basis.p)
-    representers = phis * (bn / inner(phis, phis).real)[..., None]
+    representers = phis * (bn / np.stack(squares, axis=-1))[..., None]
     phis *= (1.0 / bn)[..., None]
     return phis, representers

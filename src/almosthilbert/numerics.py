@@ -84,25 +84,6 @@ def product(a, b) -> np.ndarray:
     return out
 
 
-def quotient(a, b) -> np.ndarray:
-    """a / b elementwise by Smith's algorithm in the form Python's complex
-    division takes (divide by the larger part of b, then by the real
-    denominator); numpy's complex division multiplies by a reciprocal and
-    rounds otherwise.  A zero b gives a zero quotient, where Python raises."""
-    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    by_real = np.abs(br) >= np.abs(bi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
-        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
-        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
-        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    zero = (br == 0.0) & (bi == 0.0)
-    out.real, out.imag = np.where(zero, 0.0, re), np.where(zero, 0.0, im)
-    return out
-
-
 def _ct(x: np.ndarray) -> np.ndarray:
     # The conjugate transpose of each slice.
     return x.conj().swapaxes(-1, -2)

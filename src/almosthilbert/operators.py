@@ -234,59 +234,44 @@ def polar_decompose(A: BOperator) -> tuple[BOperator, BOperator]:
     return from_h_matrix(u_h, A.weights), from_h_matrix(t_h, A.weights)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    eigenvalues: np.ndarray  # distinct cluster values, descending within each slice
-    projections: BOperator   # H-orthogonal projections, one slice per cluster
-    offsets: np.ndarray      # the clusters of slice i of A are offsets[i]:offsets[i + 1]
+def _clusters(vals: np.ndarray) -> np.ndarray:
+    """The slot of each of the descending eigenvalues ``vals`` (..., N): the
+    index, within its slice, of its cluster, which it joins where it lies
+    within relative gap 1e-8 of that cluster's first."""
+    slots = np.zeros(vals.shape, dtype=np.intp)
+    for lam, slot in zip(vals.reshape(-1, vals.shape[-1]), slots.reshape(-1, vals.shape[-1])):
+        scale = max(1.0, float(np.max(np.abs(lam))))
+        first = 0
+        for i in range(1, len(lam)):
+            if abs(lam[i] - lam[first]) > 1e-8 * scale:
+                first = i
+            slot[i] = slot[i - 1] + (first == i)
+    return slots
 
 
-def _clusters(vals: np.ndarray) -> list[list[int]]:
-    """The indices of descending eigenvalues ``vals``, grouped where they lie
-    within relative gap 1e-8 of their cluster's first."""
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[clusters[-1][0]]) <= 1e-8 * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
-
-
-def spectral_decompose(A: BOperator) -> SpectralDecomposition:
+def spectral_decompose(A: BOperator) -> tuple[np.ndarray, BOperator]:
     """Spectral resolution A = sum_j x_j P_j of a naturally self-adjoint
-    operator.  Eigenvalues within relative gap 1e-8 are merged into one
-    cluster so each projection is well defined under floating point.
+    operator, as (values, projections) of shapes (..., N) and (..., N, N, N).
+    Eigenvalues within relative gap 1e-8 are merged into one cluster so
+    each projection is well defined under floating point.  Slot j holds
+    the mean value of the j-th cluster, descending, and its H-orthogonal
+    projection; slots past the last cluster hold 0 and the zero operator,
+    which add nothing to sum_j x_j P_j or sum_j P_j.
 
-    A stack is tested and resolved in one call each, then each slice is
-    clustered on its own; its clusters follow the previous slice's, and
-    each slice gets what a call on it alone gets."""
+    A stack is tested, resolved and projected in one call each, and each
+    slice gets what a call on it alone gets."""
     mh = h_matrix(A)
     if not np.all(_h_asymmetry(mh) <= _SPECTRAL_TOL):
         raise ValueError("spectral decomposition requires a naturally self-adjoint operator")
     n = len(A.weights)
     vals, vecs = h_eigen(mh)
-    vals, rows = vals.reshape(-1, n), vecs.swapaxes(-1, -2).reshape(-1, n, n)
-    owners, members, offsets = [], [], [0]
-    for i, lam in enumerate(vals):
-        clusters = _clusters(lam)
-        owners += [i] * len(clusters)
-        members += clusters
-        offsets.append(len(members))
-    # per cluster size, the clusters' mean values and P_H = V V^H of their
-    # eigenvectors V, each eigenvector kept contiguous, as vecs[:, idx] of
-    # one matrix keeps it
-    owners, sizes = np.array(owners), np.array([len(idx) for idx in members])
-    eigenvalues = np.empty(len(members))
-    p_h = np.empty((len(members), n, n), dtype=np.complex128)
-    for k in set(sizes.tolist()):
-        at = np.flatnonzero(sizes == k)
-        idx = owners[at, None], np.array([members[j] for j in at])
-        eigenvalues[at] = np.mean(vals[idx], axis=-1)
-        v = rows[idx].swapaxes(-1, -2)
-        p_h[at] = v @ v.conj().swapaxes(-1, -2)
-    return SpectralDecomposition(eigenvalues, from_h_matrix(p_h, A.weights), np.array(offsets))
+    # member[..., j, i]: eigenvalue i lies in slot j; P_H = V V^H of the
+    # eigenvectors V of each slot, the others masked to zero
+    member = _clusters(vals)[..., None, :] == np.arange(n)[:, None]
+    counts = np.sum(member, axis=-1)
+    values = np.sum(np.where(member, vals[..., None, :], 0.0), axis=-1) / np.maximum(counts, 1)
+    v = np.where(member[..., :, None, :], vecs[..., None, :, :], 0.0)
+    return values, from_h_matrix(v @ v.conj().swapaxes(-1, -2), A.weights)
 
 
 def minmax_eigenvalue(A: BOperator, k: int, trials: int = 8, seed=0):

@@ -488,25 +488,21 @@ def _draw_gram_schmidt(run, first, stop):
 @_check("embedding-gram-schmidt", "embedding", tol=1e-8, count=20, grid_values=18,
         draw=_draw_gram_schmidt, basis="own")
 def _chk_gram_schmidt(run, vecs):
-    # one sample per orthogonalized vector: its B-norm defect, its H-inner
-    # products with the others and its dual pairings
+    # one sample per orthogonalized vector: its B-norm defect, its H cosines
+    # with the others and its dual pairings less the Kronecker delta, each
+    # k x k table from one broadcast inner product
     basis, weights = run.basis(), run.weights
     modulus = numerics.modulus
     psis, representers = biorthonormalize(vecs, basis, weights)
     c, c_dual = analyze(psis, basis), analyze(representers, basis)
     h = coefficient_h_norm(c, weights)
     k = vecs.shape[-2]
-    rows = []
-    for i in range(k):
-        row = [np.abs(lp_norm_rows(psis[:, i], basis.p) - 1.0)]
-        for j in range(k):
-            if i != j:
-                denom = np.maximum(h[:, i] * h[:, j], 1e-300)
-                row.append(modulus(coefficient_h_inner(c[:, i], c[:, j], weights)) / denom)
-            pairing_ij = coefficient_h_inner(c[:, i], c_dual[:, j], weights)
-            row.append(modulus(pairing_ij - (1.0 if i == j else 0.0)))
-        rows.append(np.stack(row, axis=-1))
-    return np.stack(rows, axis=1)
+    cosines = (modulus(coefficient_h_inner(c[:, :, None], c[:, None], weights))
+               / np.maximum(h[:, :, None] * h[:, None], 1e-300))
+    pairings = modulus(coefficient_h_inner(c[:, :, None], c_dual[:, None], weights) - np.eye(k))
+    off = ~np.eye(k, dtype=bool)
+    return np.concatenate([np.abs(lp_norm_rows(psis, basis.p) - 1.0)[..., None],
+                           cosines[:, off].reshape(len(vecs), k, k - 1), pairings], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -626,26 +622,17 @@ def _chk_spectral(run, mats):
     # Frobenius norm of its residuals: reconstruction (relative to the
     # operator's norm) and completeness, then for each projection P its
     # idempotence and self-adjointness and its products with the projections
-    # after it.  Each residual is read in row order, as one operator's are.
-    def fro(x):
-        return numerics.frobenius_norm(np.ascontiguousarray(x))
-
-    # each operator's projections and values in cluster order, zero-padded;
-    # a sum over that axis, which is not the innermost, adds the N x N terms
-    # one after another, as sum() adds them, and a padding zero adds nothing
-    dec = spectral_decompose(run.stacked(mats))
-    counts = np.diff(dec.offsets)
-    owners = np.repeat(np.arange(len(mats)), counts)
-    at = owners, np.arange(len(owners)) - dec.offsets[owners]
-    p = np.zeros((len(mats), counts.max()) + mats.shape[1:], dtype=np.complex128)
-    p[at] = dec.projections.matrix
-    values = np.zeros(p.shape[:2])
-    values[at] = dec.eigenvalues
+    # after it.  A sum over the slot axis, which is not the innermost, adds
+    # the N x N terms one after another, as sum() adds them, and an empty
+    # slot's zeros add nothing.
+    fro = numerics.frobenius_norm
+    values, projections = spectral_decompose(run.stacked(mats))
+    p = projections.matrix
     worst = np.maximum(fro(np.sum(values[..., None, None] * p, axis=1) - mats)
                        / np.maximum(fro(mats), 1e-300),
                        fro(np.sum(p, axis=1) - np.eye(run.params.dim)))
     worst = np.maximum(worst, np.max(fro(p @ p - p), axis=1))
-    worst = np.maximum(worst, np.max(fro(adjoint(run.stacked(p)).matrix - p), axis=1))
+    worst = np.maximum(worst, np.max(fro(adjoint(projections).matrix - p), axis=1))
     for i in range(p.shape[1] - 1):
         worst = np.maximum(worst, np.max(fro(p[:, i, None] @ p[:, i + 1:]), axis=1))
     return worst

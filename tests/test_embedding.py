@@ -3,6 +3,7 @@ import pytest
 
 from helpers import random_poly
 
+from almosthilbert import embedding
 from almosthilbert.embedding import (
     biorthonormalize,
     coefficient_h_inner,
@@ -218,6 +219,23 @@ class TestGramSchmidt:
         for i in range(4):
             for j in range(i):
                 assert abs(jb_at(psis[i], psis[j], basis, w)) <= 1e-8
+
+    def test_analyzes_its_input_once(self, monkeypatch):
+        # the Gram-Schmidt steps take their inner products on coefficients,
+        # so a call analyzes the whole (..., k, M) stack once, not once per
+        # inner product
+        rng = np.random.default_rng(11)
+        basis, w = make_h(N=5, p=3, resolution=256)
+        stack = np.stack([[random_poly(basis, rng).values for _ in range(4)] for _ in range(5)])
+        shapes = []
+
+        def counted(values, b):
+            shapes.append(values.shape)
+            return analyze(values, b)
+
+        monkeypatch.setattr(embedding, "analyze", counted)
+        biorthonormalize(stack, basis, w)
+        assert shapes == [(5, 4, 256)]
 
     def test_rank_deficiency_reports_index(self):
         basis, w = make_h()

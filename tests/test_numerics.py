@@ -14,9 +14,9 @@ def random_diagonal_pairs(count, size, seed):
 
 
 class TestPythonRounding:
-    """product and quotient round as Python's complex * and / do, the
-    arithmetic of a per-instance check body, which numpy's vectorised
-    complex kernels do not always match."""
+    """product rounds as Python's complex * does, the arithmetic of a
+    per-instance check body, which numpy's vectorised complex kernel does
+    not always match."""
 
     @staticmethod
     def operands():
@@ -33,17 +33,6 @@ class TestPythonRounding:
         got = numerics.product(a, b)
         assert [x.tobytes() for x in got] == [
             np.complex128(complex(x) * complex(y)).tobytes() for x, y in zip(a, b)]
-
-    def test_quotient(self):
-        a, b = self.operands()
-        got = numerics.quotient(a, b)
-        assert [x.tobytes() for x in got] == [
-            np.complex128(complex(x) / complex(y)).tobytes() for x, y in zip(a, b)]
-
-    def test_quotient_by_zero_is_zero(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert numerics.quotient(np.array([1.0 + 2.0j]), np.array([0.0j]))[0] == 0.0
 
 
 class TestHermitianEigen:

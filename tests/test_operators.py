@@ -270,27 +270,39 @@ class TestPolar:
 class TestSpectral:
     def test_identity(self):
         w = dyadic_weights(4)
-        dec = spectral_decompose(identity_operator(w))
-        assert dec.projections.matrix.shape == (1, len(w), len(w))
-        assert dec.offsets.tolist() == [0, 1]
-        assert dec.eigenvalues[0] == pytest.approx(1.0)
-        np.testing.assert_allclose(dec.projections.matrix[0], np.eye(len(w)), atol=1e-10)
+        values, projections = spectral_decompose(identity_operator(w))
+        assert values.shape == (len(w),)
+        assert projections.matrix.shape == (len(w), len(w), len(w))
+        assert values[0] == pytest.approx(1.0)
+        np.testing.assert_allclose(projections.matrix[0], np.eye(len(w)), atol=1e-10)
 
     def test_degenerate_diagonal(self):
         w = dyadic_weights(3)
-        dec = spectral_decompose(BOperator(np.diag([1.0, 1.0, 2.0]), w))
-        np.testing.assert_allclose(sorted(dec.eigenvalues), [1.0, 2.0], atol=1e-10)
-        ranks = sorted(round(np.trace(P).real) for P in dec.projections.matrix)
-        assert ranks == [1, 2]
+        values, projections = spectral_decompose(BOperator(np.diag([1.0, 1.0, 2.0]), w))
+        np.testing.assert_allclose(values, [2.0, 1.0, 0.0], atol=1e-10)
+        ranks = [round(np.trace(P).real) for P in projections.matrix]
+        assert ranks == [1, 2, 0]
+
+    def test_padding_slots_are_exact_zeros(self):
+        # a slice with fewer clusters than N keeps 0 and the zero operator in
+        # the slots past its last cluster; 2I has one slot, and it is I
+        w = dyadic_weights(4)
+        stack = BOperator(np.stack([2.0 * np.eye(4), np.diag([1.0, 1.0, 3.0, 3.0])]), w)
+        values, projections = spectral_decompose(stack)
+        p = projections.matrix
+        np.testing.assert_allclose(values[:, :2], [[2.0, 0.0], [3.0, 1.0]], atol=1e-12)
+        np.testing.assert_allclose(p[0, 0], np.eye(4), atol=1e-12)
+        assert not values[0, 1:].any() and not p[0, 1:].any()
+        assert not values[1, 2:].any() and not p[1, 2:].any()
 
     def test_random_axioms_and_reconstruction(self):
         rng = np.random.default_rng(14)
         w = dyadic_weights(10)
         A = rand_selfadjoint(w, rng)
-        dec = spectral_decompose(A)
+        values, resolution = spectral_decompose(A)
         scale = max(1.0, np.linalg.norm(A.matrix))
-        projections = [BOperator(P, w) for P in dec.projections.matrix]
-        recon = sum(x * P.matrix for x, P in zip(dec.eigenvalues, projections))
+        projections = [BOperator(P, w) for P in resolution.matrix]
+        recon = sum(x * P.matrix for x, P in zip(values, projections))
         assert np.linalg.norm(recon - A.matrix) <= 1e-8 * scale
         total = sum(P.matrix for P in projections)
         np.testing.assert_allclose(total, np.eye(10), atol=1e-8)
@@ -544,9 +556,9 @@ class TestStacks:
 
     def test_spectral_decompose_per_slice(self):
         # a slice with two eigenvalues 1e-10 apart (one two-member cluster)
-        # between generic slices: each slice's clusters, values and
-        # projections are the bytes a call on it alone gives, and those of
-        # the one-cluster-at-a-time reference
+        # between generic slices: each slice's slots are the bytes a call on
+        # it alone gives, its clusters' values and projections are those of
+        # the one-cluster-at-a-time reference, and its other slots are zero
         rng = np.random.default_rng(62)
         w = dyadic_weights(8)
         unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
@@ -554,19 +566,20 @@ class TestStacks:
         repeated = from_h_matrix((unitary * spectrum) @ unitary.conj().T, w)
         ops = [rand_selfadjoint(w, rng), repeated, rand_selfadjoint(w, rng),
                rand_selfadjoint(w, rng)]
-        stacked = spectral_decompose(self._stack(ops))
-        alone = [spectral_decompose(A) for A in ops]
-        assert [len(dec.eigenvalues) for dec in alone] == [8, 7, 8, 8]
-        assert np.diff(stacked.offsets).tolist() == [8, 7, 8, 8]
-        for i, (A, dec) in enumerate(zip(ops, alone)):
-            at = slice(stacked.offsets[i], stacked.offsets[i + 1])
-            values, projections = reference_spectral(A)
-            assert dec.eigenvalues.tobytes() == values.tobytes()
-            assert dec.projections.matrix.tobytes() == projections.tobytes()
-            assert stacked.eigenvalues[at].tobytes() == values.tobytes()
-            assert stacked.projections.matrix[at].tobytes() == projections.tobytes()
-        ranks = np.round(np.trace(alone[1].projections.matrix, axis1=-2, axis2=-1).real)
-        assert ranks.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        values, projections = spectral_decompose(self._stack(ops))
+        assert values.shape == (4, 8) and projections.matrix.shape == (4, 8, 8, 8)
+        for i, A in enumerate(ops):
+            alone_values, alone = spectral_decompose(A)
+            assert values[i].tobytes() == alone_values.tobytes()
+            assert projections.matrix[i].tobytes() == alone.matrix.tobytes()
+            ref_values, ref_projections = reference_spectral(A)
+            n = len(ref_values)
+            assert n == (7 if i == 1 else 8)
+            assert alone_values[:n].tobytes() == ref_values.tobytes()
+            assert alone.matrix[:n].tobytes() == ref_projections.tobytes()
+            assert not alone_values[n:].any() and not alone.matrix[n:].any()
+        ranks = np.round(np.trace(projections.matrix[1], axis1=-2, axis2=-1).real)
+        assert ranks.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
         # one slice that is not naturally self-adjoint refuses the stack
         with pytest.raises(ValueError, match="self-adjoint"):
             spectral_decompose(self._stack(ops + [rand_operator(w, rng)]))

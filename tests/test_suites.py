@@ -11,7 +11,8 @@ from helpers import rand_complex, run_check
 from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
 from almosthilbert import integrals, numerics, operators, schatten, suites
 from almosthilbert.operators import BOperator, adjoint, from_h_matrix, spectral_decompose
-from almosthilbert.spaces import reconstruct
+from almosthilbert.embedding import coefficient_h_inner, coefficient_h_norm
+from almosthilbert.spaces import analyze, lp_norm_rows, reconstruct
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
@@ -399,6 +400,40 @@ class TestRunSuite:
         per_instance = (peak(8) - peak(4)) / 4 / (16 * suites._resolution(params))
         assert per_instance <= check.grid_values + 1.0
 
+    def test_report_is_independent_of_chunk_size(self, monkeypatch):
+        # every check at the defaults gives the same canonical bytes with one
+        # instance a chunk and with 64, so a stacked measure gives each
+        # instance what it gets alone
+        default = to_json(run_suite("all", 0, SuiteParams()))
+        for chunk in (1, 64):
+            monkeypatch.setattr(suites._Check, "chunk", lambda self, params, n=chunk: n)
+            assert to_json(run_suite("all", 0, SuiteParams())) == default
+
+    def test_gram_schmidt_rows_are_the_per_pair_loop(self):
+        # the broadcast k x k tables give each orthogonalized vector the bytes
+        # of one inner product per pair: its B-norm defect, its H cosines
+        # with the others, then its pairings less the Kronecker delta
+        run = _Run(FAST, np.random.default_rng(9))
+        basis = run.pass_basis = _pass_basis(FAST, FAST.p)
+        w = run.weights
+        vecs = suites._draw_gram_schmidt(run, 0, 6)
+        psis, representers = suites.biorthonormalize(vecs, basis, w)
+        c, c_dual = analyze(psis, basis), analyze(representers, basis)
+        k = vecs.shape[-2]
+        rows = []
+        for i in range(k):
+            row = [np.abs(lp_norm_rows(psis[:, i], basis.p) - 1.0)]
+            for j in range(k):
+                if j != i:
+                    h = coefficient_h_norm(c[:, i], w) * coefficient_h_norm(c[:, j], w)
+                    row.append(numerics.modulus(coefficient_h_inner(c[:, i], c[:, j], w))
+                               / np.maximum(h, 1e-300))
+            for j in range(k):
+                pairing = coefficient_h_inner(c[:, i], c_dual[:, j], w)
+                row.append(numerics.modulus(pairing - (1.0 if i == j else 0.0)))
+            rows.append(np.stack(row, axis=-1))
+        assert suites._chk_gram_schmidt(run, vecs).tobytes() == np.stack(rows, axis=1).tobytes()
+
     def test_spectral_reconstruction_is_the_per_operator_loop(self):
         # the chunk's stacked residuals give each operator the bytes of one
         # operator's loop; the third operator has a two-member cluster whose
@@ -410,13 +445,15 @@ class TestRunSuite:
         unitary, _ = np.linalg.qr(rand_complex(rng, 8, 8))
         spectrum = [3.0, 1.0, 1.0 + 1e-10, 0.5, -0.5, -1.0, -2.0, -4.0]
         mats[2] = from_h_matrix((unitary * spectrum) @ unitary.conj().T, w).matrix
-        expected = []
+        expected, clusters = [], []
         for mat in mats:
-            dec = spectral_decompose(BOperator(mat, w))
-            p = dec.projections.matrix
+            # the operator's clusters alone, without its empty slots
+            values, projections = spectral_decompose(BOperator(mat, w))
+            occupied = np.any(projections.matrix != 0, axis=(-2, -1))
+            values, p = values[occupied], projections.matrix[occupied]
             firsts, seconds = np.triu_indices(len(p), 1)
             products = p[firsts] @ p[seconds]
-            stack = [mat, sum(x * p_k for x, p_k in zip(dec.eigenvalues, p)) - mat,
+            stack = [mat, sum(x * p_k for x, p_k in zip(values, p)) - mat,
                      sum(p) - np.eye(len(w))]
             for i, p_i in enumerate(p):
                 stack += [p_i @ p_i - p_i, adjoint(BOperator(p_i, w)).matrix - p_i,
@@ -424,7 +461,8 @@ class TestRunSuite:
             norms = numerics.frobenius_norm(np.stack(stack))
             norms[1] /= max(norms[0], 1e-300)
             expected.append(np.max(norms[1:]))
-        assert len(spectral_decompose(BOperator(mats[2], w)).eigenvalues) == 7
+            clusters.append(len(p))
+        assert clusters[2] == 7
         assert suites._chk_spectral(run, mats).tobytes() == np.array(expected).tobytes()
 
     def test_chunk_draws_are_the_instance_draws(self):
