@@ -28,7 +28,7 @@ from .integrals import (
 )
 from .ks2 import cube_rows
 from .report import csv_text, render
-from .spaces import GridFunction, midpoints
+from .spaces import midpoints
 from .suites import _MAX_CUBES, _MAX_GRID, SUITE_NAMES, SuiteParams, list_checks, run_suite
 
 DEMO_OPS = ("hilbert", "hilbert-pv", "riesz")
@@ -142,7 +142,7 @@ def _cmd_dump_cubes(args) -> int:
     return 0
 
 
-def _demo_signal(m: int) -> GridFunction:
+def _demo_signal(m: int) -> np.ndarray:
     return signal_from_callable(
         lambda t: np.cos(2.0 * np.pi * t) + 0.5 * np.sin(6.0 * np.pi * t), m)
 
@@ -152,17 +152,12 @@ def _cmd_demo(args) -> int:
         raise ValueError(f"--m must be a power of two in 4..{_MAX_GRID}, got {args.m}")
     if args.op == "riesz":
         x = midpoints(args.m)
-        f = GridFunction(np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0).astype(complex))
-        out = riesz_potential(f, args.alpha)
-        pairs = zip(x, f.values, out.values)
+        f = np.where((x >= 0.25) & (x < 0.75), 1.0, 0.0).astype(complex)
+        pairs = zip(x, f, riesz_potential(f, args.alpha))
     else:
         f = _demo_signal(args.m)
-        if args.op == "hilbert":
-            out = hilbert_multiplier(f)
-        else:
-            out = hilbert_pv(f, 4.0 / args.m)
-        t = np.arange(args.m) / args.m
-        pairs = zip(t, f.values, out.values)
+        out = hilbert_multiplier(f) if args.op == "hilbert" else hilbert_pv(f, 4.0 / args.m)
+        pairs = zip(np.arange(args.m) / args.m, f, out)
     rows = [[repr(float(t)), repr(float(a.real)), repr(float(a.imag)),
              repr(float(b.real)), repr(float(b.imag))] for t, a, b in pairs]
     _write_text(csv_text(["t", "in_re", "in_im", "out_re", "out_im"], rows),

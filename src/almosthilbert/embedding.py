@@ -21,7 +21,7 @@ from .spaces import (
     SchauderBasis,
     analyze,
     coefficients,
-    lp_norm_rows,
+    lp_norm,
 )
 
 
@@ -80,7 +80,7 @@ def biorthonormalize(values: np.ndarray, basis: SchauderBasis,
         cs.append(c)
         squares.append(coefficient_h_inner(c, c, weights).real)
     phis = np.stack(phis, axis=-2)
-    bn = lp_norm_rows(phis, basis.p)
+    bn = lp_norm(phis, basis.p)
     representers = phis * (bn / np.stack(squares, axis=-1))[..., None]
     phis *= (1.0 / bn)[..., None]
     return phis, representers

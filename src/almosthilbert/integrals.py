@@ -1,10 +1,11 @@
 """Singular convolution operators in one dimension.
 
-Periodic model: a signal is a GridFunction on the unit interval [0, 1)
-with M uniform samples, M a power of two.  It carries a Hilbert transform
-in two forms: the exact frequency multiplier -i sgn(k), and the truncated
-principal-value quadrature against the periodized kernel cot(pi u) (the
-period-1 sum of 1/(pi u)), with the band |x - y| < eps excluded.
+Periodic model: a signal is M uniform samples of the unit interval
+[0, 1), M a power of two, on the last axis of an array.  It carries a
+Hilbert transform in two forms: the exact frequency multiplier -i sgn(k),
+and the truncated principal-value quadrature against the periodized
+kernel cot(pi u) (the period-1 sum of 1/(pi u)), with the band
+|x - y| < eps excluded.
 
 Line model: the fractional integral of order alpha on the unit interval,
 with the |x - y|^{alpha-1} kernel integrated in closed form over every
@@ -19,32 +20,30 @@ import math
 
 import numpy as np
 
-from .spaces import GridFunction
-
 
 def _signal_size(v: np.ndarray) -> int:
     """Sample count M of periodic signals ``v``, the samples on the last
     axis: M a power of two >= 4, every sample finite."""
-    m = v.shape[-1]
+    m = v.shape[-1] if v.ndim else 0
     if m < 4 or m & (m - 1) != 0:
         raise ValueError(f"sample count must be a power of two >= 4, got {m}")
-    if not np.all(np.isfinite(v.view(np.float64))):
+    if not np.all(np.isfinite(v)):
         raise ValueError("samples must be finite")
     return m
 
 
-def signal_from_callable(fn, m: int) -> GridFunction:
+def signal_from_callable(fn, m: int) -> np.ndarray:
     """Sample ``fn`` at the M points j/M of the period-1 circle.
 
-    The samples sit at the left cell edges, not at the GridFunction
-    midpoints.  Every operation on a signal (the transforms, lp_norm,
-    pairing) is translation-invariant, so the half-cell offset never enters.
+    The samples sit at the left cell edges, not at the cell midpoints.
+    Every operation on a signal (the transforms, lp_norm, pairing) is
+    translation-invariant, so the half-cell offset never enters.
     """
     t = np.arange(m) / m
-    return GridFunction(np.asarray(fn(t), dtype=np.complex128))
+    return np.asarray(fn(t), dtype=np.complex128)
 
 
-def random_bandlimited_rows(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndarray:
+def random_bandlimited(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndarray:
     """An array of ``shape`` random mean-zero signals, the samples on a last
     axis of length m >= 4, each with spectrum in modes 1..kmax (both signs),
     kmax = max(1, m // 8); the zero and Nyquist modes stay empty.  One
@@ -62,30 +61,26 @@ def random_bandlimited_rows(rng, m: int, shape: tuple[int, ...] = ()) -> np.ndar
     return np.fft.ifft(spec)
 
 
-def hilbert_multiplier_rows(values: np.ndarray) -> np.ndarray:
-    """``hilbert_multiplier`` of each row of signal samples, the samples on
-    the last axis, bit for bit as the row alone."""
+def hilbert_multiplier(values: np.ndarray) -> np.ndarray:
+    """Frequency-side transform of each row of signal samples, the samples
+    on the last axis, bit for bit as the row alone: multiply mode k by
+    -i sgn(k).
+
+    The zero mode is annihilated and so is the Nyquist mode, where the
+    sign has no meaning; on the remaining modes this is a unitary map,
+    hence an exact isometry on mean-zero Nyquist-free signals.
+    """
     m = _signal_size(values)
     mult = np.concatenate([[0.0], np.full(m // 2 - 1, -1j), [0.0],
                            np.full(m // 2 - 1, 1j)])
     return np.fft.ifft(mult * np.fft.fft(values))
 
 
-def hilbert_multiplier(f: GridFunction) -> GridFunction:
-    """Frequency-side transform: multiply mode k by -i sgn(k).
-
-    The zero mode is annihilated and so is the Nyquist mode, where the
-    sign has no meaning; on the remaining modes this is a unitary map,
-    hence an exact isometry on mean-zero Nyquist-free signals.
-    """
-    return GridFunction(hilbert_multiplier_rows(f.values))
-
-
-def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
-    """Principal-value form of the transform: quadrature against the
-    periodized kernel cot(pi(x - y)), written sgn(x - y) |cot(pi(x - y))|,
+def hilbert_pv(values: np.ndarray, eps: float) -> np.ndarray:
+    """Principal-value form of the transform of each row: quadrature against
+    the periodized kernel cot(pi(x - y)), written sgn(x - y) |cot(pi(x - y))|,
     over the sample points y with periodic distance |x - y| >= eps."""
-    m = _signal_size(f.values)
+    m = _signal_size(values)
     if eps < 1.0 / m:
         raise ValueError(f"truncation eps={eps} lies below the grid spacing {1.0 / m}")
     u = np.arange(m) / m
@@ -94,8 +89,7 @@ def hilbert_pv(f: GridFunction, eps: float) -> GridFunction:
     mask = np.abs(u) >= eps
     um = u[mask]
     kern[mask] = np.where(um > 0, 1.0, -1.0) * np.abs(1.0 / np.tan(np.pi * um))
-    out = np.fft.ifft(np.fft.fft(kern) * np.fft.fft(f.values)) / m
-    return GridFunction(out)
+    return np.fft.ifft(np.fft.fft(kern) * np.fft.fft(values)) / m
 
 
 def riesz_gamma(alpha: float) -> float:
@@ -127,11 +121,16 @@ def _riesz_kernel(res: int, alpha: float) -> np.ndarray:
     return spectrum
 
 
-def riesz_potential_rows(values: np.ndarray, alpha: float) -> np.ndarray:
-    """``riesz_potential`` of each row of grid values, the grid on the last
-    axis, bit for bit as the row alone.  The product with the kernel
-    spectrum is taken in place, which spares each row a 2 res-point
-    temporary."""
+def riesz_potential(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Fractional integral of order alpha of each row of grid values on the
+    unit interval, the grid on the last axis, bit for bit as the row alone.
+
+    Every cell's contribution integrates |x - y|^(alpha-1) in closed form
+    (the singular cell included), so the kernel weights are a symmetric
+    Toeplitz family and the whole map is one linear convolution.  The
+    product with the kernel spectrum is taken in place, which spares each
+    row a 2 res-point temporary.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"order must lie in (0, 1), got {alpha}")
     res = values.shape[-1]
@@ -142,13 +141,3 @@ def riesz_potential_rows(values: np.ndarray, alpha: float) -> np.ndarray:
     full *= kernel
     full = np.fft.ifft(full)
     return full[..., res - 1: 2 * res - 1] / riesz_gamma(alpha)
-
-
-def riesz_potential(f: GridFunction, alpha: float) -> GridFunction:
-    """Fractional integral of order alpha on a grid of the unit interval.
-
-    Every cell's contribution integrates |x - y|^(alpha-1) in closed form
-    (the singular cell included), so the kernel weights are a symmetric
-    Toeplitz family and the whole map is one linear convolution.
-    """
-    return GridFunction(riesz_potential_rows(f.values, alpha))

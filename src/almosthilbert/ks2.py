@@ -250,7 +250,7 @@ def converged_values(f: GridFunction, K: int) -> tuple[np.ndarray, int]:
     are 0 (see the module docstring).
     """
     K = _positive_int("truncation", K)
-    l1_square = lp_norm(f, 1) ** 2
+    l1_square = float(lp_norm(f.values, 1)) ** 2
     n = min(_FIRST_PREFIX, K)
     while True:
         v = functional_values(f, n)
@@ -291,7 +291,7 @@ def ks2_inner(f: GridFunction, g: GridFunction, K: int) -> complex:
 def tail_bound(f: GridFunction, K: int) -> float:
     """Bound on the norm-square mass beyond the truncation: every
     functional is bounded by the L^1 norm and the weights sum to 2^{-K}."""
-    return 2.0 ** -_positive_int("truncation", K) * lp_norm(f, 1) ** 2
+    return 2.0 ** -_positive_int("truncation", K) * float(lp_norm(f.values, 1)) ** 2
 
 
 def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]:
@@ -302,7 +302,7 @@ def embedding_bounds(f: GridFunction, q: float | Sequence[float]) -> list[float]
     for x in qs:
         if not x >= 1.0:
             raise ValueError(f"q must lie in [1, inf], got {x}")
-    return [0.5 * lp_norm(f, x) if x == np.inf else lp_norm(f, x) for x in qs]
+    return [float(lp_norm(f.values, x)) * (0.5 if x == np.inf else 1.0) for x in qs]
 
 
 def weak_strong_norms(m_max: int, K: int, resolution: int = 4096) -> tuple[list[float], int]:

@@ -1,11 +1,12 @@
 """Grid-sampled function spaces: L^p norms, the duality map, and the
 trigonometric Schauder basis.
 
-A GridFunction samples a complex function at the cell midpoints of a
-uniform grid over the unit interval, the one domain of every function
-here.  All integrals are composite-midpoint quadrature, which is exact for
-step functions aligned with the grid and spectrally accurate for smooth
-periodic integrands.
+Grid values sample a complex function at the cell midpoints of a uniform
+grid over the unit interval, the one domain of every function here; every
+kernel takes the rows of an array, the grid on the last axis, and treats
+each row bit for bit as it would alone.  All integrals are
+composite-midpoint quadrature, which is exact for step functions aligned
+with the grid and spectrally accurate for smooth periodic integrands.
 
 The duality bracket ``pairing(f, g)`` conjugates its *second* argument;
 a dual functional with representer g acts on u as ``pairing(u, g)``, which
@@ -28,7 +29,9 @@ def midpoints(resolution: int) -> np.ndarray:
 class GridFunction:
     """Complex samples at the cell midpoints of a uniform grid over the unit
     interval: a nonempty 1-D array.  A container with no arithmetic; compute
-    on ``values``."""
+    on ``values``.  It stays where perfbench/tracer.py counts cells by
+    ``.values`` (the ks2 functionals and ``coefficients``) and in what feeds
+    or reads those; every other kernel takes arrays."""
 
     values: np.ndarray
 
@@ -49,7 +52,7 @@ def from_callable(fn, resolution: int) -> GridFunction:
     return GridFunction(np.broadcast_to(vals, (resolution,)).copy())
 
 
-def lp_norm_rows(values: np.ndarray, p: float) -> np.ndarray:
+def lp_norm(values: np.ndarray, p: float) -> np.ndarray:
     """The p-norm of each row of grid values, the grid on the last axis:
     composite-midpoint quadrature of (integral |f|^p)^(1/p), the sup of the
     samples for p = inf.  The norm of a row is bit for bit the norm of that
@@ -63,26 +66,17 @@ def lp_norm_rows(values: np.ndarray, p: float) -> np.ndarray:
     return np.float_power(np.sum(a**p, axis=-1) * (1.0 / values.shape[-1]), 1.0 / p)
 
 
-def lp_norm(f: GridFunction, p: float) -> float:
-    """Composite-midpoint quadrature of (integral |f|^p)^(1/p); sup of samples for p = inf."""
-    return float(lp_norm_rows(f.values, p))
-
-
-def pairing_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The duality bracket of each row of f with the same row of g, two
-    stacks of grid values of one shape, the grid on the last axis."""
+def pairing(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The duality bracket <f, g> = integral of f * conj(g) of each row of f
+    with the same row of g, two stacks of grid values of one shape, the grid
+    on the last axis; a row's bracket is bit for bit that row's alone."""
     if f.shape != g.shape:
         raise ValueError(f"grid mismatch: {f.shape} samples against {g.shape}")
     # np.multiply: from 256 KiB numpy elides f * conj(g) to conj(g) * f, which rounds otherwise
     return np.sum(np.multiply(f, np.conj(g)), axis=-1) * (1.0 / f.shape[-1])
 
 
-def pairing(f: GridFunction, g: GridFunction) -> complex:
-    """Duality bracket <f, g> = integral of f * conj(g)."""
-    return complex(pairing_rows(f.values, g.values))
-
-
-def duality_map_rows(values: np.ndarray, p: float) -> np.ndarray:
+def duality_map(values: np.ndarray, p: float) -> np.ndarray:
     """The L^p duality map J(u) = ||u||_p^(2-p) |u|^(p-2) u of each row of
     grid values, the grid on the last axis, bit for bit as the row alone.
 
@@ -91,7 +85,7 @@ def duality_map_rows(values: np.ndarray, p: float) -> np.ndarray:
     """
     if not 1.0 < p < np.inf:
         raise ValueError("duality map requires 1 < p < inf")
-    norm = lp_norm_rows(values, p)[..., None]
+    norm = lp_norm(values, p)[..., None]
     zero = norm == 0.0
     a = np.abs(values)
     # |u|^(p-2) u written as |u|^(p-1) sgn(u) to stay finite at zeros for p < 2
@@ -148,10 +142,9 @@ def fourier_sbasis(N: int, p: float, resolution: int) -> SchauderBasis:
             g = np.cos(2.0 * np.pi * freq * t).astype(np.complex128)
         else:
             g = np.sin(2.0 * np.pi * freq * t).astype(np.complex128)
-        raw = GridFunction(g)
-        member = GridFunction(g * complex(1.0 / lp_norm(raw, p)))
-        scale = 1.0 / np.real(pairing(member, raw))
-        synthesis[n] = member.values
+        member = g * complex(1.0 / float(lp_norm(g, p)))
+        scale = 1.0 / np.real(pairing(member, g))
+        synthesis[n] = member
         np.conj(g * complex(scale), out=analysis[n])
     # read-only, so one basis can be shared by every caller
     synthesis.flags.writeable = analysis.flags.writeable = False

@@ -81,11 +81,10 @@ from .spaces import (
     SchauderBasis,
     analyze,
     coefficients,
-    duality_map_rows,
+    duality_map,
     fourier_sbasis,
     lp_norm,
-    lp_norm_rows,
-    pairing_rows,
+    pairing,
     reconstruct,
     synthesize,
 )
@@ -357,7 +356,7 @@ def _draw_steps(run, first, stop):
 
 
 def _draw_bandlimited(run, first, stop):
-    return integrals.random_bandlimited_rows(run.rng, run.params.grid, (stop - first,))
+    return integrals.random_bandlimited(run.rng, run.params.grid, (stop - first,))
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +372,10 @@ def _draw_polys(run, first, stop):
         basis="sweep")
 def _chk_duality_identity(run, u):
     p = run.basis().p
-    ju = duality_map_rows(u, p)
-    np2 = np.float_power(lp_norm_rows(u, p), 2.0)
-    a = numerics.modulus(pairing_rows(u, ju) - np2)
-    b = np.abs(np.float_power(lp_norm_rows(ju, p / (p - 1.0)), 2.0) - np2)
+    ju = duality_map(u, p)
+    np2 = np.float_power(lp_norm(u, p), 2.0)
+    a = numerics.modulus(pairing(u, ju) - np2)
+    b = np.abs(np.float_power(lp_norm(ju, p / (p - 1.0)), 2.0) - np2)
     return np.maximum(a, b) / np.maximum(np2, 1e-300)
 
 
@@ -392,9 +391,9 @@ def _chk_duality_homogeneity(run, x):
     u, c = x
     p = run.basis().p
     q = p / (p - 1.0)
-    rhs = duality_map_rows(u, p) * c
-    return (lp_norm_rows(duality_map_rows(u * c, p) - rhs, q)
-            / np.maximum(lp_norm_rows(rhs, q), 1e-300))
+    rhs = duality_map(u, p) * c
+    return (lp_norm(duality_map(u * c, p) - rhs, q)
+            / np.maximum(lp_norm(rhs, q), 1e-300))
 
 
 def _draw_grid_values(run, first, stop):
@@ -410,8 +409,8 @@ def _chk_coeff_projection(run, rows):
     for values in rows:
         once = reconstruct(coefficients(GridFunction(values), basis), basis)
         twice = reconstruct(coefficients(once, basis), basis)
-        out.append(lp_norm(GridFunction(twice.values - once.values), basis.p)
-                   / max(lp_norm(once, basis.p), 1e-300))
+        out.append(float(lp_norm(twice.values - once.values, basis.p))
+                   / max(float(lp_norm(once.values, basis.p)), 1e-300))
     return out
 
 
@@ -432,7 +431,7 @@ def _chk_hnorm_sup(run, u):
         draw=_draw_polys, basis="sweep")
 def _chk_hnorm_bnorm(run, u):
     basis = run.basis()
-    bn = lp_norm_rows(u, basis.p)
+    bn = lp_norm(u, basis.p)
     c = analyze(u, basis)
     return (coefficient_h_norm(c, run.weights) - bn) / np.maximum(bn, 1e-300)
 
@@ -444,7 +443,7 @@ def _chk_middle_ratio(run, u):
     # normalization only guarantees empirically -- so record the worst ratio.
     basis = run.basis()
     sup = np.max(np.abs(analyze(u, basis)), axis=-1)
-    return sup / np.maximum(lp_norm_rows(u, basis.p), 1e-300)
+    return sup / np.maximum(lp_norm(u, basis.p), 1e-300)
 
 
 @_check("embedding-gram-diagonal", "embedding", tol=1e-8, basis="own")
@@ -501,7 +500,7 @@ def _chk_gram_schmidt(run, vecs):
                / np.maximum(h[:, :, None] * h[:, None], 1e-300))
     pairings = modulus(coefficient_h_inner(c[:, :, None], c_dual[:, None], weights) - np.eye(k))
     off = ~np.eye(k, dtype=bool)
-    return np.concatenate([np.abs(lp_norm_rows(psis, basis.p) - 1.0)[..., None],
+    return np.concatenate([np.abs(lp_norm(psis, basis.p) - 1.0)[..., None],
                            cosines[:, off].reshape(len(vecs), k, k - 1), pairings], axis=-1)
 
 
@@ -857,7 +856,7 @@ def _chk_weak_strong(run, xs):
 @_check("hilbert-square-identity", "integral", tol=1e-12, count=100, grid_values=5,
         draw=_draw_bandlimited)
 def _chk_hilbert_square(run, f):
-    twice = integrals.hilbert_multiplier_rows(integrals.hilbert_multiplier_rows(f))
+    twice = integrals.hilbert_multiplier(integrals.hilbert_multiplier(f))
     scale = np.maximum(1.0, np.max(np.abs(f), axis=-1))
     return np.max(np.abs(twice + f), axis=-1) / scale
 
@@ -865,26 +864,24 @@ def _chk_hilbert_square(run, f):
 @_check("hilbert-isometry", "integral", tol=1e-12, count=100, grid_values=4,
         draw=_draw_bandlimited)
 def _chk_hilbert_isometry(run, f):
-    hf = integrals.hilbert_multiplier_rows(f)
-    return np.abs(lp_norm_rows(hf, 2) / lp_norm_rows(f, 2) - 1.0)
+    hf = integrals.hilbert_multiplier(f)
+    return np.abs(lp_norm(hf, 2) / lp_norm(f, 2) - 1.0)
 
 
 @_check("hilbert-skew-adjoint", "integral", tol=1e-10, count=200, grid_values=8,
-        draw=lambda run, first, stop: integrals.random_bandlimited_rows(
+        draw=lambda run, first, stop: integrals.random_bandlimited(
             run.rng, run.params.grid, (stop - first, 2)))
 def _chk_hilbert_skew(run, fg):
     # each instance's pair (f, g), transformed in one call
-    hf, hg = np.moveaxis(integrals.hilbert_multiplier_rows(fg), 1, 0)
+    hf, hg = np.moveaxis(integrals.hilbert_multiplier(fg), 1, 0)
     f, g = np.moveaxis(fg, 1, 0)
-    return (numerics.modulus(pairing_rows(hf, g) + pairing_rows(f, hg))
-            / np.maximum(lp_norm_rows(f, 2) * lp_norm_rows(g, 2), 1e-300))
+    return (numerics.modulus(pairing(hf, g) + pairing(f, hg))
+            / np.maximum(lp_norm(f, 2) * lp_norm(g, 2), 1e-300))
 
 
 def _pv_gap(mode: int, m: int, eps: float) -> float:
-    f = integrals.signal_from_callable(
-        lambda t: np.cos(2.0 * np.pi * mode * t), m)
-    return float(np.max(np.abs(integrals.hilbert_multiplier(f).values
-                               - integrals.hilbert_pv(f, eps).values)))
+    f = integrals.signal_from_callable(lambda t: np.cos(2.0 * np.pi * mode * t), m)
+    return float(np.max(np.abs(integrals.hilbert_multiplier(f) - integrals.hilbert_pv(f, eps))))
 
 
 _PV_JOINT_M = (512, 1024, 2048, 4096)
@@ -917,11 +914,11 @@ def _chk_pv_convergence(run, xs):
 def _chk_riesz_symmetry(run, fg):
     # the pairs (f, g) as a (2, T, M) stack, both potentials in one call
     alpha = run.extra["alpha"] = run.params.alpha
-    rf, rg = integrals.riesz_potential_rows(fg, alpha)
+    rf, rg = integrals.riesz_potential(fg, alpha)
     f, g = fg
-    lhs = pairing_rows(rf, g)
+    lhs = pairing(rf, g)
     modulus = numerics.modulus
-    return modulus(lhs - pairing_rows(f, rg)) / np.maximum(1.0, modulus(lhs))
+    return modulus(lhs - pairing(f, rg)) / np.maximum(1.0, modulus(lhs))
 
 
 @_check("riesz-positivity", "integral", tol=1e-8, count=100, grid_values=5,
@@ -929,18 +926,18 @@ def _chk_riesz_symmetry(run, fg):
         + 0.0j)
 def _chk_riesz_positivity(run, f):
     alpha = run.extra["alpha"] = run.params.alpha
-    return -pairing_rows(integrals.riesz_potential_rows(f, alpha), f).real
+    return -pairing(integrals.riesz_potential(f, alpha), f).real
 
 
 # counted at the run's grid, though it draws at min(grid, 512): at desk scale
 # (grid 8192) it too takes one instance a chunk
 @_check("hilbert-cp-constant", "integral", count=40, grid_values=4,
-        draw=lambda run, first, stop: integrals.random_bandlimited_rows(
+        draw=lambda run, first, stop: integrals.random_bandlimited(
             run.rng, min(run.params.grid, 512), (stop - first,)))
 def _meas_cp(run, f):
     p = run.extra["p"] = run.params.p
-    hf = integrals.hilbert_multiplier_rows(f)
-    return lp_norm_rows(hf, p) / np.maximum(lp_norm_rows(f, p), 1e-300)
+    hf = integrals.hilbert_multiplier(f)
+    return lp_norm(hf, p) / np.maximum(lp_norm(f, p), 1e-300)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from almosthilbert.operators import (
 from almosthilbert.spaces import (
     GridFunction,
     coefficients,
-    lp_norm_rows,
+    lp_norm,
     reconstruct,
 )
 from almosthilbert.suites import SuiteParams
@@ -623,7 +623,7 @@ class TestBOperatorBasics:
         c = rand_complex(rng, 4)
         out = apply_op(A, reconstruct(c, basis), basis)
         expected = reconstruct(A.matrix @ c, basis)
-        assert lp_norm_rows(out.values - expected.values, np.inf) <= 1e-10
+        assert lp_norm(out.values - expected.values, np.inf) <= 1e-10
 
     def test_b_opnorm_identity(self):
         w = dyadic_weights(4)

@@ -12,7 +12,7 @@ from almosthilbert.report import FAIL, MEASURED, PASS, to_csv, to_json, to_text
 from almosthilbert import integrals, numerics, operators, schatten, suites
 from almosthilbert.operators import BOperator, adjoint, from_h_matrix, spectral_decompose
 from almosthilbert.embedding import coefficient_h_inner, coefficient_h_norm
-from almosthilbert.spaces import analyze, lp_norm_rows, reconstruct
+from almosthilbert.spaces import analyze, lp_norm, reconstruct
 from almosthilbert.suites import (
     _REGISTRY,
     SUITE_NAMES,
@@ -260,8 +260,9 @@ class TestRunSuite:
     def test_nan_sample_fails_its_check(self, monkeypatch):
         # the second multiplier call is hilbert-isometry's one chunk
         # (hilbert-cp-constant sorts before it and draws one chunk at
-        # trials=5); one NaN sample in it fails that check alone
-        real = integrals.hilbert_multiplier_rows
+        # trials=5; hilbert-pv-convergence, which calls it too, sorts
+        # after); one NaN sample in it fails that check alone
+        real = integrals.hilbert_multiplier
         calls = []
 
         def planted(f):
@@ -271,7 +272,7 @@ class TestRunSuite:
                 out[0] *= np.nan
             return out
 
-        monkeypatch.setattr(integrals, "hilbert_multiplier_rows", planted)
+        monkeypatch.setattr(integrals, "hilbert_multiplier", planted)
         rep = run_suite("integral", seed=0, params=FAST)
         assert [c.name for c in rep.checks if c.status == FAIL] == ["hilbert-isometry"]
         text = to_json(rep)
@@ -422,7 +423,7 @@ class TestRunSuite:
         k = vecs.shape[-2]
         rows = []
         for i in range(k):
-            row = [np.abs(lp_norm_rows(psis[:, i], basis.p) - 1.0)]
+            row = [np.abs(lp_norm(psis[:, i], basis.p) - 1.0)]
             for j in range(k):
                 if j != i:
                     h = coefficient_h_norm(c[:, i], w) * coefficient_h_norm(c[:, j], w)
